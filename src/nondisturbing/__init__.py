@@ -68,6 +68,7 @@ from .channels import (
     apply_product,
     nd_channel_from_kraus,
     pair_overlap_kernel,
+    probe_outputs,
     random_nd_channel,
     reduced_product_outputs,
 )

@@ -35,6 +35,7 @@ __all__ = [
     "apply_product",
     "reduced_product_outputs",
     "pair_overlap_kernel",
+    "probe_outputs",
 ]
 
 
@@ -175,13 +176,6 @@ def random_nd_channel(
     return NDChannel(context, table)
 
 
-def _pair_block_products(nd: NDChannel, eta: np.ndarray) -> np.ndarray:
-    """k[i, j] = sum_k B_i^k eta B_j^k*, shape (n, n, dim_probe, dim_probe)."""
-    t = nd.table_array
-    left = t @ eta
-    return np.einsum("ikab,jkcb->ijac", left, t.conj())
-
-
 def pair_overlap_kernel(
     nd: NDChannel, eta: np.ndarray, weight: np.ndarray | None = None
 ) -> np.ndarray:
@@ -196,6 +190,19 @@ def pair_overlap_kernel(
     if weight is not None:
         right = right @ np.asarray(weight, dtype=complex)
     return np.einsum("ikab,jkba->ij", left, right)
+
+
+def probe_outputs(nd: NDChannel, sigma: np.ndarray) -> np.ndarray:
+    """Per-atom probe channel outputs ``G_i(sigma) = sum_k B_i^k sigma B_i^k*``.
+
+    ``sigma`` may carry leading batch axes; the result has shape
+    ``sigma.shape[:-2] + (dim_base, dim_probe, dim_probe)``, one output
+    per atom for every input.  Computed as batched matrix products over
+    the stacked table.
+    """
+    t = nd.table_array
+    stacked = np.asarray(sigma, dtype=complex)[..., None, None, :, :]
+    return (t @ stacked @ np.conj(np.swapaxes(t, -1, -2))).sum(axis=-3)
 
 
 class ReducedOutputs(NamedTuple):
@@ -217,7 +224,10 @@ def apply_product(nd: NDChannel, rho: State, eta: State) -> np.ndarray:
         raise ValueError(f"probe state has dimension {eta.dim}, expected {nd.dim_probe}")
     basis = nd.context.basis
     overlaps = basis.conj().T @ rho.matrix @ basis
-    blocks = _pair_block_products(nd, eta.matrix)
+    # blocks[i, j] = sum_k B_i^k eta B_j^k*; kept apart from the reduced
+    # closed forms, which this output checks through its partial traces.
+    t = nd.table_array
+    blocks = np.einsum("ikab,jkcb->ijac", t @ eta.matrix, t.conj())
     n, dk = nd.dim_base, nd.dim_probe
     out = np.einsum("ij,ai,cj,ijbd->abcd", overlaps, basis, basis.conj(), blocks)
     return out.reshape(n * dk, n * dk)
@@ -239,8 +249,5 @@ def reduced_product_outputs(nd: NDChannel, rho: State, eta: State) -> ReducedOut
     overlaps = basis.conj().T @ rho.matrix @ basis
     base = basis @ (kernel * overlaps) @ basis.conj().T
     weights = nd.context.weights(rho.matrix)
-    t = nd.table_array
-    left = t @ eta.matrix
-    per_atom = np.einsum("ikab,ikcb->iac", left, t.conj())
-    probe = np.einsum("i,iac->ac", weights, per_atom)
+    probe = np.tensordot(weights, probe_outputs(nd, eta.matrix), axes=1)
     return ReducedOutputs(base=base, probe=probe)

@@ -30,7 +30,7 @@ from .linalg import (
     random_povm,
 )
 from .objects import Context, KrausOperation, Observable, PartialState, State
-from .channels import NDChannel, pair_overlap_kernel, random_nd_channel
+from .channels import NDChannel, pair_overlap_kernel, probe_outputs, random_nd_channel
 
 __all__ = [
     "AtomKernelMap",
@@ -113,6 +113,8 @@ class MeasurementModel:
 
     The channel may be a generic Kraus channel on the composite space or
     an :class:`NDChannel`; closed forms are only available for the latter.
+    Their two state-independent tensors, :attr:`pulled_meter` and
+    :attr:`evolved_probe`, are computed once per model on first use.
     """
 
     dim_base: int
@@ -161,6 +163,30 @@ class MeasurementModel:
             )
         return self.channel
 
+    @cached_property
+    def pulled_meter(self) -> np.ndarray:
+        """Meter pulled back through every probe channel, read-only.
+
+        ``pulled_meter[x, i] = G_i*(F_x) = sum_k B_i^k* F_x B_i^k``, with
+        outcomes in the order of ``meter.labels``; shape
+        ``(outcomes, dim_base, dim_probe, dim_probe)``.
+        """
+        t = self.nd.table_array
+        meter = _meter_stack(self)[:, None, None]
+        out = (np.conj(np.swapaxes(t, -1, -2)) @ meter @ t).sum(axis=2)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def evolved_probe(self) -> np.ndarray:
+        """Probe state after every probe channel, ``G_i(eta)``, read-only.
+
+        Shape ``(dim_base, dim_probe, dim_probe)``.
+        """
+        out = probe_outputs(self.nd, self.probe_state.matrix)
+        out.setflags(write=False)
+        return out
+
     def channel_operation(self) -> KrausOperation:
         if isinstance(self.channel, NDChannel):
             return self.channel.as_operation()
@@ -174,6 +200,11 @@ class MeasurementModel:
 
 def _meter_matrix(mm: MeasurementModel, x: str) -> np.ndarray:
     return mm.meter.effect_matrix(x)
+
+
+def _meter_stack(mm: MeasurementModel) -> np.ndarray:
+    """Meter effects stacked in label order, shape (outcomes, dim_probe, dim_probe)."""
+    return np.array([effect.matrix for _, effect in mm.meter.outcomes])
 
 
 def measured_instrument_direct(mm: MeasurementModel, x: str, rho: State) -> PartialState:
@@ -217,13 +248,9 @@ def measured_observable_nd(mm: MeasurementModel) -> Observable:
     the probe channel of atom ``i``.  All effects are diagonal in the
     context and therefore commute pairwise.
     """
-    nd = mm.nd
-    basis = nd.context.basis
-    effects = []
-    for x in mm.meter.labels:
-        kernel = pair_overlap_kernel(nd, mm.probe_state.matrix, _meter_matrix(mm, x))
-        diag = np.real(np.diagonal(kernel))
-        effects.append((basis * diag) @ basis.conj().T)
+    basis = mm.nd.context.basis
+    diag = np.real(np.einsum("iab,xba->xi", mm.evolved_probe, _meter_stack(mm)))
+    effects = (basis * diag[:, None, :]) @ basis.conj().T
     return Observable.from_matrices(effects, mm.meter.labels)
 
 
@@ -262,10 +289,7 @@ def post_probe_instrument_nd(
     if sigma.dim != mm.dim_probe:
         raise ValueError(f"probe input dimension {sigma.dim} != {mm.dim_probe}")
     weights = nd.context.weights(rho.matrix)
-    t = nd.table_array
-    left = t @ sigma.matrix
-    per_atom = np.einsum("ikab,ikcb->iac", left, t.conj())
-    mixed = np.einsum("i,iac->ac", weights, per_atom)
+    mixed = np.tensordot(weights, probe_outputs(nd, sigma.matrix), axes=1)
     root = psd_sqrt(_meter_matrix(mm, x))
     return PartialState(hermitian_part(root @ mixed @ root))
 
@@ -281,13 +305,8 @@ def post_probe_observable(mm: MeasurementModel, rho: State) -> Observable:
     if rho.dim != mm.dim_base:
         raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
     weights = nd.context.weights(rho.matrix)
-    t = nd.table_array
-    effects = []
-    for x in mm.meter.labels:
-        f = _meter_matrix(mm, x)
-        pulled = np.einsum("ikba,bc,ikcd->iad", t.conj(), f, t)
-        effects.append(hermitian_part(np.einsum("i,iad->ad", weights, pulled)))
-    return Observable.from_matrices(effects, mm.meter.labels)
+    mixed = np.tensordot(weights, mm.pulled_meter, axes=(0, 1))
+    return Observable.from_matrices(map(hermitian_part, mixed), mm.meter.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,31 +341,26 @@ def apparatus_from_mm(mm: MeasurementModel) -> Apparatus:
     observable, and it is affine in the state.
     """
     nd = mm.nd
-    t = nd.table_array
-    pulled_by_label: dict[str, np.ndarray] = {}
-    for x in mm.meter.labels:
-        f = mm.meter.effect_matrix(x)
-        pulled_by_label[x] = np.einsum("ikba,bc,ikcd->iad", t.conj(), f, t)
+    pulled = dict(zip(mm.meter.labels, mm.pulled_meter))
 
     def evaluate(rho: State, x: str) -> np.ndarray:
         weights = nd.context.weights(rho.matrix)
-        return hermitian_part(np.einsum("i,iad->ad", weights, pulled_by_label[x]))
+        return hermitian_part(np.tensordot(weights, pulled[x], axes=1))
 
     return Apparatus(mm.meter.labels, evaluate)
 
 
 def _remeasure_kernels(mm: MeasurementModel) -> dict[str, np.ndarray]:
-    """Per-outcome matrices ``t[j, i] = tr(G_j(eta) G_i*(F_x))``."""
-    nd = mm.nd
-    t = nd.table_array
-    eta = mm.probe_state.matrix
-    evolved = np.einsum("jkab,bc,jkdc->jad", t, eta, t.conj())
-    kernels = {}
-    for x in mm.meter.labels:
-        f = mm.meter.effect_matrix(x)
-        pulled = np.einsum("ikba,bc,ikcd->iad", t.conj(), f, t)
-        kernels[x] = np.einsum("jad,ida->ji", evolved, pulled)
-    return kernels
+    """Per-outcome matrices ``t[j, i] = tr(G_j(eta) G_i*(F_x))``.
+
+    Evaluated in the Schroedinger picture as ``tr(G_i(G_j(eta)) F_x)``,
+    so this closed form never reads :attr:`MeasurementModel.pulled_meter`,
+    which its substitution oracle reaches through the post-interaction
+    probe observable.
+    """
+    twice = probe_outputs(mm.nd, mm.evolved_probe)  # twice[j, i] = G_i(G_j(eta))
+    kernels = np.einsum("jiab,xba->xji", twice, _meter_stack(mm))
+    return dict(zip(mm.meter.labels, kernels))
 
 
 def remeasure_apparatus(mm: MeasurementModel) -> Apparatus:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +256,23 @@ def test_verify_small_run_passes_and_is_deterministic(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def _run_module(*args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+@pytest.mark.parametrize("module", ["nondisturbing.cli", "nondisturbing"])
+def test_module_entry_points_run_the_cli(module):
+    proc = _run_module(module, "verify", "--trials", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("overall pass")
+    bad = _run_module(module, "bogus")
+    assert bad.returncode == 2
+    assert bad.stdout == ""

@@ -356,6 +356,74 @@ def test_unitary_rows_pull_the_meter_back_by_conjugation():
 
 
 # ---------------------------------------------------------------------------
+# Per-model cached tensors
+# ---------------------------------------------------------------------------
+
+# (dim_base, dim_probe, outcomes, kraus_count), degenerate sizes included.
+CACHE_SHAPES = [(1, 3, 2, 2), (3, 1, 2, 2), (3, 2, 3, 1), (2, 3, 1, 2), (1, 1, 1, 1), (4, 3, 3, 3)]
+
+
+def _cache_model(shape, seed) -> MeasurementModel:
+    n, dk, outcomes, kraus = shape
+    rng = np.random.default_rng(seed)
+    return random_model(n, dk, outcomes, kraus, rng, context=Context.random(n, rng))
+
+
+@pytest.mark.parametrize("shape", CACHE_SHAPES)
+def test_pulled_meter_is_the_dual_of_each_probe_channel(shape):
+    mm = _cache_model(shape, 110)
+    n, dk, outcomes, _ = shape
+    assert mm.pulled_meter.shape == (outcomes, n, dk, dk)
+    for xi, x in enumerate(mm.meter.labels):
+        for i in range(n):
+            expected = mm.nd.probe_channel(i).dual_matrix(mm.meter.effect_matrix(x))
+            assert max_abs(mm.pulled_meter[xi, i] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("shape", CACHE_SHAPES)
+def test_evolved_probe_applies_each_probe_channel(shape):
+    mm = _cache_model(shape, 111)
+    n, dk, _, _ = shape
+    assert mm.evolved_probe.shape == (n, dk, dk)
+    for i in range(n):
+        expected = mm.nd.probe_channel(i).apply_matrix(mm.probe_state.matrix)
+        assert max_abs(mm.evolved_probe[i] - expected) < 1e-12
+
+
+def test_cached_tensors_are_read_only_and_computed_once():
+    mm = _cache_model((3, 2, 2, 2), 112)
+    for name in ("pulled_meter", "evolved_probe"):
+        cached = getattr(mm, name)
+        assert getattr(mm, name) is cached
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 0.0
+
+
+def test_with_meter_gets_a_cache_for_the_new_meter():
+    mm = _cache_model((3, 2, 2, 2), 113)
+    stale = mm.pulled_meter
+    other = Observable.from_matrices(random_povm(2, 3, 114))
+    swapped = mm.with_meter(other)
+    assert swapped.pulled_meter.shape == (3, 3, 2, 2)
+    for xi, x in enumerate(other.labels):
+        for i in range(3):
+            expected = mm.nd.probe_channel(i).dual_matrix(other.effect_matrix(x))
+            assert max_abs(swapped.pulled_meter[xi, i] - expected) < 1e-12
+    assert mm.pulled_meter is stale
+    assert max_abs(swapped.evolved_probe - mm.evolved_probe) < 1e-12
+
+
+def test_cached_tensors_require_nd_channel():
+    mm = _identity_channel_model(2, 2, 115, 116)
+    with pytest.raises(ValueError, match="nondisturbing") as expected:
+        mm.nd
+    for name in ("pulled_meter", "evolved_probe"):
+        with pytest.raises(ValueError) as raised:
+            getattr(mm, name)
+        assert str(raised.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
 # Apparatus
 # ---------------------------------------------------------------------------
 
