@@ -55,7 +55,6 @@ from .probes import (
     closed_form_partial_traces,
     commutator_defect,
     conjugate,
-    adjoint_probes,
     extract_probes,
     extract_probes_by_matrix_elements,
     is_c_nondisturbing,

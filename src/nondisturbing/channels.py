@@ -20,12 +20,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_ATOL,
     as_complex_matrix,
-    kron,
     max_abs,
     random_kraus_channel,
 )
 from .objects import Context, KrausOperation, State
-from .probes import commutator_defect, extract_probes
+from .probes import ProbeDecomposition, _probe_blocks, commutator_defect
 
 __all__ = [
     "NDChannel",
@@ -102,10 +101,8 @@ class NDChannel:
         """Kraus operators on the composite space: ``S_k = sum_i P_i (x) B_i^k``."""
         out = []
         for k in range(self.kraus_count):
-            s = sum(
-                kron(self.context.atom(i), self.table[i][k])
-                for i in range(self.dim_base)
-            )
+            column = tuple(row[k] for row in self.table)
+            s = ProbeDecomposition(self.context, column).assemble()
             s.setflags(write=False)
             out.append(s)
         total = sum(s.conj().T @ s for s in out)
@@ -145,7 +142,7 @@ def nd_channel_from_kraus(
     mats = [as_complex_matrix(s, f"kraus[{k}]") for k, s in enumerate(kraus)]
     if not mats:
         raise ValueError("need at least one Kraus operator")
-    decomps = []
+    blocks = []
     for k, s in enumerate(mats):
         defect = commutator_defect(s, context, dim_probe)
         if defect > atol:
@@ -153,13 +150,13 @@ def nd_channel_from_kraus(
                 f"kraus operator {k} is disturbing for this context "
                 f"(largest commutator norm {defect:.3e} > {atol:.3e})"
             )
-        decomps.append(extract_probes(s, context, dim_probe, atol))
+        blocks.append(_probe_blocks(s, context, dim_probe))
     total = sum(s.conj().T @ s for s in mats)
     defect = max_abs(total - np.eye(context.dim * dim_probe))
     if defect > atol:
         raise ValueError(f"kraus family is not a channel (defect {defect:.3e})")
     table = tuple(
-        tuple(d.probes[i] for d in decomps) for i in range(context.dim)
+        tuple(b[i] for b in blocks) for i in range(context.dim)
     )
     return NDChannel(context, table, atol)
 

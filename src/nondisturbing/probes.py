@@ -24,7 +24,6 @@ from .linalg import (
     kron,
     loewner_leq,
     max_abs,
-    partial_trace,
 )
 from .objects import Context
 
@@ -41,7 +40,6 @@ __all__ = [
     "reduced_trace_flags",
     "order_leq_via_probes",
     "conjugate",
-    "adjoint_probes",
 ]
 
 
@@ -73,10 +71,17 @@ class ProbeDecomposition:
         return self.probes[0].shape[0]
 
     def assemble(self) -> np.ndarray:
-        """Rebuild the full operator ``sum_i P_i (x) B_i``."""
-        return sum(
-            kron(self.context.atom(i), b) for i, b in enumerate(self.probes)
-        )
+        """Rebuild the full operator ``sum_i P_i (x) B_i``.
+
+        Places the blocks on the diagonal in the context basis and rotates
+        back: ``(V (x) I) blockdiag(B) (V* (x) I)``, one base-index
+        contraction against ``V``.
+        """
+        n, dk = self.dim_base, self.dim_probe
+        basis = self.context.basis
+        # placed[i, p, b, q] = B_i[p, q] conj(V[b, i]) is blockdiag(B) (V* (x) I)
+        placed = np.asarray(self.probes)[:, :, None, :] * basis.conj().T[:, None, :, None]
+        return (basis @ placed.reshape(n, -1)).reshape(n * dk, n * dk)
 
     def adjoint(self) -> "ProbeDecomposition":
         return ProbeDecomposition(
@@ -121,14 +126,51 @@ def _check_composite(a: np.ndarray, context: Context, dim_probe: int) -> np.ndar
     return arr
 
 
+def _atom_rows(arr: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
+    """``W_i* A`` for every atom, with ``W_i = v_i (x) I``; shape (n, dk, n, dk).
+
+    One base-index contraction ``V* @ A.reshape(n, -1)``.
+    """
+    n = context.dim
+    rows = context.basis.conj().T @ arr.reshape(n, -1)
+    return rows.reshape(n, dim_probe, n, dim_probe)
+
+
+def _probe_blocks(arr: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
+    """Diagonal blocks of ``(V* (x) I) A (V (x) I)``, shape (n, dk, dk), untested.
+
+    Block ``i`` is ``W_i* A W_i``, which equals the base-side partial trace
+    of ``A (P_i (x) I)``.  Callers run the commutator test first.
+    """
+    return np.einsum("ipbq,bi->ipq", _atom_rows(arr, context, dim_probe), context.basis)
+
+
 def commutator_defect(a, context: Context, dim_probe: int) -> float:
-    """Largest commutator norm ``max_i ||[A, P_i (x) I]||_max``."""
+    """Largest commutator norm ``max_i ||[A, P_i (x) I]||_max``.
+
+    The max-entry norm is read in the original basis.  Each lifted atom
+    factors as ``W_i W_i*`` with the rank-``dk`` isometry ``W_i = v_i (x) I``,
+    so ``[A, P_i (x) I] = (A W_i) W_i* - W_i (W_i* A)``.  All ``A W_i`` and
+    ``W_i* A`` come from two base-index contractions, ``O(n^3 dk^2)`` each;
+    the commutators are then formed one atom at a time in one reused
+    ``(n dk) x (n dk)`` buffer.
+    """
     arr = _check_composite(a, context, dim_probe)
-    eye = np.eye(dim_probe)
+    n, dk = context.dim, dim_probe
+    basis = context.basis
+    rows = _atom_rows(arr, context, dk)                        # [i, p, b, q]
+    # A W_i for every atom; the reordered copy of A is freed before the loop
+    # so that peak memory stays at rows, cols and one commutator buffer
+    by_column = arr.reshape(n * dk, n, dk).transpose(1, 0, 2).reshape(n, -1)
+    cols = (basis.T @ by_column).reshape(n, n, dk, dk)         # [i, a, p, q]
+    del by_column
+    comm = np.empty((n, dk, n, dk), dtype=complex)
     worst = 0.0
-    for p in context.atoms:
-        lifted = kron(p, eye)
-        worst = max(worst, max_abs(arr @ lifted - lifted @ arr))
+    for i in range(n):
+        v = basis[:, i]
+        np.multiply(cols[i][:, :, None, :], v.conj()[:, None], out=comm)
+        comm -= v[:, None, None, None] * rows[i]
+        worst = max(worst, max_abs(comm))
     return worst
 
 
@@ -142,9 +184,11 @@ def extract_probes(
 ) -> ProbeDecomposition:
     """Recover the probe blocks of a nondisturbing operator.
 
-    Block ``i`` is the base-side partial trace of ``A (P_i (x) I)``, which
-    is independent of any probe-space basis choice.  Rejects operators
-    that fail the commutator test, reporting the largest defect.
+    Block ``i`` is the ``i``-th diagonal block of ``(V* (x) I) A (V (x) I)``,
+    with the context basis ``V`` as columns.  It equals the base-side
+    partial trace of ``A (P_i (x) I)`` and does not depend on any
+    probe-space basis choice.  Rejects operators that fail the commutator
+    test, reporting the largest defect.
     """
     arr = _check_composite(a, context, dim_probe)
     defect = commutator_defect(arr, context, dim_probe)
@@ -153,12 +197,7 @@ def extract_probes(
             f"operator is not nondisturbing for this context "
             f"(largest commutator norm {defect:.3e} > {atol:.3e})"
         )
-    eye = np.eye(dim_probe)
-    blocks = [
-        partial_trace(arr @ kron(p, eye), context.dim, dim_probe, over="left")
-        for p in context.atoms
-    ]
-    return ProbeDecomposition(context, tuple(blocks))
+    return ProbeDecomposition(context, tuple(_probe_blocks(arr, context, dim_probe)))
 
 
 def extract_probes_by_matrix_elements(
@@ -280,7 +319,3 @@ def conjugate(decomp: ProbeDecomposition, base_factor, probe_factor) -> np.ndarr
             total += kron(left @ atoms[j], mid @ bj.conj().T)
     return total
 
-
-def adjoint_probes(decomp: ProbeDecomposition) -> ProbeDecomposition:
-    """Blocks of the adjoint operator: the blockwise adjoints."""
-    return decomp.adjoint()

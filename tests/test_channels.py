@@ -11,6 +11,8 @@ from nondisturbing.linalg import (
     random_unitary,
 )
 from nondisturbing.objects import Context, State
+import nondisturbing.channels
+import nondisturbing.probes
 from nondisturbing.probes import is_c_nondisturbing
 from nondisturbing.channels import (
     NDChannel,
@@ -112,6 +114,51 @@ def test_from_kraus_rejects_disturbing_member_by_index():
     swap[0, 0] = swap[1, 2] = swap[2, 1] = swap[3, 3] = 1.0
     with pytest.raises(ValueError, match="kraus operator 0 is disturbing"):
         nd_channel_from_kraus([swap], ctx, 2)
+
+
+def _count_commutator_tests(monkeypatch) -> list:
+    """Count commutator tests through every namespace that holds the function."""
+    calls = []
+    original = nondisturbing.probes.commutator_defect
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(nondisturbing.probes, "commutator_defect", counting)
+    monkeypatch.setattr(nondisturbing.channels, "commutator_defect", counting)
+    return calls
+
+
+def test_from_kraus_tests_each_operator_once(monkeypatch):
+    ctx = Context.random(3, 12)
+    nd = random_nd_channel(ctx, 2, 3, 12)
+    calls = _count_commutator_tests(monkeypatch)
+    rebuilt = nd_channel_from_kraus(nd.induced_kraus, ctx, 2)
+    assert len(calls) == nd.kraus_count == 3
+    for row, other in zip(nd.table, rebuilt.table):
+        for b, c in zip(row, other):
+            assert max_abs(b - c) < 1e-12
+
+
+def test_from_kraus_rejection_after_one_test_per_operator(monkeypatch):
+    ctx = Context.random(2, 13)
+    kraus = list(random_nd_channel(ctx, 2, 3, 13).induced_kraus)
+    kraus[1] = kraus[1] + 1e-3 * kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    calls = _count_commutator_tests(monkeypatch)
+    with pytest.raises(ValueError, match="kraus operator 1 is disturbing"):
+        nd_channel_from_kraus(kraus, ctx, 2)
+    assert len(calls) == 2
+
+
+def test_induced_kraus_match_kron_sums():
+    for seed in range(5):
+        ctx = Context.random(3, seed + 60) if seed % 2 else Context.standard(3)
+        nd = random_nd_channel(ctx, 2, 2, seed)
+        for k, s in enumerate(nd.induced_kraus):
+            reference = sum(kron(ctx.atom(i), nd.table[i][k]) for i in range(3))
+            assert max_abs(s - reference) <= 1e-12
+            assert not s.flags.writeable
 
 
 def test_from_kraus_checks_total_completeness():

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nondisturbing.linalg import (
     is_hermitian,
@@ -18,7 +21,7 @@ from nondisturbing.linalg import (
 from nondisturbing.objects import Context
 from nondisturbing.probes import (
     ProbeDecomposition,
-    adjoint_probes,
+    _probe_blocks,
     classify,
     closed_form_partial_traces,
     commutator_defect,
@@ -141,6 +144,69 @@ def test_swap_interaction_blocks_are_the_swap_unitaries():
         v = np.eye(3, dtype=complex)
         v[[0, i]] = v[[i, 0]]
         assert max_abs(b - v) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Context-basis kernels against the kron-loop reference
+# ---------------------------------------------------------------------------
+
+
+def _kron_commutator_defect(a, ctx: Context, dk: int) -> float:
+    """Brute-force reference: ``max_i ||[A, P_i (x) I]||_max`` from dense krons."""
+    eye = np.eye(dk)
+    worst = 0.0
+    for p in ctx.atoms:
+        lifted = kron(p, eye)
+        worst = max(worst, max_abs(a @ lifted - lifted @ a))
+    return worst
+
+
+def _kron_assemble(ctx: Context, blocks) -> np.ndarray:
+    return sum(kron(ctx.atom(i), b) for i, b in enumerate(blocks))
+
+
+_SIZES = list(itertools.product((1, 2, 3, 5), repeat=2)) + [(8, 8)]
+
+
+@pytest.mark.parametrize("n, dk", _SIZES)
+@pytest.mark.parametrize("context_kind", ["standard", "random"])
+def test_rotated_kernels_match_kron_reference(n, dk, context_kind):
+    seed = 10 * n + dk
+    ctx = Context.standard(n) if context_kind == "standard" else Context.random(n, seed)
+    blocks = _generic_blocks(dk, n, seed)
+    nondisturbing = ProbeDecomposition(ctx, blocks).assemble()
+    assert max_abs(nondisturbing - _kron_assemble(ctx, blocks)) <= 1e-12
+    rng = np.random.default_rng(seed)
+    disturbing = rng.standard_normal((n * dk,) * 2) + 1j * rng.standard_normal((n * dk,) * 2)
+    for a in (nondisturbing, disturbing):
+        assert abs(commutator_defect(a, ctx, dk) - _kron_commutator_defect(a, ctx, dk)) <= 1e-12
+        by_elements = extract_probes_by_matrix_elements(a, ctx, dk).probes
+        for rotated, reference in zip(_probe_blocks(a, ctx, dk), by_elements):
+            assert max_abs(rotated - reference) <= 1e-12
+    assert commutator_defect(nondisturbing, ctx, dk) <= 1e-12
+    for back, original in zip(extract_probes(nondisturbing, ctx, dk).probes, blocks):
+        assert max_abs(back - original) <= 1e-12
+    if n > 1:
+        assert commutator_defect(disturbing, ctx, dk) > 0.1
+        with pytest.raises(ValueError, match="largest commutator norm"):
+            extract_probes(disturbing, ctx, dk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    dk=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    standard=st.booleans(),
+)
+def test_assemble_extract_round_trip_property(n, dk, seed, standard):
+    ctx = Context.standard(n) if standard else Context.random(n, seed)
+    rng = np.random.default_rng(seed)
+    blocks = tuple(rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk)))
+    full = ProbeDecomposition(ctx, blocks).assemble()
+    assert commutator_defect(full, ctx, dk) <= 1e-12
+    for back, original in zip(extract_probes(full, ctx, dk).probes, blocks):
+        assert max_abs(back - original) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +421,13 @@ def test_conjugate_rejects_bad_factor_shapes():
 def test_adjoint_probes_are_blockwise_adjoints():
     ctx = Context.random(2, 10)
     dec = ProbeDecomposition(ctx, _generic_blocks(3, 2, 81))
-    adj = adjoint_probes(dec)
+    adj = dec.adjoint()
     assert max_abs(adj.assemble() - dec.assemble().conj().T) < 1e-12
     hermitian = ProbeDecomposition(ctx, tuple(random_hermitian(3, i) for i in range(2)))
-    fixed = adjoint_probes(hermitian)
+    fixed = hermitian.adjoint()
     for a, b in zip(hermitian.probes, fixed.probes):
         assert max_abs(a - b) < 1e-12
-    double = adjoint_probes(adj)
+    double = adj.adjoint()
     for a, b in zip(dec.probes, double.probes):
         assert max_abs(a - b) == 0.0
 
@@ -370,7 +436,7 @@ def test_adjoint_of_unitary_blocks_inverts():
     ctx = Context.standard(2)
     dec = ProbeDecomposition(ctx, (random_unitary(3, 5), random_unitary(3, 6)))
     full = dec.assemble()
-    inverse = adjoint_probes(dec).assemble()
+    inverse = dec.adjoint().assemble()
     assert max_abs(full @ inverse - np.eye(6)) < 1e-12
 
 
