@@ -35,15 +35,10 @@ from .linalg import (
 from .objects import (
     Context,
     Effect,
-    Instrument,
     KrausOperation,
     Observable,
     PartialState,
     State,
-    apply_operation,
-    dual_channel,
-    effect_of_event,
-    measured_observable_of_instrument,
     probability,
     sharp_observable,
 )

@@ -115,13 +115,13 @@ class NDChannel:
 
     def as_operation(self) -> KrausOperation:
         """The channel on the composite space in generic Kraus form."""
-        return KrausOperation(self.induced_kraus, channel=True, atol=self.atol)
+        return KrausOperation(self.induced_kraus, atol=self.atol)
 
     def probe_channel(self, i: int) -> KrausOperation:
         """The channel the probe undergoes when the base sits in atom ``i``."""
         if not 0 <= i < self.dim_base:
             raise IndexError(f"atom index {i} out of range 0..{self.dim_base - 1}")
-        return KrausOperation(self.table[i], channel=True, atol=self.atol)
+        return KrausOperation(self.table[i], atol=self.atol)
 
     @cached_property
     def superoperator(self) -> np.ndarray:

@@ -55,8 +55,7 @@ class AtomKernelMap:
     """Map ``rho -> sum_{i,j} c[i, j] P_i rho P_j`` over a context's atoms.
 
     This is the natural form of instrument outcomes for nondisturbing
-    models: the map is determined by its coefficient kernel, with any
-    Kraus factorization derived on demand rather than imposed.
+    models: the map is determined by its coefficient kernel.
     """
 
     context: Context
@@ -75,36 +74,6 @@ class AtomKernelMap:
         basis = self.context.basis
         overlaps = basis.conj().T @ np.asarray(rho, dtype=complex) @ basis
         return basis @ (self.coeff * overlaps) @ basis.conj().T
-
-    @cached_property
-    def superoperator(self) -> np.ndarray:
-        """Matrix on row-stacked ``vec(rho)``; canonical form for map equality."""
-        atoms = self.context.atoms
-        n = self.context.dim
-        total = np.zeros((n * n, n * n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                total += self.coeff[i, j] * np.kron(atoms[i], atoms[j].T)
-        return total
-
-    def kraus_operators(self, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, ...]:
-        """Kraus factorization from the eigendecomposition of the PSD kernel."""
-        w, v = np.linalg.eigh(hermitian_part(self.coeff))
-        if float(w[0]) < -atol:
-            raise ValueError(
-                f"kernel is not PSD (min eigenvalue {w[0]:.3e}); no Kraus form"
-            )
-        basis = self.context.basis
-        out = []
-        for idx in range(len(w)):
-            lam = float(w[idx])
-            if lam <= atol:
-                continue
-            weights = np.sqrt(lam) * v[:, idx]
-            out.append((basis * weights) @ basis.conj().T)
-        if not out:
-            out.append(np.zeros((self.context.dim, self.context.dim), dtype=complex))
-        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +109,6 @@ class MeasurementModel:
             if self.channel.dim_probe != self.dim_probe:
                 raise ValueError("channel table does not match the probe dimension")
         elif isinstance(self.channel, KrausOperation):
-            if not self.channel.channel:
-                raise ValueError("interaction must be trace preserving")
             if self.channel.dim != self.dim_base * self.dim_probe:
                 raise ValueError(
                     f"channel dimension {self.channel.dim} != "
@@ -431,7 +398,6 @@ def random_model(
         )
     else:
         channel = KrausOperation(
-            tuple(random_kraus_channel(dim_base * dim_probe, kraus_count, rng)),
-            channel=True,
+            tuple(random_kraus_channel(dim_base * dim_probe, kraus_count, rng))
         )
     return MeasurementModel(dim_base, dim_probe, probe_state, channel, meter)

@@ -1,9 +1,9 @@
 """Validated value types for finite-dimensional quantum objects.
 
-Effects, states, observables, Kraus operations, instruments, and
-measurement contexts.  Every type validates its defining invariants at
-construction with an explicit tolerance, so invalid objects are
-unrepresentable downstream.  Instances are immutable and safe to share.
+Effects, states, observables, Kraus channels and measurement contexts.
+Every type validates its defining invariants at construction with an
+explicit tolerance, so invalid objects are unrepresentable downstream.
+Instances are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_ATOL,
     as_complex_matrix,
-    hermitian_part,
     is_hermitian,
-    loewner_leq,
     max_abs,
     random_unitary,
 )
@@ -30,13 +28,8 @@ __all__ = [
     "State",
     "Observable",
     "KrausOperation",
-    "Instrument",
     "Context",
     "probability",
-    "effect_of_event",
-    "apply_operation",
-    "measured_observable_of_instrument",
-    "dual_channel",
     "sharp_observable",
 ]
 
@@ -169,14 +162,9 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class KrausOperation:
-    """Completely positive map given by its Kraus operators.
-
-    With ``channel=True`` the completeness sum must equal the identity
-    (trace preservation); otherwise it must only stay below it.
-    """
+    """Channel given by its Kraus operators: ``sum_k k* k`` equals the identity."""
 
     kraus: tuple[np.ndarray, ...]
-    channel: bool = False
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
@@ -187,15 +175,9 @@ class KrausOperation:
         if len(dims) != 1 or mats[0].shape[0] != mats[0].shape[1]:
             raise ValueError(f"Kraus operators must be square and same-shaped, got {dims}")
         total = sum(m.conj().T @ m for m in mats)
-        eye = np.eye(mats[0].shape[0])
-        if self.channel:
-            defect = max_abs(total - eye)
-            if defect > self.atol:
-                raise ValueError(
-                    f"channel completeness violated (defect {defect:.3e})"
-                )
-        elif not loewner_leq(total, eye, self.atol):
-            raise ValueError("operation is trace-increasing")
+        defect = max_abs(total - np.eye(mats[0].shape[0]))
+        if defect > self.atol:
+            raise ValueError(f"channel completeness violated (defect {defect:.3e})")
         object.__setattr__(self, "kraus", mats)
 
     @property
@@ -209,57 +191,10 @@ class KrausOperation:
         """Adjoint action on effects: ``a -> sum_k k* a k``."""
         return sum(k.conj().T @ a @ k for k in self.kraus)
 
-    def completeness_operator(self) -> np.ndarray:
-        return sum(k.conj().T @ k for k in self.kraus)
-
     @cached_property
     def superoperator(self) -> np.ndarray:
         """Matrix acting on row-stacked ``vec(rho)``; canonical form for map equality."""
         return sum(np.kron(k, k.conj()) for k in self.kraus)
-
-
-@dataclass(frozen=True, eq=False)
-class Instrument:
-    """Outcome-labeled family of operations whose total is a channel."""
-
-    outcomes: tuple[tuple[str, KrausOperation], ...]
-    atol: float = DEFAULT_ATOL
-
-    def __post_init__(self):
-        outcomes = tuple((str(label), op) for label, op in self.outcomes)
-        if not outcomes:
-            raise ValueError("instrument needs at least one outcome")
-        labels = [label for label, _ in outcomes]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"outcome labels must be unique, got {labels}")
-        dims = {op.dim for _, op in outcomes}
-        if len(dims) != 1:
-            raise ValueError(f"operations must share one dimension, got {sorted(dims)}")
-        total = sum(op.completeness_operator() for _, op in outcomes)
-        defect = max_abs(total - np.eye(dims.pop()))
-        if defect > self.atol:
-            raise ValueError(
-                f"total operation must be a channel (completeness defect {defect:.3e})"
-            )
-        object.__setattr__(self, "outcomes", outcomes)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.outcomes)
-
-    @property
-    def dim(self) -> int:
-        return self.outcomes[0][1].dim
-
-    def operation(self, label: str) -> KrausOperation:
-        for known, op in self.outcomes:
-            if known == label:
-                return op
-        raise KeyError(f"unknown outcome label {label!r}")
-
-    def total_operation(self) -> KrausOperation:
-        kraus = tuple(k for _, op in self.outcomes for k in op.kraus)
-        return KrausOperation(kraus, channel=True, atol=self.atol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,43 +266,6 @@ def probability(rho: PartialState, a: Effect) -> float:
         raise ValueError(f"dimension mismatch: state {rho.dim}, effect {a.dim}")
     value = float(np.trace(rho.matrix @ a.matrix).real)
     return min(max(value, 0.0), 1.0)
-
-
-def effect_of_event(obs: Observable, event: Iterable[str]) -> Effect:
-    """Sum the effects of an outcome subset; the full set gives the identity."""
-    wanted = [str(x) for x in event]
-    unknown = sorted(set(wanted) - set(obs.labels))
-    if unknown:
-        raise KeyError(f"unknown outcome labels {unknown}")
-    total = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for label in set(wanted):
-        total = total + obs.effect_matrix(label)
-    return Effect(total, obs.atol)
-
-
-def apply_operation(op: KrausOperation, rho: PartialState) -> PartialState:
-    """Apply a Kraus operation to a state; trace is preserved for channels."""
-    if op.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: operation {op.dim}, state {rho.dim}")
-    return PartialState(hermitian_part(op.apply_matrix(rho.matrix)), rho.atol)
-
-
-def measured_observable_of_instrument(inst: Instrument) -> Observable:
-    """The unique observable whose probabilities the instrument reproduces.
-
-    Outcome ``x`` maps to ``sum_k S_{x,k}* S_{x,k}``.
-    """
-    effects = [op.completeness_operator() for _, op in inst.outcomes]
-    return Observable.from_matrices(effects, inst.labels, inst.atol)
-
-
-def dual_channel(op: KrausOperation, a: Effect) -> Effect:
-    """Adjoint of a channel acting on effects; unital by completeness."""
-    if not op.channel:
-        raise ValueError("dual_channel requires a channel (trace-preserving) operation")
-    if op.dim != a.dim:
-        raise ValueError(f"dimension mismatch: channel {op.dim}, effect {a.dim}")
-    return Effect(hermitian_part(op.dual_matrix(a.matrix)), a.atol)
 
 
 def sharp_observable(dim: int, atol: float = DEFAULT_ATOL) -> Observable:

@@ -300,8 +300,10 @@ def order_leq_via_probes(
 def conjugate(decomp: ProbeDecomposition, base_factor, probe_factor) -> np.ndarray:
     """Closed form for ``A (B (x) D) A*`` with ``A`` assembled from the blocks.
 
-    Equals ``sum_{i,j} (P_i B P_j) (x) (B_i D B_j*)`` and never touches the
-    full operator.
+    Equals ``sum_{i,j} (P_i B P_j) (x) (B_i D B_j*)``.  In the context basis
+    block ``(i, j)`` is ``<v_i, B v_j> B_i D B_j*``; the blocks are placed
+    there and rotated back once with ``V (x) I``, forming no Kronecker
+    product and never touching the full operator ``A``.
     """
     b = np.asarray(base_factor, dtype=complex)
     d = np.asarray(probe_factor, dtype=complex)
@@ -310,12 +312,12 @@ def conjugate(decomp: ProbeDecomposition, base_factor, probe_factor) -> np.ndarr
         raise ValueError(f"base factor must be {n} x {n}, got {b.shape}")
     if d.shape != (dk, dk):
         raise ValueError(f"probe factor must be {dk} x {dk}, got {d.shape}")
-    atoms = decomp.context.atoms
-    total = np.zeros((n * dk, n * dk), dtype=complex)
-    for i, bi in enumerate(decomp.probes):
-        left = atoms[i] @ b
-        mid = bi @ d
-        for j, bj in enumerate(decomp.probes):
-            total += kron(left @ atoms[j], mid @ bj.conj().T)
-    return total
-
+    basis = decomp.context.basis
+    weights = basis.conj().T @ b @ basis                       # <v_i, B v_j>
+    stacked = np.asarray(decomp.probes).reshape(n * dk, dk)   # rows of B_i
+    # placed[i, p, j, q] = <v_i, B v_j> (B_i D B_j*)[p, q]
+    placed = ((stacked @ d) @ stacked.conj().T).reshape(n, dk, n, dk)
+    placed *= weights[:, None, :, None]
+    rotated = basis @ placed.reshape(n, -1)                    # (V (x) I) placed
+    # right factor V* (x) I: contract the second base index against conj(V)
+    return (basis.conj() @ rotated.reshape(n * dk, n, dk)).reshape(n * dk, n * dk)

@@ -150,7 +150,7 @@ def scenario_from_json(obj: Any) -> Scenario:
                 matrix_from_json(k, f"channel.kraus[{i}]")
                 for i, k in enumerate(channel_obj["kraus"])
             )
-            channel = KrausOperation(kraus, channel=True)
+            channel = KrausOperation(kraus)
         else:
             raise SchemaError("channel.kind", f"unknown kind {kind!r}; known: nd, kraus")
         model = MeasurementModel(dim_base, dim_probe, eta, channel, meter)

@@ -1,4 +1,4 @@
-"""JSON encodings for matrices, observables, instruments, and channels.
+"""JSON encodings for matrices, observables and nondisturbing channels.
 
 Complex matrices travel as ``{"rows": n, "cols": m, "data": [[re, im], ...]}``
 with the entries row-major and every complex number a two-element array
@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .linalg import DEFAULT_ATOL, as_complex_matrix
-from .objects import Context, Effect, Instrument, KrausOperation, Observable
+from .objects import Context, Effect, Observable
 from .channels import NDChannel
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "matrix_from_json",
     "observable_to_json",
     "observable_from_json",
-    "instrument_to_json",
-    "instrument_from_json",
     "nd_channel_to_json",
     "nd_channel_from_json",
 ]
@@ -87,20 +85,16 @@ def observable_to_json(obs: Observable) -> dict[str, Any]:
     }
 
 
-def _outcome_list(obj, path: str) -> list:
+def observable_from_json(
+    obj, path: str = "observable", atol: float = DEFAULT_ATOL
+) -> Observable:
     if not isinstance(obj, dict) or "outcomes" not in obj:
         raise SchemaError(path, "expected an object with an 'outcomes' list")
     outcomes = obj["outcomes"]
     if not isinstance(outcomes, list) or not outcomes:
         raise SchemaError(f"{path}.outcomes", "must be a non-empty list")
-    return outcomes
-
-
-def observable_from_json(
-    obj, path: str = "observable", atol: float = DEFAULT_ATOL
-) -> Observable:
     pairs = []
-    for idx, entry in enumerate(_outcome_list(obj, path)):
+    for idx, entry in enumerate(outcomes):
         where = f"{path}.outcomes[{idx}]"
         if not isinstance(entry, dict) or "label" not in entry or "effect" not in entry:
             raise SchemaError(where, "expected an object with 'label' and 'effect'")
@@ -109,35 +103,6 @@ def observable_from_json(
         matrix = matrix_from_json(entry["effect"], f"{where}.effect")
         pairs.append((entry["label"], Effect(matrix, atol)))
     return Observable(tuple(pairs), atol)
-
-
-def instrument_to_json(inst: Instrument) -> dict[str, Any]:
-    return {
-        "outcomes": [
-            {"label": label, "kraus": [matrix_to_json(k) for k in op.kraus]}
-            for label, op in inst.outcomes
-        ]
-    }
-
-
-def instrument_from_json(
-    obj, path: str = "instrument", atol: float = DEFAULT_ATOL
-) -> Instrument:
-    pairs = []
-    for idx, entry in enumerate(_outcome_list(obj, path)):
-        where = f"{path}.outcomes[{idx}]"
-        if not isinstance(entry, dict) or "label" not in entry or "kraus" not in entry:
-            raise SchemaError(where, "expected an object with 'label' and 'kraus'")
-        if not isinstance(entry["label"], str):
-            raise SchemaError(where, "label must be a string")
-        if not isinstance(entry["kraus"], list) or not entry["kraus"]:
-            raise SchemaError(f"{where}.kraus", "must be a non-empty list")
-        kraus = tuple(
-            matrix_from_json(k, f"{where}.kraus[{i}]")
-            for i, k in enumerate(entry["kraus"])
-        )
-        pairs.append((entry["label"], KrausOperation(kraus, atol=atol)))
-    return Instrument(tuple(pairs), atol)
 
 
 def nd_channel_to_json(nd: NDChannel) -> dict[str, Any]:

@@ -37,7 +37,7 @@ def test_unitary_rows_build_a_valid_channel():
     nd = _unitary_channel(3, 2, 0)
     assert nd.kraus_count == 1
     op = nd.as_operation()
-    assert max_abs(op.completeness_operator() - np.eye(6)) < 1e-12
+    assert max_abs(sum(k.conj().T @ k for k in op.kraus) - np.eye(6)) < 1e-12
 
 
 def test_row_completeness_violation_names_the_row():

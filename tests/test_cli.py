@@ -164,6 +164,16 @@ def test_run_exits_three_on_invalid_state(tmp_path, capsys):
     assert main(["run", path]) == 3
 
 
+def test_run_exits_three_on_trace_decreasing_kraus_family(tmp_path, capsys):
+    doc = _kraus_scenario(["instrument"])
+    doc["channel"]["kraus"] = [matrix_to_json(0.5 * np.eye(4))]
+    path = _write(tmp_path, "kraus_lossy.json", doc)
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "completeness" in err
+
+
 def test_kraus_channel_instrument_request_passes(tmp_path):
     path = _write(tmp_path, "kraus_ok.json", _kraus_scenario(["instrument"]))
     assert main(["run", path]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,27 +15,13 @@ from nondisturbing.linalg import (
 from nondisturbing.objects import (
     Context,
     Effect,
-    Instrument,
     KrausOperation,
     Observable,
     PartialState,
     State,
-    apply_operation,
-    dual_channel,
-    effect_of_event,
-    measured_observable_of_instrument,
     probability,
     sharp_observable,
 )
-
-
-def _random_instrument(dim: int, outcomes: int, kraus_per: int, seed) -> Instrument:
-    kraus = random_kraus_channel(dim, outcomes * kraus_per, seed)
-    pairs = []
-    for x in range(outcomes):
-        ops = tuple(kraus[x * kraus_per : (x + 1) * kraus_per])
-        pairs.append((str(x), KrausOperation(ops)))
-    return Instrument(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +63,15 @@ def test_observable_completeness_and_unique_labels():
 
 def test_kraus_operation_channel_flag():
     with pytest.raises(ValueError, match="completeness"):
-        KrausOperation((np.eye(2) / 2,), channel=True)
-    with pytest.raises(ValueError, match="trace-increasing"):
+        KrausOperation((np.eye(2) / 2,))
+    with pytest.raises(ValueError, match="completeness"):
         KrausOperation((1.5 * np.eye(2),))
-    op = KrausOperation(tuple(random_kraus_channel(3, 2, 1)), channel=True)
-    assert max_abs(op.completeness_operator() - np.eye(3)) < 1e-12
+    op = KrausOperation(tuple(random_kraus_channel(3, 2, 1)))
+    assert max_abs(sum(k.conj().T @ k for k in op.kraus) - np.eye(3)) < 1e-12
 
 
-def test_instrument_total_must_be_channel():
-    half = KrausOperation((np.eye(2) / np.sqrt(2),))
-    Instrument((("0", half), ("1", half)))
-    with pytest.raises(ValueError, match="channel"):
-        Instrument((("0", half), ("1", KrausOperation((np.eye(2) / 2,)))))
+def test_kraus_operation_has_no_channel_option():
+    assert [f.name for f in dataclasses.fields(KrausOperation)] == ["kraus", "atol"]
 
 
 def test_context_requires_orthonormal_basis():
@@ -107,7 +92,7 @@ def test_context_atoms_sum_to_identity_and_dephase():
 
 
 # ---------------------------------------------------------------------------
-# Probabilities and events
+# Probabilities
 # ---------------------------------------------------------------------------
 
 
@@ -124,125 +109,57 @@ def test_probability_rejects_dimension_mismatch():
         probability(State(np.eye(2) / 2), Effect(np.eye(3)))
 
 
-def test_effect_of_event_full_empty_and_disjoint():
-    obs = Observable.from_matrices(random_povm(3, 4, 3))
-    full = effect_of_event(obs, obs.labels)
-    assert max_abs(full.matrix - np.eye(3)) < 1e-9
-    empty = effect_of_event(obs, [])
-    assert max_abs(empty.matrix) == 0.0
-    pair = effect_of_event(obs, ["0", "2"])
-    expected = obs.effect_matrix("0") + obs.effect_matrix("2")
-    assert max_abs(pair.matrix - expected) < 1e-12
-    from nondisturbing.linalg import loewner_leq
-
-    assert loewner_leq(pair.matrix, np.eye(3))
-    with pytest.raises(KeyError, match="unknown outcome"):
-        effect_of_event(obs, ["7"])
-
-
 def test_event_probabilities_are_additive_and_total_one():
     obs = Observable.from_matrices(random_povm(3, 4, 8))
     rho = State(random_density(3, 9))
     total = sum(probability(rho, effect) for _, effect in obs.outcomes)
     assert total == pytest.approx(1.0, abs=4e-9)
-    union = probability(rho, effect_of_event(obs, ["0", "1"]))
-    parts = probability(rho, obs.effect("0")) + probability(rho, obs.effect("1"))
-    assert union == pytest.approx(parts, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# Operations, instruments, duals
+# Channels and duals
 # ---------------------------------------------------------------------------
 
 
-def test_apply_operation_identity_channel():
-    rho = State(random_density(3, 11))
-    ident = KrausOperation((np.eye(3),), channel=True)
-    out = apply_operation(ident, rho)
-    assert max_abs(out.matrix - rho.matrix) < 1e-12
+def test_apply_matrix_identity_channel():
+    rho = random_density(3, 11)
+    ident = KrausOperation((np.eye(3),))
+    out = ident.apply_matrix(rho)
+    assert max_abs(out - rho) < 1e-12
 
 
-def test_apply_operation_unitary_channel_preserves_spectrum():
-    rho = State(random_density(3, 12))
+def test_apply_matrix_unitary_channel_preserves_spectrum():
+    rho = random_density(3, 12)
     u = random_unitary(3, 13)
-    out = apply_operation(KrausOperation((u,), channel=True), rho)
-    before = np.linalg.eigvalsh(rho.matrix)
-    after = np.linalg.eigvalsh(out.matrix)
+    out = KrausOperation((u,)).apply_matrix(rho)
+    before = np.linalg.eigvalsh(rho)
+    after = np.linalg.eigvalsh(out)
     assert np.allclose(before, after, atol=1e-12)
 
 
-def test_apply_operation_never_increases_trace():
-    for seed in range(10):
-        op = KrausOperation(tuple(random_kraus_channel(3, 2, seed)[:1]))
-        rho = State(random_density(3, seed + 50))
-        out = apply_operation(op, rho)
-        assert out.trace <= 1 + 1e-9
-
-
-def test_measured_observable_of_identity_instrument():
-    inst = Instrument((("only", KrausOperation((np.eye(2),), channel=True)),))
-    obs = measured_observable_of_instrument(inst)
-    assert max_abs(obs.effect_matrix("only") - np.eye(2)) < 1e-12
-
-
-def test_measured_observable_of_lueders_instrument_is_projective():
-    projections = [random_projection(4, 2, 3)]
-    projections.append(np.eye(4) - projections[0])
-    inst = Instrument(
-        tuple(
-            (str(i), KrausOperation((p,))) for i, p in enumerate(projections)
-        )
-    )
-    obs = measured_observable_of_instrument(inst)
-    for i, p in enumerate(projections):
-        assert max_abs(obs.effect_matrix(str(i)) - p) < 1e-12
-
-
-def test_measured_observable_pairing_on_random_states():
-    inst = _random_instrument(3, 3, 2, 14)
-    obs = measured_observable_of_instrument(inst)
-    for seed in range(50):
-        rho = State(random_density(3, seed))
-        for x in inst.labels:
-            via_instrument = np.trace(
-                inst.operation(x).apply_matrix(rho.matrix)
-            ).real
-            via_effect = np.trace(rho.matrix @ obs.effect_matrix(x)).real
-            assert abs(via_instrument - via_effect) < 1e-10
-
-
-def test_total_operation_preserves_trace():
-    inst = _random_instrument(3, 3, 2, 15)
-    total = inst.total_operation()
-    for seed in range(10):
-        rho = State(random_density(3, seed + 30))
-        out = apply_operation(total, rho)
-        assert abs(out.trace - 1.0) < 1e-10
-
-
-def test_dual_channel_unitality_and_unitary_case():
-    op = KrausOperation(tuple(random_kraus_channel(3, 3, 16)), channel=True)
-    image = dual_channel(op, Effect(np.eye(3)))
-    assert max_abs(image.matrix - np.eye(3)) < 1e-10
+def test_dual_matrix_unitality_and_unitary_case():
+    op = KrausOperation(tuple(random_kraus_channel(3, 3, 16)))
+    image = op.dual_matrix(np.eye(3))
+    assert max_abs(image - np.eye(3)) < 1e-10
     u = random_unitary(3, 17)
     a = random_effect(3, 18)
-    pulled = dual_channel(KrausOperation((u,), channel=True), Effect(a))
-    assert max_abs(pulled.matrix - u.conj().T @ a @ u) < 1e-12
+    pulled = KrausOperation((u,)).dual_matrix(a)
+    assert max_abs(pulled - u.conj().T @ a @ u) < 1e-12
 
 
-def test_dual_channel_trace_pairing_and_positivity():
-    op = KrausOperation(tuple(random_kraus_channel(3, 2, 19)), channel=True)
+def test_dual_matrix_trace_pairing_and_positivity():
+    op = KrausOperation(tuple(random_kraus_channel(3, 2, 19)))
     for seed in range(20):
         sigma = State(random_density(3, seed))
         a = Effect(random_effect(3, seed + 500))
         lhs = np.trace(op.apply_matrix(sigma.matrix) @ a.matrix).real
         rhs = np.trace(sigma.matrix @ op.dual_matrix(a.matrix)).real
         assert abs(lhs - rhs) < 1e-10
-        assert np.linalg.eigvalsh(dual_channel(op, a).matrix)[0] >= -1e-9
+        assert np.linalg.eigvalsh(op.dual_matrix(a.matrix))[0] >= -1e-9
 
 
-def test_dual_channel_action_is_linear():
-    op = KrausOperation(tuple(random_kraus_channel(3, 2, 25)), channel=True)
+def test_dual_matrix_action_is_linear():
+    op = KrausOperation(tuple(random_kraus_channel(3, 2, 25)))
     a = random_effect(3, 26)
     b = random_effect(3, 27)
     combined = op.dual_matrix(0.25 * a + 0.5 * b)
@@ -258,12 +175,6 @@ def test_probability_clamps_tolerated_overshoot():
     assert probability(rho, slightly_under) == 0.0
 
 
-def test_dual_channel_requires_channel():
-    op = KrausOperation((np.eye(2) / 2,))
-    with pytest.raises(ValueError, match="requires a channel"):
-        dual_channel(op, Effect(np.eye(2)))
-
-
 def test_sharp_observable_is_projective_and_complete():
     obs = sharp_observable(3)
     assert obs.labels == ("0", "1", "2")
@@ -274,7 +185,7 @@ def test_sharp_observable_is_projective_and_complete():
 
 
 def test_superoperator_matches_direct_action():
-    op = KrausOperation(tuple(random_kraus_channel(3, 2, 20)), channel=True)
+    op = KrausOperation(tuple(random_kraus_channel(3, 2, 20)))
     rho = random_density(3, 21)
     via_super = (op.superoperator @ rho.reshape(-1)).reshape(3, 3)
     assert max_abs(via_super - op.apply_matrix(rho)) < 1e-12

@@ -410,6 +410,33 @@ def test_conjugate_matches_direct_triple_product():
         assert max_abs(conjugate(dec, b, d) - direct) < 1e-10
 
 
+def _kron_conjugate(dec: ProbeDecomposition, b, d) -> np.ndarray:
+    """Brute-force reference: ``sum_{i,j} (P_i B P_j) (x) (B_i D B_j*)`` from dense krons."""
+    atoms = dec.context.atoms
+    return sum(
+        kron(atoms[i] @ b @ atoms[j], bi @ d @ bj.conj().T)
+        for i, bi in enumerate(dec.probes)
+        for j, bj in enumerate(dec.probes)
+    )
+
+
+@pytest.mark.parametrize("n, dk", _SIZES)
+@pytest.mark.parametrize("context_kind", ["standard", "random"])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_conjugate_matches_kron_reference(n, dk, context_kind, hermitian):
+    seed = 10 * n + dk
+    ctx = Context.standard(n) if context_kind == "standard" else Context.random(n, seed)
+    dec = ProbeDecomposition(ctx, _generic_blocks(dk, n, seed))
+    rng = np.random.default_rng(seed)
+    if hermitian:
+        b, d = random_hermitian(n, rng), random_hermitian(dk, rng)
+    else:
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        d = rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk))
+    reference = _kron_conjugate(dec, b, d)
+    assert max_abs(conjugate(dec, b, d) - reference) <= 1e-12 * max(1.0, max_abs(reference))
+
+
 def test_conjugate_rejects_bad_factor_shapes():
     dec = ProbeDecomposition(Context.standard(2), (np.eye(3),) * 2)
     with pytest.raises(ValueError, match="base factor"):

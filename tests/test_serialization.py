@@ -3,18 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from nondisturbing.linalg import max_abs, random_kraus_channel, random_povm
+from nondisturbing.linalg import max_abs, random_povm
 from nondisturbing.objects import (
     Context,
-    Instrument,
-    KrausOperation,
     Observable,
 )
 from nondisturbing.channels import random_nd_channel
 from nondisturbing.serialization import (
     SchemaError,
-    instrument_from_json,
-    instrument_to_json,
     matrix_from_json,
     matrix_to_json,
     nd_channel_from_json,
@@ -64,22 +60,6 @@ def test_observable_schema_and_invariant_errors_are_distinct():
     with pytest.raises(ValueError, match="sum to the identity") as err:
         observable_from_json({"outcomes": [{"label": "0", "effect": half}]})
     assert not isinstance(err.value, SchemaError)
-
-
-def test_instrument_round_trip():
-    kraus = random_kraus_channel(2, 4, 3)
-    inst = Instrument(
-        (
-            ("0", KrausOperation(tuple(kraus[:2]))),
-            ("1", KrausOperation(tuple(kraus[2:]))),
-        )
-    )
-    doc = json.loads(json.dumps(instrument_to_json(inst)))
-    back = instrument_from_json(doc)
-    assert back.labels == inst.labels
-    for x in inst.labels:
-        for a, b in zip(back.operation(x).kraus, inst.operation(x).kraus):
-            assert np.array_equal(a, b)
 
 
 def test_nd_channel_round_trip():
