@@ -113,9 +113,13 @@ class NDChannel:
             )
         return tuple(out)
 
-    def as_operation(self) -> KrausOperation:
-        """The channel on the composite space in generic Kraus form."""
+    @cached_property
+    def _operation(self) -> KrausOperation:
         return KrausOperation(self.induced_kraus, atol=self.atol)
+
+    def as_operation(self) -> KrausOperation:
+        """The channel on the composite space in generic Kraus form, built once."""
+        return self._operation
 
     def probe_channel(self, i: int) -> KrausOperation:
         """The channel the probe undergoes when the base sits in atom ``i``."""

@@ -9,9 +9,10 @@ the report passes when every residual stays within the tolerance.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -38,9 +39,7 @@ from .serialization import (
     observable_from_json,
 )
 
-__all__ = ["Scenario", "scenario_from_json", "run_scenario", "load_scenario"]
-
-KNOWN_REQUESTS = ("instrument", "observable", "post_probe", "remeasure")
+__all__ = ["Scenario", "scenario_from_json", "run_scenario", "load_scenario", "evaluate"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,36 +183,35 @@ def _psd_defect(matrix: np.ndarray) -> float:
     return max(0.0, -float(np.linalg.eigvalsh(matrix)[0]))
 
 
-def _run_instrument(mm: MeasurementModel, inputs, results, residuals) -> dict[int, dict[str, np.ndarray]]:
-    produced: dict[int, dict[str, np.ndarray]] = {}
-    entries = []
+# A check takes (model, inputs, probe input sigma, direct), where ``direct(i, x)``
+# is the brute-force instrument output for input ``i`` and outcome ``x``, and
+# returns its produced (input, outcome, matrix) entries and named residuals.
+
+
+def _check_instrument(mm: MeasurementModel, inputs, sigma, direct):
+    produced, residuals = [], {}
     for i, rho in enumerate(inputs):
-        produced[i] = {}
         traces = []
         for x in mm.meter.labels:
-            direct = measured_instrument_direct(mm, x, rho).matrix
+            out = direct(i, x)
             if mm.is_nondisturbing:
                 closed = measured_instrument_nd(mm, x, rho).matrix
                 residuals[f"instrument.state{i}.outcome{x}.closed_vs_direct"] = max_abs(
-                    closed - direct
+                    closed - out
                 )
                 out = closed
-            else:
-                out = direct
-            produced[i][x] = out
             residuals[f"instrument.state{i}.outcome{x}.psd_defect"] = _psd_defect(out)
             traces.append(float(np.trace(out).real))
-            entries.append({"input": i, "outcome": x, "matrix": matrix_to_json(out)})
+            produced.append((i, x, out))
         residuals[f"instrument.state{i}.probability_sum"] = abs(sum(traces) - 1.0)
         residuals[f"instrument.state{i}.probability_min"] = max(0.0, -min(traces))
-    results["instrument"] = entries
-    return produced
+    return produced, residuals
 
 
-def _run_observable(mm: MeasurementModel, inputs, results, residuals) -> None:
+def _check_observable(mm: MeasurementModel, inputs, sigma, direct):
     obs = measured_observable_nd(mm)
     mats = [obs.effect_matrix(x) for x in obs.labels]
-    residuals["observable.completeness"] = max_abs(sum(mats) - np.eye(mm.dim_base))
+    residuals = {"observable.completeness": max_abs(sum(mats) - np.eye(mm.dim_base))}
     worst = 0.0
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
@@ -221,45 +219,38 @@ def _run_observable(mm: MeasurementModel, inputs, results, residuals) -> None:
     residuals["observable.commutators"] = worst
     for i, rho in enumerate(inputs):
         defect = 0.0
-        for x in obs.labels:
-            direct = measured_instrument_direct(mm, x, rho).matrix
-            paired = float(np.trace(rho.matrix @ obs.effect_matrix(x)).real)
-            defect = max(defect, abs(paired - float(np.trace(direct).real)))
+        for x, effect in zip(obs.labels, mats):
+            paired = float(np.trace(rho.matrix @ effect).real)
+            defect = max(defect, abs(paired - float(np.trace(direct(i, x)).real)))
         residuals[f"observable.state{i}.pairing"] = defect
-    results["observable"] = [
-        {"input": None, "outcome": x, "matrix": matrix_to_json(obs.effect_matrix(x))}
-        for x in obs.labels
-    ]
+    return [(None, x, effect) for x, effect in zip(obs.labels, mats)], residuals
 
 
-def _run_post_probe(mm: MeasurementModel, inputs, results, residuals) -> None:
-    entries = []
-    sigma = mm.probe_state
+def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
+    produced, residuals = [], {}
     for i, rho in enumerate(inputs):
         obs = post_probe_observable(mm, rho)
         mats = [obs.effect_matrix(x) for x in obs.labels]
         residuals[f"post_probe.state{i}.completeness"] = max_abs(
             sum(mats) - np.eye(mm.dim_probe)
         )
-        for x in obs.labels:
+        for x, effect in zip(obs.labels, mats):
             closed = post_probe_instrument_nd(mm, rho, x, sigma).matrix
-            direct = post_probe_instrument_direct(mm, rho, x, sigma).matrix
+            oracle = post_probe_instrument_direct(mm, rho, x, sigma).matrix
             residuals[f"post_probe.state{i}.outcome{x}.closed_vs_direct"] = max_abs(
-                closed - direct
+                closed - oracle
             )
-            paired = float(np.trace(sigma.matrix @ obs.effect_matrix(x)).real)
+            paired = float(np.trace(sigma.matrix @ effect).real)
             residuals[f"post_probe.state{i}.outcome{x}.duality"] = abs(
                 paired - float(np.trace(closed).real)
             )
-            entries.append(
-                {"input": i, "outcome": x, "matrix": matrix_to_json(obs.effect_matrix(x))}
-            )
-    results["post_probe"] = entries
+            produced.append((i, x, effect))
+    return produced, residuals
 
 
-def _run_remeasure(mm: MeasurementModel, inputs, results, residuals) -> None:
+def _check_remeasure(mm: MeasurementModel, inputs, sigma, direct):
     family = remeasure_apparatus(mm)
-    entries = []
+    produced, residuals = [], {}
     for i, rho in enumerate(inputs):
         for x in family.labels:
             closed = family.effect(rho, x)
@@ -267,24 +258,53 @@ def _run_remeasure(mm: MeasurementModel, inputs, results, residuals) -> None:
             residuals[f"remeasure.state{i}.outcome{x}.closed_vs_substitution"] = max_abs(
                 closed - oracle
             )
-            entries.append({"input": i, "outcome": x, "matrix": matrix_to_json(closed)})
-    results["remeasure"] = entries
+            produced.append((i, x, closed))
+    return produced, residuals
+
+
+_CHECKS = {
+    "instrument": _check_instrument,
+    "observable": _check_observable,
+    "post_probe": _check_post_probe,
+    "remeasure": _check_remeasure,
+}
+
+KNOWN_REQUESTS = tuple(_CHECKS)
+
+
+def evaluate(mm: MeasurementModel, inputs: Sequence[State], requests: Sequence[str],
+             sigma: State | None = None) -> tuple[dict[str, list], dict[str, float]]:
+    """Run the named checks of ``requests`` on ``inputs``.
+
+    Returns the produced ``(input, outcome, matrix)`` entries per request
+    (``input`` is ``None`` for the input-independent observable) and the
+    named residuals.  ``sigma`` is the probe input of the post-interaction
+    instrument; it defaults to the model's probe state.  Each direct
+    instrument output is computed once and shared by the checks.
+    """
+    sigma = mm.probe_state if sigma is None else sigma
+
+    @functools.cache
+    def direct(i: int, x: str) -> np.ndarray:
+        return measured_instrument_direct(mm, x, inputs[i]).matrix
+
+    produced, residuals = {}, {}
+    for request in requests:
+        produced[request], named = _CHECKS[request](mm, inputs, sigma, direct)
+        residuals.update(named)
+    return produced, residuals
 
 
 def run_scenario(scenario: Scenario) -> dict[str, Any]:
     """Evaluate every requested output and assemble the report document."""
-    mm = scenario.model
-    results: dict[str, Any] = {}
-    residuals: dict[str, float] = {}
-    for request in scenario.requests:
-        if request == "instrument":
-            _run_instrument(mm, scenario.inputs, results, residuals)
-        elif request == "observable":
-            _run_observable(mm, scenario.inputs, results, residuals)
-        elif request == "post_probe":
-            _run_post_probe(mm, scenario.inputs, results, residuals)
-        elif request == "remeasure":
-            _run_remeasure(mm, scenario.inputs, results, residuals)
+    produced, residuals = evaluate(scenario.model, scenario.inputs, scenario.requests)
+    results = {
+        request: [
+            {"input": i, "outcome": x, "matrix": matrix_to_json(matrix)}
+            for i, x, matrix in entries
+        ]
+        for request, entries in produced.items()
+    }
     checks = {name: value <= scenario.tolerance for name, value in residuals.items()}
     return {
         "pass": all(checks.values()),

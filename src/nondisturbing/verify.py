@@ -1,7 +1,9 @@
 """Seeded randomized verification battery covering every closed form.
 
 Each family draws random instances, evaluates a closed form and an
-independent oracle path, and records the worst residual seen.  Family
+independent oracle path, and records the worst residual seen.  The
+measured-instrument, post-probe and remeasurement families run the
+scenario checks of :func:`nondisturbing.scenario.evaluate`.  Family
 seeds are derived from the base seed and a stable hash of the family
 name, so adding a family never perturbs the instances any other family
 sees, and a fixed seed reproduces the summary byte for byte.
@@ -50,13 +52,12 @@ from .models import (
     measured_instrument_direct,
     measured_instrument_nd,
     measured_observable_nd,
-    post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
     random_model,
     remeasure_apparatus,
-    remeasured_effect_by_substitution,
 )
+from .scenario import evaluate
 from . import catalog
 
 __all__ = ["FamilyResult", "run_verification", "format_summary", "FAMILY_NAMES"]
@@ -281,24 +282,7 @@ def _check_measured_instrument(rng, trials, max_dim) -> float:
         mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
                           rng, context=_random_context(rng, n))
         rho = State(random_density(n, rng))
-        probabilities = []
-        for x in mm.meter.labels:
-            closed = measured_instrument_nd(mm, x, rho).matrix
-            direct = measured_instrument_direct(mm, x, rho).matrix
-            worst = max(worst, max_abs(closed - direct))
-            probabilities.append(float(np.trace(closed).real))
-        worst = max(worst, abs(sum(probabilities) - 1.0))
-        worst = max(worst, max(0.0, -min(probabilities)))
-        obs = measured_observable_nd(mm)
-        mats = [obs.effect_matrix(x) for x in obs.labels]
-        worst = max(worst, max_abs(sum(mats) - np.eye(n)))
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                worst = max(worst, max_abs(mats[a] @ mats[b] - mats[b] @ mats[a]))
-        for x, p in zip(obs.labels, probabilities):
-            worst = max(
-                worst, abs(float(np.trace(rho.matrix @ obs.effect_matrix(x)).real) - p)
-            )
+        worst = max(worst, *evaluate(mm, (rho,), ("instrument", "observable"))[1].values())
     return worst
 
 
@@ -310,15 +294,7 @@ def _check_post_probe(rng, trials, max_dim) -> float:
                           rng, context=_random_context(rng, n))
         rho = State(random_density(n, rng))
         sigma = State(random_density(dk, rng))
-        obs = post_probe_observable(mm, rho)
-        mats = [obs.effect_matrix(x) for x in obs.labels]
-        worst = max(worst, max_abs(sum(mats) - np.eye(dk)))
-        for x in mm.meter.labels:
-            closed = post_probe_instrument_nd(mm, rho, x, sigma).matrix
-            direct = post_probe_instrument_direct(mm, rho, x, sigma).matrix
-            worst = max(worst, max_abs(closed - direct))
-            paired = float(np.trace(sigma.matrix @ obs.effect_matrix(x)).real)
-            worst = max(worst, abs(paired - float(np.trace(closed).real)))
+        worst = max(worst, *evaluate(mm, (rho,), ("post_probe",), sigma)[1].values())
     return worst
 
 
@@ -403,11 +379,7 @@ def _check_remeasurement(rng, trials, max_dim) -> float:
         mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
                           rng, context=context)
         rho = State(random_density(n, rng))
-        family = remeasure_apparatus(mm)
-        for x in family.labels:
-            closed = family.effect(rho, x)
-            oracle = remeasured_effect_by_substitution(mm, rho, x)
-            worst = max(worst, max_abs(closed - oracle))
+        worst = max(worst, *evaluate(mm, (rho,), ("remeasure",))[1].values())
         unitary_mm, unitaries = _unitary_model(rng, n, dk, context)
         eta = unitary_mm.probe_state.matrix
         family = remeasure_apparatus(unitary_mm)

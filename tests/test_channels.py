@@ -40,6 +40,11 @@ def test_unitary_rows_build_a_valid_channel():
     assert max_abs(sum(k.conj().T @ k for k in op.kraus) - np.eye(6)) < 1e-12
 
 
+def test_as_operation_is_built_once_per_channel():
+    nd = _unitary_channel(3, 2, 0)
+    assert nd.as_operation() is nd.as_operation()
+
+
 def test_row_completeness_violation_names_the_row():
     ctx = Context.standard(2)
     good = tuple(random_kraus_channel(2, 2, 1))

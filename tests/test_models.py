@@ -146,7 +146,7 @@ def test_closed_form_instrument_matches_direct_path():
             assert max_abs(closed - direct) < 1e-10
 
 
-def test_instrument_kernel_is_psd_and_kraus_form_matches():
+def test_instrument_kernel_is_psd():
     mm = random_model(3, 2, 2, 2, 17)
     for x in mm.meter.labels:
         kernel = measured_instrument_kernel(mm, x)
@@ -554,7 +554,7 @@ def test_atom_kernel_map_dephasing_kernel():
     assert max_abs(kernel.apply(rho) - ctx.dephase(rho)) < 1e-12
 
 
-def test_atom_kernel_map_zero_kernel_has_zero_kraus_form():
+def test_atom_kernel_map_zero_kernel_applies_to_zero():
     kernel = AtomKernelMap(Context.standard(2), np.zeros((2, 2)))
     rho = random_density(2, 109)
     assert max_abs(kernel.apply(rho)) == 0.0

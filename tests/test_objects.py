@@ -61,7 +61,7 @@ def test_observable_completeness_and_unique_labels():
     assert obs.labels == ("up", "down")
 
 
-def test_kraus_operation_channel_flag():
+def test_kraus_operation_rejects_incomplete_family():
     with pytest.raises(ValueError, match="completeness"):
         KrausOperation((np.eye(2) / 2,))
     with pytest.raises(ValueError, match="completeness"):

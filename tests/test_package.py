@@ -1,9 +1,13 @@
+import functools
 import importlib
 import pkgutil
 
 import pytest
 
 import nondisturbing
+from nondisturbing.channels import NDChannel
+from nondisturbing.objects import Observable
+from nondisturbing.verify import FAMILY_NAMES, _FAMILIES
 
 # Public names removed from the package because no pipeline used them.
 REMOVED = {
@@ -40,3 +44,14 @@ def test_module_all_resolves_once_and_names_nothing_removed(name):
 
 def test_package_namespace_has_no_removed_name():
     assert not REMOVED & set(vars(nondisturbing))
+
+
+# The benchmark tracer (bench/tracer.py) wraps these attributes by name and kind.
+def test_traced_attributes_keep_their_names_and_kinds():
+    assert isinstance(_FAMILIES, dict)
+    assert tuple(sorted(_FAMILIES)) == FAMILY_NAMES
+    assert len(FAMILY_NAMES) == 13
+    assert all(callable(check) for check in _FAMILIES.values())
+    assert "as_operation" in NDChannel.__dict__
+    assert isinstance(NDChannel.__dict__["induced_kraus"], functools.cached_property)
+    assert isinstance(Observable.__dict__["from_matrices"], classmethod)

@@ -1,0 +1,134 @@
+"""The scenario check registry: residual names, shared oracle work, and the
+one check that both the scenario runner and ``verify`` run."""
+
+import types
+
+import numpy as np
+
+import nondisturbing.scenario
+from nondisturbing.channels import random_nd_channel
+from nondisturbing.linalg import random_density, random_kraus_channel, random_povm
+from nondisturbing.objects import Context, KrausOperation, Observable, sharp_observable
+from nondisturbing.scenario import run_scenario, scenario_from_json
+from nondisturbing.serialization import matrix_to_json, nd_channel_to_json, observable_to_json
+from nondisturbing.verify import run_verification
+
+ALL_REQUESTS = ["instrument", "observable", "post_probe", "remeasure"]
+
+
+def _nd_document(n, dk, outcomes, seed):
+    nd = random_nd_channel(Context.random(n, seed), dk, 2, seed + 1)
+    meter = Observable.from_matrices(random_povm(dk, outcomes, seed + 2))
+    return {
+        "dimH": n,
+        "dimK": dk,
+        "eta": matrix_to_json(random_density(dk, seed + 3)),
+        "probe": observable_to_json(meter),
+        "channel": {"kind": "nd", **nd_channel_to_json(nd)},
+        "inputs": [matrix_to_json(random_density(n, seed + 4 + i)) for i in range(2)],
+        "requests": ALL_REQUESTS,
+    }
+
+
+def test_nd_scenario_residual_names():
+    report = run_scenario(scenario_from_json(_nd_document(2, 2, 2, 10)))
+    assert set(report["residuals"]) == {
+        "instrument.state0.outcome0.closed_vs_direct",
+        "instrument.state0.outcome0.psd_defect",
+        "instrument.state0.outcome1.closed_vs_direct",
+        "instrument.state0.outcome1.psd_defect",
+        "instrument.state0.probability_sum",
+        "instrument.state0.probability_min",
+        "instrument.state1.outcome0.closed_vs_direct",
+        "instrument.state1.outcome0.psd_defect",
+        "instrument.state1.outcome1.closed_vs_direct",
+        "instrument.state1.outcome1.psd_defect",
+        "instrument.state1.probability_sum",
+        "instrument.state1.probability_min",
+        "observable.completeness",
+        "observable.commutators",
+        "observable.state0.pairing",
+        "observable.state1.pairing",
+        "post_probe.state0.completeness",
+        "post_probe.state0.outcome0.closed_vs_direct",
+        "post_probe.state0.outcome0.duality",
+        "post_probe.state0.outcome1.closed_vs_direct",
+        "post_probe.state0.outcome1.duality",
+        "post_probe.state1.completeness",
+        "post_probe.state1.outcome0.closed_vs_direct",
+        "post_probe.state1.outcome0.duality",
+        "post_probe.state1.outcome1.closed_vs_direct",
+        "post_probe.state1.outcome1.duality",
+        "remeasure.state0.outcome0.closed_vs_substitution",
+        "remeasure.state0.outcome1.closed_vs_substitution",
+        "remeasure.state1.outcome0.closed_vs_substitution",
+        "remeasure.state1.outcome1.closed_vs_substitution",
+    }
+    assert report["pass"]
+
+
+def test_kraus_scenario_residual_names():
+    document = {
+        "dimH": 2,
+        "dimK": 2,
+        "eta": matrix_to_json(np.eye(2) / 2),
+        "probe": observable_to_json(sharp_observable(2)),
+        "channel": {
+            "kind": "kraus",
+            "kraus": [matrix_to_json(k) for k in random_kraus_channel(4, 2, 3)],
+        },
+        "requests": ["instrument"],
+    }
+    report = run_scenario(scenario_from_json(document))
+    assert set(report["residuals"]) == {
+        "instrument.state0.outcome0.psd_defect",
+        "instrument.state0.outcome1.psd_defect",
+        "instrument.state0.probability_sum",
+        "instrument.state0.probability_min",
+        "instrument.state1.outcome0.psd_defect",
+        "instrument.state1.outcome1.psd_defect",
+        "instrument.state1.probability_sum",
+        "instrument.state1.probability_min",
+    }
+    assert report["pass"]
+
+
+def test_run_builds_one_composite_operation_and_one_direct_output_per_pair(monkeypatch):
+    scenario = scenario_from_json(_nd_document(2, 2, 3, 20))
+    built = []
+    original_init = KrausOperation.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        original_init(self)
+
+    direct_calls = []
+    original_direct = nondisturbing.scenario.measured_instrument_direct
+
+    def counting_direct(mm, x, rho):
+        direct_calls.append((x, id(rho)))
+        return original_direct(mm, x, rho)
+
+    monkeypatch.setattr(KrausOperation, "__post_init__", counting_init)
+    monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_direct", counting_direct)
+    report = run_scenario(scenario)
+    assert report["pass"]
+    assert len(built) == 1
+    assert len(direct_calls) == 6
+    assert len(set(direct_calls)) == 6
+
+
+def test_scenario_and_verify_run_the_same_instrument_check(monkeypatch):
+    original = nondisturbing.scenario.measured_instrument_direct
+
+    def shifted(mm, x, rho):
+        matrix = original(mm, x, rho).matrix
+        return types.SimpleNamespace(matrix=matrix + 1e-3 * np.eye(matrix.shape[0]))
+
+    monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_direct", shifted)
+    report = run_scenario(scenario_from_json(_nd_document(2, 2, 2, 30)))
+    assert not report["pass"]
+    assert not report["checks"]["instrument.state0.outcome0.closed_vs_direct"]
+    results, ok = run_verification(seed=42, trials=2, max_dim=3, tol=1e-9)
+    assert not ok
+    assert [r.name for r in results if not r.passed(1e-9)] == ["measured-instrument"]
