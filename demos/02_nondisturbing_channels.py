@@ -59,5 +59,5 @@ print("weights:", np.round(weights, 4), "sum:", weights.sum())
 
 print("\n=== Round trip through composite Kraus operators ===")
 rebuilt = nd_channel_from_kraus(channel.induced_kraus, context, dk)
-print("superoperator distance after table -> Kraus -> table:",
-      max_abs(rebuilt.superoperator - channel.superoperator))
+print("table distance after table -> Kraus -> table:",
+      max_abs(rebuilt.table_array - channel.table_array))

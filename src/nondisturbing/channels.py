@@ -5,8 +5,8 @@ decomposition in which every Kraus operator splits into per-atom probe
 blocks.  The canonical representation here is the probe table
 ``table[i][k]``: row ``i`` collects the probe-side Kraus operators tied
 to context atom ``i``, and each row is itself a channel on the probe
-space.  The induced Kraus operators on the composite space are derived
-views, never the stored form.
+space.  The composite Kraus operators are derived from the table once
+and held by one ``KrausOperation``; channels compare by their tables.
 """
 
 from __future__ import annotations
@@ -99,23 +99,19 @@ class NDChannel:
     @cached_property
     def induced_kraus(self) -> tuple[np.ndarray, ...]:
         """Kraus operators on the composite space: ``S_k = sum_i P_i (x) B_i^k``."""
-        out = []
-        for k in range(self.kraus_count):
-            column = tuple(row[k] for row in self.table)
-            s = ProbeDecomposition(self.context, column).assemble()
-            s.setflags(write=False)
-            out.append(s)
-        total = sum(s.conj().T @ s for s in out)
-        defect = max_abs(total - np.eye(self.dim_base * self.dim_probe))
-        if defect > self.atol:
-            raise ValueError(
-                f"induced Kraus operators violate completeness (defect {defect:.3e})"
-            )
-        return tuple(out)
+        return self.as_operation().kraus
 
     @cached_property
     def _operation(self) -> KrausOperation:
-        return KrausOperation(self.induced_kraus, atol=self.atol)
+        # The one owner of the composite Kraus family; its constructor runs
+        # the composite completeness check.
+        return KrausOperation(
+            tuple(
+                ProbeDecomposition(self.context, column).assemble()
+                for column in zip(*self.table)
+            ),
+            atol=self.atol,
+        )
 
     def as_operation(self) -> KrausOperation:
         """The channel on the composite space in generic Kraus form, built once."""
@@ -126,11 +122,6 @@ class NDChannel:
         if not 0 <= i < self.dim_base:
             raise IndexError(f"atom index {i} out of range 0..{self.dim_base - 1}")
         return KrausOperation(self.table[i], atol=self.atol)
-
-    @cached_property
-    def superoperator(self) -> np.ndarray:
-        """Matrix on row-stacked ``vec``; canonical form for channel equality."""
-        return self.as_operation().superoperator
 
 
 def nd_channel_from_kraus(

@@ -191,11 +191,6 @@ class KrausOperation:
         """Adjoint action on effects: ``a -> sum_k k* a k``."""
         return sum(k.conj().T @ a @ k for k in self.kraus)
 
-    @cached_property
-    def superoperator(self) -> np.ndarray:
-        """Matrix acting on row-stacked ``vec(rho)``; canonical form for map equality."""
-        return sum(np.kron(k, k.conj()) for k in self.kraus)
-
 
 @dataclass(frozen=True, eq=False)
 class Context:

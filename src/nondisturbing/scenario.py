@@ -180,6 +180,9 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _psd_defect(matrix: np.ndarray) -> float:
+    # eigvalsh raises on NaN entries; a NaN defect fails the check instead.
+    if not np.isfinite(matrix).all():
+        return float("nan")
     return max(0.0, -float(np.linalg.eigvalsh(matrix)[0]))
 
 

@@ -209,7 +209,7 @@ def test_criterion_04_conjugation_identity():
 
 def test_criterion_05_nd_channel_equivalence():
     rng = np.random.default_rng(420005)
-    worst_super = 0.0
+    worst_table = 0.0
     worst_commutator = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 5))
@@ -219,12 +219,10 @@ def test_criterion_05_nd_channel_equivalence():
         for s in nd.induced_kraus:
             worst_commutator = max(worst_commutator, commutator_defect(s, ctx, dk))
         rebuilt = nd_channel_from_kraus(nd.induced_kraus, ctx, dk)
-        worst_super = max(worst_super, max_abs(
-            rebuilt.superoperator - nd.superoperator
-        ))
-    ok = worst_super < 1e-10 and worst_commutator <= 1e-10
+        worst_table = max(worst_table, max_abs(rebuilt.table_array - nd.table_array))
+    ok = worst_table < 1e-10 and worst_commutator <= 1e-10
     _report(5, "nd-channel-equivalence", ok,
-            f"superoperator residual {worst_super:.3e}, "
+            f"table residual {worst_table:.3e}, "
             f"commutator defect {worst_commutator:.3e}")
 
 

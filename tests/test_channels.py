@@ -45,6 +45,12 @@ def test_as_operation_is_built_once_per_channel():
     assert nd.as_operation() is nd.as_operation()
 
 
+def test_composite_kraus_family_is_held_once():
+    nd = random_nd_channel(Context.random(3, 5), 2, 3, 5)
+    for k in range(nd.kraus_count):
+        assert np.shares_memory(nd.induced_kraus[k], nd.as_operation().kraus[k])
+
+
 def test_row_completeness_violation_names_the_row():
     ctx = Context.standard(2)
     good = tuple(random_kraus_channel(2, 2, 1))
@@ -91,7 +97,12 @@ def test_from_kraus_recovers_table_built_channels():
         for row, other in zip(nd.table, rebuilt.table):
             for b, c in zip(row, other):
                 assert max_abs(b - c) < 1e-12
-        assert max_abs(rebuilt.superoperator - nd.superoperator) < 1e-10
+
+
+def _pair_choi_blocks(nd: NDChannel) -> np.ndarray:
+    """``C[i, j] = sum_k vec(B_i^k) vec(B_j^k)*``: invariant under Kraus mixing."""
+    vecs = nd.table_array.reshape(nd.dim_base, nd.kraus_count, -1)
+    return np.einsum("ika,jkb->ijab", vecs, vecs.conj())
 
 
 def test_from_kraus_handles_kraus_freedom():
@@ -106,11 +117,20 @@ def test_from_kraus_handles_kraus_freedom():
             for j in range(nd.kraus_count)
         ]
         rebuilt = nd_channel_from_kraus(rotated, ctx, 2)
-        assert max_abs(rebuilt.superoperator - nd.superoperator) < 1e-10
+        assert max_abs(_pair_choi_blocks(rebuilt) - _pair_choi_blocks(nd)) < 1e-10
+        for r in range(3):
+            psi = random_unitary(4, seed * 10 + r + 402)[:, 0]
+            rho = np.outer(psi, psi.conj())
+            reduced = partial_trace(rho, 2, 2, "right")
+            assert np.trace(reduced @ reduced).real < 1 - 1e-3  # entangled
+            assert max_abs(
+                rebuilt.as_operation().apply_matrix(rho) - nd.as_operation().apply_matrix(rho)
+            ) < 1e-10
         different = max(
             max_abs(a - b) for a, b in zip(rotated, nd.induced_kraus)
         )
         assert different > 1e-3  # the rotation really changed the operators
+        assert max_abs(rebuilt.table_array - nd.table_array) > 1e-3
 
 
 def test_from_kraus_rejects_disturbing_member_by_index():

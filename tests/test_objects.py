@@ -183,9 +183,3 @@ def test_sharp_observable_is_projective_and_complete():
         assert max_abs(m @ m - m) == 0.0
     assert max_abs(sum(obs.effect_matrix(x) for x in obs.labels) - np.eye(3)) == 0.0
 
-
-def test_superoperator_matches_direct_action():
-    op = KrausOperation(tuple(random_kraus_channel(3, 2, 20)))
-    rho = random_density(3, 21)
-    via_super = (op.superoperator @ rho.reshape(-1)).reshape(3, 3)
-    assert max_abs(via_super - op.apply_matrix(rho)) < 1e-12

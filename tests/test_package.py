@@ -6,7 +6,7 @@ import pytest
 
 import nondisturbing
 from nondisturbing.channels import NDChannel
-from nondisturbing.objects import Observable
+from nondisturbing.objects import KrausOperation, Observable
 from nondisturbing.verify import FAMILY_NAMES, _FAMILIES
 
 # Public names removed from the package because no pipeline used them.
@@ -55,3 +55,8 @@ def test_traced_attributes_keep_their_names_and_kinds():
     assert "as_operation" in NDChannel.__dict__
     assert isinstance(NDChannel.__dict__["induced_kraus"], functools.cached_property)
     assert isinstance(Observable.__dict__["from_matrices"], classmethod)
+
+
+def test_channels_keep_no_superoperator():
+    assert "superoperator" not in vars(NDChannel)
+    assert "superoperator" not in vars(KrausOperation)
