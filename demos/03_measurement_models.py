@@ -5,14 +5,14 @@ the interaction channel, weights by a meter effect, and partial-traces.
 For a nondisturbing interaction the same quantities collapse to small
 sums over the probe table.  This script evaluates both paths for the
 measured instrument, the measured observable, the post-interaction probe
-instrument and observable, and the second-round apparatus.
+instrument and observable, and the second-round (remeasured) effects,
+whose oracle runs two brute-force rounds of the protocol.
 """
 
 import numpy as np
 
 from nondisturbing import (
     State,
-    apparatus_from_mm,
     max_abs,
     measured_instrument_direct,
     measured_instrument_nd,
@@ -23,8 +23,8 @@ from nondisturbing import (
     probability,
     random_density,
     random_model,
-    remeasure_apparatus,
-    remeasured_effect_by_substitution,
+    remeasured_effect,
+    remeasured_effect_two_round,
 )
 
 model = random_model(dim_base=3, dim_probe=2, outcomes=3, kraus_count=2, seed=2)
@@ -59,23 +59,20 @@ for x in model.meter.labels:
     print(f"outcome {x}: closed vs direct {max_abs(closed.matrix - direct.matrix):.2e}, "
           f"duality gap {abs(paired - closed.trace):.2e}")
 
-print("\n=== The apparatus the model induces on its probe ===")
-apparatus = apparatus_from_mm(model)
-for i in range(2):
-    atom_state = State(model.nd.context.atom(i))
-    obs = apparatus.observable(atom_state)
+print("\n=== The probe observable at each context atom ===")
+for i in range(model.dim_base):
+    obs = post_probe_observable(model, State(model.nd.context.atom(i)))
     defect = max_abs(
         sum(obs.effect_matrix(x) for x in obs.labels) - np.eye(2)
     )
-    print(f"atom {i}: apparatus observable completeness defect {defect:.2e}")
+    print(f"atom {i}: probe observable completeness defect {defect:.2e}")
 
 print("\n=== Remeasuring with the state-dependent meter ===")
-family = remeasure_apparatus(model)
-for x in family.labels:
-    closed = family.effect(rho, x)
-    oracle = remeasured_effect_by_substitution(model, rho, x)
-    print(f"outcome {x}: closed vs substitution oracle {max_abs(closed - oracle):.2e}")
-summed = sum(family.effect(rho, x) for x in family.labels)
+for x in model.meter.labels:
+    closed = remeasured_effect(model, rho, x)
+    oracle = remeasured_effect_two_round(model, rho, x)
+    print(f"outcome {x}: closed vs two-round oracle {max_abs(closed - oracle):.2e}")
+summed = sum(remeasured_effect(model, rho, x) for x in model.meter.labels)
 dephased = model.nd.context.dephase(rho.matrix)
 print("outcome sum equals dim_base times the dephased input:",
       max_abs(summed - model.dim_base * dephased))

@@ -67,20 +67,16 @@ from .channels import (
     reduced_product_outputs,
 )
 from .models import (
-    Apparatus,
-    AtomKernelMap,
     MeasurementModel,
-    apparatus_from_mm,
     measured_instrument_direct,
-    measured_instrument_kernel,
     measured_instrument_nd,
     measured_observable_nd,
     post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
     random_model,
-    remeasure_apparatus,
-    remeasured_effect_by_substitution,
+    remeasured_effect,
+    remeasured_effect_two_round,
 )
 from .catalog import (
     fourier_model,

@@ -87,20 +87,21 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if ok else EXIT_NUMERICAL
 
 
-def _cmd_run(args) -> int:
+def _read_json(path: str) -> Any:
+    """Parse the JSON file at ``path``; an unreadable or malformed file raises _InputError."""
     try:
-        with open(args.scenario, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
     except OSError as exc:
-        sys.stderr.write(f"error: cannot read {args.scenario}: {exc}\n")
-        return EXIT_PARSE
+        raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        sys.stderr.write(
-            f"error: {args.scenario} is not valid JSON "
-            f"(line {exc.lineno}, column {exc.colno}): {exc.msg}\n"
-        )
-        return EXIT_PARSE
-    scenario = scenario_from_json(document)
+        raise _InputError(
+            f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
+
+
+def _cmd_run(args) -> int:
+    scenario = scenario_from_json(_read_json(args.scenario))
     if args.tol is not None:
         if args.tol <= 0:
             raise _UsageError("--tol must be positive")
@@ -121,18 +122,7 @@ def _cmd_example(args) -> int:
     if args.probe == "sharp":
         spec["probe"] = "sharp"
     else:
-        try:
-            with open(args.probe, "r", encoding="utf-8") as handle:
-                probe_doc = json.load(handle)
-        except OSError as exc:
-            sys.stderr.write(f"error: cannot read {args.probe}: {exc}\n")
-            return EXIT_PARSE
-        except json.JSONDecodeError as exc:
-            sys.stderr.write(
-                f"error: {args.probe} is not valid JSON "
-                f"(line {exc.lineno}, column {exc.colno}): {exc.msg}\n"
-            )
-            return EXIT_PARSE
+        probe_doc = _read_json(args.probe)
         observable_from_json(probe_doc, "probe")  # fail fast with a schema path
         spec["probe"] = probe_doc
     document = {
@@ -144,6 +134,10 @@ def _cmd_example(args) -> int:
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _InputError(Exception):
     pass
 
 
@@ -161,6 +155,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_example(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_PARSE
+    except _InputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except SchemaError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

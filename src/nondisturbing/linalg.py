@@ -20,6 +20,8 @@ allocated arrays; random state is always passed explicitly as a seed or
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "CONSTRUCTION_ATOL",
     "as_complex_matrix",
     "max_abs",
+    "fold_max",
     "hermitian_part",
     "kron",
     "partial_trace",
@@ -74,6 +77,17 @@ def max_abs(m) -> float:
     """Largest entrywise modulus, the norm used for equality checks."""
     arr = np.asarray(m)
     return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
+
+
+def fold_max(worst: float, *residuals: float) -> float:
+    """Largest of ``worst`` and ``residuals``.
+
+    A NaN is kept, unlike with ``max``, so a check that saw one fails.
+    """
+    for r in residuals:
+        if math.isnan(r) or r > worst:
+            worst = r
+    return worst
 
 
 def hermitian_part(m) -> np.ndarray:

@@ -6,21 +6,19 @@ The brute-force path (tensor the input with the probe state, apply the
 channel, weight by the meter effect, partial-trace) works for any
 channel and is kept as the oracle.  When the channel is nondisturbing,
 the measured instrument and observable, the post-interaction probe
-instrument and observable, and the second-round apparatus all collapse
-to small sums over the probe table, implemented here without ever
-forming composite operators.
+instrument and observable, and the second-round (remeasured) effect
+family all collapse to small sums over the probe table, implemented
+here without ever forming composite operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .linalg import (
-    DEFAULT_ATOL,
     hermitian_part,
     kron,
     partial_trace,
@@ -33,47 +31,17 @@ from .objects import Context, KrausOperation, Observable, PartialState, State
 from .channels import NDChannel, pair_overlap_kernel, probe_outputs, random_nd_channel
 
 __all__ = [
-    "AtomKernelMap",
     "MeasurementModel",
-    "Apparatus",
     "measured_instrument_direct",
-    "measured_instrument_kernel",
     "measured_instrument_nd",
     "measured_observable_nd",
     "post_probe_instrument_direct",
     "post_probe_instrument_nd",
     "post_probe_observable",
-    "apparatus_from_mm",
-    "remeasure_apparatus",
-    "remeasured_effect_by_substitution",
+    "remeasured_effect",
+    "remeasured_effect_two_round",
     "random_model",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class AtomKernelMap:
-    """Map ``rho -> sum_{i,j} c[i, j] P_i rho P_j`` over a context's atoms.
-
-    This is the natural form of instrument outcomes for nondisturbing
-    models: the map is determined by its coefficient kernel.
-    """
-
-    context: Context
-    coeff: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=complex)
-        n = self.context.dim
-        if c.shape != (n, n):
-            raise ValueError(f"kernel must be {n} x {n}, got {c.shape}")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeff", c)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        basis = self.context.basis
-        overlaps = basis.conj().T @ np.asarray(rho, dtype=complex) @ basis
-        return basis @ (self.coeff * overlaps) @ basis.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,15 +127,6 @@ class MeasurementModel:
             return self.channel.as_operation()
         return self.channel
 
-    def with_meter(self, meter: Observable) -> "MeasurementModel":
-        return MeasurementModel(
-            self.dim_base, self.dim_probe, self.probe_state, self.channel, meter
-        )
-
-
-def _meter_matrix(mm: MeasurementModel, x: str) -> np.ndarray:
-    return mm.meter.effect_matrix(x)
-
 
 def _meter_stack(mm: MeasurementModel) -> np.ndarray:
     """Meter effects stacked in label order, shape (outcomes, dim_probe, dim_probe)."""
@@ -185,27 +144,24 @@ def measured_instrument_direct(mm: MeasurementModel, x: str, rho: State) -> Part
     interacted = mm.channel_operation().apply_matrix(
         kron(rho.matrix, mm.probe_state.matrix)
     )
-    weighted = interacted @ kron(np.eye(mm.dim_base), _meter_matrix(mm, x))
+    weighted = interacted @ kron(np.eye(mm.dim_base), mm.meter.effect_matrix(x))
     reduced = partial_trace(weighted, mm.dim_base, mm.dim_probe, over="right")
     return PartialState(hermitian_part(reduced))
 
 
-def measured_instrument_kernel(mm: MeasurementModel, x: str) -> AtomKernelMap:
-    """The instrument outcome of a nondisturbing model as an atom-kernel map.
-
-    The kernel is ``c[i, j] = sum_k tr(B_i^k eta B_j^k* F_x)``.
-    """
-    nd = mm.nd
-    kernel = pair_overlap_kernel(nd, mm.probe_state.matrix, _meter_matrix(mm, x))
-    return AtomKernelMap(nd.context, kernel)
-
-
 def measured_instrument_nd(mm: MeasurementModel, x: str, rho: State) -> PartialState:
-    """Closed-form instrument outcome for a nondisturbing model."""
+    """Closed-form instrument outcome for a nondisturbing model.
+
+    Equals ``sum_{i,j} c[i, j] P_i rho P_j`` with the kernel
+    ``c[i, j] = sum_k tr(B_i^k eta B_j^k* F_x)``.
+    """
     if rho.dim != mm.dim_base:
         raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
-    out = measured_instrument_kernel(mm, x).apply(rho.matrix)
-    return PartialState(hermitian_part(out))
+    nd = mm.nd
+    kernel = pair_overlap_kernel(nd, mm.probe_state.matrix, mm.meter.effect_matrix(x))
+    basis = nd.context.basis
+    overlaps = basis.conj().T @ rho.matrix @ basis
+    return PartialState(hermitian_part(basis @ (kernel * overlaps) @ basis.conj().T))
 
 
 def measured_observable_nd(mm: MeasurementModel) -> Observable:
@@ -235,7 +191,7 @@ def post_probe_instrument_direct(
         raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
     if sigma.dim != mm.dim_probe:
         raise ValueError(f"probe input dimension {sigma.dim} != {mm.dim_probe}")
-    root = kron(np.eye(mm.dim_base), psd_sqrt(_meter_matrix(mm, x)))
+    root = kron(np.eye(mm.dim_base), psd_sqrt(mm.meter.effect_matrix(x)))
     interacted = mm.channel_operation().apply_matrix(kron(rho.matrix, sigma.matrix))
     reduced = partial_trace(
         root @ interacted @ root, mm.dim_base, mm.dim_probe, over="left"
@@ -257,7 +213,7 @@ def post_probe_instrument_nd(
         raise ValueError(f"probe input dimension {sigma.dim} != {mm.dim_probe}")
     weights = nd.context.weights(rho.matrix)
     mixed = np.tensordot(weights, probe_outputs(nd, sigma.matrix), axes=1)
-    root = psd_sqrt(_meter_matrix(mm, x))
+    root = psd_sqrt(mm.meter.effect_matrix(x))
     return PartialState(hermitian_part(root @ mixed @ root))
 
 
@@ -276,105 +232,48 @@ def post_probe_observable(mm: MeasurementModel, rho: State) -> Observable:
     return Observable.from_matrices(map(hermitian_part, mixed), mm.meter.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class Apparatus:
-    """State-dependent effect family: ``(rho, x) -> effect matrix``.
-
-    For each fixed input state the family is expected to be affine in the
-    state; whether the outcomes form an observable depends on the
-    construction and is validated by callers, not here.
-    """
-
-    labels: tuple[str, ...]
-    evaluate: Callable[[State, str], np.ndarray]
-
-    def effect(self, rho: State, x: str) -> np.ndarray:
-        if x not in self.labels:
-            raise KeyError(f"unknown outcome label {x!r}")
-        return self.evaluate(rho, x)
-
-    def observable(self, rho: State, atol: float = DEFAULT_ATOL) -> Observable:
-        """Package the family at ``rho`` as a validated observable."""
-        return Observable.from_matrices(
-            [self.effect(rho, x) for x in self.labels], self.labels, atol
-        )
-
-
-def apparatus_from_mm(mm: MeasurementModel) -> Apparatus:
-    """The apparatus a nondisturbing model induces on its probe.
-
-    Evaluating at ``(rho, x)`` gives the post-interaction probe
-    observable's effect; for each fixed state the family is a complete
-    observable, and it is affine in the state.
-    """
-    nd = mm.nd
-    pulled = dict(zip(mm.meter.labels, mm.pulled_meter))
-
-    def evaluate(rho: State, x: str) -> np.ndarray:
-        weights = nd.context.weights(rho.matrix)
-        return hermitian_part(np.tensordot(weights, pulled[x], axes=1))
-
-    return Apparatus(mm.meter.labels, evaluate)
-
-
-def _remeasure_kernels(mm: MeasurementModel) -> dict[str, np.ndarray]:
-    """Per-outcome matrices ``t[j, i] = tr(G_j(eta) G_i*(F_x))``.
-
-    Evaluated in the Schroedinger picture as ``tr(G_i(G_j(eta)) F_x)``,
-    so this closed form never reads :attr:`MeasurementModel.pulled_meter`,
-    which its substitution oracle reaches through the post-interaction
-    probe observable.
-    """
-    twice = probe_outputs(mm.nd, mm.evolved_probe)  # twice[j, i] = G_i(G_j(eta))
-    kernels = np.einsum("jiab,xba->xji", twice, _meter_stack(mm))
-    return dict(zip(mm.meter.labels, kernels))
-
-
-def remeasure_apparatus(mm: MeasurementModel) -> Apparatus:
-    """Second-round apparatus of a nondisturbing model on its base space.
+def remeasured_effect(mm: MeasurementModel, rho: State, x: str) -> np.ndarray:
+    """Second-round effect family of a nondisturbing model on its base space.
 
     Feeding the post-interaction probe observable back in as the meter
-    yields the family
-    ``B(rho, x) = sum_{i,j} tr(G_j(eta) G_i*(F_x)) P_i rho P_i``.
-    It is affine in the state, but its outcomes sum to ``dim_base`` times
-    the context-dephased state rather than the identity: the inner atom
-    sum contributes once per atom.
+    yields ``B(rho, x) = sum_{i,j} tr(G_i(G_j(eta)) F_x) P_i rho P_i``:
+    the probe meets a first base system in atom ``j``, then a second in
+    atom ``i``.  The family is affine in the state, but its outcomes sum
+    to ``dim_base`` times the context-dephased state rather than the
+    identity: the unweighted sum over ``j`` puts the first base system
+    in the identity, whose trace is ``dim_base``.
     """
     nd = mm.nd
+    if rho.dim != mm.dim_base:
+        raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
+    meter = mm.meter.effect_matrix(x)
+    twice = probe_outputs(nd, mm.evolved_probe.sum(axis=0))  # G_i(sum_j G_j(eta))
+    coeff = np.real(np.einsum("iab,ba->i", twice, meter))
     basis = nd.context.basis
-    kernels = _remeasure_kernels(mm)
-    column_sums = {x: np.real(k.sum(axis=0)) for x, k in kernels.items()}
-
-    def evaluate(rho: State, x: str) -> np.ndarray:
-        weights = nd.context.weights(rho.matrix)
-        scaled = column_sums[x] * weights
-        return hermitian_part((basis * scaled) @ basis.conj().T)
-
-    return Apparatus(mm.meter.labels, evaluate)
-
-
-def remeasured_effect_by_substitution(
-    mm: MeasurementModel, rho: State, x: str
-) -> np.ndarray:
-    """Oracle for the second-round apparatus via explicit substitution.
-
-    For each context atom, runs the post-interaction probe observable at
-    that atom through a fresh model as its meter, reads the measured
-    observable back off, and reassembles the family with the context
-    weights of ``rho``.  Exercises the full observable pipeline instead
-    of the direct double-trace kernel.
-    """
-    nd = mm.nd
-    basis = nd.context.basis
-    coeffs = []
-    for i in range(nd.dim_base):
-        atom_state = State(nd.context.atom(i))
-        substituted = mm.with_meter(post_probe_observable(mm, atom_state))
-        second_round = measured_observable_nd(substituted)
-        coeffs.append(float(np.trace(second_round.effect_matrix(x)).real))
-    weights = nd.context.weights(rho.matrix)
-    scaled = np.asarray(coeffs) * weights
+    scaled = coeff * nd.context.weights(rho.matrix)
     return hermitian_part((basis * scaled) @ basis.conj().T)
+
+
+def remeasured_effect_two_round(mm: MeasurementModel, rho: State, x: str) -> np.ndarray:
+    """Oracle for :func:`remeasured_effect`: two brute-force rounds.
+
+    Round one runs the composite channel on ``I/n (x) eta`` and traces the
+    base out, leaving the probe state ``eta'`` that a maximally mixed
+    first base system hands on.  Round two is the brute-force instrument
+    of the same model with probe state ``eta'``, applied to ``rho``; its
+    output is dephased atom by atom and scaled by ``n``.  Tracing the
+    first base out between the rounds is exact, because round two never
+    acts on it.
+    """
+    nd = mm.nd
+    n, dk = mm.dim_base, mm.dim_probe
+    first = mm.channel_operation().apply_matrix(
+        kron(np.eye(n) / n, mm.probe_state.matrix)
+    )
+    handed_on = State(partial_trace(first, n, dk, over="left"))
+    second = MeasurementModel(n, dk, handed_on, mm.channel, mm.meter)
+    out = measured_instrument_direct(second, x, rho).matrix
+    return n * sum(p @ out @ p for p in nd.context.atoms)
 
 
 def random_model(

@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .linalg import max_abs
+from .linalg import fold_max, max_abs
 from .objects import KrausOperation, State
 from .channels import NDChannel
 from .models import (
@@ -27,8 +27,8 @@ from .models import (
     post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
-    remeasure_apparatus,
-    remeasured_effect_by_substitution,
+    remeasured_effect,
+    remeasured_effect_two_round,
 )
 from . import catalog
 from .serialization import (
@@ -207,7 +207,7 @@ def _check_instrument(mm: MeasurementModel, inputs, sigma, direct):
             traces.append(float(np.trace(out).real))
             produced.append((i, x, out))
         residuals[f"instrument.state{i}.probability_sum"] = abs(sum(traces) - 1.0)
-        residuals[f"instrument.state{i}.probability_min"] = max(0.0, -min(traces))
+        residuals[f"instrument.state{i}.probability_min"] = fold_max(0.0, *(-t for t in traces))
     return produced, residuals
 
 
@@ -218,13 +218,13 @@ def _check_observable(mm: MeasurementModel, inputs, sigma, direct):
     worst = 0.0
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            worst = max(worst, max_abs(mats[a] @ mats[b] - mats[b] @ mats[a]))
+            worst = fold_max(worst, max_abs(mats[a] @ mats[b] - mats[b] @ mats[a]))
     residuals["observable.commutators"] = worst
     for i, rho in enumerate(inputs):
         defect = 0.0
         for x, effect in zip(obs.labels, mats):
             paired = float(np.trace(rho.matrix @ effect).real)
-            defect = max(defect, abs(paired - float(np.trace(direct(i, x)).real)))
+            defect = fold_max(defect, abs(paired - float(np.trace(direct(i, x)).real)))
         residuals[f"observable.state{i}.pairing"] = defect
     return [(None, x, effect) for x, effect in zip(obs.labels, mats)], residuals
 
@@ -252,13 +252,12 @@ def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
 
 
 def _check_remeasure(mm: MeasurementModel, inputs, sigma, direct):
-    family = remeasure_apparatus(mm)
     produced, residuals = [], {}
     for i, rho in enumerate(inputs):
-        for x in family.labels:
-            closed = family.effect(rho, x)
-            oracle = remeasured_effect_by_substitution(mm, rho, x)
-            residuals[f"remeasure.state{i}.outcome{x}.closed_vs_substitution"] = max_abs(
+        for x in mm.meter.labels:
+            closed = remeasured_effect(mm, rho, x)
+            oracle = remeasured_effect_two_round(mm, rho, x)
+            residuals[f"remeasure.state{i}.outcome{x}.closed_vs_two_round"] = max_abs(
                 closed - oracle
             )
             produced.append((i, x, closed))

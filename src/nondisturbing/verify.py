@@ -11,7 +11,6 @@ sees, and a fixed seed reproduces the summary byte for byte.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -19,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    fold_max,
     is_effect_matrix,
     is_hermitian,
     is_projection_matrix,
@@ -56,7 +56,7 @@ from .models import (
     post_probe_instrument_nd,
     post_probe_observable,
     random_model,
-    remeasure_apparatus,
+    remeasured_effect,
 )
 from .scenario import evaluate
 from . import catalog
@@ -72,14 +72,6 @@ class FamilyResult:
 
     def passed(self, tol: float) -> bool:
         return self.max_residual <= tol
-
-
-def _fold(worst: float, *residuals: float) -> float:
-    """Largest residual so far.  A NaN residual is kept, so its family fails."""
-    for r in residuals:
-        if math.isnan(r) or r > worst:
-            worst = r
-    return worst
 
 
 def _family_rng(seed: int, name: str) -> np.random.Generator:
@@ -116,8 +108,8 @@ def _check_probe_round_trip(rng, trials, max_dim) -> float:
         n, dk = decomp.dim_base, decomp.dim_probe
         recovered = extract_probes(full, decomp.context, dk)
         for original, back in zip(decomp.probes, recovered.probes):
-            worst = _fold(worst, max_abs(original - back))
-        worst = _fold(worst, max_abs(recovered.assemble() - full))
+            worst = fold_max(worst, max_abs(original - back))
+        worst = fold_max(worst, max_abs(recovered.assemble() - full))
         first = extract_probes_by_matrix_elements(
             full, decomp.context, dk, random_unitary(dk, rng)
         )
@@ -125,7 +117,7 @@ def _check_probe_round_trip(rng, trials, max_dim) -> float:
             full, decomp.context, dk, random_unitary(dk, rng)
         )
         for a, b, c in zip(first.probes, second.probes, recovered.probes):
-            worst = _fold(worst, max_abs(a - b), max_abs(a - c))
+            worst = fold_max(worst, max_abs(a - b), max_abs(a - c))
     return worst
 
 
@@ -136,10 +128,10 @@ def _check_reduced_traces(rng, trials, max_dim) -> float:
         full = decomp.assemble()
         n, dk = decomp.dim_base, decomp.dim_probe
         over_base, over_probe = closed_form_partial_traces(decomp)
-        worst = _fold(worst, max_abs(over_base - partial_trace(full, n, dk, "left")))
-        worst = _fold(worst, max_abs(over_probe - partial_trace(full, n, dk, "right")))
+        worst = fold_max(worst, max_abs(over_base - partial_trace(full, n, dk, "left")))
+        worst = fold_max(worst, max_abs(over_probe - partial_trace(full, n, dk, "right")))
         for atom in decomp.context.atoms:
-            worst = _fold(worst, max_abs(over_probe @ atom - atom @ over_probe))
+            worst = fold_max(worst, max_abs(over_probe @ atom - atom @ over_probe))
     return worst
 
 
@@ -234,12 +226,12 @@ def _check_conjugation(rng, trials, max_dim) -> float:
         d = random_hermitian(dk, rng)
         closed = conjugate(decomp, b, d)
         direct = full @ kron(b, d) @ full.conj().T
-        worst = _fold(worst, max_abs(closed - direct))
+        worst = fold_max(worst, max_abs(closed - direct))
         k = int(rng.integers(0, n))
         atom_case = conjugate(decomp, decomp.context.atom(k), np.eye(dk))
         bk = decomp.probes[k]
         expected = kron(decomp.context.atom(k), bk @ bk.conj().T)
-        worst = _fold(worst, max_abs(atom_case - expected))
+        worst = fold_max(worst, max_abs(atom_case - expected))
     return worst
 
 
@@ -250,10 +242,10 @@ def _check_channel_round_trip(rng, trials, max_dim) -> float:
         context = _random_context(rng, n)
         nd = random_nd_channel(context, dk, int(rng.integers(1, 4)), rng)
         for s in nd.induced_kraus:
-            worst = _fold(worst, commutator_defect(s, context, dk))
+            worst = fold_max(worst, commutator_defect(s, context, dk))
         rebuilt = nd_channel_from_kraus(nd.induced_kraus, context, dk)
         # A round trip keeps the Kraus order, so the tables agree entrywise.
-        worst = _fold(worst, max_abs(rebuilt.table_array - nd.table_array))
+        worst = fold_max(worst, max_abs(rebuilt.table_array - nd.table_array))
     return worst
 
 
@@ -267,21 +259,21 @@ def _check_channel_partial_traces(rng, trials, max_dim) -> float:
         eta = State(random_density(dk, rng))
         closed = apply_product(nd, rho, eta)
         direct = nd.as_operation().apply_matrix(kron(rho.matrix, eta.matrix))
-        worst = _fold(worst, max_abs(closed - direct))
-        worst = _fold(worst, abs(float(np.trace(closed).real) - 1.0))
-        worst = _fold(worst, -float(np.linalg.eigvalsh(
+        worst = fold_max(worst, max_abs(closed - direct))
+        worst = fold_max(worst, abs(float(np.trace(closed).real) - 1.0))
+        worst = fold_max(worst, -float(np.linalg.eigvalsh(
             (closed + closed.conj().T) / 2)[0]))
         reduced = reduced_product_outputs(nd, rho, eta)
-        worst = _fold(worst, max_abs(reduced.base - partial_trace(direct, n, dk, "right")))
-        worst = _fold(worst, max_abs(reduced.probe - partial_trace(direct, n, dk, "left")))
+        worst = fold_max(worst, max_abs(reduced.base - partial_trace(direct, n, dk, "right")))
+        worst = fold_max(worst, max_abs(reduced.probe - partial_trace(direct, n, dk, "left")))
         weights = context.weights(rho.matrix)
-        worst = _fold(worst, -float(weights.min()))
-        worst = _fold(worst, abs(float(weights.sum()) - 1.0))
+        worst = fold_max(worst, -float(weights.min()))
+        worst = fold_max(worst, abs(float(weights.sum()) - 1.0))
         mixture = sum(
             w * nd.probe_channel(i).apply_matrix(eta.matrix)
             for i, w in enumerate(weights)
         )
-        worst = _fold(worst, max_abs(reduced.probe - mixture))
+        worst = fold_max(worst, max_abs(reduced.probe - mixture))
     return worst
 
 
@@ -292,7 +284,7 @@ def _check_measured_instrument(rng, trials, max_dim) -> float:
         mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
                           rng, context=_random_context(rng, n))
         rho = State(random_density(n, rng))
-        worst = _fold(worst, *evaluate(mm, (rho,), ("instrument", "observable"))[1].values())
+        worst = fold_max(worst, *evaluate(mm, (rho,), ("instrument", "observable"))[1].values())
     return worst
 
 
@@ -304,7 +296,7 @@ def _check_post_probe(rng, trials, max_dim) -> float:
                           rng, context=_random_context(rng, n))
         rho = State(random_density(n, rng))
         sigma = State(random_density(dk, rng))
-        worst = _fold(worst, *evaluate(mm, (rho,), ("post_probe",), sigma)[1].values())
+        worst = fold_max(worst, *evaluate(mm, (rho,), ("post_probe",), sigma)[1].values())
     return worst
 
 
@@ -338,7 +330,7 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
             )
             overlaps = basis.conj().T @ rho.matrix @ basis
             explicit = basis @ (coeff * overlaps) @ basis.conj().T
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 explicit - measured_instrument_nd(mm, x, rho).matrix
             ))
             diag = np.array(
@@ -346,7 +338,7 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
                  for i in range(n)]
             )
             explicit_effect = (basis * diag.real) @ basis.conj().T
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 explicit_effect - measured_observable_nd(mm).effect_matrix(x)
             ))
             root = psd_sqrt(f)
@@ -355,14 +347,14 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
                 @ unitaries[i].conj().T @ root
                 for i in range(n)
             )
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 sandwiched - post_probe_instrument_nd(mm, rho, x, sigma).matrix
             ))
             pulled = sum(
                 weights[i] * unitaries[i].conj().T @ f @ unitaries[i]
                 for i in range(n)
             )
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 pulled - post_probe_observable(mm, rho).effect_matrix(x)
             ))
         mixed_meter = Observable.from_matrices(
@@ -374,7 +366,7 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
         for x in collapsed.meter.labels:
             scale = float(np.trace(collapsed.probe_state.matrix
                                    @ collapsed.meter.effect_matrix(x)).real)
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 measured_observable_nd(collapsed).effect_matrix(x)
                 - scale * np.eye(n)
             ))
@@ -389,10 +381,9 @@ def _check_remeasurement(rng, trials, max_dim) -> float:
         mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
                           rng, context=context)
         rho = State(random_density(n, rng))
-        worst = _fold(worst, *evaluate(mm, (rho,), ("remeasure",))[1].values())
+        worst = fold_max(worst, *evaluate(mm, (rho,), ("remeasure",))[1].values())
         unitary_mm, unitaries = _unitary_model(rng, n, dk, context)
         eta = unitary_mm.probe_state.matrix
-        family = remeasure_apparatus(unitary_mm)
         weights = context.weights(rho.matrix)
         basis = context.basis
         for x in unitary_mm.meter.labels:
@@ -403,7 +394,7 @@ def _check_remeasurement(rng, trials, max_dim) -> float:
                     w = unitaries[i] @ unitaries[j]
                     diag[i] += float(np.trace(w @ eta @ w.conj().T @ f).real)
             explicit = (basis * (diag * weights)) @ basis.conj().T
-            worst = _fold(worst, max_abs(explicit - family.effect(rho, x)))
+            worst = fold_max(worst, max_abs(explicit - remeasured_effect(unitary_mm, rho, x)))
     return worst
 
 
@@ -421,10 +412,10 @@ def _check_algebra_closure(rng, trials, max_dim) -> float:
         a, d = first.assemble(), second.assemble()
         coeff = complex(rng.standard_normal(), rng.standard_normal())
         for candidate in (a @ d, a.conj().T, coeff * a + d):
-            worst = _fold(worst, commutator_defect(candidate, context, dk))
+            worst = fold_max(worst, commutator_defect(candidate, context, dk))
         product = extract_probes(a @ d, context, dk)
         for composed, b, c in zip(product.probes, first.probes, second.probes):
-            worst = _fold(worst, max_abs(composed - b @ c))
+            worst = fold_max(worst, max_abs(composed - b @ c))
     return worst
 
 
@@ -435,24 +426,24 @@ def _check_swap_family(rng, trials, max_dim) -> float:
         meter = Observable.from_matrices(random_povm(n, int(rng.integers(2, 4)), rng))
         mm = catalog.swap_model(n, meter)
         nd = mm.nd
-        worst = _fold(worst, *(
+        worst = fold_max(worst, *(
             commutator_defect(s, nd.context, n) for s in nd.induced_kraus
         ))
         recovered = extract_probes(nd.induced_kraus[0], nd.context, n)
         for v, b in zip(catalog.swap_unitaries(n), recovered.probes):
-            worst = _fold(worst, max_abs(v - b))
+            worst = fold_max(worst, max_abs(v - b))
         rho = State(random_density(n, rng))
-        worst = _fold(worst, max_abs(
+        worst = fold_max(worst, max_abs(
             catalog.swap_product_output(rho)
             - apply_product(nd, rho, mm.probe_state)
         ))
         for x in mm.meter.labels:
             f = mm.meter.effect_matrix(x)
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 catalog.swap_instrument_output(rho, f)
                 - measured_instrument_direct(mm, x, rho).matrix
             ))
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 catalog.swap_observable_effect(f)
                 - measured_observable_nd(mm).effect_matrix(x)
             ))
@@ -470,7 +461,7 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
         unitaries = catalog.fourier_unitaries(n, m)
         recovered = extract_probes(nd.induced_kraus[0], nd.context, m)
         for v, b in zip(unitaries, recovered.probes):
-            worst = _fold(worst, max_abs(v - b))
+            worst = fold_max(worst, max_abs(v - b))
         eta = mm.probe_state.matrix
         rho = State(random_density(n, rng))
         for x in mm.meter.labels:
@@ -480,14 +471,14 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
                     direct = complex(np.trace(
                         unitaries[j - 1] @ eta @ unitaries[k - 1].conj().T @ f
                     ))
-                    worst = _fold(worst, abs(
+                    worst = fold_max(worst, abs(
                         catalog.fourier_pair_trace(j, k, m, f) - direct
                     ))
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 catalog.fourier_observable_effect(n, m, f)
                 - measured_observable_nd(mm).effect_matrix(x)
             ))
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 measured_instrument_nd(mm, x, rho).matrix
                 - measured_instrument_direct(mm, x, rho).matrix
             ))
@@ -495,7 +486,7 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
         for x in diagonal.meter.labels:
             f = diagonal.meter.effect_matrix(x)
             average = float(np.trace(f).real) / m
-            worst = _fold(worst, max_abs(
+            worst = fold_max(worst, max_abs(
                 measured_observable_nd(diagonal).effect_matrix(x)
                 - average * np.eye(n)
             ))

@@ -132,15 +132,24 @@ def test_run_exits_zero_on_passing_scenario(tmp_path, capsys):
     assert report["pass"] is True
 
 
-def test_run_exits_two_on_malformed_json(tmp_path, capsys):
+# Both commands that read a JSON file, as argv prefixes completed by the path.
+READERS = {"run": ["run"], "example-probe": ["example", "swap", "--n", "2", "--probe"]}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_exits_two_on_malformed_json(tmp_path, capsys, reader):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
-    assert main(["run", str(path)]) == 2
-    assert "line 1" in capsys.readouterr().err
+    assert main(READERS[reader] + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not valid JSON (line 1, column 2)")
 
 
-def test_run_exits_two_on_missing_file(capsys):
-    assert main(["run", "/nonexistent/scenario.json"]) == 2
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_exits_two_on_missing_file(tmp_path, capsys, reader):
+    path = tmp_path / "missing.json"
+    assert main(READERS[reader] + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 def test_run_exits_two_on_schema_violation(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nondisturbing.linalg import (
     kron,
@@ -17,21 +18,18 @@ from nondisturbing.objects import (
     State,
     sharp_observable,
 )
-from nondisturbing.channels import NDChannel
+from nondisturbing.channels import NDChannel, pair_overlap_kernel
 from nondisturbing.models import (
-    AtomKernelMap,
     MeasurementModel,
-    apparatus_from_mm,
     measured_instrument_direct,
-    measured_instrument_kernel,
     measured_instrument_nd,
     measured_observable_nd,
     post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
     random_model,
-    remeasure_apparatus,
-    remeasured_effect_by_substitution,
+    remeasured_effect,
+    remeasured_effect_two_round,
 )
 
 
@@ -81,7 +79,9 @@ def test_closed_forms_require_nd_channel():
     with pytest.raises(ValueError, match="nondisturbing"):
         post_probe_observable(mm, rho)
     with pytest.raises(ValueError, match="nondisturbing"):
-        remeasure_apparatus(mm)
+        remeasured_effect(mm, rho, "0")
+    with pytest.raises(ValueError, match="nondisturbing"):
+        remeasured_effect_two_round(mm, rho, "0")
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +149,8 @@ def test_closed_form_instrument_matches_direct_path():
 def test_instrument_kernel_is_psd():
     mm = random_model(3, 2, 2, 2, 17)
     for x in mm.meter.labels:
-        kernel = measured_instrument_kernel(mm, x)
-        w = np.linalg.eigvalsh((kernel.coeff + kernel.coeff.conj().T) / 2)
+        kernel = pair_overlap_kernel(mm.nd, mm.probe_state.matrix, mm.meter.effect_matrix(x))
+        w = np.linalg.eigvalsh((kernel + kernel.conj().T) / 2)
         assert w[0] > -1e-12
 
 
@@ -323,6 +323,19 @@ def test_post_probe_observable_at_atom_is_pulled_back_meter():
             assert max_abs(obs.effect_matrix(x) - expected) < 1e-10
 
 
+def test_post_probe_observable_is_affine_on_random_mixtures():
+    mm = random_model(3, 2, 3, 2, 91)
+    rng = np.random.default_rng(92)
+    for _ in range(20):
+        states = [State(random_density(3, rng)) for _ in range(3)]
+        weights = rng.dirichlet(np.ones(3))
+        mixture = State(sum(w * s.matrix for w, s in zip(weights, states)))
+        observables = [post_probe_observable(mm, s) for s in states]
+        for x in mm.meter.labels:
+            mixed = sum(w * obs.effect_matrix(x) for w, obs in zip(weights, observables))
+            assert max_abs(post_probe_observable(mm, mixture).effect_matrix(x) - mixed) < 1e-10
+
+
 def test_unitary_rows_pull_the_meter_back_by_conjugation():
     mm = _unitary_nd_model(2, 3, 85)
     nd = mm.nd
@@ -391,20 +404,6 @@ def test_cached_tensors_are_read_only_and_computed_once():
             cached[0, 0] = 0.0
 
 
-def test_with_meter_gets_a_cache_for_the_new_meter():
-    mm = _cache_model((3, 2, 2, 2), 113)
-    stale = mm.pulled_meter
-    other = Observable.from_matrices(random_povm(2, 3, 114))
-    swapped = mm.with_meter(other)
-    assert swapped.pulled_meter.shape == (3, 3, 2, 2)
-    for xi, x in enumerate(other.labels):
-        for i in range(3):
-            expected = mm.nd.probe_channel(i).dual_matrix(other.effect_matrix(x))
-            assert max_abs(swapped.pulled_meter[xi, i] - expected) < 1e-12
-    assert mm.pulled_meter is stale
-    assert max_abs(swapped.evolved_probe - mm.evolved_probe) < 1e-12
-
-
 def test_cached_tensors_require_nd_channel():
     mm = _identity_channel_model(2, 2, 115, 116)
     with pytest.raises(ValueError, match="nondisturbing") as expected:
@@ -416,70 +415,70 @@ def test_cached_tensors_require_nd_channel():
 
 
 # ---------------------------------------------------------------------------
-# Apparatus
-# ---------------------------------------------------------------------------
-
-
-def test_apparatus_evaluates_to_post_probe_observable():
-    mm = random_model(2, 3, 3, 2, 90)
-    app = apparatus_from_mm(mm)
-    for i in range(2):
-        rho = State(mm.nd.context.atom(i))
-        obs = app.observable(rho)
-        for x in obs.labels:
-            expected = mm.nd.probe_channel(i).dual_matrix(mm.meter.effect_matrix(x))
-            assert max_abs(obs.effect_matrix(x) - expected) < 1e-10
-
-
-def test_apparatus_is_affine_on_random_mixtures():
-    mm = random_model(3, 2, 3, 2, 91)
-    app = apparatus_from_mm(mm)
-    rng = np.random.default_rng(92)
-    for _ in range(20):
-        states = [State(random_density(3, rng)) for _ in range(3)]
-        weights = rng.dirichlet(np.ones(3))
-        mixture = State(sum(w * s.matrix for w, s in zip(weights, states)))
-        for x in app.labels:
-            mixed = sum(
-                w * app.effect(s, x) for w, s in zip(weights, states)
-            )
-            assert max_abs(app.effect(mixture, x) - mixed) < 1e-10
-
-
-def test_apparatus_is_complete_for_random_states():
-    mm = random_model(2, 4, 3, 2, 93)
-    app = apparatus_from_mm(mm)
-    for seed in range(20):
-        rho = State(random_density(2, seed + 94))
-        total = sum(app.effect(rho, x) for x in app.labels)
-        assert max_abs(total - np.eye(4)) < 1e-10
-
-
-def test_apparatus_rejects_unknown_labels():
-    mm = random_model(2, 2, 2, 1, 95)
-    app = apparatus_from_mm(mm)
-    with pytest.raises(KeyError):
-        app.effect(State(np.eye(2) / 2), "missing")
-
-
-# ---------------------------------------------------------------------------
 # Remeasurement
 # ---------------------------------------------------------------------------
 
 
-def test_remeasure_matches_substitution_oracle():
-    for seed in range(50):
-        rng = np.random.default_rng(seed + 5000)
-        n = int(rng.integers(2, 5))
-        dk = int(rng.integers(2, 4))
-        mm = random_model(n, dk, 2, int(rng.integers(1, 4)), rng,
-                          context=Context.random(n, rng))
-        rho = State(random_density(n, rng))
-        family = remeasure_apparatus(mm)
-        for x in family.labels:
-            closed = family.effect(rho, x)
-            oracle = remeasured_effect_by_substitution(mm, rho, x)
-            assert max_abs(closed - oracle) < 1e-10
+def _three_system_remeasured_effect(mm: MeasurementModel, rho: State, x: str) -> np.ndarray:
+    """Dense reference on base (x) base (x) probe, built from the composite Kraus family.
+
+    Round one acts on the first base (in ``I/n``) and the probe, round two on
+    the second base (in ``rho``) and the probe; then the meter effect weights
+    the probe, the first base and the probe are traced out, and the result
+    is dephased and scaled by ``n``.
+    """
+    n, dk = mm.dim_base, mm.dim_probe
+    eye = np.eye(n)
+    blocks = [s.reshape(n, dk, n, dk) for s in mm.channel_operation().kraus]
+    # indices (base 1, base 2, probe) out, then in
+    first = [np.einsum("apcq,bd->abpcdq", b, eye) for b in blocks]
+    second = [np.einsum("ac,bpdq->abpcdq", eye, b) for b in blocks]
+    state = kron(kron(eye / n, rho.matrix), mm.probe_state.matrix)
+    for kraus in (first, second):
+        lifted = [k.reshape(state.shape) for k in kraus]
+        state = sum(k @ state @ k.conj().T for k in lifted)
+    weighted = (state @ kron(np.eye(n * n), mm.meter.effect_matrix(x))).reshape(
+        n, n, dk, n, n, dk
+    )
+    second_base = np.einsum("abpaep->be", weighted)
+    return n * mm.nd.context.dephase(second_base)
+
+
+@pytest.mark.parametrize("n, dk", [(1, 3), (3, 1), (2, 2), (2, 4), (3, 3), (4, 4)])
+def test_remeasure_matches_three_system_reference(n, dk):
+    rng = np.random.default_rng(100 * n + dk)
+    mm = random_model(n, dk, 3, 2, rng, context=Context.random(n, rng))
+    rho = State(random_density(n, rng))
+    for x in mm.meter.labels:
+        reference = _three_system_remeasured_effect(mm, rho, x)
+        assert max_abs(remeasured_effect(mm, rho, x) - reference) < 1e-12
+        assert max_abs(remeasured_effect_two_round(mm, rho, x) - reference) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    dk=st.integers(1, 4),
+    outcomes=st.integers(1, 3),
+    kraus_count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_remeasure_matches_two_round_oracle(n, dk, outcomes, kraus_count, seed):
+    rng = np.random.default_rng(seed)
+    mm = random_model(n, dk, outcomes, kraus_count, rng, context=Context.random(n, rng))
+    rho = State(random_density(n, rng))
+    total = 0.0
+    for x in mm.meter.labels:
+        closed = remeasured_effect(mm, rho, x)
+        assert max_abs(closed - remeasured_effect_two_round(mm, rho, x)) <= 1e-12
+        total = total + closed
+    assert max_abs(total - n * mm.nd.context.dephase(rho.matrix)) <= 1e-12
+
+
+def test_remeasured_effect_rejects_unknown_labels():
+    mm = random_model(2, 2, 2, 1, 95)
+    with pytest.raises(KeyError):
+        remeasured_effect(mm, State(np.eye(2) / 2), "missing")
 
 
 def test_remeasure_unitary_case_matches_explicit_double_product():
@@ -488,7 +487,6 @@ def test_remeasure_unitary_case_matches_explicit_double_product():
     eta = mm.probe_state.matrix
     rho = State(random_density(3, 97))
     weights = nd.context.weights(rho.matrix)
-    family = remeasure_apparatus(mm)
     for x in mm.meter.labels:
         f = mm.meter.effect_matrix(x)
         diag = np.zeros(3)
@@ -497,7 +495,7 @@ def test_remeasure_unitary_case_matches_explicit_double_product():
                 w = nd.table[i][0] @ nd.table[j][0]
                 diag[i] += np.trace(w @ eta @ w.conj().T @ f).real
         explicit = (nd.context.basis * (diag * weights)) @ nd.context.basis.conj().T
-        assert max_abs(explicit - family.effect(rho, x)) < 1e-10
+        assert max_abs(explicit - remeasured_effect(mm, rho, x)) < 1e-10
 
 
 def test_remeasure_identity_table_scales_the_dephased_state():
@@ -508,53 +506,27 @@ def test_remeasure_identity_table_scales_the_dephased_state():
     meter = Observable.from_matrices(random_povm(dk, 2, 100))
     mm = MeasurementModel(n, dk, eta, nd, meter)
     rho = State(random_density(n, 101))
-    family = remeasure_apparatus(mm)
     dephased = ctx.dephase(rho.matrix)
     for x in meter.labels:
         scale = np.trace(eta.matrix @ meter.effect_matrix(x)).real
         # every atom pair contributes once, so the inner sum scales by n
-        assert max_abs(family.effect(rho, x) - n * scale * dephased) < 1e-10
+        assert max_abs(remeasured_effect(mm, rho, x) - n * scale * dephased) < 1e-10
 
 
 def test_remeasure_outcome_sum_is_scaled_dephasing():
     mm = random_model(3, 2, 3, 2, 102, context=Context.random(3, 103))
     rho = State(random_density(3, 104))
-    family = remeasure_apparatus(mm)
-    total = sum(family.effect(rho, x) for x in family.labels)
+    total = sum(remeasured_effect(mm, rho, x) for x in mm.meter.labels)
     dephased = mm.nd.context.dephase(rho.matrix)
     assert max_abs(total - 3 * dephased) < 1e-10
 
 
 def test_remeasure_is_affine_in_the_state():
     mm = random_model(2, 3, 2, 2, 105)
-    family = remeasure_apparatus(mm)
     rng = np.random.default_rng(106)
     states = [State(random_density(2, rng)) for _ in range(3)]
     weights = rng.dirichlet(np.ones(3))
     mixture = State(sum(w * s.matrix for w, s in zip(weights, states)))
-    for x in family.labels:
-        mixed = sum(w * family.effect(s, x) for w, s in zip(weights, states))
-        assert max_abs(family.effect(mixture, x) - mixed) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Kernel map plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_atom_kernel_map_validates_shape():
-    with pytest.raises(ValueError, match="kernel must be"):
-        AtomKernelMap(Context.standard(2), np.eye(3))
-
-
-def test_atom_kernel_map_dephasing_kernel():
-    ctx = Context.random(3, 107)
-    kernel = AtomKernelMap(ctx, np.eye(3))
-    rho = random_density(3, 108)
-    assert max_abs(kernel.apply(rho) - ctx.dephase(rho)) < 1e-12
-
-
-def test_atom_kernel_map_zero_kernel_applies_to_zero():
-    kernel = AtomKernelMap(Context.standard(2), np.zeros((2, 2)))
-    rho = random_density(2, 109)
-    assert max_abs(kernel.apply(rho)) == 0.0
+    for x in mm.meter.labels:
+        mixed = sum(w * remeasured_effect(mm, s, x) for w, s in zip(weights, states))
+        assert max_abs(remeasured_effect(mm, mixture, x) - mixed) < 1e-10

@@ -19,6 +19,12 @@ REMOVED = {
     "measured_observable_of_instrument",
     "dual_channel",
     "adjoint_probes",
+    "Apparatus",
+    "AtomKernelMap",
+    "apparatus_from_mm",
+    "measured_instrument_kernel",
+    "remeasure_apparatus",
+    "remeasured_effect_by_substitution",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.

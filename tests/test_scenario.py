@@ -9,7 +9,7 @@ import nondisturbing.scenario
 from nondisturbing.channels import random_nd_channel
 from nondisturbing.linalg import random_density, random_kraus_channel, random_povm
 from nondisturbing.objects import Context, KrausOperation, Observable, sharp_observable
-from nondisturbing.scenario import run_scenario, scenario_from_json
+from nondisturbing.scenario import evaluate, run_scenario, scenario_from_json
 from nondisturbing.serialization import matrix_to_json, nd_channel_to_json, observable_to_json
 from nondisturbing.verify import run_verification
 
@@ -59,10 +59,10 @@ def test_nd_scenario_residual_names():
         "post_probe.state1.outcome0.duality",
         "post_probe.state1.outcome1.closed_vs_direct",
         "post_probe.state1.outcome1.duality",
-        "remeasure.state0.outcome0.closed_vs_substitution",
-        "remeasure.state0.outcome1.closed_vs_substitution",
-        "remeasure.state1.outcome0.closed_vs_substitution",
-        "remeasure.state1.outcome1.closed_vs_substitution",
+        "remeasure.state0.outcome0.closed_vs_two_round",
+        "remeasure.state0.outcome1.closed_vs_two_round",
+        "remeasure.state1.outcome0.closed_vs_two_round",
+        "remeasure.state1.outcome1.closed_vs_two_round",
     }
     assert report["pass"]
 
@@ -132,3 +132,27 @@ def test_scenario_and_verify_run_the_same_instrument_check(monkeypatch):
     results, ok = run_verification(seed=42, trials=2, max_dim=3, tol=1e-9)
     assert not ok
     assert [r.name for r in results if not r.passed(1e-9)] == ["measured-instrument"]
+
+
+def test_nan_closed_forms_give_nan_folded_residuals(monkeypatch):
+    original_instrument = nondisturbing.scenario.measured_instrument_nd
+    original_observable = nondisturbing.scenario.measured_observable_nd
+
+    def nan_instrument(mm, x, rho):
+        matrix = original_instrument(mm, x, rho).matrix
+        return types.SimpleNamespace(matrix=np.full_like(matrix, np.nan))
+
+    def nan_observable(mm):
+        obs = original_observable(mm)
+        return types.SimpleNamespace(
+            labels=obs.labels, effect_matrix=lambda x: np.full_like(obs.effect_matrix(x), np.nan)
+        )
+
+    monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_nd", nan_instrument)
+    monkeypatch.setattr(nondisturbing.scenario, "measured_observable_nd", nan_observable)
+    scenario = scenario_from_json(_nd_document(2, 2, 3, 40))
+    _, residuals = evaluate(scenario.model, scenario.inputs, ("instrument", "observable"))
+    folded = ["observable.commutators", "observable.state0.pairing",
+              "observable.state1.pairing", "instrument.state0.probability_min",
+              "instrument.state1.probability_min"]
+    assert all(np.isnan(residuals[name]) for name in folded)

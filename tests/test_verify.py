@@ -30,12 +30,9 @@ def _nan_observable(original):
     return patched
 
 
-def _nan_apparatus(original):
-    def patched(mm):
-        family = original(mm)
-        return types.SimpleNamespace(
-            labels=family.labels, effect=lambda rho, x: _nan_like(family.effect(rho, x))
-        )
+def _nan_array(original):
+    def patched(*args):
+        return _nan_like(original(*args))
     return patched
 
 
@@ -47,14 +44,14 @@ CASES = [
     ("measured_observable_nd", nondisturbing.scenario, _nan_observable,
      {"measured-instrument"}),
     ("post_probe_instrument_nd", nondisturbing.scenario, _nan_matrix, {"post-probe"}),
-    ("remeasure_apparatus", nondisturbing.scenario, _nan_apparatus, {"remeasurement"}),
+    ("remeasured_effect", nondisturbing.scenario, _nan_array, {"remeasurement"}),
     ("measured_instrument_nd", nondisturbing.verify, _nan_matrix,
      {"fourier-family", "unitary-specialization"}),
     ("measured_observable_nd", nondisturbing.verify, _nan_observable,
      {"fourier-family", "swap-family", "unitary-specialization"}),
     ("post_probe_instrument_nd", nondisturbing.verify, _nan_matrix,
      {"unitary-specialization"}),
-    ("remeasure_apparatus", nondisturbing.verify, _nan_apparatus, {"remeasurement"}),
+    ("remeasured_effect", nondisturbing.verify, _nan_array, {"remeasurement"}),
 ]
 
 
