@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import DEFAULT_ATOL, kron
+from .linalg import kron
 from .objects import Context, Observable, State, sharp_observable
 from .channels import NDChannel
 from .models import MeasurementModel
@@ -59,27 +59,19 @@ def swap_unitaries(n: int) -> list[np.ndarray]:
     return out
 
 
-def swap_model(
-    n: int,
-    meter: Observable | None = None,
-    probe_state: State | None = None,
-    atol: float = DEFAULT_ATOL,
-) -> MeasurementModel:
+def swap_model(n: int, meter: Observable | None = None) -> MeasurementModel:
     """Swap-interaction model on an ``n``-dimensional base and probe.
 
-    The meter defaults to the sharp observable on the probe basis and the
-    probe starts in the first basis state; both can be overridden.
+    The probe starts in the first basis state.  The meter defaults to the
+    sharp observable on the probe basis; any other meter on the probe
+    space can be passed in.
     """
     if meter is None:
-        meter = sharp_observable(n, atol)
+        meter = sharp_observable(n)
     if meter.dim != n:
         raise ValueError(f"meter dimension {meter.dim} != {n}")
-    if probe_state is None:
-        probe_state = _pure_first_basis_state(n)
-    channel = NDChannel(
-        Context.standard(n), tuple((v,) for v in swap_unitaries(n)), atol
-    )
-    return MeasurementModel(n, n, probe_state, channel, meter)
+    channel = NDChannel(Context.standard(n), tuple((v,) for v in swap_unitaries(n)))
+    return MeasurementModel(n, n, _pure_first_basis_state(n), channel, meter)
 
 
 def swap_product_output(rho: State) -> np.ndarray:
@@ -143,24 +135,19 @@ def fourier_unitaries(n: int, m: int) -> list[np.ndarray]:
     return out
 
 
-def fourier_model(
-    n: int,
-    m: int,
-    meter: Observable | None = None,
-    probe_state: State | None = None,
-    atol: float = DEFAULT_ATOL,
-) -> MeasurementModel:
-    """Fourier-phase model on an ``n``-dimensional base and ``m``-dimensional probe."""
+def fourier_model(n: int, m: int, meter: Observable | None = None) -> MeasurementModel:
+    """Fourier-phase model on an ``n``-dimensional base and ``m``-dimensional probe.
+
+    The probe starts in the first basis state; the meter defaults to the
+    sharp observable on the probe basis.
+    """
     if meter is None:
-        meter = sharp_observable(m, atol)
+        meter = sharp_observable(m)
     if meter.dim != m:
         raise ValueError(f"meter dimension {meter.dim} != {m}")
-    if probe_state is None:
-        probe_state = _pure_first_basis_state(m)
-    channel = NDChannel(
-        Context.standard(n), tuple((v,) for v in fourier_unitaries(n, m)), atol
-    )
-    return MeasurementModel(n, m, probe_state, channel, meter)
+    unitaries = fourier_unitaries(n, m)
+    channel = NDChannel(Context.standard(n), tuple((v,) for v in unitaries))
+    return MeasurementModel(n, m, _pure_first_basis_state(m), channel, meter)
 
 
 def fourier_pair_trace(j: int, k: int, m: int, meter_effect: np.ndarray) -> complex:

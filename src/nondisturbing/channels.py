@@ -49,7 +49,6 @@ class NDChannel:
 
     context: Context
     table: tuple[tuple[np.ndarray, ...], ...]
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         rows = tuple(
@@ -70,7 +69,7 @@ class NDChannel:
         eye = np.eye(rows[0][0].shape[0])
         for i, row in enumerate(rows):
             defect = max_abs(sum(b.conj().T @ b for b in row) - eye)
-            if defect > self.atol:
+            if defect > DEFAULT_ATOL:
                 raise ValueError(
                     f"table row {i} is not a channel on the probe space "
                     f"(completeness defect {defect:.3e})"
@@ -109,8 +108,7 @@ class NDChannel:
             tuple(
                 ProbeDecomposition(self.context, column).assemble()
                 for column in zip(*self.table)
-            ),
-            atol=self.atol,
+            )
         )
 
     def as_operation(self) -> KrausOperation:
@@ -121,12 +119,11 @@ class NDChannel:
         """The channel the probe undergoes when the base sits in atom ``i``."""
         if not 0 <= i < self.dim_base:
             raise IndexError(f"atom index {i} out of range 0..{self.dim_base - 1}")
-        return KrausOperation(self.table[i], atol=self.atol)
+        return KrausOperation(self.table[i])
 
 
 def nd_channel_from_kraus(
-    kraus: Sequence[np.ndarray], context: Context, dim_probe: int,
-    atol: float = DEFAULT_ATOL,
+    kraus: Sequence[np.ndarray], context: Context, dim_probe: int
 ) -> NDChannel:
     """Build the probe table of a channel given by nondisturbing Kraus operators.
 
@@ -140,20 +137,20 @@ def nd_channel_from_kraus(
     blocks = []
     for k, s in enumerate(mats):
         defect = commutator_defect(s, context, dim_probe)
-        if defect > atol:
+        if defect > DEFAULT_ATOL:
             raise ValueError(
                 f"kraus operator {k} is disturbing for this context "
-                f"(largest commutator norm {defect:.3e} > {atol:.3e})"
+                f"(largest commutator norm {defect:.3e} > {DEFAULT_ATOL:.3e})"
             )
         blocks.append(_probe_blocks(s, context, dim_probe))
     total = sum(s.conj().T @ s for s in mats)
     defect = max_abs(total - np.eye(context.dim * dim_probe))
-    if defect > atol:
+    if defect > DEFAULT_ATOL:
         raise ValueError(f"kraus family is not a channel (defect {defect:.3e})")
     table = tuple(
         tuple(b[i] for b in blocks) for i in range(context.dim)
     )
-    return NDChannel(context, table, atol)
+    return NDChannel(context, table)
 
 
 def random_nd_channel(

@@ -6,12 +6,13 @@ Composite systems are flattened base-major: the product of basis vector
 convention of ``numpy.kron(left, right)`` and makes partial traces
 contiguous block sums.
 
-Two tolerance regimes are used throughout.  Semantic predicates
-(Hermiticity, positivity, unitarity, operator order) default to
-``DEFAULT_ATOL``.  Identities that hold by construction, such as the
-completeness of the random generators below, are held to the much
-tighter ``CONSTRUCTION_ATOL``.  Every predicate takes its tolerance as
-an explicit argument.
+Value types, decoders, builders and the eigen-routines below validate at
+the fixed ``DEFAULT_ATOL``; it cannot be set per object or per call.
+Semantic predicates (Hermiticity, positivity, unitarity, operator order)
+default to ``DEFAULT_ATOL`` and take their tolerance as an explicit
+argument.  ``CONSTRUCTION_ATOL`` is the much tighter bound that the
+random generators' identities, such as completeness, meet by
+construction; only the tests use it, to check exactly that.
 
 All functions treat matrices as immutable values and return freshly
 allocated arrays; random state is always passed explicitly as a seed or
@@ -169,29 +170,31 @@ def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool:
     return float(w[0]) >= -atol and float(w[-1]) <= 1 + atol
 
 
-def hermitian_eig(m, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
     eigenvector matrix ``v`` whose columns satisfy ``m = v diag(w) v*``.
-    Rejects inputs that are not Hermitian within ``atol``.
+    Rejects inputs that are not Hermitian within ``DEFAULT_ATOL``.
     """
     arr = _square(m)
     defect = max_abs(arr - arr.conj().T)
-    if defect > atol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {atol:.3e})")
+    if defect > DEFAULT_ATOL:
+        raise ValueError(
+            f"matrix is not Hermitian (defect {defect:.3e} > {DEFAULT_ATOL:.3e})"
+        )
     w, v = np.linalg.eigh(hermitian_part(arr))
     return w, v
 
 
-def psd_sqrt(m, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Positive semidefinite square root of a PSD Hermitian matrix.
 
-    Eigenvalues in ``[-atol, 0)`` are clamped to zero; anything below
-    ``-atol`` is rejected as not positive semidefinite.
+    Eigenvalues in ``[-DEFAULT_ATOL, 0)`` are clamped to zero; anything
+    below ``-DEFAULT_ATOL`` is rejected as not positive semidefinite.
     """
-    w, v = hermitian_eig(m, atol)
-    if float(w[0]) < -atol:
+    w, v = hermitian_eig(m)
+    if float(w[0]) < -DEFAULT_ATOL:
         raise ValueError(
             f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
         )
@@ -199,10 +202,10 @@ def psd_sqrt(m, atol: float = DEFAULT_ATOL) -> np.ndarray:
     return hermitian_part((v * root) @ v.conj().T)
 
 
-def psd_inv_sqrt(m, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def psd_inv_sqrt(m) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix."""
-    w, v = hermitian_eig(m, atol)
-    if float(w[0]) <= atol:
+    w, v = hermitian_eig(m)
+    if float(w[0]) <= DEFAULT_ATOL:
         raise ValueError(
             f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
         )
@@ -245,9 +248,8 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(dim: int, seed, scale: float = 1.0) -> np.ndarray:
-    rng = _rng(seed)
-    return hermitian_part(_gaussian(dim, rng)) * scale
+def random_hermitian(dim: int, seed) -> np.ndarray:
+    return hermitian_part(_gaussian(dim, _rng(seed)))
 
 
 def random_density(dim: int, seed) -> np.ndarray:

@@ -24,7 +24,6 @@ from .linalg import (
     partial_trace,
     psd_sqrt,
     random_density,
-    random_kraus_channel,
     random_povm,
 )
 from .objects import Context, KrausOperation, Observable, PartialState, State
@@ -282,21 +281,13 @@ def random_model(
     outcomes: int,
     kraus_count: int,
     seed,
-    nondisturbing: bool = True,
     context: Context | None = None,
 ) -> MeasurementModel:
-    """Random measurement model for randomized verification."""
+    """Random nondisturbing measurement model for randomized verification."""
     rng = np.random.default_rng(seed)
     if context is None:
         context = Context.standard(dim_base)
     probe_state = State(random_density(dim_probe, rng))
     meter = Observable.from_matrices(random_povm(dim_probe, outcomes, rng))
-    if nondisturbing:
-        channel: KrausOperation | NDChannel = random_nd_channel(
-            context, dim_probe, kraus_count, rng
-        )
-    else:
-        channel = KrausOperation(
-            tuple(random_kraus_channel(dim_base * dim_probe, kraus_count, rng))
-        )
+    channel = random_nd_channel(context, dim_probe, kraus_count, rng)
     return MeasurementModel(dim_base, dim_probe, probe_state, channel, meter)

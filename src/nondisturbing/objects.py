@@ -1,9 +1,9 @@
 """Validated value types for finite-dimensional quantum objects.
 
 Effects, states, observables, Kraus channels and measurement contexts.
-Every type validates its defining invariants at construction with an
-explicit tolerance, so invalid objects are unrepresentable downstream.
-Instances are immutable and safe to share.
+Every type validates its defining invariants at construction at the
+fixed tolerance ``DEFAULT_ATOL``, so invalid objects are unrepresentable
+downstream.  Instances are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ class Effect:
     """Hermitian operator sitting between 0 and the identity."""
 
     matrix: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         m = _validated_square(self.matrix, "effect")
-        if not is_hermitian(m, self.atol):
+        if not is_hermitian(m):
             raise ValueError("effect must be Hermitian")
         w = np.linalg.eigvalsh(m)
-        if float(w[0]) < -self.atol or float(w[-1]) > 1 + self.atol:
+        if float(w[0]) < -DEFAULT_ATOL or float(w[-1]) > 1 + DEFAULT_ATOL:
             raise ValueError(
                 f"effect spectrum must lie in [0, 1], got [{w[0]:.3e}, {w[-1]:.3e}]"
             )
@@ -69,14 +68,13 @@ class PartialState:
     """PSD Hermitian operator with trace at most one."""
 
     matrix: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         m = _validated_square(self.matrix, "state")
-        if not is_hermitian(m, self.atol):
+        if not is_hermitian(m):
             raise ValueError("state must be Hermitian")
         w = np.linalg.eigvalsh(m)
-        if float(w[0]) < -self.atol:
+        if float(w[0]) < -DEFAULT_ATOL:
             raise ValueError(f"state must be PSD, min eigenvalue {w[0]:.3e}")
         tr = float(np.trace(m).real)
         if self._trace_out_of_range(tr):
@@ -84,7 +82,7 @@ class PartialState:
         object.__setattr__(self, "matrix", m)
 
     def _trace_out_of_range(self, tr: float) -> bool:
-        return tr > 1 + self.atol
+        return tr > 1 + DEFAULT_ATOL
 
     @property
     def dim(self) -> int:
@@ -100,7 +98,7 @@ class State(PartialState):
     """PSD Hermitian operator with unit trace."""
 
     def _trace_out_of_range(self, tr: float) -> bool:
-        return abs(tr - 1.0) > self.atol
+        return abs(tr - 1.0) > DEFAULT_ATOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +106,6 @@ class Observable:
     """Outcome-labeled family of effects summing to the identity."""
 
     outcomes: tuple[tuple[str, Effect], ...]
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         outcomes = tuple((str(label), effect) for label, effect in self.outcomes)
@@ -122,24 +119,19 @@ class Observable:
             raise ValueError(f"effects must share one dimension, got {sorted(dims)}")
         total = sum(effect.matrix for _, effect in outcomes)
         defect = max_abs(total - np.eye(dims.pop()))
-        if defect > self.atol:
+        if defect > DEFAULT_ATOL:
             raise ValueError(f"effects must sum to the identity (defect {defect:.3e})")
         object.__setattr__(self, "outcomes", outcomes)
 
     @classmethod
     def from_matrices(
-        cls, matrices: Iterable[np.ndarray], labels: Iterable[str] | None = None,
-        atol: float = DEFAULT_ATOL,
+        cls, matrices: Iterable[np.ndarray], labels: Iterable[str] | None = None
     ) -> "Observable":
         mats = list(matrices)
         if labels is None:
             labels = [str(i) for i in range(len(mats))]
         return cls(
-            tuple(
-                (label, Effect(m, atol))
-                for label, m in zip(labels, mats, strict=True)
-            ),
-            atol,
+            tuple((label, Effect(m)) for label, m in zip(labels, mats, strict=True))
         )
 
     @property
@@ -165,7 +157,6 @@ class KrausOperation:
     """Channel given by its Kraus operators: ``sum_k k* k`` equals the identity."""
 
     kraus: tuple[np.ndarray, ...]
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         mats = tuple(as_complex_matrix(k, "kraus operator") for k in self.kraus)
@@ -176,7 +167,7 @@ class KrausOperation:
             raise ValueError(f"Kraus operators must be square and same-shaped, got {dims}")
         total = sum(m.conj().T @ m for m in mats)
         defect = max_abs(total - np.eye(mats[0].shape[0]))
-        if defect > self.atol:
+        if defect > DEFAULT_ATOL:
             raise ValueError(f"channel completeness violated (defect {defect:.3e})")
         object.__setattr__(self, "kraus", mats)
 
@@ -201,12 +192,11 @@ class Context:
     """
 
     basis: np.ndarray
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         b = _validated_square(self.basis, "context basis")
         defect = max_abs(b.conj().T @ b - np.eye(b.shape[0]))
-        if defect > self.atol:
+        if defect > DEFAULT_ATOL:
             raise ValueError(
                 f"context basis must be orthonormal (defect {defect:.3e})"
             )
@@ -248,9 +238,8 @@ class Context:
         """Project ``rho`` onto the atoms: ``sum_i P_i rho P_i``."""
         return (self.basis * self.weights(rho)) @ self.basis.conj().T
 
-    def is_measurable(self, m: np.ndarray, atol: float | None = None) -> bool:
+    def is_measurable(self, m: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
         """True iff ``m`` is a combination of the atoms (diagonal in this basis)."""
-        atol = self.atol if atol is None else atol
         inner = self.basis.conj().T @ np.asarray(m, dtype=complex) @ self.basis
         return max_abs(inner - np.diag(np.diagonal(inner))) <= atol
 
@@ -263,9 +252,9 @@ def probability(rho: PartialState, a: Effect) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def sharp_observable(dim: int, atol: float = DEFAULT_ATOL) -> Observable:
+def sharp_observable(dim: int) -> Observable:
     """Projective observable onto the standard basis, labels "0".."dim-1"."""
     eye = np.eye(dim, dtype=complex)
     return Observable.from_matrices(
-        [np.outer(eye[:, j], eye[:, j].conj()) for j in range(dim)], atol=atol
+        [np.outer(eye[:, j], eye[:, j].conj()) for j in range(dim)]
     )

@@ -179,23 +179,21 @@ def is_c_nondisturbing(a, context: Context, dim_probe: int, atol: float = DEFAUL
     return commutator_defect(a, context, dim_probe) <= atol
 
 
-def extract_probes(
-    a, context: Context, dim_probe: int, atol: float = DEFAULT_ATOL
-) -> ProbeDecomposition:
+def extract_probes(a, context: Context, dim_probe: int) -> ProbeDecomposition:
     """Recover the probe blocks of a nondisturbing operator.
 
     Block ``i`` is the ``i``-th diagonal block of ``(V* (x) I) A (V (x) I)``,
     with the context basis ``V`` as columns.  It equals the base-side
     partial trace of ``A (P_i (x) I)`` and does not depend on any
     probe-space basis choice.  Rejects operators that fail the commutator
-    test, reporting the largest defect.
+    test at ``DEFAULT_ATOL``, reporting the largest defect.
     """
     arr = _check_composite(a, context, dim_probe)
     defect = commutator_defect(arr, context, dim_probe)
-    if defect > atol:
+    if defect > DEFAULT_ATOL:
         raise ValueError(
             f"operator is not nondisturbing for this context "
-            f"(largest commutator norm {defect:.3e} > {atol:.3e})"
+            f"(largest commutator norm {defect:.3e} > {DEFAULT_ATOL:.3e})"
         )
     return ProbeDecomposition(context, tuple(_probe_blocks(arr, context, dim_probe)))
 

@@ -33,6 +33,7 @@ from .models import (
 from . import catalog
 from .serialization import (
     SchemaError,
+    _is_int,
     matrix_from_json,
     matrix_to_json,
     nd_channel_from_json,
@@ -79,14 +80,14 @@ def _parse_example(obj: Any) -> MeasurementModel:
     name = obj["name"]
     if name not in ("swap", "fourier"):
         raise SchemaError("example.name", f"unknown family {name!r}; known: swap, fourier")
-    if "n" not in obj or not isinstance(obj["n"], int):
+    if "n" not in obj or not _is_int(obj["n"]):
         raise SchemaError("example.n", "base dimension 'n' must be an integer")
     n = obj["n"]
     probe_spec = obj.get("probe", "sharp")
     if name == "swap":
         dim_probe = n
     else:
-        if "m" not in obj or not isinstance(obj["m"], int):
+        if "m" not in obj or not _is_int(obj["m"]):
             raise SchemaError("example.m", "probe dimension 'm' must be an integer")
         dim_probe = obj["m"]
     if probe_spec == "sharp":
@@ -117,7 +118,7 @@ def scenario_from_json(obj: Any) -> Scenario:
     if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or tolerance <= 0:
         raise SchemaError("tol", "must be a positive number")
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise SchemaError("seed", "must be an integer when present")
 
     if has_example:
@@ -131,7 +132,7 @@ def scenario_from_json(obj: Any) -> Scenario:
         for key in ("dimH", "dimK", "eta", "probe"):
             if key not in obj:
                 raise SchemaError("scenario", f"missing key {key!r}")
-        if not isinstance(obj["dimH"], int) or not isinstance(obj["dimK"], int):
+        if not _is_int(obj["dimH"]) or not _is_int(obj["dimK"]):
             raise SchemaError("scenario", "dimH and dimK must be integers")
         dim_base, dim_probe = obj["dimH"], obj["dimK"]
         eta = State(matrix_from_json(obj["eta"], "eta"))

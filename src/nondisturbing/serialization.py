@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import DEFAULT_ATOL, as_complex_matrix
+from .linalg import as_complex_matrix
 from .objects import Context, Effect, Observable
 from .channels import NDChannel
 
@@ -36,6 +36,11 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; ``bool`` subclasses ``int`` but is refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def matrix_to_json(m) -> dict[str, Any]:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:
@@ -54,7 +59,7 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise SchemaError(path, f"missing key {key!r}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not _is_int(rows) or not _is_int(cols) or rows < 1 or cols < 1:
         raise SchemaError(path, "rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(
@@ -85,9 +90,7 @@ def observable_to_json(obs: Observable) -> dict[str, Any]:
     }
 
 
-def observable_from_json(
-    obj, path: str = "observable", atol: float = DEFAULT_ATOL
-) -> Observable:
+def observable_from_json(obj, path: str = "observable") -> Observable:
     if not isinstance(obj, dict) or "outcomes" not in obj:
         raise SchemaError(path, "expected an object with an 'outcomes' list")
     outcomes = obj["outcomes"]
@@ -101,8 +104,8 @@ def observable_from_json(
         if not isinstance(entry["label"], str):
             raise SchemaError(where, "label must be a string")
         matrix = matrix_from_json(entry["effect"], f"{where}.effect")
-        pairs.append((entry["label"], Effect(matrix, atol)))
-    return Observable(tuple(pairs), atol)
+        pairs.append((entry["label"], Effect(matrix)))
+    return Observable(tuple(pairs))
 
 
 def nd_channel_to_json(nd: NDChannel) -> dict[str, Any]:
@@ -112,9 +115,7 @@ def nd_channel_to_json(nd: NDChannel) -> dict[str, Any]:
     }
 
 
-def nd_channel_from_json(
-    obj, path: str = "channel", atol: float = DEFAULT_ATOL
-) -> NDChannel:
+def nd_channel_from_json(obj, path: str = "channel") -> NDChannel:
     if not isinstance(obj, dict) or "context" not in obj or "table" not in obj:
         raise SchemaError(path, "expected an object with 'context' and 'table'")
     basis = matrix_from_json(obj["context"], f"{path}.context")
@@ -131,4 +132,4 @@ def nd_channel_from_json(
                 for k, b in enumerate(row)
             )
         )
-    return NDChannel(Context(basis, atol), tuple(rows), atol)
+    return NDChannel(Context(basis), tuple(rows))

@@ -319,6 +319,8 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
         sigma = State(random_density(dk, rng))
         basis = context.basis
         weights = context.weights(rho.matrix)
+        measured = measured_observable_nd(mm)
+        post = post_probe_observable(mm, rho)
         for x in mm.meter.labels:
             f = mm.meter.effect_matrix(x)
             coeff = np.array(
@@ -339,7 +341,7 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
             )
             explicit_effect = (basis * diag.real) @ basis.conj().T
             worst = fold_max(worst, max_abs(
-                explicit_effect - measured_observable_nd(mm).effect_matrix(x)
+                explicit_effect - measured.effect_matrix(x)
             ))
             root = psd_sqrt(f)
             sandwiched = sum(
@@ -355,20 +357,17 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
                 for i in range(n)
             )
             worst = fold_max(worst, max_abs(
-                pulled - post_probe_observable(mm, rho).effect_matrix(x)
+                pulled - post.effect_matrix(x)
             ))
-        mixed_meter = Observable.from_matrices(
-            [mm.meter.effect_matrix(x) for x in mm.meter.labels], mm.meter.labels
-        )
         collapsed = MeasurementModel(
-            n, dk, State(np.eye(dk, dtype=complex) / dk), mm.channel, mixed_meter
+            n, dk, State(np.eye(dk, dtype=complex) / dk), mm.channel, mm.meter
         )
+        collapsed_measured = measured_observable_nd(collapsed)
         for x in collapsed.meter.labels:
             scale = float(np.trace(collapsed.probe_state.matrix
                                    @ collapsed.meter.effect_matrix(x)).real)
             worst = fold_max(worst, max_abs(
-                measured_observable_nd(collapsed).effect_matrix(x)
-                - scale * np.eye(n)
+                collapsed_measured.effect_matrix(x) - scale * np.eye(n)
             ))
     return worst
 
@@ -437,6 +436,7 @@ def _check_swap_family(rng, trials, max_dim) -> float:
             catalog.swap_product_output(rho)
             - apply_product(nd, rho, mm.probe_state)
         ))
+        measured = measured_observable_nd(mm)
         for x in mm.meter.labels:
             f = mm.meter.effect_matrix(x)
             worst = fold_max(worst, max_abs(
@@ -444,8 +444,7 @@ def _check_swap_family(rng, trials, max_dim) -> float:
                 - measured_instrument_direct(mm, x, rho).matrix
             ))
             worst = fold_max(worst, max_abs(
-                catalog.swap_observable_effect(f)
-                - measured_observable_nd(mm).effect_matrix(x)
+                catalog.swap_observable_effect(f) - measured.effect_matrix(x)
             ))
     return worst
 
@@ -464,6 +463,7 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
             worst = fold_max(worst, max_abs(v - b))
         eta = mm.probe_state.matrix
         rho = State(random_density(n, rng))
+        measured = measured_observable_nd(mm)
         for x in mm.meter.labels:
             f = mm.meter.effect_matrix(x)
             for j in range(1, n + 1):
@@ -475,20 +475,19 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
                         catalog.fourier_pair_trace(j, k, m, f) - direct
                     ))
             worst = fold_max(worst, max_abs(
-                catalog.fourier_observable_effect(n, m, f)
-                - measured_observable_nd(mm).effect_matrix(x)
+                catalog.fourier_observable_effect(n, m, f) - measured.effect_matrix(x)
             ))
             worst = fold_max(worst, max_abs(
                 measured_instrument_nd(mm, x, rho).matrix
                 - measured_instrument_direct(mm, x, rho).matrix
             ))
         diagonal = catalog.fourier_model(n, m)
+        diagonal_measured = measured_observable_nd(diagonal)
         for x in diagonal.meter.labels:
             f = diagonal.meter.effect_matrix(x)
             average = float(np.trace(f).real) / m
             worst = fold_max(worst, max_abs(
-                measured_observable_nd(diagonal).effect_matrix(x)
-                - average * np.eye(n)
+                diagonal_measured.effect_matrix(x) - average * np.eye(n)
             ))
     return worst
 

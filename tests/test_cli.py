@@ -160,6 +160,35 @@ def test_run_exits_two_on_schema_violation(tmp_path, capsys):
     assert "requests" in capsys.readouterr().err
 
 
+def _one_dim_probe_scenario(field):
+    effect = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]], field: True}
+    probe = {"outcomes": [{"label": "0", "effect": effect}]}
+    return {"example": {"name": "swap", "n": 1, "probe": probe}}
+
+
+# A JSON boolean in an integer field, with the parse error it must give.
+# ``bool`` subclasses ``int`` in Python, so a plain isinstance check lets it in.
+BOOLEAN_FIELDS = {
+    "rows": (_one_dim_probe_scenario("rows"), "rows and cols must be positive integers"),
+    "cols": (_one_dim_probe_scenario("cols"), "rows and cols must be positive integers"),
+    "dimH": ({**_kraus_scenario(["instrument"]), "dimH": True}, "dimH and dimK must be integers"),
+    "dimK": ({**_kraus_scenario(["instrument"]), "dimK": True}, "dimH and dimK must be integers"),
+    "seed": ({**_swap_scenario(), "seed": True}, "seed: must be an integer"),
+    "n": ({"example": {"name": "swap", "n": True}}, "example.n: "),
+    "m": ({"example": {"name": "fourier", "n": 1, "m": True}}, "example.m: "),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_FIELDS))
+def test_run_exits_two_on_boolean_in_integer_field(tmp_path, capsys, field):
+    document, message = BOOLEAN_FIELDS[field]
+    path = _write(tmp_path, f"bool_{field}.json", document)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert message in err
+
+
 def test_run_exits_three_when_closed_form_needs_nd_channel(tmp_path, capsys):
     path = _write(tmp_path, "kraus.json", _kraus_scenario(["observable"]))
     assert main(["run", path]) == 3

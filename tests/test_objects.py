@@ -71,7 +71,7 @@ def test_kraus_operation_rejects_incomplete_family():
 
 
 def test_kraus_operation_has_no_channel_option():
-    assert [f.name for f in dataclasses.fields(KrausOperation)] == ["kraus", "atol"]
+    assert [f.name for f in dataclasses.fields(KrausOperation)] == ["kraus"]
 
 
 def test_context_requires_orthonormal_basis():

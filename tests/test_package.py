@@ -1,12 +1,21 @@
+import dataclasses
 import functools
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import nondisturbing
 from nondisturbing.channels import NDChannel
-from nondisturbing.objects import KrausOperation, Observable
+from nondisturbing.objects import (
+    Context,
+    Effect,
+    KrausOperation,
+    Observable,
+    PartialState,
+    State,
+)
 from nondisturbing.verify import FAMILY_NAMES, _FAMILIES
 
 # Public names removed from the package because no pipeline used them.
@@ -66,3 +75,65 @@ def test_traced_attributes_keep_their_names_and_kinds():
 def test_channels_keep_no_superoperator():
     assert "superoperator" not in vars(NDChannel)
     assert "superoperator" not in vars(KrausOperation)
+
+
+# Value types, decoders, builders and the eigen-routines validate at the fixed
+# DEFAULT_ATOL, so none takes a tolerance; nor do they take settings for which
+# every caller used the default.
+REMOVED_PARAMETERS = {
+    "objects.Observable.from_matrices": ("atol",),
+    "objects.sharp_observable": ("atol",),
+    "channels.nd_channel_from_kraus": ("atol",),
+    "probes.extract_probes": ("atol",),
+    "serialization.observable_from_json": ("atol",),
+    "serialization.nd_channel_from_json": ("atol",),
+    "catalog.swap_model": ("atol", "probe_state"),
+    "catalog.fourier_model": ("atol", "probe_state"),
+    "linalg.hermitian_eig": ("atol",),
+    "linalg.psd_sqrt": ("atol",),
+    "linalg.psd_inv_sqrt": ("atol",),
+    "models.random_model": ("nondisturbing",),
+    "linalg.random_hermitian": ("scale",),
+}
+
+# Predicates keep their tolerance argument.
+PREDICATES = (
+    "linalg.is_hermitian",
+    "linalg.is_psd",
+    "linalg.is_unitary",
+    "linalg.is_projection_matrix",
+    "linalg.is_effect_matrix",
+    "linalg.loewner_leq",
+    "probes.is_c_nondisturbing",
+    "probes.classify",
+    "probes.reduced_trace_flags",
+    "probes.order_leq_via_probes",
+    "objects.Context.is_measurable",
+)
+
+
+def _resolve(dotted: str):
+    module, *attrs = dotted.split(".")
+    target = importlib.import_module(f"nondisturbing.{module}")
+    for attr in attrs:
+        target = getattr(target, attr)
+    return target
+
+
+@pytest.mark.parametrize(
+    "cls", [Effect, PartialState, State, Observable, KrausOperation, Context, NDChannel]
+)
+def test_value_types_have_no_tolerance_field(cls):
+    assert "atol" not in {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("dotted", sorted(REMOVED_PARAMETERS))
+def test_builders_take_no_removed_setting(dotted):
+    kept = set(inspect.signature(_resolve(dotted)).parameters)
+    assert not kept & set(REMOVED_PARAMETERS[dotted])
+
+
+@pytest.mark.parametrize("dotted", PREDICATES)
+def test_predicates_keep_their_tolerance(dotted):
+    atol = inspect.signature(_resolve(dotted)).parameters["atol"]
+    assert atol.default == nondisturbing.DEFAULT_ATOL
