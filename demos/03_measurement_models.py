@@ -33,11 +33,11 @@ print(f"model: base dim {model.dim_base}, probe dim {model.dim_probe}, "
       f"meter outcomes {model.meter.labels}")
 
 print("\n=== Measured instrument ===")
-for x in model.meter.labels:
-    closed = measured_instrument_nd(model, x, rho)
-    direct = measured_instrument_direct(model, x, rho)
-    print(f"outcome {x}: probability {closed.trace:.4f}, "
-          f"closed vs direct {max_abs(closed.matrix - direct.matrix):.2e}")
+instrument = zip(model.meter.labels, measured_instrument_nd(model, rho),
+                 measured_instrument_direct(model, rho))
+for x, closed, direct in instrument:
+    print(f"outcome {x}: probability {np.trace(closed).real:.4f}, "
+          f"closed vs direct {max_abs(closed - direct):.2e}")
 
 print("\n=== Measured observable ===")
 observable = measured_observable_nd(model)
@@ -52,12 +52,12 @@ print("every effect is diagonal in the context:",
 print("\n=== Post-interaction probe ===")
 sigma = State(random_density(2, 4))
 probe_obs = post_probe_observable(model, rho)
-for x in model.meter.labels:
-    closed = post_probe_instrument_nd(model, rho, x, sigma)
-    direct = post_probe_instrument_direct(model, rho, x, sigma)
+probe_instrument = zip(model.meter.labels, post_probe_instrument_nd(model, rho, sigma),
+                       post_probe_instrument_direct(model, rho, sigma))
+for x, closed, direct in probe_instrument:
     paired = np.trace(sigma.matrix @ probe_obs.effect_matrix(x)).real
-    print(f"outcome {x}: closed vs direct {max_abs(closed.matrix - direct.matrix):.2e}, "
-          f"duality gap {abs(paired - closed.trace):.2e}")
+    print(f"outcome {x}: closed vs direct {max_abs(closed - direct):.2e}, "
+          f"duality gap {abs(paired - np.trace(closed).real):.2e}")
 
 print("\n=== The probe observable at each context atom ===")
 for i in range(model.dim_base):
@@ -68,11 +68,11 @@ for i in range(model.dim_base):
     print(f"atom {i}: probe observable completeness defect {defect:.2e}")
 
 print("\n=== Remeasuring with the state-dependent meter ===")
-for x in model.meter.labels:
-    closed = remeasured_effect(model, rho, x)
-    oracle = remeasured_effect_two_round(model, rho, x)
+remeasured = remeasured_effect(model, rho)
+for x, closed, oracle in zip(model.meter.labels, remeasured,
+                             remeasured_effect_two_round(model, rho)):
     print(f"outcome {x}: closed vs two-round oracle {max_abs(closed - oracle):.2e}")
-summed = sum(remeasured_effect(model, rho, x) for x in model.meter.labels)
+summed = remeasured.sum(axis=0)
 dephased = model.nd.context.dephase(rho.matrix)
 print("outcome sum equals dim_base times the dephased input:",
       max_abs(summed - model.dim_base * dephased))

@@ -41,9 +41,8 @@ print("channel closed form vs library action:", max_abs(closed - library))
 weights = np.array([0.6, 0.3, 0.1])
 measurable = State(np.diag(weights).astype(complex))
 print("\nfeeding a context-diagonal state, outcome probabilities should be its weights:")
-for x in model.meter.labels:
-    out = measured_instrument_direct(model, x, measurable)
-    print(f"  outcome {x}: probability {out.trace:.4f} (weight {weights[int(x)]})")
+for x, out in zip(model.meter.labels, measured_instrument_direct(model, measurable)):
+    print(f"  outcome {x}: probability {np.trace(out).real:.4f} (weight {weights[int(x)]})")
 
 print("\n=== Swap family with a fuzzy meter ===")
 fuzzy = Observable.from_matrices(random_povm(3, 2, 5))

@@ -37,7 +37,6 @@ from .objects import (
     Effect,
     KrausOperation,
     Observable,
-    PartialState,
     State,
     probability,
     sharp_observable,

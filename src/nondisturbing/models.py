@@ -26,7 +26,7 @@ from .linalg import (
     random_density,
     random_povm,
 )
-from .objects import Context, KrausOperation, Observable, PartialState, State
+from .objects import Context, KrausOperation, Observable, State
 from .channels import NDChannel, pair_overlap_kernel, probe_outputs, random_nd_channel
 
 __all__ = [
@@ -132,35 +132,54 @@ def _meter_stack(mm: MeasurementModel) -> np.ndarray:
     return np.array([effect.matrix for _, effect in mm.meter.outcomes])
 
 
-def measured_instrument_direct(mm: MeasurementModel, x: str, rho: State) -> PartialState:
-    """Brute-force instrument outcome, valid for any channel.
-
-    Tensors the input with the probe state, applies the channel, weights
-    by the meter effect on the probe side, and traces the probe out.
-    """
+def _check_inputs(mm: MeasurementModel, rho: State, sigma: State | None = None) -> None:
     if rho.dim != mm.dim_base:
         raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
+    if sigma is not None and sigma.dim != mm.dim_probe:
+        raise ValueError(f"probe input dimension {sigma.dim} != {mm.dim_probe}")
+
+
+# Every instrument below returns one output per meter outcome, stacked in
+# the order of ``meter.labels``: shape ``(outcomes, d, d)``.
+
+
+def measured_instrument_direct(mm: MeasurementModel, rho: State) -> np.ndarray:
+    """Brute-force measured instrument, valid for any channel.
+
+    Tensors the input with the probe state and applies the channel once;
+    each outcome then weights the output by its meter effect on the probe
+    side and traces the probe out.
+    """
+    _check_inputs(mm, rho)
+    n, dk = mm.dim_base, mm.dim_probe
     interacted = mm.channel_operation().apply_matrix(
         kron(rho.matrix, mm.probe_state.matrix)
     )
-    weighted = interacted @ kron(np.eye(mm.dim_base), mm.meter.effect_matrix(x))
-    reduced = partial_trace(weighted, mm.dim_base, mm.dim_probe, over="right")
-    return PartialState(hermitian_part(reduced))
+    return np.array([
+        hermitian_part(partial_trace(
+            interacted @ kron(np.eye(n), effect.matrix), n, dk, over="right"
+        ))
+        for _, effect in mm.meter.outcomes
+    ])
 
 
-def measured_instrument_nd(mm: MeasurementModel, x: str, rho: State) -> PartialState:
-    """Closed-form instrument outcome for a nondisturbing model.
+def measured_instrument_nd(mm: MeasurementModel, rho: State) -> np.ndarray:
+    """Closed-form measured instrument of a nondisturbing model.
 
-    Equals ``sum_{i,j} c[i, j] P_i rho P_j`` with the kernel
-    ``c[i, j] = sum_k tr(B_i^k eta B_j^k* F_x)``.
+    Outcome ``x`` is ``sum_{i,j} c_x[i, j] P_i rho P_j`` with the kernel
+    ``c_x[i, j] = sum_k tr(B_i^k eta B_j^k* F_x)``.
     """
-    if rho.dim != mm.dim_base:
-        raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
+    _check_inputs(mm, rho)
     nd = mm.nd
-    kernel = pair_overlap_kernel(nd, mm.probe_state.matrix, mm.meter.effect_matrix(x))
     basis = nd.context.basis
     overlaps = basis.conj().T @ rho.matrix @ basis
-    return PartialState(hermitian_part(basis @ (kernel * overlaps) @ basis.conj().T))
+    return np.array([
+        hermitian_part(
+            basis @ (pair_overlap_kernel(nd, mm.probe_state.matrix, f) * overlaps)
+            @ basis.conj().T
+        )
+        for f in _meter_stack(mm)
+    ])
 
 
 def measured_observable_nd(mm: MeasurementModel) -> Observable:
@@ -176,44 +195,37 @@ def measured_observable_nd(mm: MeasurementModel) -> Observable:
     return Observable.from_matrices(effects, mm.meter.labels)
 
 
-def post_probe_instrument_direct(
-    mm: MeasurementModel, rho: State, x: str, sigma: State
-) -> PartialState:
-    """Brute-force post-interaction probe instrument outcome.
+def post_probe_instrument_direct(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:
+    """Brute-force post-interaction probe instrument.
 
-    Sandwiches the channel output between square roots of the lifted
-    meter effect before tracing out the base: the symmetrized form is
-    what keeps the output Hermitian, since the base-side partial trace
-    is not cyclic.
+    Applies the channel to ``rho (x) sigma`` once; each outcome then
+    sandwiches the output between square roots of its lifted meter
+    effect before tracing out the base: the symmetrized form is what
+    keeps the output Hermitian, since the base-side partial trace is not
+    cyclic.
     """
-    if rho.dim != mm.dim_base:
-        raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
-    if sigma.dim != mm.dim_probe:
-        raise ValueError(f"probe input dimension {sigma.dim} != {mm.dim_probe}")
-    root = kron(np.eye(mm.dim_base), psd_sqrt(mm.meter.effect_matrix(x)))
+    _check_inputs(mm, rho, sigma)
+    n, dk = mm.dim_base, mm.dim_probe
     interacted = mm.channel_operation().apply_matrix(kron(rho.matrix, sigma.matrix))
-    reduced = partial_trace(
-        root @ interacted @ root, mm.dim_base, mm.dim_probe, over="left"
-    )
-    return PartialState(hermitian_part(reduced))
+    out = []
+    for _, effect in mm.meter.outcomes:
+        root = kron(np.eye(n), psd_sqrt(effect.matrix))
+        out.append(hermitian_part(partial_trace(root @ interacted @ root, n, dk, over="left")))
+    return np.array(out)
 
 
-def post_probe_instrument_nd(
-    mm: MeasurementModel, rho: State, x: str, sigma: State
-) -> PartialState:
-    """Closed-form post-interaction probe instrument outcome.
+def post_probe_instrument_nd(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:
+    """Closed-form post-interaction probe instrument.
 
-    Equals ``sum_i <v_i, rho v_i> F_x^(1/2) G_i(sigma) F_x^(1/2)``.
+    Outcome ``x`` is ``sum_i <v_i, rho v_i> F_x^(1/2) G_i(sigma) F_x^(1/2)``.
     """
     nd = mm.nd
-    if rho.dim != mm.dim_base:
-        raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
-    if sigma.dim != mm.dim_probe:
-        raise ValueError(f"probe input dimension {sigma.dim} != {mm.dim_probe}")
+    _check_inputs(mm, rho, sigma)
     weights = nd.context.weights(rho.matrix)
     mixed = np.tensordot(weights, probe_outputs(nd, sigma.matrix), axes=1)
-    root = psd_sqrt(mm.meter.effect_matrix(x))
-    return PartialState(hermitian_part(root @ mixed @ root))
+    return np.array([
+        hermitian_part(root @ mixed @ root) for root in map(psd_sqrt, _meter_stack(mm))
+    ])
 
 
 def post_probe_observable(mm: MeasurementModel, rho: State) -> Observable:
@@ -224,14 +236,13 @@ def post_probe_observable(mm: MeasurementModel, rho: State) -> Observable:
     diagonal of the input state.
     """
     nd = mm.nd
-    if rho.dim != mm.dim_base:
-        raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
+    _check_inputs(mm, rho)
     weights = nd.context.weights(rho.matrix)
     mixed = np.tensordot(weights, mm.pulled_meter, axes=(0, 1))
     return Observable.from_matrices(map(hermitian_part, mixed), mm.meter.labels)
 
 
-def remeasured_effect(mm: MeasurementModel, rho: State, x: str) -> np.ndarray:
+def remeasured_effect(mm: MeasurementModel, rho: State) -> np.ndarray:
     """Second-round effect family of a nondisturbing model on its base space.
 
     Feeding the post-interaction probe observable back in as the meter
@@ -243,24 +254,25 @@ def remeasured_effect(mm: MeasurementModel, rho: State, x: str) -> np.ndarray:
     in the identity, whose trace is ``dim_base``.
     """
     nd = mm.nd
-    if rho.dim != mm.dim_base:
-        raise ValueError(f"input state dimension {rho.dim} != {mm.dim_base}")
-    meter = mm.meter.effect_matrix(x)
+    _check_inputs(mm, rho)
     twice = probe_outputs(nd, mm.evolved_probe.sum(axis=0))  # G_i(sum_j G_j(eta))
-    coeff = np.real(np.einsum("iab,ba->i", twice, meter))
     basis = nd.context.basis
-    scaled = coeff * nd.context.weights(rho.matrix)
-    return hermitian_part((basis * scaled) @ basis.conj().T)
+    weights = nd.context.weights(rho.matrix)
+    out = []
+    for meter in _meter_stack(mm):
+        coeff = np.real(np.einsum("iab,ba->i", twice, meter))
+        out.append(hermitian_part((basis * (coeff * weights)) @ basis.conj().T))
+    return np.array(out)
 
 
-def remeasured_effect_two_round(mm: MeasurementModel, rho: State, x: str) -> np.ndarray:
+def remeasured_effect_two_round(mm: MeasurementModel, rho: State) -> np.ndarray:
     """Oracle for :func:`remeasured_effect`: two brute-force rounds.
 
     Round one runs the composite channel on ``I/n (x) eta`` and traces the
     base out, leaving the probe state ``eta'`` that a maximally mixed
     first base system hands on.  Round two is the brute-force instrument
-    of the same model with probe state ``eta'``, applied to ``rho``; its
-    output is dephased atom by atom and scaled by ``n``.  Tracing the
+    of the same model with probe state ``eta'``, applied to ``rho``; each
+    outcome is dephased atom by atom and scaled by ``n``.  Tracing the
     first base out between the rounds is exact, because round two never
     acts on it.
     """
@@ -271,8 +283,10 @@ def remeasured_effect_two_round(mm: MeasurementModel, rho: State, x: str) -> np.
     )
     handed_on = State(partial_trace(first, n, dk, over="left"))
     second = MeasurementModel(n, dk, handed_on, mm.channel, mm.meter)
-    out = measured_instrument_direct(second, x, rho).matrix
-    return n * sum(p @ out @ p for p in nd.context.atoms)
+    return np.array([
+        n * sum(p @ out @ p for p in nd.context.atoms)
+        for out in measured_instrument_direct(second, rho)
+    ])
 
 
 def random_model(

@@ -24,7 +24,6 @@ from .linalg import (
 
 __all__ = [
     "Effect",
-    "PartialState",
     "State",
     "Observable",
     "KrausOperation",
@@ -64,8 +63,8 @@ class Effect:
 
 
 @dataclass(frozen=True, eq=False)
-class PartialState:
-    """PSD Hermitian operator with trace at most one."""
+class State:
+    """PSD Hermitian operator with unit trace."""
 
     matrix: np.ndarray
 
@@ -77,12 +76,9 @@ class PartialState:
         if float(w[0]) < -DEFAULT_ATOL:
             raise ValueError(f"state must be PSD, min eigenvalue {w[0]:.3e}")
         tr = float(np.trace(m).real)
-        if self._trace_out_of_range(tr):
+        if abs(tr - 1.0) > DEFAULT_ATOL:
             raise ValueError(f"state trace {tr!r} out of range")
         object.__setattr__(self, "matrix", m)
-
-    def _trace_out_of_range(self, tr: float) -> bool:
-        return tr > 1 + DEFAULT_ATOL
 
     @property
     def dim(self) -> int:
@@ -91,14 +87,6 @@ class PartialState:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-
-@dataclass(frozen=True, eq=False)
-class State(PartialState):
-    """PSD Hermitian operator with unit trace."""
-
-    def _trace_out_of_range(self, tr: float) -> bool:
-        return abs(tr - 1.0) > DEFAULT_ATOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +232,7 @@ class Context:
         return max_abs(inner - np.diag(np.diagonal(inner))) <= atol
 
 
-def probability(rho: PartialState, a: Effect) -> float:
+def probability(rho: State, a: Effect) -> float:
     """Outcome probability ``tr(rho a)``, clamped to [0, 1] on output."""
     if rho.dim != a.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, effect {a.dim}")

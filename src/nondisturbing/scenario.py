@@ -124,9 +124,12 @@ def scenario_from_json(obj: Any) -> Scenario:
     if has_example:
         model = _parse_example(obj["example"])
         for key, value in (("dimH", model.dim_base), ("dimK", model.dim_probe)):
-            if key in obj and obj[key] != value:
+            given = obj.get(key, value)
+            if not _is_int(given):
+                raise SchemaError(key, "must be an integer when present")
+            if given != value:
                 raise ValueError(
-                    f"{key} = {obj[key]} conflicts with the example's dimension {value}"
+                    f"{key} = {given} conflicts with the example's dimension {value}"
                 )
     else:
         for key in ("dimH", "dimK", "eta", "probe"):
@@ -187,23 +190,23 @@ def _psd_defect(matrix: np.ndarray) -> float:
     return max(0.0, -float(np.linalg.eigvalsh(matrix)[0]))
 
 
-# A check takes (model, inputs, probe input sigma, direct), where ``direct(i, x)``
-# is the brute-force instrument output for input ``i`` and outcome ``x``, and
-# returns its produced (input, outcome, matrix) entries and named residuals.
+# A check takes (model, inputs, probe input sigma, direct), where ``direct(i)``
+# is the brute-force instrument of input ``i``, one output per meter outcome
+# in label order, and returns its produced (input, outcome, matrix) entries
+# and named residuals.
 
 
 def _check_instrument(mm: MeasurementModel, inputs, sigma, direct):
     produced, residuals = [], {}
     for i, rho in enumerate(inputs):
+        oracle = direct(i)
+        outs = measured_instrument_nd(mm, rho) if mm.is_nondisturbing else oracle
         traces = []
-        for x in mm.meter.labels:
-            out = direct(i, x)
+        for x, out, brute in zip(mm.meter.labels, outs, oracle, strict=True):
             if mm.is_nondisturbing:
-                closed = measured_instrument_nd(mm, x, rho).matrix
                 residuals[f"instrument.state{i}.outcome{x}.closed_vs_direct"] = max_abs(
-                    closed - out
+                    out - brute
                 )
-                out = closed
             residuals[f"instrument.state{i}.outcome{x}.psd_defect"] = _psd_defect(out)
             traces.append(float(np.trace(out).real))
             produced.append((i, x, out))
@@ -223,9 +226,9 @@ def _check_observable(mm: MeasurementModel, inputs, sigma, direct):
     residuals["observable.commutators"] = worst
     for i, rho in enumerate(inputs):
         defect = 0.0
-        for x, effect in zip(obs.labels, mats):
+        for effect, out in zip(mats, direct(i), strict=True):
             paired = float(np.trace(rho.matrix @ effect).real)
-            defect = fold_max(defect, abs(paired - float(np.trace(direct(i, x)).real)))
+            defect = fold_max(defect, abs(paired - float(np.trace(out).real)))
         residuals[f"observable.state{i}.pairing"] = defect
     return [(None, x, effect) for x, effect in zip(obs.labels, mats)], residuals
 
@@ -238,15 +241,15 @@ def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
         residuals[f"post_probe.state{i}.completeness"] = max_abs(
             sum(mats) - np.eye(mm.dim_probe)
         )
-        for x, effect in zip(obs.labels, mats):
-            closed = post_probe_instrument_nd(mm, rho, x, sigma).matrix
-            oracle = post_probe_instrument_direct(mm, rho, x, sigma).matrix
+        closed = post_probe_instrument_nd(mm, rho, sigma)
+        oracle = post_probe_instrument_direct(mm, rho, sigma)
+        for x, effect, out, brute in zip(obs.labels, mats, closed, oracle, strict=True):
             residuals[f"post_probe.state{i}.outcome{x}.closed_vs_direct"] = max_abs(
-                closed - oracle
+                out - brute
             )
             paired = float(np.trace(sigma.matrix @ effect).real)
             residuals[f"post_probe.state{i}.outcome{x}.duality"] = abs(
-                paired - float(np.trace(closed).real)
+                paired - float(np.trace(out).real)
             )
             produced.append((i, x, effect))
     return produced, residuals
@@ -255,13 +258,13 @@ def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
 def _check_remeasure(mm: MeasurementModel, inputs, sigma, direct):
     produced, residuals = [], {}
     for i, rho in enumerate(inputs):
-        for x in mm.meter.labels:
-            closed = remeasured_effect(mm, rho, x)
-            oracle = remeasured_effect_two_round(mm, rho, x)
+        closed = remeasured_effect(mm, rho)
+        oracle = remeasured_effect_two_round(mm, rho)
+        for x, out, brute in zip(mm.meter.labels, closed, oracle, strict=True):
             residuals[f"remeasure.state{i}.outcome{x}.closed_vs_two_round"] = max_abs(
-                closed - oracle
+                out - brute
             )
-            produced.append((i, x, closed))
+            produced.append((i, x, out))
     return produced, residuals
 
 
@@ -282,14 +285,14 @@ def evaluate(mm: MeasurementModel, inputs: Sequence[State], requests: Sequence[s
     Returns the produced ``(input, outcome, matrix)`` entries per request
     (``input`` is ``None`` for the input-independent observable) and the
     named residuals.  ``sigma`` is the probe input of the post-interaction
-    instrument; it defaults to the model's probe state.  Each direct
-    instrument output is computed once and shared by the checks.
+    instrument; it defaults to the model's probe state.  The direct
+    instrument of each input is computed once and shared by the checks.
     """
     sigma = mm.probe_state if sigma is None else sigma
 
     @functools.cache
-    def direct(i: int, x: str) -> np.ndarray:
-        return measured_instrument_direct(mm, x, inputs[i]).matrix
+    def direct(i: int) -> np.ndarray:
+        return measured_instrument_direct(mm, inputs[i])
 
     produced, residuals = {}, {}
     for request in requests:

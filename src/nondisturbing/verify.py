@@ -321,7 +321,9 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
         weights = context.weights(rho.matrix)
         measured = measured_observable_nd(mm)
         post = post_probe_observable(mm, rho)
-        for x in mm.meter.labels:
+        instrument = measured_instrument_nd(mm, rho)
+        probe_instrument = post_probe_instrument_nd(mm, rho, sigma)
+        for x, out, probe_out in zip(mm.meter.labels, instrument, probe_instrument, strict=True):
             f = mm.meter.effect_matrix(x)
             coeff = np.array(
                 [
@@ -332,9 +334,7 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
             )
             overlaps = basis.conj().T @ rho.matrix @ basis
             explicit = basis @ (coeff * overlaps) @ basis.conj().T
-            worst = fold_max(worst, max_abs(
-                explicit - measured_instrument_nd(mm, x, rho).matrix
-            ))
+            worst = fold_max(worst, max_abs(explicit - out))
             diag = np.array(
                 [np.trace(unitaries[i] @ eta @ unitaries[i].conj().T @ f)
                  for i in range(n)]
@@ -349,9 +349,7 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
                 @ unitaries[i].conj().T @ root
                 for i in range(n)
             )
-            worst = fold_max(worst, max_abs(
-                sandwiched - post_probe_instrument_nd(mm, rho, x, sigma).matrix
-            ))
+            worst = fold_max(worst, max_abs(sandwiched - probe_out))
             pulled = sum(
                 weights[i] * unitaries[i].conj().T @ f @ unitaries[i]
                 for i in range(n)
@@ -385,7 +383,8 @@ def _check_remeasurement(rng, trials, max_dim) -> float:
         eta = unitary_mm.probe_state.matrix
         weights = context.weights(rho.matrix)
         basis = context.basis
-        for x in unitary_mm.meter.labels:
+        closed = remeasured_effect(unitary_mm, rho)
+        for x, out in zip(unitary_mm.meter.labels, closed, strict=True):
             f = unitary_mm.meter.effect_matrix(x)
             diag = np.zeros(n)
             for i in range(n):
@@ -393,7 +392,7 @@ def _check_remeasurement(rng, trials, max_dim) -> float:
                     w = unitaries[i] @ unitaries[j]
                     diag[i] += float(np.trace(w @ eta @ w.conj().T @ f).real)
             explicit = (basis * (diag * weights)) @ basis.conj().T
-            worst = fold_max(worst, max_abs(explicit - remeasured_effect(unitary_mm, rho, x)))
+            worst = fold_max(worst, max_abs(explicit - out))
     return worst
 
 
@@ -437,12 +436,9 @@ def _check_swap_family(rng, trials, max_dim) -> float:
             - apply_product(nd, rho, mm.probe_state)
         ))
         measured = measured_observable_nd(mm)
-        for x in mm.meter.labels:
+        for x, out in zip(mm.meter.labels, measured_instrument_direct(mm, rho), strict=True):
             f = mm.meter.effect_matrix(x)
-            worst = fold_max(worst, max_abs(
-                catalog.swap_instrument_output(rho, f)
-                - measured_instrument_direct(mm, x, rho).matrix
-            ))
+            worst = fold_max(worst, max_abs(catalog.swap_instrument_output(rho, f) - out))
             worst = fold_max(worst, max_abs(
                 catalog.swap_observable_effect(f) - measured.effect_matrix(x)
             ))
@@ -464,7 +460,9 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
         eta = mm.probe_state.matrix
         rho = State(random_density(n, rng))
         measured = measured_observable_nd(mm)
-        for x in mm.meter.labels:
+        closed = measured_instrument_nd(mm, rho)
+        oracle = measured_instrument_direct(mm, rho)
+        for x, out, brute in zip(mm.meter.labels, closed, oracle, strict=True):
             f = mm.meter.effect_matrix(x)
             for j in range(1, n + 1):
                 for k in range(1, n + 1):
@@ -477,10 +475,7 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
             worst = fold_max(worst, max_abs(
                 catalog.fourier_observable_effect(n, m, f) - measured.effect_matrix(x)
             ))
-            worst = fold_max(worst, max_abs(
-                measured_instrument_nd(mm, x, rho).matrix
-                - measured_instrument_direct(mm, x, rho).matrix
-            ))
+            worst = fold_max(worst, max_abs(out - brute))
         diagonal = catalog.fourier_model(n, m)
         diagonal_measured = measured_observable_nd(diagonal)
         for x in diagonal.meter.labels:

@@ -236,9 +236,8 @@ def test_criterion_06_measured_instrument_and_observable():
                           rng, context=Context.random(n, rng))
         rho = State(random_density(n, rng))
         probabilities = []
-        for x in mm.meter.labels:
-            closed = measured_instrument_nd(mm, x, rho).matrix
-            direct = measured_instrument_direct(mm, x, rho).matrix
+        for closed, direct in zip(measured_instrument_nd(mm, rho),
+                                  measured_instrument_direct(mm, rho)):
             worst = max(worst, max_abs(closed - direct))
             probabilities.append(float(np.trace(closed).real))
         worst = max(worst, abs(sum(probabilities) - 1.0))
@@ -272,9 +271,9 @@ def test_criterion_07_post_interaction_probe():
         rho = State(random_density(n, rng))
         sigma = State(random_density(dk, rng))
         obs = post_probe_observable(mm, rho)
-        for x in mm.meter.labels:
-            closed = post_probe_instrument_nd(mm, rho, x, sigma).matrix
-            direct = post_probe_instrument_direct(mm, rho, x, sigma).matrix
+        instrument = zip(mm.meter.labels, post_probe_instrument_nd(mm, rho, sigma),
+                         post_probe_instrument_direct(mm, rho, sigma))
+        for x, closed, direct in instrument:
             worst = max(worst, max_abs(closed - direct))
             paired = float(np.trace(sigma.matrix @ obs.effect_matrix(x)).real)
             worst = max(worst, abs(paired - float(np.trace(closed).real)))
@@ -335,9 +334,8 @@ def test_criterion_09_swap_family():
                 block[i, i] = 1.0
                 expected += w * kron(block, block)
             worst_rest = max(worst_rest, max_abs(out - expected))
-            for x in mm.meter.labels:
+            for x, instrument in zip(mm.meter.labels, measured_instrument_nd(mm, measurable)):
                 f = mm.meter.effect_matrix(x)
-                instrument = measured_instrument_nd(mm, x, measurable).matrix
                 diagonal = np.diag(
                     [weights[i] * f[i, i].real for i in range(n)]
                 )
@@ -363,10 +361,10 @@ def test_criterion_10_fourier_family():
         rho = State(random_density(n, rng))
         unitaries = fourier_unitaries(n, m)
         eta = mm.probe_state.matrix
-        for x in meter.labels:
+        instrument = zip(meter.labels, measured_instrument_nd(mm, rho),
+                         measured_instrument_direct(mm, rho))
+        for x, closed, direct in instrument:
             f = meter.effect_matrix(x)
-            closed = measured_instrument_nd(mm, x, rho).matrix
-            direct = measured_instrument_direct(mm, x, rho).matrix
             worst = max(worst, max_abs(closed - direct))
             for j in range(1, n + 1):
                 for k in range(1, n + 1):
@@ -400,10 +398,9 @@ def test_criterion_11_remeasurement():
         mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
                           rng, context=ctx)
         rho = State(random_density(n, rng))
-        for x in mm.meter.labels:
-            worst_two_round = max(worst_two_round, max_abs(
-                remeasured_effect(mm, rho, x) - remeasured_effect_two_round(mm, rho, x)
-            ))
+        for closed, oracle in zip(remeasured_effect(mm, rho),
+                                  remeasured_effect_two_round(mm, rho)):
+            worst_two_round = max(worst_two_round, max_abs(closed - oracle))
         nd = NDChannel(ctx, tuple((random_unitary(dk, rng),) for _ in range(n)))
         unitary_mm = MeasurementModel(
             n, dk, State(random_density(dk, rng)), nd,
@@ -411,7 +408,7 @@ def test_criterion_11_remeasurement():
         )
         eta = unitary_mm.probe_state.matrix
         weights = ctx.weights(rho.matrix)
-        for x in unitary_mm.meter.labels:
+        for x, closed in zip(unitary_mm.meter.labels, remeasured_effect(unitary_mm, rho)):
             f = unitary_mm.meter.effect_matrix(x)
             diag = np.zeros(n)
             for i in range(n):
@@ -419,9 +416,7 @@ def test_criterion_11_remeasurement():
                     w = nd.table[i][0] @ nd.table[j][0]
                     diag[i] += float(np.trace(w @ eta @ w.conj().T @ f).real)
             explicit = (ctx.basis * (diag * weights)) @ ctx.basis.conj().T
-            worst_unitary = max(worst_unitary, max_abs(
-                explicit - remeasured_effect(unitary_mm, rho, x)
-            ))
+            worst_unitary = max(worst_unitary, max_abs(explicit - closed))
     ok = worst_two_round < 1e-10 and worst_unitary < 1e-10
     _report(11, "remeasurement", ok,
             f"two-round residual {worst_two_round:.3e}, "

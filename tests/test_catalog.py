@@ -63,9 +63,8 @@ def test_swap_with_sharp_meter_measures_the_atoms(n):
         assert max_abs(obs.effect_matrix(str(i)) - atom) <= 1e-12
     # cross-check through the brute-force path
     rho = State(random_density(n, 5))
-    for i in range(n):
-        direct = measured_instrument_direct(mm, str(i), rho)
-        assert abs(direct.trace - rho.matrix[i, i].real) < 1e-12
+    for i, direct in enumerate(measured_instrument_direct(mm, rho)):
+        assert abs(np.trace(direct).real - rho.matrix[i, i].real) < 1e-12
 
 
 def test_swap_channel_output_closed_form():
@@ -86,11 +85,13 @@ def test_swap_instrument_closed_form_matches_both_paths():
     meter = Observable.from_matrices(random_povm(n, 2, 7))
     mm = swap_model(n, meter)
     rho = State(random_density(n, 8))
-    for x in meter.labels:
+    instrument = zip(meter.labels, measured_instrument_nd(mm, rho),
+                     measured_instrument_direct(mm, rho))
+    for x, out, direct in instrument:
         f = meter.effect_matrix(x)
         closed = swap_instrument_output(rho, f)
-        assert max_abs(closed - measured_instrument_nd(mm, x, rho).matrix) < 1e-10
-        assert max_abs(closed - measured_instrument_direct(mm, x, rho).matrix) < 1e-10
+        assert max_abs(closed - out) < 1e-10
+        assert max_abs(closed - direct) < 1e-10
         effect = swap_observable_effect(f)
         assert max_abs(effect - measured_observable_nd(mm).effect_matrix(x)) < 1e-10
 
@@ -117,9 +118,8 @@ def test_swap_instrument_on_measurable_input_is_diagonal():
     mm = swap_model(n, meter)
     weights = np.array([0.7, 0.3])
     rho = State(np.diag(weights).astype(complex))
-    for x in meter.labels:
+    for x, out in zip(meter.labels, measured_instrument_nd(mm, rho)):
         f = meter.effect_matrix(x)
-        out = measured_instrument_nd(mm, x, rho).matrix
         expected = np.diag([weights[i] * f[i, i].real for i in range(n)])
         assert max_abs(out - expected) < 1e-12
 
@@ -190,9 +190,9 @@ def test_fourier_random_meter_matches_oracle_paths():
     meter = Observable.from_matrices(random_povm(m, 3, 12))
     mm = fourier_model(n, m, meter)
     rho = State(random_density(n, 13))
-    for x in meter.labels:
-        closed = measured_instrument_nd(mm, x, rho).matrix
-        direct = measured_instrument_direct(mm, x, rho).matrix
+    instrument = zip(meter.labels, measured_instrument_nd(mm, rho),
+                     measured_instrument_direct(mm, rho))
+    for x, closed, direct in instrument:
         assert max_abs(closed - direct) < 1e-9
         effect = fourier_observable_effect(n, m, meter.effect_matrix(x))
         assert max_abs(effect - measured_observable_nd(mm).effect_matrix(x)) < 1e-9
@@ -217,7 +217,7 @@ def test_fourier_instrument_closed_form_from_pair_traces():
     meter = Observable.from_matrices(random_povm(m, 2, 15))
     mm = fourier_model(n, m, meter)
     rho = State(random_density(n, 16))
-    for x in meter.labels:
+    for x, out in zip(meter.labels, measured_instrument_nd(mm, rho)):
         f = meter.effect_matrix(x)
         expected = np.zeros((n, n), dtype=complex)
         for j in range(1, n + 1):
@@ -225,5 +225,4 @@ def test_fourier_instrument_closed_form_from_pair_traces():
                 expected[j - 1, k - 1] = (
                     fourier_pair_trace(j, k, m, f) * rho.matrix[j - 1, k - 1]
                 )
-        out = measured_instrument_nd(mm, x, rho).matrix
         assert max_abs(out - expected) < 1e-9

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nondisturbing.models
 from nondisturbing.cli import main
 from nondisturbing.linalg import max_abs, random_kraus_channel
 from nondisturbing.objects import sharp_observable
@@ -187,6 +188,37 @@ def test_run_exits_two_on_boolean_in_integer_field(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("parse error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "string"])
+@pytest.mark.parametrize("key", ["dimH", "dimK"])
+def test_run_exits_two_on_non_integer_example_dimension(tmp_path, capsys, key, value):
+    document = {"example": {"name": "swap", "n": 1}, key: value}
+    path = _write(tmp_path, f"example_{key}.json", document)
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: {key}: ")
+
+
+def test_run_exits_three_on_example_dimension_mismatch(tmp_path, capsys):
+    path = _write(tmp_path, "example_dimH.json", {"example": {"name": "swap", "n": 1}, "dimH": 2})
+    assert main(["run", path]) == 3
+    assert "dimH = 2 conflicts with the example's dimension 1" in capsys.readouterr().err
+
+
+def test_wrong_closed_form_is_reported_not_raised(monkeypatch, capsys):
+    original = nondisturbing.models.pair_overlap_kernel
+    monkeypatch.setattr(
+        nondisturbing.models, "pair_overlap_kernel", lambda *args: 3 * original(*args)
+    )
+    assert main(["example", "swap", "--n", "3"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert not checks["instrument.state0.outcome0.closed_vs_direct"]
+    assert main(["verify", "--trials", "3"]) == 1
+    summary = capsys.readouterr().out
+    assert summary.startswith("verification seed=42 trials=3 ")
+    failed = {line.split()[0] for line in summary.splitlines() if line.endswith(" FAIL")}
+    assert failed == {"fourier-family", "measured-instrument", "unitary-specialization"}
+    assert summary.endswith("overall FAIL (10/13 families)\n")
 
 
 def test_run_exits_three_when_closed_form_needs_nd_channel(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,15 +75,15 @@ def test_closed_forms_require_nd_channel():
     mm = _identity_channel_model(2, 2, 1, 2)
     rho = State(random_density(2, 3))
     with pytest.raises(ValueError, match="nondisturbing"):
-        measured_instrument_nd(mm, "0", rho)
+        measured_instrument_nd(mm, rho)
     with pytest.raises(ValueError, match="nondisturbing"):
         measured_observable_nd(mm)
     with pytest.raises(ValueError, match="nondisturbing"):
         post_probe_observable(mm, rho)
     with pytest.raises(ValueError, match="nondisturbing"):
-        remeasured_effect(mm, rho, "0")
+        remeasured_effect(mm, rho)
     with pytest.raises(ValueError, match="nondisturbing"):
-        remeasured_effect_two_round(mm, rho, "0")
+        remeasured_effect_two_round(mm, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +97,12 @@ def test_single_outcome_meter_gives_trace_one_output():
     channel = KrausOperation(tuple(random_kraus_channel(6, 2, 5)))
     mm = MeasurementModel(2, 3, eta, channel, meter)
     rho = State(random_density(2, 6))
-    out = measured_instrument_direct(mm, "all", rho)
-    assert abs(out.trace - 1.0) < 1e-10
+    (out,) = measured_instrument_direct(mm, rho)
+    assert abs(np.trace(out).real - 1.0) < 1e-10
     direct = channel.apply_matrix(kron(rho.matrix, eta.matrix))
     from nondisturbing.linalg import partial_trace
 
-    assert max_abs(out.matrix - partial_trace(direct, 2, 3, "right")) < 1e-12
+    assert max_abs(out - partial_trace(direct, 2, 3, "right")) < 1e-12
 
 
 def test_identity_channel_with_sharp_meter_scales_the_input():
@@ -110,19 +112,16 @@ def test_identity_channel_with_sharp_meter_scales_the_input():
         n, dk, eta, KrausOperation((np.eye(n * dk),)), sharp_observable(dk)
     )
     rho = State(random_density(n, 8))
-    for j in range(dk):
-        out = measured_instrument_direct(mm, str(j), rho)
+    for j, out in enumerate(measured_instrument_direct(mm, rho)):
         weight = eta.matrix[j, j].real
-        assert max_abs(out.matrix - weight * rho.matrix) < 1e-12
+        assert max_abs(out - weight * rho.matrix) < 1e-12
 
 
 def test_outcome_traces_form_a_probability_distribution():
     for seed in range(20):
         mm = random_model(2, 3, 3, 2, seed)
         rho = State(random_density(2, seed + 900))
-        traces = [
-            measured_instrument_direct(mm, x, rho).trace for x in mm.meter.labels
-        ]
+        traces = [np.trace(out).real for out in measured_instrument_direct(mm, rho)]
         assert min(traces) > -1e-10
         assert abs(sum(traces) - 1.0) < 1e-10
 
@@ -140,10 +139,10 @@ def test_closed_form_instrument_matches_direct_path():
         m = int(rng.integers(1, 4))
         mm = random_model(n, dk, 2, m, rng, context=Context.random(n, rng))
         rho = State(random_density(n, rng))
-        for x in mm.meter.labels:
-            closed = measured_instrument_nd(mm, x, rho).matrix
-            direct = measured_instrument_direct(mm, x, rho).matrix
-            assert max_abs(closed - direct) < 1e-10
+        closed = measured_instrument_nd(mm, rho)
+        direct = measured_instrument_direct(mm, rho)
+        for out, brute in zip(closed, direct):
+            assert max_abs(out - brute) < 1e-10
 
 
 def test_instrument_kernel_is_psd():
@@ -159,8 +158,7 @@ def test_measurable_inputs_stay_measurable():
     ctx = mm.nd.context
     weights = np.array([0.2, 0.3, 0.5])
     rho = State(sum(w * ctx.atom(i) for i, w in enumerate(weights)))
-    for x in mm.meter.labels:
-        out = measured_instrument_nd(mm, x, rho).matrix
+    for x, out in zip(mm.meter.labels, measured_instrument_nd(mm, rho)):
         assert ctx.is_measurable(out, 1e-10)
         expected = sum(
             w
@@ -184,9 +182,9 @@ def test_measured_observable_is_complete_commuting_and_paired():
             for b in range(a + 1, len(mats)):
                 assert max_abs(mats[a] @ mats[b] - mats[b] @ mats[a]) < 1e-10
         rho = State(random_density(3, seed + 41))
-        for x in obs.labels:
+        for x, out in zip(obs.labels, measured_instrument_direct(mm, rho)):
             paired = np.trace(rho.matrix @ obs.effect_matrix(x)).real
-            direct = measured_instrument_direct(mm, x, rho).trace
+            direct = np.trace(out).real
             assert abs(paired - direct) < 1e-10
         assert all(mm.nd.context.is_measurable(m, 1e-10) for m in mats)
 
@@ -197,7 +195,7 @@ def test_unitary_rows_give_conjugated_coefficient_form():
     eta = mm.probe_state.matrix
     rho = State(random_density(3, 56))
     basis = nd.context.basis
-    for x in mm.meter.labels:
+    for x, out in zip(mm.meter.labels, measured_instrument_nd(mm, rho)):
         f = mm.meter.effect_matrix(x)
         coeff = np.array(
             [
@@ -210,7 +208,7 @@ def test_unitary_rows_give_conjugated_coefficient_form():
         )
         overlaps = basis.conj().T @ rho.matrix @ basis
         explicit = basis @ (coeff * overlaps) @ basis.conj().T
-        assert max_abs(explicit - measured_instrument_nd(mm, x, rho).matrix) < 1e-10
+        assert max_abs(explicit - out) < 1e-10
 
 
 def test_commuting_probe_state_collapses_observable_to_scalars():
@@ -239,12 +237,12 @@ def test_post_probe_single_outcome_reduces_to_plain_partial_trace():
     mm = MeasurementModel(3, 2, eta, channel, meter)
     rho = State(random_density(3, 62))
     sigma = State(random_density(2, 63))
-    out = post_probe_instrument_direct(mm, rho, "all", sigma)
+    (out,) = post_probe_instrument_direct(mm, rho, sigma)
     from nondisturbing.linalg import partial_trace
 
     direct = channel.apply_matrix(kron(rho.matrix, sigma.matrix))
-    assert max_abs(out.matrix - partial_trace(direct, 3, 2, "left")) < 1e-12
-    assert abs(out.trace - 1.0) < 1e-10
+    assert max_abs(out - partial_trace(direct, 3, 2, "left")) < 1e-12
+    assert abs(np.trace(out).real - 1.0) < 1e-10
 
 
 def test_post_probe_identity_channel_sandwiches_the_probe():
@@ -256,10 +254,9 @@ def test_post_probe_identity_channel_sandwiches_the_probe():
     )
     rho = State(random_density(n, 66))
     sigma = State(random_density(dk, 67))
-    for x in meter.labels:
+    for x, out in zip(meter.labels, post_probe_instrument_direct(mm, rho, sigma)):
         root = psd_sqrt(meter.effect_matrix(x))
-        out = post_probe_instrument_direct(mm, rho, x, sigma)
-        assert max_abs(out.matrix - root @ sigma.matrix @ root) < 1e-12
+        assert max_abs(out - root @ sigma.matrix @ root) < 1e-12
 
 
 def test_post_probe_closed_form_matches_direct_path():
@@ -271,19 +268,17 @@ def test_post_probe_closed_form_matches_direct_path():
                           context=Context.random(n, rng))
         rho = State(random_density(n, rng))
         sigma = State(random_density(dk, rng))
-        for x in mm.meter.labels:
-            closed = post_probe_instrument_nd(mm, rho, x, sigma).matrix
-            direct = post_probe_instrument_direct(mm, rho, x, sigma).matrix
-            assert max_abs(closed - direct) < 1e-10
+        closed = post_probe_instrument_nd(mm, rho, sigma)
+        direct = post_probe_instrument_direct(mm, rho, sigma)
+        for out, brute in zip(closed, direct):
+            assert max_abs(out - brute) < 1e-10
 
 
 def test_post_probe_outputs_sum_to_trace_one():
     mm = random_model(2, 3, 3, 2, 70)
     rho = State(random_density(2, 71))
     sigma = State(random_density(3, 72))
-    total = sum(
-        post_probe_instrument_nd(mm, rho, x, sigma).trace for x in mm.meter.labels
-    )
+    total = sum(np.trace(out).real for out in post_probe_instrument_nd(mm, rho, sigma))
     assert abs(total - 1.0) < 1e-10
 
 
@@ -292,10 +287,9 @@ def test_atom_input_selects_single_probe_channel_term():
     nd = mm.nd
     sigma = State(random_density(2, 75))
     rho = State(nd.context.atom(1))
-    for x in mm.meter.labels:
+    for x, out in zip(mm.meter.labels, post_probe_instrument_nd(mm, rho, sigma)):
         root = psd_sqrt(mm.meter.effect_matrix(x))
         expected = root @ nd.probe_channel(1).apply_matrix(sigma.matrix) @ root
-        out = post_probe_instrument_nd(mm, rho, x, sigma).matrix
         assert max_abs(out - expected) < 1e-10
 
 
@@ -307,9 +301,9 @@ def test_post_probe_observable_duality_and_completeness():
         obs = post_probe_observable(mm, rho)
         mats = [obs.effect_matrix(x) for x in obs.labels]
         assert max_abs(sum(mats) - np.eye(3)) < 1e-10
-        for x in obs.labels:
+        for x, out in zip(obs.labels, post_probe_instrument_nd(mm, rho, sigma)):
             paired = np.trace(sigma.matrix @ obs.effect_matrix(x)).real
-            closed = post_probe_instrument_nd(mm, rho, x, sigma).trace
+            closed = np.trace(out).real
             assert abs(paired - closed) < 1e-10
 
 
@@ -342,7 +336,7 @@ def test_unitary_rows_pull_the_meter_back_by_conjugation():
     rho = State(random_density(2, 86))
     weights = nd.context.weights(rho.matrix)
     sigma = State(random_density(3, 87))
-    for x in mm.meter.labels:
+    for x, out in zip(mm.meter.labels, post_probe_instrument_nd(mm, rho, sigma)):
         f = mm.meter.effect_matrix(x)
         pulled = sum(
             weights[i] * nd.table[i][0].conj().T @ f @ nd.table[i][0]
@@ -355,9 +349,62 @@ def test_unitary_rows_pull_the_meter_back_by_conjugation():
             * root @ nd.table[i][0] @ sigma.matrix @ nd.table[i][0].conj().T @ root
             for i in range(2)
         )
-        assert max_abs(
-            post_probe_instrument_nd(mm, rho, x, sigma).matrix - sandwiched
-        ) < 1e-10
+        assert max_abs(out - sandwiched) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Every instrument is one stack over the meter outcomes
+# ---------------------------------------------------------------------------
+
+INSTRUMENTS = [
+    measured_instrument_nd,
+    measured_instrument_direct,
+    post_probe_instrument_nd,
+    post_probe_instrument_direct,
+    remeasured_effect,
+    remeasured_effect_two_round,
+]
+
+
+def _instrument_call(fn, mm, rho, sigma):
+    if "sigma" in inspect.signature(fn).parameters:
+        return fn(mm, rho, sigma)
+    return fn(mm, rho)
+
+
+@pytest.mark.parametrize("fn", INSTRUMENTS, ids=lambda fn: fn.__name__)
+def test_instrument_takes_no_outcome_and_stacks_outcomes_in_label_order(fn):
+    assert list(inspect.signature(fn).parameters) in (["mm", "rho"], ["mm", "rho", "sigma"])
+    mm = random_model(3, 2, 3, 2, 120, context=Context.random(3, 121))
+    rho = State(random_density(3, 122))
+    sigma = State(random_density(2, 123))
+    flipped = MeasurementModel(
+        mm.dim_base, mm.dim_probe, mm.probe_state, mm.channel,
+        Observable(mm.meter.outcomes[::-1]),
+    )
+    out = _instrument_call(fn, mm, rho, sigma)
+    dim = mm.dim_probe if fn.__name__.startswith("post_probe") else mm.dim_base
+    assert out.shape == (3, dim, dim)
+    assert np.array_equal(_instrument_call(fn, flipped, rho, sigma), out[::-1])
+
+
+@pytest.mark.parametrize("fn, applications", [
+    (measured_instrument_direct, 1),
+    (post_probe_instrument_direct, 1),
+    (remeasured_effect_two_round, 2),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_oracle_applies_the_channel_once_per_round(monkeypatch, fn, applications):
+    mm = random_model(2, 2, 3, 2, 124)
+    calls = []
+    original = KrausOperation.apply_matrix
+
+    def counting(self, m):
+        calls.append(m.shape)
+        return original(self, m)
+
+    monkeypatch.setattr(KrausOperation, "apply_matrix", counting)
+    _instrument_call(fn, mm, State(random_density(2, 125)), State(random_density(2, 126)))
+    assert len(calls) == applications
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +496,12 @@ def test_remeasure_matches_three_system_reference(n, dk):
     rng = np.random.default_rng(100 * n + dk)
     mm = random_model(n, dk, 3, 2, rng, context=Context.random(n, rng))
     rho = State(random_density(n, rng))
-    for x in mm.meter.labels:
+    closed = remeasured_effect(mm, rho)
+    oracle = remeasured_effect_two_round(mm, rho)
+    for x, out, brute in zip(mm.meter.labels, closed, oracle):
         reference = _three_system_remeasured_effect(mm, rho, x)
-        assert max_abs(remeasured_effect(mm, rho, x) - reference) < 1e-12
-        assert max_abs(remeasured_effect_two_round(mm, rho, x) - reference) < 1e-12
+        assert max_abs(out - reference) < 1e-12
+        assert max_abs(brute - reference) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -468,17 +517,10 @@ def test_remeasure_matches_two_round_oracle(n, dk, outcomes, kraus_count, seed):
     mm = random_model(n, dk, outcomes, kraus_count, rng, context=Context.random(n, rng))
     rho = State(random_density(n, rng))
     total = 0.0
-    for x in mm.meter.labels:
-        closed = remeasured_effect(mm, rho, x)
-        assert max_abs(closed - remeasured_effect_two_round(mm, rho, x)) <= 1e-12
+    for closed, oracle in zip(remeasured_effect(mm, rho), remeasured_effect_two_round(mm, rho)):
+        assert max_abs(closed - oracle) <= 1e-12
         total = total + closed
     assert max_abs(total - n * mm.nd.context.dephase(rho.matrix)) <= 1e-12
-
-
-def test_remeasured_effect_rejects_unknown_labels():
-    mm = random_model(2, 2, 2, 1, 95)
-    with pytest.raises(KeyError):
-        remeasured_effect(mm, State(np.eye(2) / 2), "missing")
 
 
 def test_remeasure_unitary_case_matches_explicit_double_product():
@@ -487,7 +529,7 @@ def test_remeasure_unitary_case_matches_explicit_double_product():
     eta = mm.probe_state.matrix
     rho = State(random_density(3, 97))
     weights = nd.context.weights(rho.matrix)
-    for x in mm.meter.labels:
+    for x, out in zip(mm.meter.labels, remeasured_effect(mm, rho)):
         f = mm.meter.effect_matrix(x)
         diag = np.zeros(3)
         for i in range(3):
@@ -495,7 +537,7 @@ def test_remeasure_unitary_case_matches_explicit_double_product():
                 w = nd.table[i][0] @ nd.table[j][0]
                 diag[i] += np.trace(w @ eta @ w.conj().T @ f).real
         explicit = (nd.context.basis * (diag * weights)) @ nd.context.basis.conj().T
-        assert max_abs(explicit - remeasured_effect(mm, rho, x)) < 1e-10
+        assert max_abs(explicit - out) < 1e-10
 
 
 def test_remeasure_identity_table_scales_the_dephased_state():
@@ -507,16 +549,16 @@ def test_remeasure_identity_table_scales_the_dephased_state():
     mm = MeasurementModel(n, dk, eta, nd, meter)
     rho = State(random_density(n, 101))
     dephased = ctx.dephase(rho.matrix)
-    for x in meter.labels:
+    for x, out in zip(meter.labels, remeasured_effect(mm, rho)):
         scale = np.trace(eta.matrix @ meter.effect_matrix(x)).real
         # every atom pair contributes once, so the inner sum scales by n
-        assert max_abs(remeasured_effect(mm, rho, x) - n * scale * dephased) < 1e-10
+        assert max_abs(out - n * scale * dephased) < 1e-10
 
 
 def test_remeasure_outcome_sum_is_scaled_dephasing():
     mm = random_model(3, 2, 3, 2, 102, context=Context.random(3, 103))
     rho = State(random_density(3, 104))
-    total = sum(remeasured_effect(mm, rho, x) for x in mm.meter.labels)
+    total = sum(remeasured_effect(mm, rho))
     dephased = mm.nd.context.dephase(rho.matrix)
     assert max_abs(total - 3 * dephased) < 1e-10
 
@@ -527,6 +569,6 @@ def test_remeasure_is_affine_in_the_state():
     states = [State(random_density(2, rng)) for _ in range(3)]
     weights = rng.dirichlet(np.ones(3))
     mixture = State(sum(w * s.matrix for w, s in zip(weights, states)))
-    for x in mm.meter.labels:
-        mixed = sum(w * remeasured_effect(mm, s, x) for w, s in zip(weights, states))
-        assert max_abs(remeasured_effect(mm, mixture, x) - mixed) < 1e-10
+    mixed = sum(w * remeasured_effect(mm, s) for w, s in zip(weights, states))
+    for out, expected in zip(remeasured_effect(mm, mixture), mixed):
+        assert max_abs(out - expected) < 1e-10

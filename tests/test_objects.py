@@ -17,7 +17,6 @@ from nondisturbing.objects import (
     Effect,
     KrausOperation,
     Observable,
-    PartialState,
     State,
     probability,
     sharp_observable,
@@ -44,9 +43,6 @@ def test_state_enforces_unit_trace_and_psd():
         State(np.eye(2))
     with pytest.raises(ValueError, match="PSD"):
         State(np.diag([1.5, -0.5]))
-    PartialState(np.eye(2) / 4)
-    with pytest.raises(ValueError, match="trace"):
-        PartialState(np.eye(2))
 
 
 def test_observable_completeness_and_unique_labels():

@@ -105,25 +105,25 @@ def test_run_builds_one_composite_operation_and_one_direct_output_per_pair(monke
     direct_calls = []
     original_direct = nondisturbing.scenario.measured_instrument_direct
 
-    def counting_direct(mm, x, rho):
-        direct_calls.append((x, id(rho)))
-        return original_direct(mm, x, rho)
+    def counting_direct(mm, rho):
+        direct_calls.append(id(rho))
+        return original_direct(mm, rho)
 
     monkeypatch.setattr(KrausOperation, "__post_init__", counting_init)
     monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_direct", counting_direct)
     report = run_scenario(scenario)
     assert report["pass"]
     assert len(built) == 1
-    assert len(direct_calls) == 6
-    assert len(set(direct_calls)) == 6
+    assert len(direct_calls) == 2
+    assert len(set(direct_calls)) == 2
 
 
 def test_scenario_and_verify_run_the_same_instrument_check(monkeypatch):
     original = nondisturbing.scenario.measured_instrument_direct
 
-    def shifted(mm, x, rho):
-        matrix = original(mm, x, rho).matrix
-        return types.SimpleNamespace(matrix=matrix + 1e-3 * np.eye(matrix.shape[0]))
+    def shifted(mm, rho):
+        outs = original(mm, rho)
+        return outs + 1e-3 * np.eye(outs.shape[-1])
 
     monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_direct", shifted)
     report = run_scenario(scenario_from_json(_nd_document(2, 2, 2, 30)))
@@ -138,9 +138,8 @@ def test_nan_closed_forms_give_nan_folded_residuals(monkeypatch):
     original_instrument = nondisturbing.scenario.measured_instrument_nd
     original_observable = nondisturbing.scenario.measured_observable_nd
 
-    def nan_instrument(mm, x, rho):
-        matrix = original_instrument(mm, x, rho).matrix
-        return types.SimpleNamespace(matrix=np.full_like(matrix, np.nan))
+    def nan_instrument(mm, rho):
+        return np.full_like(original_instrument(mm, rho), np.nan)
 
     def nan_observable(mm):
         obs = original_observable(mm)

@@ -15,12 +15,6 @@ def _nan_like(matrix):
     return np.full_like(matrix, np.nan)
 
 
-def _nan_matrix(original):
-    def patched(*args):
-        return types.SimpleNamespace(matrix=_nan_like(original(*args).matrix))
-    return patched
-
-
 def _nan_observable(original):
     def patched(mm):
         obs = original(mm)
@@ -39,17 +33,17 @@ def _nan_array(original):
 # (closed form, module whose binding is replaced, NaN wrapper, families that
 # must fail); the scenario bindings drive the three model families.
 CASES = [
-    ("measured_instrument_nd", nondisturbing.scenario, _nan_matrix,
+    ("measured_instrument_nd", nondisturbing.scenario, _nan_array,
      {"measured-instrument"}),
     ("measured_observable_nd", nondisturbing.scenario, _nan_observable,
      {"measured-instrument"}),
-    ("post_probe_instrument_nd", nondisturbing.scenario, _nan_matrix, {"post-probe"}),
+    ("post_probe_instrument_nd", nondisturbing.scenario, _nan_array, {"post-probe"}),
     ("remeasured_effect", nondisturbing.scenario, _nan_array, {"remeasurement"}),
-    ("measured_instrument_nd", nondisturbing.verify, _nan_matrix,
+    ("measured_instrument_nd", nondisturbing.verify, _nan_array,
      {"fourier-family", "unitary-specialization"}),
     ("measured_observable_nd", nondisturbing.verify, _nan_observable,
      {"fourier-family", "swap-family", "unitary-specialization"}),
-    ("post_probe_instrument_nd", nondisturbing.verify, _nan_matrix,
+    ("post_probe_instrument_nd", nondisturbing.verify, _nan_array,
      {"unitary-specialization"}),
     ("remeasured_effect", nondisturbing.verify, _nan_array, {"remeasurement"}),
 ]
