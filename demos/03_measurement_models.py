@@ -20,7 +20,6 @@ from nondisturbing import (
     post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
-    probability,
     random_density,
     random_model,
     remeasured_effect,
@@ -41,13 +40,11 @@ for x, closed, direct in instrument:
 
 print("\n=== Measured observable ===")
 observable = measured_observable_nd(model)
-total = sum(observable.effect_matrix(x) for x in observable.labels)
-print("completeness defect:", max_abs(total - np.eye(3)))
+print("completeness defect:", max_abs(observable.effects.sum(axis=0) - np.eye(3)))
 print("probabilities from the observable:",
-      [round(probability(rho, observable.effect(x)), 4) for x in observable.labels])
+      [round(float(np.trace(rho.matrix @ e).real), 4) for e in observable.effects])
 print("every effect is diagonal in the context:",
-      all(model.nd.context.is_measurable(observable.effect_matrix(x))
-          for x in observable.labels))
+      all(model.nd.context.is_measurable(e) for e in observable.effects))
 
 print("\n=== Post-interaction probe ===")
 sigma = State(random_density(2, 4))
@@ -62,9 +59,7 @@ for x, closed, direct in probe_instrument:
 print("\n=== The probe observable at each context atom ===")
 for i in range(model.dim_base):
     obs = post_probe_observable(model, State(model.nd.context.atom(i)))
-    defect = max_abs(
-        sum(obs.effect_matrix(x) for x in obs.labels) - np.eye(2)
-    )
+    defect = max_abs(obs.effects.sum(axis=0) - np.eye(2))
     print(f"atom {i}: probe observable completeness defect {defect:.2e}")
 
 print("\n=== Remeasuring with the state-dependent meter ===")

@@ -34,11 +34,9 @@ from .linalg import (
 )
 from .objects import (
     Context,
-    Effect,
     KrausOperation,
     Observable,
     State,
-    probability,
     sharp_observable,
 )
 from .probes import (

@@ -3,10 +3,11 @@
 A channel is nondisturbing for a context when it has a Kraus
 decomposition in which every Kraus operator splits into per-atom probe
 blocks.  The canonical representation here is the probe table
-``table[i][k]``: row ``i`` collects the probe-side Kraus operators tied
-to context atom ``i``, and each row is itself a channel on the probe
-space.  The composite Kraus operators are derived from the table once
-and held by one ``KrausOperation``; channels compare by their tables.
+``table[i, k]``, one stacked array: row ``i`` collects the probe-side
+Kraus operators tied to context atom ``i``, and each row is itself a
+channel on the probe space.  The composite Kraus operators are derived
+from the table once and held by one ``KrausOperation``; channels compare
+by their tables.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_ATOL,
     as_complex_matrix,
+    as_complex_stack,
     max_abs,
     random_kraus_channel,
 )
@@ -42,39 +44,40 @@ __all__ = [
 class NDChannel:
     """Nondisturbing channel given by its probe table.
 
-    ``table[i][k]`` is the probe-side Kraus operator for context atom
-    ``i`` and Kraus index ``k``.  Every row must satisfy the channel
-    completeness relation on the probe space.
+    ``table`` is one read-only array of shape
+    ``(dim_base, kraus_count, dim_probe, dim_probe)``: ``table[i, k]`` is
+    the probe-side Kraus operator for context atom ``i`` and Kraus index
+    ``k``.  Every row must satisfy the channel completeness relation on
+    the probe space.
     """
 
     context: Context
-    table: tuple[tuple[np.ndarray, ...], ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(
-            tuple(as_complex_matrix(b, f"table[{i}][{k}]") for k, b in enumerate(row))
-            for i, row in enumerate(self.table)
-        )
-        if len(rows) != self.context.dim:
+        if len(self.table) != self.context.dim:
             raise ValueError(
                 f"need one table row per context atom: "
-                f"{len(rows)} rows for dimension {self.context.dim}"
+                f"{len(self.table)} rows for dimension {self.context.dim}"
             )
-        counts = {len(row) for row in rows}
+        counts = {len(row) for row in self.table}
         if counts == {0} or len(counts) != 1:
             raise ValueError(f"table rows must share one nonzero length, got {counts}")
-        shapes = {b.shape for row in rows for b in row}
-        if len(shapes) != 1 or rows[0][0].shape[0] != rows[0][0].shape[1]:
+        shapes = {np.shape(b) for row in self.table for b in row}
+        shape = next(iter(shapes))
+        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"table entries must be square and same-shaped, got {shapes}")
-        eye = np.eye(rows[0][0].shape[0])
-        for i, row in enumerate(rows):
-            defect = max_abs(sum(b.conj().T @ b for b in row) - eye)
-            if defect > DEFAULT_ATOL:
-                raise ValueError(
-                    f"table row {i} is not a channel on the probe space "
-                    f"(completeness defect {defect:.3e})"
-                )
-        object.__setattr__(self, "table", rows)
+        table = as_complex_stack(self.table, "table")
+        gram = (np.conj(np.swapaxes(table, -1, -2)) @ table).sum(axis=1)
+        defects = np.abs(gram - np.eye(shape[0])).max(axis=(1, 2))
+        bad = np.flatnonzero(defects > DEFAULT_ATOL)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"table row {i} is not a channel on the probe space "
+                f"(completeness defect {defects[i]:.3e})"
+            )
+        object.__setattr__(self, "table", table)
 
     @property
     def dim_base(self) -> int:
@@ -82,18 +85,16 @@ class NDChannel:
 
     @property
     def dim_probe(self) -> int:
-        return self.table[0][0].shape[0]
+        return self.table.shape[2]
 
     @property
     def kraus_count(self) -> int:
-        return len(self.table[0])
+        return self.table.shape[1]
 
-    @cached_property
+    @property
     def table_array(self) -> np.ndarray:
-        """Stacked table with shape (dim_base, kraus_count, dim_probe, dim_probe)."""
-        arr = np.array([[b for b in row] for row in self.table])
-        arr.setflags(write=False)
-        return arr
+        """The same object as :attr:`table`, kept under the name the benchmark reads."""
+        return self.table
 
     @cached_property
     def induced_kraus(self) -> tuple[np.ndarray, ...]:
@@ -106,8 +107,8 @@ class NDChannel:
         # the composite completeness check.
         return KrausOperation(
             tuple(
-                ProbeDecomposition(self.context, column).assemble()
-                for column in zip(*self.table)
+                ProbeDecomposition(self.context, self.table[:, k]).assemble()
+                for k in range(self.kraus_count)
             )
         )
 
@@ -147,10 +148,7 @@ def nd_channel_from_kraus(
     defect = max_abs(total - np.eye(context.dim * dim_probe))
     if defect > DEFAULT_ATOL:
         raise ValueError(f"kraus family is not a channel (defect {defect:.3e})")
-    table = tuple(
-        tuple(b[i] for b in blocks) for i in range(context.dim)
-    )
-    return NDChannel(context, table)
+    return NDChannel(context, np.stack(blocks, axis=1))
 
 
 def random_nd_channel(
@@ -158,10 +156,7 @@ def random_nd_channel(
 ) -> NDChannel:
     """Random nondisturbing channel: one random probe channel per atom."""
     rng = np.random.default_rng(seed)
-    table = tuple(
-        tuple(random_kraus_channel(dim_probe, kraus_count, rng))
-        for _ in range(context.dim)
-    )
+    table = [random_kraus_channel(dim_probe, kraus_count, rng) for _ in range(context.dim)]
     return NDChannel(context, table)
 
 
@@ -173,7 +168,7 @@ def pair_overlap_kernel(
     With ``weight`` omitted, ``W`` is the identity.  These kernels drive
     every closed form for measured and reduced outputs.
     """
-    t = nd.table_array
+    t = nd.table
     left = t @ eta
     right = np.conj(np.swapaxes(t, -1, -2))
     if weight is not None:
@@ -189,7 +184,7 @@ def probe_outputs(nd: NDChannel, sigma: np.ndarray) -> np.ndarray:
     per atom for every input.  Computed as batched matrix products over
     the stacked table.
     """
-    t = nd.table_array
+    t = nd.table
     stacked = np.asarray(sigma, dtype=complex)[..., None, None, :, :]
     return (t @ stacked @ np.conj(np.swapaxes(t, -1, -2))).sum(axis=-3)
 
@@ -215,7 +210,7 @@ def apply_product(nd: NDChannel, rho: State, eta: State) -> np.ndarray:
     overlaps = basis.conj().T @ rho.matrix @ basis
     # blocks[i, j] = sum_k B_i^k eta B_j^k*; kept apart from the reduced
     # closed forms, which this output checks through its partial traces.
-    t = nd.table_array
+    t = nd.table
     blocks = np.einsum("ikab,jkcb->ijac", t @ eta.matrix, t.conj())
     n, dk = nd.dim_base, nd.dim_probe
     out = np.einsum("ij,ai,cj,ijbd->abcd", overlaps, basis, basis.conj(), blocks)

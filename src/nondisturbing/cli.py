@@ -25,6 +25,17 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
 
+def _tolerance(text: str) -> float:
+    """Type of every ``--tol``: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nondisturbing",
@@ -40,12 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--max-dim", type=int, default=4)
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=_tolerance, default=1e-9)
 
     run = sub.add_parser("run", help="Run a JSON scenario and emit a JSON report")
     run.add_argument("scenario", help="Path to the scenario JSON file")
     run.add_argument("-o", "--output", default=None, help="Report path (default stdout)")
-    run.add_argument("--tol", type=float, default=None, help="Override the scenario tolerance")
+    run.add_argument("--tol", type=_tolerance, default=None, help="Override the scenario tolerance")
 
     example = sub.add_parser("example", help="Run a built-in model family")
     example.add_argument("family", choices=["swap", "fourier"])
@@ -56,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'sharp' or a path to an observable JSON file",
     )
     example.add_argument("-o", "--output", default=None)
-    example.add_argument("--tol", type=float, default=1e-10)
+    example.add_argument("--tol", type=_tolerance, default=1e-10)
     return parser
 
 
@@ -80,8 +91,6 @@ def _cmd_verify(args) -> int:
         raise _UsageError("--trials must be >= 1")
     if args.max_dim < 2:
         raise _UsageError("--max-dim must be >= 2")
-    if args.tol <= 0:
-        raise _UsageError("--tol must be positive")
     results, ok = run_verification(args.seed, args.trials, args.max_dim, args.tol)
     sys.stdout.write(format_summary(results, args.seed, args.trials, args.max_dim, args.tol))
     return EXIT_PASS if ok else EXIT_NUMERICAL
@@ -103,8 +112,6 @@ def _read_json(path: str) -> Any:
 def _cmd_run(args) -> int:
     scenario = scenario_from_json(_read_json(args.scenario))
     if args.tol is not None:
-        if args.tol <= 0:
-            raise _UsageError("--tol must be positive")
         scenario = Scenario(
             scenario.model, scenario.inputs, scenario.requests, args.tol, scenario.seed
         )
@@ -112,8 +119,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    if args.tol <= 0:
-        raise _UsageError("--tol must be positive")
     spec: dict[str, Any] = {"name": args.family, "n": args.n}
     if args.family == "fourier":
         if args.m is None:

@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_ATOL",
     "CONSTRUCTION_ATOL",
     "as_complex_matrix",
+    "as_complex_stack",
     "max_abs",
     "fold_max",
     "hermitian_part",
@@ -58,9 +59,18 @@ CONSTRUCTION_ATOL = 1e-12
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a read-only complex matrix with finite entries."""
-    arr = np.array(m, dtype=complex, order="C")
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
+    if np.ndim(m) != 2:
+        raise ValueError(f"{name} must be two-dimensional, got shape {np.shape(m)}")
+    return as_complex_stack(m, name)
+
+
+def as_complex_stack(family, name: str) -> np.ndarray:
+    """Coerce a family of same-shaped matrices to one read-only complex array.
+
+    ``family`` is an array whose last two axes index each matrix, or
+    nested sequences of matrices; callers check the shapes first.
+    """
+    arr = np.array(family, dtype=complex, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)

@@ -105,8 +105,8 @@ class MeasurementModel:
         outcomes in the order of ``meter.labels``; shape
         ``(outcomes, dim_base, dim_probe, dim_probe)``.
         """
-        t = self.nd.table_array
-        meter = _meter_stack(self)[:, None, None]
+        t = self.nd.table
+        meter = self.meter.effects[:, None, None]
         out = (np.conj(np.swapaxes(t, -1, -2)) @ meter @ t).sum(axis=2)
         out.setflags(write=False)
         return out
@@ -125,11 +125,6 @@ class MeasurementModel:
         if isinstance(self.channel, NDChannel):
             return self.channel.as_operation()
         return self.channel
-
-
-def _meter_stack(mm: MeasurementModel) -> np.ndarray:
-    """Meter effects stacked in label order, shape (outcomes, dim_probe, dim_probe)."""
-    return np.array([effect.matrix for _, effect in mm.meter.outcomes])
 
 
 def _check_inputs(mm: MeasurementModel, rho: State, sigma: State | None = None) -> None:
@@ -157,9 +152,9 @@ def measured_instrument_direct(mm: MeasurementModel, rho: State) -> np.ndarray:
     )
     return np.array([
         hermitian_part(partial_trace(
-            interacted @ kron(np.eye(n), effect.matrix), n, dk, over="right"
+            interacted @ kron(np.eye(n), effect), n, dk, over="right"
         ))
-        for _, effect in mm.meter.outcomes
+        for effect in mm.meter.effects
     ])
 
 
@@ -178,7 +173,7 @@ def measured_instrument_nd(mm: MeasurementModel, rho: State) -> np.ndarray:
             basis @ (pair_overlap_kernel(nd, mm.probe_state.matrix, f) * overlaps)
             @ basis.conj().T
         )
-        for f in _meter_stack(mm)
+        for f in mm.meter.effects
     ])
 
 
@@ -190,7 +185,7 @@ def measured_observable_nd(mm: MeasurementModel) -> Observable:
     context and therefore commute pairwise.
     """
     basis = mm.nd.context.basis
-    diag = np.real(np.einsum("iab,xba->xi", mm.evolved_probe, _meter_stack(mm)))
+    diag = np.real(np.einsum("iab,xba->xi", mm.evolved_probe, mm.meter.effects))
     effects = (basis * diag[:, None, :]) @ basis.conj().T
     return Observable.from_matrices(effects, mm.meter.labels)
 
@@ -208,8 +203,8 @@ def post_probe_instrument_direct(mm: MeasurementModel, rho: State, sigma: State)
     n, dk = mm.dim_base, mm.dim_probe
     interacted = mm.channel_operation().apply_matrix(kron(rho.matrix, sigma.matrix))
     out = []
-    for _, effect in mm.meter.outcomes:
-        root = kron(np.eye(n), psd_sqrt(effect.matrix))
+    for effect in mm.meter.effects:
+        root = kron(np.eye(n), psd_sqrt(effect))
         out.append(hermitian_part(partial_trace(root @ interacted @ root, n, dk, over="left")))
     return np.array(out)
 
@@ -224,7 +219,7 @@ def post_probe_instrument_nd(mm: MeasurementModel, rho: State, sigma: State) -> 
     weights = nd.context.weights(rho.matrix)
     mixed = np.tensordot(weights, probe_outputs(nd, sigma.matrix), axes=1)
     return np.array([
-        hermitian_part(root @ mixed @ root) for root in map(psd_sqrt, _meter_stack(mm))
+        hermitian_part(root @ mixed @ root) for root in map(psd_sqrt, mm.meter.effects)
     ])
 
 
@@ -259,7 +254,7 @@ def remeasured_effect(mm: MeasurementModel, rho: State) -> np.ndarray:
     basis = nd.context.basis
     weights = nd.context.weights(rho.matrix)
     out = []
-    for meter in _meter_stack(mm):
+    for meter in mm.meter.effects:
         coeff = np.real(np.einsum("iab,ba->i", twice, meter))
         out.append(hermitian_part((basis * (coeff * weights)) @ basis.conj().T))
     return np.array(out)

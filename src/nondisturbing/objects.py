@@ -1,9 +1,11 @@
 """Validated value types for finite-dimensional quantum objects.
 
-Effects, states, observables, Kraus channels and measurement contexts.
-Every type validates its defining invariants at construction at the
-fixed tolerance ``DEFAULT_ATOL``, so invalid objects are unrepresentable
-downstream.  Instances are immutable and safe to share.
+States, observables, Kraus channels and measurement contexts.  An
+observable holds its outcome labels and its effects as one stacked
+array, validated in one batched pass.  Every type validates its
+defining invariants at construction at the fixed tolerance
+``DEFAULT_ATOL``, so invalid objects are unrepresentable downstream.
+Instances are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -17,18 +19,17 @@ import numpy as np
 from .linalg import (
     DEFAULT_ATOL,
     as_complex_matrix,
+    as_complex_stack,
     is_hermitian,
     max_abs,
     random_unitary,
 )
 
 __all__ = [
-    "Effect",
     "State",
     "Observable",
     "KrausOperation",
     "Context",
-    "probability",
     "sharp_observable",
 ]
 
@@ -38,28 +39,6 @@ def _validated_square(m, name: str) -> np.ndarray:
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Effect:
-    """Hermitian operator sitting between 0 and the identity."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _validated_square(self.matrix, "effect")
-        if not is_hermitian(m):
-            raise ValueError("effect must be Hermitian")
-        w = np.linalg.eigvalsh(m)
-        if float(w[0]) < -DEFAULT_ATOL or float(w[-1]) > 1 + DEFAULT_ATOL:
-            raise ValueError(
-                f"effect spectrum must lie in [0, 1], got [{w[0]:.3e}, {w[-1]:.3e}]"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,25 +70,48 @@ class State:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Outcome-labeled family of effects summing to the identity."""
+    """Outcome-labeled family of effects summing to the identity.
 
-    outcomes: tuple[tuple[str, Effect], ...]
+    ``effects`` is one read-only array of shape ``(outcomes, dim, dim)``:
+    ``effects[x]`` is the effect of outcome ``labels[x]``, a Hermitian
+    operator with spectrum in [0, 1].
+    """
+
+    labels: tuple[str, ...]
+    effects: np.ndarray
 
     def __post_init__(self):
-        outcomes = tuple((str(label), effect) for label, effect in self.outcomes)
-        if not outcomes:
+        labels = tuple(str(label) for label in self.labels)
+        if not labels:
             raise ValueError("observable needs at least one outcome")
-        labels = [label for label, _ in outcomes]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"outcome labels must be unique, got {labels}")
-        dims = {effect.dim for _, effect in outcomes}
-        if len(dims) != 1:
-            raise ValueError(f"effects must share one dimension, got {sorted(dims)}")
-        total = sum(effect.matrix for _, effect in outcomes)
-        defect = max_abs(total - np.eye(dims.pop()))
+            raise ValueError(f"outcome labels must be unique, got {list(labels)}")
+        if len(self.effects) != len(labels):
+            raise ValueError(
+                f"need one effect per outcome label: "
+                f"{len(self.effects)} effects for {len(labels)} labels"
+            )
+        shapes = {np.shape(m) for m in self.effects}
+        for shape in shapes:
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"effect must be square, got shape {shape}")
+        if len(shapes) != 1:
+            raise ValueError(
+                f"effects must share one dimension, got {sorted(s[0] for s in shapes)}"
+            )
+        effects = as_complex_stack(self.effects, "effect")
+        if max_abs(effects - np.conj(np.swapaxes(effects, -1, -2))) > DEFAULT_ATOL:
+            raise ValueError("effect must be Hermitian")
+        w = np.linalg.eigvalsh(effects)
+        outside = (w[:, 0] < -DEFAULT_ATOL) | (w[:, -1] > 1 + DEFAULT_ATOL)
+        if outside.any():
+            lo, hi = w[np.argmax(outside)][[0, -1]]
+            raise ValueError(f"effect spectrum must lie in [0, 1], got [{lo:.3e}, {hi:.3e}]")
+        defect = max_abs(effects.sum(axis=0) - np.eye(effects.shape[1]))
         if defect > DEFAULT_ATOL:
             raise ValueError(f"effects must sum to the identity (defect {defect:.3e})")
-        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "effects", effects)
 
     @classmethod
     def from_matrices(
@@ -118,26 +120,17 @@ class Observable:
         mats = list(matrices)
         if labels is None:
             labels = [str(i) for i in range(len(mats))]
-        return cls(
-            tuple((label, Effect(m)) for label, m in zip(labels, mats, strict=True))
-        )
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.outcomes)
+        return cls(tuple(labels), mats)
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0][1].dim
-
-    def effect(self, label: str) -> Effect:
-        for known, effect in self.outcomes:
-            if known == label:
-                return effect
-        raise KeyError(f"unknown outcome label {label!r}")
+        return self.effects.shape[1]
 
     def effect_matrix(self, label: str) -> np.ndarray:
-        return self.effect(label).matrix
+        try:
+            return self.effects[self.labels.index(label)]
+        except ValueError:
+            raise KeyError(f"unknown outcome label {label!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +223,6 @@ class Context:
         """True iff ``m`` is a combination of the atoms (diagonal in this basis)."""
         inner = self.basis.conj().T @ np.asarray(m, dtype=complex) @ self.basis
         return max_abs(inner - np.diag(np.diagonal(inner))) <= atol
-
-
-def probability(rho: State, a: Effect) -> float:
-    """Outcome probability ``tr(rho a)``, clamped to [0, 1] on output."""
-    if rho.dim != a.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, effect {a.dim}")
-    value = float(np.trace(rho.matrix @ a.matrix).real)
-    return min(max(value, 0.0), 1.0)
 
 
 def sharp_observable(dim: int) -> Observable:

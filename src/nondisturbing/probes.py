@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_ATOL,
-    as_complex_matrix,
+    as_complex_stack,
     is_effect_matrix,
     is_hermitian,
     is_projection_matrix,
@@ -45,22 +45,26 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProbeDecomposition:
-    """A nondisturbing operator split into its per-atom probe blocks."""
+    """A nondisturbing operator split into its per-atom probe blocks.
+
+    ``probes`` is one read-only array of shape ``(dim_base, dim_probe,
+    dim_probe)``; ``probes[i]`` is the block of context atom ``i``.
+    """
 
     context: Context
-    probes: tuple[np.ndarray, ...]
+    probes: np.ndarray
 
     def __post_init__(self):
-        probes = tuple(as_complex_matrix(b, "probe block") for b in self.probes)
-        if len(probes) != self.context.dim:
+        if len(self.probes) != self.context.dim:
             raise ValueError(
                 f"need one probe block per context atom: "
-                f"{len(probes)} blocks for dimension {self.context.dim}"
+                f"{len(self.probes)} blocks for dimension {self.context.dim}"
             )
-        shapes = {b.shape for b in probes}
-        if len(shapes) != 1 or probes[0].shape[0] != probes[0].shape[1]:
+        shapes = {np.shape(b) for b in self.probes}
+        shape = next(iter(shapes), ())
+        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"probe blocks must be square and same-shaped, got {shapes}")
-        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "probes", as_complex_stack(self.probes, "probe block"))
 
     @property
     def dim_base(self) -> int:
@@ -80,13 +84,11 @@ class ProbeDecomposition:
         n, dk = self.dim_base, self.dim_probe
         basis = self.context.basis
         # placed[i, p, b, q] = B_i[p, q] conj(V[b, i]) is blockdiag(B) (V* (x) I)
-        placed = np.asarray(self.probes)[:, :, None, :] * basis.conj().T[:, None, :, None]
+        placed = self.probes[:, :, None, :] * basis.conj().T[:, None, :, None]
         return (basis @ placed.reshape(n, -1)).reshape(n * dk, n * dk)
 
     def adjoint(self) -> "ProbeDecomposition":
-        return ProbeDecomposition(
-            self.context, tuple(b.conj().T for b in self.probes)
-        )
+        return ProbeDecomposition(self.context, np.conj(np.swapaxes(self.probes, -1, -2)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def extract_probes(a, context: Context, dim_probe: int) -> ProbeDecomposition:
             f"operator is not nondisturbing for this context "
             f"(largest commutator norm {defect:.3e} > {DEFAULT_ATOL:.3e})"
         )
-    return ProbeDecomposition(context, tuple(_probe_blocks(arr, context, dim_probe)))
+    return ProbeDecomposition(context, _probe_blocks(arr, context, dim_probe))
 
 
 def extract_probes_by_matrix_elements(
@@ -222,7 +224,7 @@ def extract_probes_by_matrix_elements(
         bra = kron(v, probe_basis).conj().T     # rows <v_i (x) u_j|
         ket = arr @ kron(v, eye)                # columns A(v_i (x) e_l)
         blocks.append(probe_basis @ (bra @ ket))
-    return ProbeDecomposition(context, tuple(blocks))
+    return ProbeDecomposition(context, blocks)
 
 
 def closed_form_partial_traces(decomp: ProbeDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +265,7 @@ def classify(decomp: ProbeDecomposition, atol: float = DEFAULT_ATOL) -> ProbeFla
 
 def reduced_trace_flags(decomp: ProbeDecomposition, atol: float = DEFAULT_ATOL) -> ReducedTraceFlags:
     """Classify the probe-traced operator from the block traces alone."""
-    traces = np.array([np.trace(b) for b in decomp.probes])
+    traces = np.trace(decomp.probes, axis1=1, axis2=2)
     real = bool(np.all(np.abs(traces.imag) <= atol))
     return ReducedTraceFlags(
         self_adjoint=real,
@@ -312,7 +314,7 @@ def conjugate(decomp: ProbeDecomposition, base_factor, probe_factor) -> np.ndarr
         raise ValueError(f"probe factor must be {dk} x {dk}, got {d.shape}")
     basis = decomp.context.basis
     weights = basis.conj().T @ b @ basis                       # <v_i, B v_j>
-    stacked = np.asarray(decomp.probes).reshape(n * dk, dk)   # rows of B_i
+    stacked = decomp.probes.reshape(n * dk, dk)               # rows of B_i
     # placed[i, p, j, q] = <v_i, B v_j> (B_i D B_j*)[p, q]
     placed = ((stacked @ d) @ stacked.conj().T).reshape(n, dk, n, dk)
     placed *= weights[:, None, :, None]

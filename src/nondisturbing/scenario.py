@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -115,8 +116,10 @@ def scenario_from_json(obj: Any) -> Scenario:
         raise SchemaError("scenario", "exactly one of 'channel' or 'example' is required")
 
     tolerance = obj.get("tol", 1e-10)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or tolerance <= 0:
-        raise SchemaError("tol", "must be a positive number")
+    number = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
+    # The upper bound also refuses a JSON integer too large for a float.
+    if not (number and 0 < tolerance <= sys.float_info.max):
+        raise SchemaError("tol", "must be a positive finite number")
     seed = obj.get("seed")
     if seed is not None and not _is_int(seed):
         raise SchemaError("seed", "must be an integer when present")
@@ -217,7 +220,7 @@ def _check_instrument(mm: MeasurementModel, inputs, sigma, direct):
 
 def _check_observable(mm: MeasurementModel, inputs, sigma, direct):
     obs = measured_observable_nd(mm)
-    mats = [obs.effect_matrix(x) for x in obs.labels]
+    mats = obs.effects
     residuals = {"observable.completeness": max_abs(sum(mats) - np.eye(mm.dim_base))}
     worst = 0.0
     for a in range(len(mats)):
@@ -237,7 +240,7 @@ def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
     produced, residuals = [], {}
     for i, rho in enumerate(inputs):
         obs = post_probe_observable(mm, rho)
-        mats = [obs.effect_matrix(x) for x in obs.labels]
+        mats = obs.effects
         residuals[f"post_probe.state{i}.completeness"] = max_abs(
             sum(mats) - np.eye(mm.dim_probe)
         )

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .linalg import as_complex_matrix
-from .objects import Context, Effect, Observable
+from .objects import Context, Observable
 from .channels import NDChannel
 
 __all__ = [
@@ -84,8 +84,8 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
 def observable_to_json(obs: Observable) -> dict[str, Any]:
     return {
         "outcomes": [
-            {"label": label, "effect": matrix_to_json(effect.matrix)}
-            for label, effect in obs.outcomes
+            {"label": label, "effect": matrix_to_json(effect)}
+            for label, effect in zip(obs.labels, obs.effects)
         ]
     }
 
@@ -96,16 +96,16 @@ def observable_from_json(obj, path: str = "observable") -> Observable:
     outcomes = obj["outcomes"]
     if not isinstance(outcomes, list) or not outcomes:
         raise SchemaError(f"{path}.outcomes", "must be a non-empty list")
-    pairs = []
+    labels, effects = [], []
     for idx, entry in enumerate(outcomes):
         where = f"{path}.outcomes[{idx}]"
         if not isinstance(entry, dict) or "label" not in entry or "effect" not in entry:
             raise SchemaError(where, "expected an object with 'label' and 'effect'")
         if not isinstance(entry["label"], str):
             raise SchemaError(where, "label must be a string")
-        matrix = matrix_from_json(entry["effect"], f"{where}.effect")
-        pairs.append((entry["label"], Effect(matrix)))
-    return Observable(tuple(pairs))
+        labels.append(entry["label"])
+        effects.append(matrix_from_json(entry["effect"], f"{where}.effect"))
+    return Observable(tuple(labels), effects)
 
 
 def nd_channel_to_json(nd: NDChannel) -> dict[str, Any]:
@@ -127,9 +127,6 @@ def nd_channel_from_json(obj, path: str = "channel") -> NDChannel:
         if not isinstance(row, list) or not row:
             raise SchemaError(f"{path}.table[{i}]", "must be a non-empty list")
         rows.append(
-            tuple(
-                matrix_from_json(b, f"{path}.table[{i}][{k}]")
-                for k, b in enumerate(row)
-            )
+            [matrix_from_json(b, f"{path}.table[{i}][{k}]") for k, b in enumerate(row)]
         )
-    return NDChannel(Context(basis), tuple(rows))
+    return NDChannel(Context(basis), rows)

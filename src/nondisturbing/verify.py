@@ -245,7 +245,7 @@ def _check_channel_round_trip(rng, trials, max_dim) -> float:
             worst = fold_max(worst, commutator_defect(s, context, dk))
         rebuilt = nd_channel_from_kraus(nd.induced_kraus, context, dk)
         # A round trip keeps the Kraus order, so the tables agree entrywise.
-        worst = fold_max(worst, max_abs(rebuilt.table_array - nd.table_array))
+        worst = fold_max(worst, max_abs(rebuilt.table - nd.table))
     return worst
 
 

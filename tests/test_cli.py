@@ -320,6 +320,39 @@ def test_verify_usage_errors(capsys):
     assert main(["verify", "--tol", "0"]) == 2
 
 
+def _tolerance_argv(where, value, tmp_path):
+    if where == "verify":
+        return ["verify", "--trials", "1", "--tol", value]
+    if where == "run":
+        return ["run", _write(tmp_path, "swap.json", _swap_scenario()), "--tol", value]
+    if where == "example":
+        return ["example", "swap", "--n", "2", "--tol", value]
+    doc = _swap_scenario()
+    doc["tol"] = float(value)  # json.dumps writes NaN and Infinity, json.load reads them
+    return ["run", _write(tmp_path, "tol.json", doc)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("where", ["verify", "run", "example", "scenario"])
+def test_non_finite_tolerance_exits_two(tmp_path, capsys, where, value):
+    assert main(_tolerance_argv(where, value, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a positive finite number" in captured.err
+
+
+def test_scenario_tolerance_beyond_float_range_exits_two(tmp_path, capsys):
+    doc = _swap_scenario()
+    doc["tol"] = 10**400  # a JSON integer that no float can hold
+    assert main(["run", _write(tmp_path, "tol.json", doc)]) == 2
+    assert "tol: must be a positive finite number" in capsys.readouterr().err
+
+
+def test_tolerance_flag_rejects_non_numbers(capsys):
+    assert main(["example", "swap", "--n", "2", "--tol", "tight"]) == 2
+    assert "invalid float value: 'tight'" in capsys.readouterr().err
+
+
 def test_verify_small_run_passes_and_is_deterministic(capsys):
     assert main(["verify", "--seed", "7", "--trials", "3", "--max-dim", "3"]) == 0
     first = capsys.readouterr().out

@@ -380,7 +380,7 @@ def test_instrument_takes_no_outcome_and_stacks_outcomes_in_label_order(fn):
     sigma = State(random_density(2, 123))
     flipped = MeasurementModel(
         mm.dim_base, mm.dim_probe, mm.probe_state, mm.channel,
-        Observable(mm.meter.outcomes[::-1]),
+        Observable(mm.meter.labels[::-1], mm.meter.effects[::-1]),
     )
     out = _instrument_call(fn, mm, rho, sigma)
     dim = mm.dim_probe if fn.__name__.startswith("post_probe") else mm.dim_base

@@ -14,11 +14,9 @@ from nondisturbing.linalg import (
 )
 from nondisturbing.objects import (
     Context,
-    Effect,
     KrausOperation,
     Observable,
     State,
-    probability,
     sharp_observable,
 )
 
@@ -29,12 +27,14 @@ from nondisturbing.objects import (
 
 
 def test_effect_rejects_out_of_range_spectrum():
+    eye = np.eye(2)
     with pytest.raises(ValueError, match="spectrum"):
-        Effect(1.5 * np.eye(2))
+        Observable.from_matrices([1.5 * eye, -0.5 * eye])
     with pytest.raises(ValueError, match="spectrum"):
-        Effect(np.diag([-0.2, 0.5]))
+        Observable.from_matrices([np.diag([-0.2, 0.5]), np.diag([1.2, 0.5])])
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
-        Effect(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        Observable.from_matrices([skew, eye - skew])
 
 
 def test_state_enforces_unit_trace_and_psd():
@@ -50,11 +50,42 @@ def test_observable_completeness_and_unique_labels():
     with pytest.raises(ValueError, match="sum to the identity"):
         Observable.from_matrices([eye / 2, eye / 4])
     with pytest.raises(ValueError, match="unique"):
-        Observable(
-            (("a", Effect(eye / 2)), ("a", Effect(eye / 2)))
-        )
+        Observable.from_matrices([eye / 2, eye / 2], ["a", "a"])
     obs = Observable.from_matrices([eye / 2, eye / 2], ["up", "down"])
     assert obs.labels == ("up", "down")
+
+
+def test_observable_rejects_mixed_dimensions_empty_input_and_label_count():
+    with pytest.raises(ValueError, match="share one dimension"):
+        Observable.from_matrices([np.eye(2) / 2, np.eye(3) / 2])
+    with pytest.raises(ValueError, match="square"):
+        Observable.from_matrices([np.ones((2, 3))])
+    with pytest.raises(ValueError, match="at least one outcome"):
+        Observable.from_matrices([])
+    with pytest.raises(ValueError, match="one effect per outcome label"):
+        Observable(("a", "b"), [np.eye(2)])
+
+
+def test_observable_accepts_zero_effect_and_single_outcome():
+    rho = random_density(3, 1)
+    single = Observable.from_matrices([np.eye(3)])
+    assert single.labels == ("0",)
+    assert single.effects.shape == (1, 3, 3)
+    with_zero = Observable.from_matrices([np.zeros((3, 3)), np.eye(3)], ["never", "always"])
+    assert max_abs(with_zero.effect_matrix("never")) == 0.0
+    probabilities = np.trace(rho @ with_zero.effects, axis1=1, axis2=2).real
+    assert probabilities == pytest.approx([0.0, 1.0], abs=1e-12)
+    atom = random_projection(3, 1, 2)
+    sharp = Observable.from_matrices([atom, np.eye(3) - atom])
+    assert np.trace(atom @ sharp.effects[0]).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_effect_matrix_reads_the_stack_by_label():
+    obs = Observable.from_matrices(random_povm(2, 3, 4), ["a", "b", "c"])
+    for x, label in enumerate(obs.labels):
+        assert np.array_equal(obs.effect_matrix(label), obs.effects[x])
+    with pytest.raises(KeyError, match="unknown outcome label"):
+        obs.effect_matrix("d")
 
 
 def test_kraus_operation_rejects_incomplete_family():
@@ -88,27 +119,14 @@ def test_context_atoms_sum_to_identity_and_dephase():
 
 
 # ---------------------------------------------------------------------------
-# Probabilities
+# Outcome probabilities tr(rho E_x)
 # ---------------------------------------------------------------------------
-
-
-def test_probability_trivial_cases():
-    rho = State(random_density(3, 1))
-    assert probability(rho, Effect(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
-    assert probability(rho, Effect(np.zeros((3, 3)))) == pytest.approx(0.0, abs=1e-12)
-    atom = random_projection(3, 1, 2)
-    assert probability(State(atom), Effect(atom)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_probability_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        probability(State(np.eye(2) / 2), Effect(np.eye(3)))
 
 
 def test_event_probabilities_are_additive_and_total_one():
     obs = Observable.from_matrices(random_povm(3, 4, 8))
     rho = State(random_density(3, 9))
-    total = sum(probability(rho, effect) for _, effect in obs.outcomes)
+    total = sum(np.trace(rho.matrix @ effect).real for effect in obs.effects)
     assert total == pytest.approx(1.0, abs=4e-9)
 
 
@@ -147,11 +165,11 @@ def test_dual_matrix_trace_pairing_and_positivity():
     op = KrausOperation(tuple(random_kraus_channel(3, 2, 19)))
     for seed in range(20):
         sigma = State(random_density(3, seed))
-        a = Effect(random_effect(3, seed + 500))
-        lhs = np.trace(op.apply_matrix(sigma.matrix) @ a.matrix).real
-        rhs = np.trace(sigma.matrix @ op.dual_matrix(a.matrix)).real
+        a = random_effect(3, seed + 500)
+        lhs = np.trace(op.apply_matrix(sigma.matrix) @ a).real
+        rhs = np.trace(sigma.matrix @ op.dual_matrix(a)).real
         assert abs(lhs - rhs) < 1e-10
-        assert np.linalg.eigvalsh(op.dual_matrix(a.matrix))[0] >= -1e-9
+        assert np.linalg.eigvalsh(op.dual_matrix(a))[0] >= -1e-9
 
 
 def test_dual_matrix_action_is_linear():
@@ -161,14 +179,6 @@ def test_dual_matrix_action_is_linear():
     combined = op.dual_matrix(0.25 * a + 0.5 * b)
     separate = 0.25 * op.dual_matrix(a) + 0.5 * op.dual_matrix(b)
     assert max_abs(combined - separate) < 1e-12
-
-
-def test_probability_clamps_tolerated_overshoot():
-    rho = State(np.diag([1.0, 0.0]).astype(complex))
-    slightly_over = Effect(np.diag([1.0 + 5e-10, 0.0]))
-    assert probability(rho, slightly_over) == 1.0
-    slightly_under = Effect(np.diag([-5e-10, 1.0]))
-    assert probability(rho, slightly_under) == 0.0
 
 
 def test_sharp_observable_is_projective_and_complete():

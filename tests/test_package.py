@@ -4,17 +4,19 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import nondisturbing
 from nondisturbing.channels import NDChannel
+from nondisturbing.models import random_model
 from nondisturbing.objects import (
     Context,
-    Effect,
     KrausOperation,
     Observable,
     State,
 )
+from nondisturbing.probes import ProbeDecomposition, extract_probes
 from nondisturbing.verify import FAMILY_NAMES, _FAMILIES
 
 # Public names removed from the package because no pipeline used them.
@@ -34,6 +36,9 @@ REMOVED = {
     "remeasure_apparatus",
     "remeasured_effect_by_substitution",
     "PartialState",
+    "Effect",
+    "probability",
+    "_meter_stack",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.
@@ -70,6 +75,54 @@ def test_traced_attributes_keep_their_names_and_kinds():
     assert "as_operation" in NDChannel.__dict__
     assert isinstance(NDChannel.__dict__["induced_kraus"], functools.cached_property)
     assert isinstance(Observable.__dict__["from_matrices"], classmethod)
+    # bench/workloads.py reads the probe table under its old name.
+    assert isinstance(NDChannel.__dict__["table_array"], property)
+
+
+def _stacked_families():
+    mm = random_model(3, 2, 3, 2, 5, context=Context.random(3, 6))
+    decomp = extract_probes(mm.nd.induced_kraus[0], mm.nd.context, 2)
+    return mm.meter, mm.nd, decomp
+
+
+def test_each_operator_family_is_one_stacked_array():
+    meter, nd, decomp = _stacked_families()
+    assert [f.name for f in dataclasses.fields(Observable)] == ["labels", "effects"]
+    assert not {"outcomes", "effect"} & set(vars(Observable))
+    assert nd.table_array is nd.table
+    for stack, shape in (
+        (meter.effects, (3, 2, 2)),
+        (nd.table, (3, 2, 2, 2)),
+        (decomp.probes, (3, 2, 2)),
+    ):
+        assert type(stack) is np.ndarray
+        assert stack.shape == shape
+        assert stack.dtype == complex
+
+
+# A writable stack would let a caller corrupt caches built from it, such as
+# the pulled-back meter of a model.
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["meter.effects", "nd.table", "decomp.probes"])
+def test_stacked_families_are_read_only(index):
+    meter, nd, decomp = _stacked_families()
+    stack = (meter.effects, nd.table, decomp.probes)[index]
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0] = 0
+
+
+def test_stacks_do_not_alias_the_caller_input():
+    meter, nd, decomp = _stacked_families()
+    effects, table, probes = meter.effects.copy(), nd.table.copy(), decomp.probes.copy()
+    rebuilt = (
+        Observable(meter.labels, effects),
+        NDChannel(nd.context, table),
+        ProbeDecomposition(decomp.context, probes),
+    )
+    for source in (effects, table, probes):
+        source[0] = 0
+    assert np.array_equal(rebuilt[0].effects, meter.effects)
+    assert np.array_equal(rebuilt[1].table, nd.table)
+    assert np.array_equal(rebuilt[2].probes, decomp.probes)
 
 
 def test_channels_keep_no_superoperator():
@@ -121,7 +174,7 @@ def _resolve(dotted: str):
 
 
 @pytest.mark.parametrize(
-    "cls", [Effect, State, Observable, KrausOperation, Context, NDChannel]
+    "cls", [State, Observable, KrausOperation, Context, NDChannel, ProbeDecomposition]
 )
 def test_value_types_have_no_tolerance_field(cls):
     assert "atol" not in {f.name for f in dataclasses.fields(cls)}

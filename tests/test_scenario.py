@@ -4,11 +4,13 @@ one check that both the scenario runner and ``verify`` run."""
 import types
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import nondisturbing.scenario
 from nondisturbing.channels import random_nd_channel
 from nondisturbing.linalg import random_density, random_kraus_channel, random_povm
-from nondisturbing.objects import Context, KrausOperation, Observable, sharp_observable
+from nondisturbing.models import MeasurementModel
+from nondisturbing.objects import Context, KrausOperation, Observable, State, sharp_observable
 from nondisturbing.scenario import evaluate, run_scenario, scenario_from_json
 from nondisturbing.serialization import matrix_to_json, nd_channel_to_json, observable_to_json
 from nondisturbing.verify import run_verification
@@ -143,9 +145,7 @@ def test_nan_closed_forms_give_nan_folded_residuals(monkeypatch):
 
     def nan_observable(mm):
         obs = original_observable(mm)
-        return types.SimpleNamespace(
-            labels=obs.labels, effect_matrix=lambda x: np.full_like(obs.effect_matrix(x), np.nan)
-        )
+        return types.SimpleNamespace(labels=obs.labels, effects=np.full_like(obs.effects, np.nan))
 
     monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_nd", nan_instrument)
     monkeypatch.setattr(nondisturbing.scenario, "measured_observable_nd", nan_observable)
@@ -155,3 +155,31 @@ def test_nan_closed_forms_give_nan_folded_residuals(monkeypatch):
               "observable.state1.pairing", "instrument.state0.probability_min",
               "instrument.state1.probability_min"]
     assert all(np.isnan(residuals[name]) for name in folded)
+
+
+def _pure_state(dim, rng):
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    return State(np.outer(psi, psi.conj()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    dk=st.integers(1, 4),
+    meter_kind=st.sampled_from(["single outcome", "zero effect"]),
+    kraus_count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_degenerate_meters_with_rank_one_eta_pass_every_check(n, dk, meter_kind, kraus_count, seed):
+    rng = np.random.default_rng(seed)
+    nd = random_nd_channel(Context.random(n, rng), dk, kraus_count, rng)
+    if meter_kind == "single outcome":
+        effects = [np.eye(dk)]
+    else:
+        effects = [np.zeros((dk, dk)), *random_povm(dk, 2, rng)]
+    mm = MeasurementModel(n, dk, _pure_state(dk, rng), nd, Observable.from_matrices(effects))
+    inputs = (State(random_density(n, rng)), _pure_state(n, rng))
+    _, residuals = evaluate(mm, inputs, ALL_REQUESTS, _pure_state(dk, rng))
+    assert residuals
+    assert {name: r for name, r in residuals.items() if not r <= 1e-9} == {}

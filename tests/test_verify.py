@@ -19,7 +19,9 @@ def _nan_observable(original):
     def patched(mm):
         obs = original(mm)
         return types.SimpleNamespace(
-            labels=obs.labels, effect_matrix=lambda x: _nan_like(obs.effect_matrix(x))
+            labels=obs.labels,
+            effects=_nan_like(obs.effects),
+            effect_matrix=lambda x: _nan_like(obs.effect_matrix(x)),
         )
     return patched
 
