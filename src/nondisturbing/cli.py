@@ -4,6 +4,10 @@ Exit codes: 0 all checks passed; 1 numerical failure (report still
 written, residuals included); 2 parse or usage error; 3 validation
 error (a model invariant is violated, e.g. requesting closed forms
 from a model whose channel is not nondisturbing).
+
+Reports are written byte for byte as ``json.dumps(report, indent=2,
+sort_keys=True)`` writes them, by a writer that skips the pure-Python
+indenting encoder ``json`` falls back to.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .scenario import Scenario, run_scenario, scenario_from_json
@@ -71,8 +77,67 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    """A float as json writes it: ``repr``, or ``NaN``/``Infinity``/``-Infinity``."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _is_pair_list(value: list) -> bool:
+    """True for a list of ``[float, float]`` lists, the shape of every matrix ``data``."""
+    return (
+        set(map(type, value)) == {list}
+        and set(map(len, value)) == {2}
+        and set(map(type, chain.from_iterable(value))) == {float}
+    )
+
+
+def _write_json(value: Any, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    inner = indent + "  "
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, list) and _is_pair_list(value):
+        pair, comma = f"[\n{inner}  %s,\n{inner}  %s\n{inner}]", f",\n{inner}"
+        body = comma.join([pair % (re, im) for re, im in value])
+        if "n" in body:  # str() wrote a nan or inf; json spells those differently
+            body = comma.join([pair % (_float_text(re), _float_text(im)) for re, im in value])
+        out.append(f"[\n{inner}{body}\n{indent}]")
+    elif isinstance(value, list):
+        out.append("[" if value else "[]")
+        for k, item in enumerate(value):
+            out.append(f",\n{inner}" if k else f"\n{inner}")
+            _write_json(item, inner, out)
+        out.append(f"\n{indent}]" if value else "")
+    elif isinstance(value, dict):  # encode_basestring_ascii raises TypeError on a non-str key
+        out.append("{" if value else "{}")
+        for k, key in enumerate(sorted(value)):
+            out.append(f",\n{inner}" if k else f"\n{inner}")
+            out.append(encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+        out.append(f"\n{indent}}}" if value else "")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} to a report")
+
+
 def _emit_report(report: dict[str, Any], output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _write_json(report, "", out)
+    text = "".join(out) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -91,6 +156,8 @@ def _cmd_verify(args) -> int:
         raise _UsageError("--trials must be >= 1")
     if args.max_dim < 2:
         raise _UsageError("--max-dim must be >= 2")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     results, ok = run_verification(args.seed, args.trials, args.max_dim, args.tol)
     sys.stdout.write(format_summary(results, args.seed, args.trials, args.max_dim, args.tol))
     return EXIT_PASS if ok else EXIT_NUMERICAL
@@ -119,6 +186,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    if args.n < 1:
+        raise _UsageError("--n must be >= 1")
+    if args.m is not None and args.m < 1:
+        raise _UsageError("--m must be >= 1")
     spec: dict[str, Any] = {"name": args.family, "n": args.n}
     if args.family == "fourier":
         if args.m is None:

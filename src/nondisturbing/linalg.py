@@ -102,9 +102,9 @@ def fold_max(worst: float, *residuals: float) -> float:
 
 
 def hermitian_part(m) -> np.ndarray:
-    """Return ``(m + m*) / 2``."""
+    """Return ``(m + m*) / 2`` for a matrix, or for each matrix of a stack."""
     arr = np.asarray(m, dtype=complex)
-    return (arr + arr.conj().T) / 2
+    return (arr + np.swapaxes(arr.conj(), -1, -2)) / 2
 
 
 def kron(a, b) -> np.ndarray:

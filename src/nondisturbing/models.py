@@ -142,20 +142,15 @@ def measured_instrument_direct(mm: MeasurementModel, rho: State) -> np.ndarray:
     """Brute-force measured instrument, valid for any channel.
 
     Tensors the input with the probe state and applies the channel once;
-    each outcome then weights the output by its meter effect on the probe
-    side and traces the probe out.
+    outcome ``x`` is then ``Tr_probe[X (I (x) F_x)]`` of that output ``X``,
+    one contraction of its probe indices with the meter effect.
     """
     _check_inputs(mm, rho)
     n, dk = mm.dim_base, mm.dim_probe
     interacted = mm.channel_operation().apply_matrix(
         kron(rho.matrix, mm.probe_state.matrix)
-    )
-    return np.array([
-        hermitian_part(partial_trace(
-            interacted @ kron(np.eye(n), effect), n, dk, over="right"
-        ))
-        for effect in mm.meter.effects
-    ])
+    ).reshape(n, dk, n, dk)
+    return hermitian_part(np.einsum("apbq,xqp->xab", interacted, mm.meter.effects))
 
 
 def measured_instrument_nd(mm: MeasurementModel, rho: State) -> np.ndarray:
@@ -193,20 +188,18 @@ def measured_observable_nd(mm: MeasurementModel) -> Observable:
 def post_probe_instrument_direct(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:
     """Brute-force post-interaction probe instrument.
 
-    Applies the channel to ``rho (x) sigma`` once; each outcome then
-    sandwiches the output between square roots of its lifted meter
-    effect before tracing out the base: the symmetrized form is what
-    keeps the output Hermitian, since the base-side partial trace is not
-    cyclic.
+    Applies the channel to ``rho (x) sigma`` once and traces the base out
+    of the output ``X``.  Outcome ``x`` is ``Tr_base[(I (x) R) X (I (x) R)]``
+    with ``R = F_x^(1/2)``; a probe-side factor passes through the
+    base-side partial trace, so this is ``R Tr_base[X] R`` exactly.
     """
     _check_inputs(mm, rho, sigma)
     n, dk = mm.dim_base, mm.dim_probe
     interacted = mm.channel_operation().apply_matrix(kron(rho.matrix, sigma.matrix))
-    out = []
-    for effect in mm.meter.effects:
-        root = kron(np.eye(n), psd_sqrt(effect))
-        out.append(hermitian_part(partial_trace(root @ interacted @ root, n, dk, over="left")))
-    return np.array(out)
+    reduced = partial_trace(interacted, n, dk, over="left")
+    return np.array([
+        hermitian_part(root @ reduced @ root) for root in map(psd_sqrt, mm.meter.effects)
+    ])
 
 
 def post_probe_instrument_nd(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:

@@ -159,10 +159,6 @@ class KrausOperation:
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         return sum(k @ m @ k.conj().T for k in self.kraus)
 
-    def dual_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Adjoint action on effects: ``a -> sum_k k* a k``."""
-        return sum(k.conj().T @ a @ k for k in self.kraus)
-
 
 @dataclass(frozen=True, eq=False)
 class Context:

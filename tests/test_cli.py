@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nondisturbing.models
-from nondisturbing.cli import main
+from nondisturbing.cli import _emit_report, main
 from nondisturbing.linalg import max_abs, random_kraus_channel
 from nondisturbing.objects import sharp_observable
 from nondisturbing.serialization import (
@@ -263,6 +263,27 @@ def test_example_subcommand_fourier_requires_m(capsys):
     assert "requires --m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["example", "swap", "--n", "0"], "--n"),
+    (["example", "swap", "--n", "-1"], "--n"),
+    (["example", "fourier", "--n", "0", "--m", "3"], "--n"),
+    (["example", "fourier", "--n", "3", "--m", "0"], "--m"),
+    (["example", "fourier", "--n", "3", "--m", "-2"], "--m"),
+    (["verify", "--seed", "-1"], "--seed"),
+])
+def test_out_of_range_dimension_or_seed_is_usage_error(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {flag} must be >= {0 if flag == '--seed' else 1}\n"
+
+
+def test_smallest_dimension_and_seed_are_accepted(capsys):
+    assert main(["example", "swap", "--n", "1"]) == 0
+    assert main(["example", "fourier", "--n", "1", "--m", "2"]) == 0
+    assert main(["verify", "--seed", "0", "--trials", "1"]) == 0
+
+
 def test_example_subcommand_fourier_rejects_non_coprime(capsys):
     assert main(["example", "fourier", "--n", "2", "--m", "2"]) == 3
     assert "gcd" in capsys.readouterr().err
@@ -283,6 +304,50 @@ def test_example_subcommand_accepts_probe_file(tmp_path):
     assert main(["example", "swap", "--n", "2", "--probe", probe_path, "-o", out]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["pass"] is True
+
+
+def _swap3_report():
+    doc = _swap_scenario(3, ["instrument", "observable", "post_probe", "remeasure"])
+    return run_scenario(scenario_from_json(doc))
+
+
+def _written(report, tmp_path):
+    path = tmp_path / "report.json"
+    _emit_report(report, str(path))
+    return path.read_text(encoding="utf-8")
+
+
+def test_report_writer_matches_json_dumps_byte_for_byte(tmp_path):
+    report = _swap3_report()
+    assert report["seed"] is None
+    assert _written(report, tmp_path) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_matches_json_dumps_on_edge_values(tmp_path):
+    report = _swap3_report()
+    residual = sorted(report["residuals"])[0]
+    entry = report["results"]["instrument"][0]
+    data = entry["matrix"]["data"]
+    for k, value in enumerate([float("nan"), float("inf"), float("-inf"), -0.0]):
+        report["residuals"][f"{residual}.edge{k}"] = value
+        data[k] = [value, -value]
+    entry["outcome"] = 'é "q"\n[a, b]'
+    report["residuals"]['ключ "q"\n[,]'] = 1e-300
+    report["results"]["empty"] = []
+    report["empty"] = {}
+    report["nested"] = [
+        [], {}, [1, True, None, "s"], [[0.5, 0.25, 0.125]], [[np.float64(0.1), 0.2]],
+        [[0.5, 1]], [[True, 0.5]], [["s", None]],
+    ]
+    assert _written(report, tmp_path) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1: 0.5}, {"x": np.int64(3)}, {"x": (1.0, 2.0)}])
+def test_report_writer_refuses_what_a_report_never_holds(tmp_path, bad):
+    report = _swap3_report()
+    report["extra"] = bad
+    with pytest.raises(TypeError):
+        _written(report, tmp_path)
 
 
 def test_run_tolerance_override_can_force_failure(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nondisturbing.models
 from nondisturbing.linalg import (
     kron,
     max_abs,
@@ -124,6 +125,40 @@ def test_outcome_traces_form_a_probability_distribution():
         traces = [np.trace(out).real for out in measured_instrument_direct(mm, rho)]
         assert min(traces) > -1e-10
         assert abs(sum(traces) - 1.0) < 1e-10
+
+
+def _trace_out(m, n, dk, side):
+    """Partial trace of an ``(n*dk)``-square matrix, written out by index."""
+    blocks = m.reshape(n, dk, n, dk)
+    if side == "probe":
+        return np.einsum("apbp->ab", blocks)
+    return np.einsum("apaq->pq", blocks)
+
+
+@pytest.mark.parametrize("n, dk, outcomes, kraus, seed", [
+    (2, 3, 3, 3, 130), (3, 2, 4, 2, 131), (1, 3, 2, 2, 132), (3, 1, 1, 2, 133), (4, 3, 5, 4, 134),
+])
+def test_oracles_match_their_dense_definitions_on_a_generic_channel(n, dk, outcomes, kraus, seed):
+    rng = np.random.default_rng(seed)
+    ops = random_kraus_channel(n * dk, kraus, rng)
+    eta = State(random_density(dk, rng))
+    meter = Observable.from_matrices(random_povm(dk, outcomes, rng))
+    mm = MeasurementModel(n, dk, eta, KrausOperation(tuple(ops)), meter)
+    rho, sigma = State(random_density(n, rng)), State(random_density(dk, rng))
+    eye = np.eye(n)
+
+    x_meas = sum(k @ np.kron(rho.matrix, eta.matrix) @ k.conj().T for k in ops)
+    x_post = sum(k @ np.kron(rho.matrix, sigma.matrix) @ k.conj().T for k in ops)
+    measured = measured_instrument_direct(mm, rho)
+    post = post_probe_instrument_direct(mm, rho, sigma)
+    assert measured.shape == (outcomes, n, n) and post.shape == (outcomes, dk, dk)
+    for f, out_meas, out_post in zip(meter.effects, measured, post, strict=True):
+        w, v = np.linalg.eigh(f)
+        root = np.kron(eye, (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T)
+        expected_meas = _trace_out(x_meas @ np.kron(eye, f), n, dk, "probe")
+        expected_post = _trace_out(root @ x_post @ root, n, dk, "base")
+        assert max_abs(out_meas - expected_meas) < 1e-12
+        assert max_abs(out_post - expected_post) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +342,18 @@ def test_post_probe_observable_duality_and_completeness():
             assert abs(paired - closed) < 1e-10
 
 
+def _pulled_back(channel, effect):
+    """``sum_k k* F k`` over the Kraus operators of ``channel``."""
+    return sum(k.conj().T @ effect @ k for k in channel.kraus)
+
+
 def test_post_probe_observable_at_atom_is_pulled_back_meter():
     mm = random_model(3, 2, 2, 2, 83, context=Context.random(3, 84))
     nd = mm.nd
     for i in range(3):
         obs = post_probe_observable(mm, State(nd.context.atom(i)))
         for x in obs.labels:
-            expected = nd.probe_channel(i).dual_matrix(mm.meter.effect_matrix(x))
+            expected = _pulled_back(nd.probe_channel(i), mm.meter.effect_matrix(x))
             assert max_abs(obs.effect_matrix(x) - expected) < 1e-10
 
 
@@ -407,6 +447,27 @@ def test_oracle_applies_the_channel_once_per_round(monkeypatch, fn, applications
     assert len(calls) == applications
 
 
+@pytest.mark.parametrize(
+    "fn", [measured_instrument_direct, post_probe_instrument_direct, remeasured_effect_two_round],
+    ids=lambda fn: fn.__name__,
+)
+def test_oracle_reads_no_closed_form_code(monkeypatch, fn):
+    mm = random_model(3, 2, 3, 2, 127, context=Context.random(3, 128))
+    rho, sigma = State(random_density(3, 129)), State(random_density(2, 130))
+    expected = _instrument_call(fn, mm, rho, sigma)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle read closed-form code")
+
+    for name in ("pulled_meter", "evolved_probe"):
+        monkeypatch.setattr(MeasurementModel, name, property(forbidden))
+    for name in ("pair_overlap_kernel", "probe_outputs"):
+        monkeypatch.setattr(nondisturbing.models, name, forbidden)
+    for name in ("weights", "dephase"):
+        monkeypatch.setattr(Context, name, forbidden)
+    assert max_abs(_instrument_call(fn, mm, rho, sigma) - expected) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Per-model cached tensors
 # ---------------------------------------------------------------------------
@@ -428,7 +489,7 @@ def test_pulled_meter_is_the_dual_of_each_probe_channel(shape):
     assert mm.pulled_meter.shape == (outcomes, n, dk, dk)
     for xi, x in enumerate(mm.meter.labels):
         for i in range(n):
-            expected = mm.nd.probe_channel(i).dual_matrix(mm.meter.effect_matrix(x))
+            expected = _pulled_back(mm.nd.probe_channel(i), mm.meter.effect_matrix(x))
             assert max_abs(mm.pulled_meter[xi, i] - expected) < 1e-12
 
 

@@ -6,7 +6,6 @@ import pytest
 from nondisturbing.linalg import (
     max_abs,
     random_density,
-    random_effect,
     random_kraus_channel,
     random_povm,
     random_projection,
@@ -149,36 +148,6 @@ def test_apply_matrix_unitary_channel_preserves_spectrum():
     before = np.linalg.eigvalsh(rho)
     after = np.linalg.eigvalsh(out)
     assert np.allclose(before, after, atol=1e-12)
-
-
-def test_dual_matrix_unitality_and_unitary_case():
-    op = KrausOperation(tuple(random_kraus_channel(3, 3, 16)))
-    image = op.dual_matrix(np.eye(3))
-    assert max_abs(image - np.eye(3)) < 1e-10
-    u = random_unitary(3, 17)
-    a = random_effect(3, 18)
-    pulled = KrausOperation((u,)).dual_matrix(a)
-    assert max_abs(pulled - u.conj().T @ a @ u) < 1e-12
-
-
-def test_dual_matrix_trace_pairing_and_positivity():
-    op = KrausOperation(tuple(random_kraus_channel(3, 2, 19)))
-    for seed in range(20):
-        sigma = State(random_density(3, seed))
-        a = random_effect(3, seed + 500)
-        lhs = np.trace(op.apply_matrix(sigma.matrix) @ a).real
-        rhs = np.trace(sigma.matrix @ op.dual_matrix(a)).real
-        assert abs(lhs - rhs) < 1e-10
-        assert np.linalg.eigvalsh(op.dual_matrix(a))[0] >= -1e-9
-
-
-def test_dual_matrix_action_is_linear():
-    op = KrausOperation(tuple(random_kraus_channel(3, 2, 25)))
-    a = random_effect(3, 26)
-    b = random_effect(3, 27)
-    combined = op.dual_matrix(0.25 * a + 0.5 * b)
-    separate = 0.25 * op.dual_matrix(a) + 0.5 * op.dual_matrix(b)
-    assert max_abs(combined - separate) < 1e-12
 
 
 def test_sharp_observable_is_projective_and_complete():

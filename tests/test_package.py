@@ -39,6 +39,7 @@ REMOVED = {
     "Effect",
     "probability",
     "_meter_stack",
+    "dual_matrix",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.
@@ -60,6 +61,9 @@ def test_module_all_resolves_once_and_names_nothing_removed(name):
         assert hasattr(module, attr), f"{name}.__all__ names missing {attr!r}"
     assert not REMOVED & set(exported)
     assert not REMOVED & set(vars(module))
+    for value in vars(module).values():
+        if inspect.isclass(value):
+            assert not REMOVED & set(vars(value)), f"{value.__name__} keeps a removed name"
 
 
 def test_package_namespace_has_no_removed_name():
