@@ -40,26 +40,27 @@ for x, closed, direct in instrument:
 
 print("\n=== Measured observable ===")
 observable = measured_observable_nd(model)
-print("completeness defect:", max_abs(observable.effects.sum(axis=0) - np.eye(3)))
+print("completeness defect:", max_abs(observable.sum(axis=0) - np.eye(3)))
 print("probabilities from the observable:",
-      [round(float(np.trace(rho.matrix @ e).real), 4) for e in observable.effects])
+      [round(float(np.trace(rho.matrix @ e).real), 4) for e in observable])
 print("every effect is diagonal in the context:",
-      all(model.nd.context.is_measurable(e) for e in observable.effects))
+      all(model.nd.context.is_measurable(e) for e in observable))
 
 print("\n=== Post-interaction probe ===")
 sigma = State(random_density(2, 4))
 probe_obs = post_probe_observable(model, rho)
-probe_instrument = zip(model.meter.labels, post_probe_instrument_nd(model, rho, sigma),
+probe_instrument = zip(model.meter.labels, probe_obs,
+                       post_probe_instrument_nd(model, rho, sigma),
                        post_probe_instrument_direct(model, rho, sigma))
-for x, closed, direct in probe_instrument:
-    paired = np.trace(sigma.matrix @ probe_obs.effect_matrix(x)).real
+for x, effect, closed, direct in probe_instrument:
+    paired = np.trace(sigma.matrix @ effect).real
     print(f"outcome {x}: closed vs direct {max_abs(closed - direct):.2e}, "
           f"duality gap {abs(paired - np.trace(closed).real):.2e}")
 
 print("\n=== The probe observable at each context atom ===")
 for i in range(model.dim_base):
     obs = post_probe_observable(model, State(model.nd.context.atom(i)))
-    defect = max_abs(obs.effects.sum(axis=0) - np.eye(2))
+    defect = max_abs(obs.sum(axis=0) - np.eye(2))
     print(f"atom {i}: probe observable completeness defect {defect:.2e}")
 
 print("\n=== Remeasuring with the state-dependent meter ===")

@@ -28,9 +28,7 @@ from nondisturbing import (
 
 print("=== Swap family, n = 3, sharp meter ===")
 model = swap_model(3)
-observable = measured_observable_nd(model)
-for x in observable.labels:
-    effect = observable.effect_matrix(x)
+for x, effect in zip(model.meter.labels, measured_observable_nd(model)):
     print(f"measured effect for outcome {x}: diag {np.diagonal(effect).real}")
 
 rho = State(random_density(3, 1))
@@ -47,17 +45,15 @@ for x, out in zip(model.meter.labels, measured_instrument_direct(model, measurab
 print("\n=== Swap family with a fuzzy meter ===")
 fuzzy = Observable.from_matrices(random_povm(3, 2, 5))
 fuzzy_model = swap_model(3, fuzzy)
-for x in fuzzy.labels:
-    effect = measured_observable_nd(fuzzy_model).effect_matrix(x)
-    expected = swap_observable_effect(fuzzy.effect_matrix(x))
+for x, f, effect in zip(fuzzy.labels, fuzzy.effects, measured_observable_nd(fuzzy_model)):
+    expected = swap_observable_effect(f)
     print(f"outcome {x}: closed form vs library {max_abs(effect - expected):.2e}")
 
 print("\n=== Fourier-phase family, (n, m) = (2, 5) ===")
 phase = fourier_model(2, 5)
-observable = measured_observable_nd(phase)
-for x in observable.labels:
-    effect = observable.effect_matrix(x)
-    average = np.trace(phase.meter.effect_matrix(x)).real / 5
+for x, f, effect in zip(phase.meter.labels, phase.meter.effects,
+                        measured_observable_nd(phase)):
+    average = np.trace(f).real / 5
     print(f"outcome {x}: effect is {effect[0, 0].real:.4f} * identity "
           f"(average eigenvalue {average:.4f}), "
           f"defect {max_abs(effect - average * np.eye(2)):.2e}")
@@ -65,9 +61,8 @@ for x in observable.labels:
 print("\nwith a non-diagonal meter the observable is genuinely informative:")
 meter = Observable.from_matrices(random_povm(5, 2, 9))
 informative = fourier_model(2, 5, meter)
-for x in meter.labels:
-    effect = measured_observable_nd(informative).effect_matrix(x)
-    expected = fourier_observable_effect(2, 5, meter.effect_matrix(x))
+for x, f, effect in zip(meter.labels, meter.effects, measured_observable_nd(informative)):
+    expected = fourier_observable_effect(2, 5, f)
     print(f"outcome {x}: diag {np.round(np.diagonal(effect).real, 4)}, "
           f"phase closed form agrees to {max_abs(effect - expected):.2e}")
 

@@ -188,8 +188,8 @@ def _cmd_run(args) -> int:
 def _cmd_example(args) -> int:
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
-    if args.m is not None and args.m < 1:
-        raise _UsageError("--m must be >= 1")
+    if args.m is not None and args.m < 2:
+        raise _UsageError("--m must be >= 2")
     spec: dict[str, Any] = {"name": args.family, "n": args.n}
     if args.family == "fourier":
         if args.m is None:

@@ -290,25 +290,44 @@ def random_projection(dim: int, rank: int, seed) -> np.ndarray:
 def random_povm(dim: int, count: int, seed) -> list[np.ndarray]:
     """Random ``count``-outcome POVM.
 
-    Random PSD parts are jointly normalized so the family sums to the
-    identity exactly up to rounding.
+    Random PSD parts ``g g*`` are jointly normalized, ``N g g* N`` with
+    ``N = (sum g g*)^(-1/2)``, so the family sums to the identity up to
+    rounding.  The blocks ``g* N`` are read off the polar factor of the
+    stacked ``g*``, which keeps that rounding at machine precision
+    however ill-conditioned the draws are.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = _rng(seed)
-    parts = []
-    for _ in range(count):
-        g = _gaussian(dim, rng)
-        parts.append(g @ g.conj().T)
-    norm = psd_inv_sqrt(sum(parts))
-    return [hermitian_part(norm @ p @ norm) for p in parts]
+    raw = [_gaussian(dim, rng).conj().T for _ in range(count)]
+    return [hermitian_part(a.conj().T @ a) for a in _polar_blocks(raw)]
 
 
 def random_kraus_channel(dim: int, count: int, seed) -> list[np.ndarray]:
-    """Random ``count``-term Kraus channel with completeness up to rounding."""
+    """Random ``count``-term Kraus channel with completeness up to rounding.
+
+    The Kraus operators ``g (sum g* g)^(-1/2)`` are the blocks of the
+    polar factor of the stacked draws ``g``.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = _rng(seed)
-    raw = [_gaussian(dim, rng) for _ in range(count)]
-    norm = psd_inv_sqrt(sum(g.conj().T @ g for g in raw))
-    return [g @ norm for g in raw]
+    return _polar_blocks([_gaussian(dim, rng) for _ in range(count)])
+
+
+def _polar_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Square blocks of ``M (M* M)^(-1/2)`` for ``M`` the blocks stacked.
+
+    Taken from the SVD ``M = U S V*`` as ``U V*``, an exact isometry up to
+    rounding, rather than through an inverse square root, whose rounding
+    grows with the condition number of ``M* M``.
+    """
+    stacked = np.vstack(blocks)
+    u, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    if float(s[-1]) ** 2 <= DEFAULT_ATOL:
+        raise ValueError(
+            f"matrix is not positive definite (min eigenvalue {float(s[-1]) ** 2:.3e})"
+        )
+    polar = u @ vh
+    dim = blocks[0].shape[0]
+    return [polar[k * dim:(k + 1) * dim] for k in range(len(blocks))]

@@ -134,8 +134,9 @@ def _check_inputs(mm: MeasurementModel, rho: State, sigma: State | None = None) 
         raise ValueError(f"probe input dimension {sigma.dim} != {mm.dim_probe}")
 
 
-# Every instrument below returns one output per meter outcome, stacked in
-# the order of ``meter.labels``: shape ``(outcomes, d, d)``.
+# Every closed form and oracle below, instrument or observable, returns one
+# output per meter outcome, stacked in the order of ``meter.labels``: shape
+# ``(outcomes, d, d)``.
 
 
 def measured_instrument_direct(mm: MeasurementModel, rho: State) -> np.ndarray:
@@ -172,7 +173,7 @@ def measured_instrument_nd(mm: MeasurementModel, rho: State) -> np.ndarray:
     ])
 
 
-def measured_observable_nd(mm: MeasurementModel) -> Observable:
+def measured_observable_nd(mm: MeasurementModel) -> np.ndarray:
     """Closed-form measured observable of a nondisturbing model.
 
     Outcome ``x`` maps to ``sum_i tr(G_i(eta) F_x) P_i`` where ``G_i`` is
@@ -181,8 +182,7 @@ def measured_observable_nd(mm: MeasurementModel) -> Observable:
     """
     basis = mm.nd.context.basis
     diag = np.real(np.einsum("iab,xba->xi", mm.evolved_probe, mm.meter.effects))
-    effects = (basis * diag[:, None, :]) @ basis.conj().T
-    return Observable.from_matrices(effects, mm.meter.labels)
+    return (basis * diag[:, None, :]) @ basis.conj().T
 
 
 def post_probe_instrument_direct(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:
@@ -216,7 +216,7 @@ def post_probe_instrument_nd(mm: MeasurementModel, rho: State, sigma: State) -> 
     ])
 
 
-def post_probe_observable(mm: MeasurementModel, rho: State) -> Observable:
+def post_probe_observable(mm: MeasurementModel, rho: State) -> np.ndarray:
     """Observable measured on the probe after the interaction.
 
     Outcome ``x`` maps to ``sum_i <v_i, rho v_i> G_i*(F_x)``: the meter
@@ -227,7 +227,7 @@ def post_probe_observable(mm: MeasurementModel, rho: State) -> Observable:
     _check_inputs(mm, rho)
     weights = nd.context.weights(rho.matrix)
     mixed = np.tensordot(weights, mm.pulled_meter, axes=(0, 1))
-    return Observable.from_matrices(map(hermitian_part, mixed), mm.meter.labels)
+    return hermitian_part(mixed)
 
 
 def remeasured_effect(mm: MeasurementModel, rho: State) -> np.ndarray:

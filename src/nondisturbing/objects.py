@@ -126,12 +126,6 @@ class Observable:
     def dim(self) -> int:
         return self.effects.shape[1]
 
-    def effect_matrix(self, label: str) -> np.ndarray:
-        try:
-            return self.effects[self.labels.index(label)]
-        except ValueError:
-            raise KeyError(f"unknown outcome label {label!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class KrausOperation:

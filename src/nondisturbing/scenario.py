@@ -186,11 +186,17 @@ def load_scenario(path: str) -> Scenario:
         return scenario_from_json(json.load(handle))
 
 
-def _psd_defect(matrix: np.ndarray) -> float:
-    # eigvalsh raises on NaN entries; a NaN defect fails the check instead.
-    if not np.isfinite(matrix).all():
-        return float("nan")
-    return max(0.0, -float(np.linalg.eigvalsh(matrix)[0]))
+def _psd_defects(stack: np.ndarray) -> list[float]:
+    # Per matrix: the larger of its Hermiticity defect (eigvalsh reads one
+    # triangle only) and its most negative eigenvalue.  eigvalsh raises on NaN
+    # entries, so such a matrix is zeroed for it and gets a NaN defect instead.
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    lowest = np.linalg.eigvalsh(np.where(finite[:, None, None], stack, 0))[:, 0]
+    asymmetry = np.abs(stack - np.conj(np.swapaxes(stack, 1, 2))).max(axis=(1, 2))
+    return [
+        max(0.0, -low, asym) if ok else float("nan")
+        for ok, low, asym in zip(finite.tolist(), lowest.tolist(), asymmetry.tolist())
+    ]
 
 
 # A check takes (model, inputs, probe input sigma, direct), where ``direct(i)``
@@ -205,12 +211,13 @@ def _check_instrument(mm: MeasurementModel, inputs, sigma, direct):
         oracle = direct(i)
         outs = measured_instrument_nd(mm, rho) if mm.is_nondisturbing else oracle
         traces = []
-        for x, out, brute in zip(mm.meter.labels, outs, oracle, strict=True):
+        for x, out, brute, defect in zip(mm.meter.labels, outs, oracle, _psd_defects(outs),
+                                         strict=True):
             if mm.is_nondisturbing:
                 residuals[f"instrument.state{i}.outcome{x}.closed_vs_direct"] = max_abs(
                     out - brute
                 )
-            residuals[f"instrument.state{i}.outcome{x}.psd_defect"] = _psd_defect(out)
+            residuals[f"instrument.state{i}.outcome{x}.psd_defect"] = defect
             traces.append(float(np.trace(out).real))
             produced.append((i, x, out))
         residuals[f"instrument.state{i}.probability_sum"] = abs(sum(traces) - 1.0)
@@ -219,9 +226,10 @@ def _check_instrument(mm: MeasurementModel, inputs, sigma, direct):
 
 
 def _check_observable(mm: MeasurementModel, inputs, sigma, direct):
-    obs = measured_observable_nd(mm)
-    mats = obs.effects
+    mats = measured_observable_nd(mm)
     residuals = {"observable.completeness": max_abs(sum(mats) - np.eye(mm.dim_base))}
+    for x, defect in zip(mm.meter.labels, _psd_defects(mats), strict=True):
+        residuals[f"observable.outcome{x}.psd_defect"] = defect
     worst = 0.0
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
@@ -233,20 +241,21 @@ def _check_observable(mm: MeasurementModel, inputs, sigma, direct):
             paired = float(np.trace(rho.matrix @ effect).real)
             defect = fold_max(defect, abs(paired - float(np.trace(out).real)))
         residuals[f"observable.state{i}.pairing"] = defect
-    return [(None, x, effect) for x, effect in zip(obs.labels, mats)], residuals
+    return [(None, x, effect) for x, effect in zip(mm.meter.labels, mats)], residuals
 
 
 def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
     produced, residuals = [], {}
     for i, rho in enumerate(inputs):
-        obs = post_probe_observable(mm, rho)
-        mats = obs.effects
+        mats = post_probe_observable(mm, rho)
         residuals[f"post_probe.state{i}.completeness"] = max_abs(
             sum(mats) - np.eye(mm.dim_probe)
         )
         closed = post_probe_instrument_nd(mm, rho, sigma)
         oracle = post_probe_instrument_direct(mm, rho, sigma)
-        for x, effect, out, brute in zip(obs.labels, mats, closed, oracle, strict=True):
+        for x, effect, defect, out, brute in zip(mm.meter.labels, mats, _psd_defects(mats),
+                                                 closed, oracle, strict=True):
+            residuals[f"post_probe.state{i}.outcome{x}.psd_defect"] = defect
             residuals[f"post_probe.state{i}.outcome{x}.closed_vs_direct"] = max_abs(
                 out - brute
             )

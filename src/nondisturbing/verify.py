@@ -323,8 +323,9 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
         post = post_probe_observable(mm, rho)
         instrument = measured_instrument_nd(mm, rho)
         probe_instrument = post_probe_instrument_nd(mm, rho, sigma)
-        for x, out, probe_out in zip(mm.meter.labels, instrument, probe_instrument, strict=True):
-            f = mm.meter.effect_matrix(x)
+        for f, out, probe_out, effect, pulled_effect in zip(
+            mm.meter.effects, instrument, probe_instrument, measured, post, strict=True
+        ):
             coeff = np.array(
                 [
                     [np.trace(unitaries[i] @ eta @ unitaries[j].conj().T @ f)
@@ -340,9 +341,7 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
                  for i in range(n)]
             )
             explicit_effect = (basis * diag.real) @ basis.conj().T
-            worst = fold_max(worst, max_abs(
-                explicit_effect - measured.effect_matrix(x)
-            ))
+            worst = fold_max(worst, max_abs(explicit_effect - effect))
             root = psd_sqrt(f)
             sandwiched = sum(
                 weights[i] * root @ unitaries[i] @ sigma.matrix
@@ -354,19 +353,14 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
                 weights[i] * unitaries[i].conj().T @ f @ unitaries[i]
                 for i in range(n)
             )
-            worst = fold_max(worst, max_abs(
-                pulled - post.effect_matrix(x)
-            ))
+            worst = fold_max(worst, max_abs(pulled - pulled_effect))
         collapsed = MeasurementModel(
             n, dk, State(np.eye(dk, dtype=complex) / dk), mm.channel, mm.meter
         )
-        collapsed_measured = measured_observable_nd(collapsed)
-        for x in collapsed.meter.labels:
-            scale = float(np.trace(collapsed.probe_state.matrix
-                                   @ collapsed.meter.effect_matrix(x)).real)
-            worst = fold_max(worst, max_abs(
-                collapsed_measured.effect_matrix(x) - scale * np.eye(n)
-            ))
+        for f, effect in zip(collapsed.meter.effects, measured_observable_nd(collapsed),
+                             strict=True):
+            scale = float(np.trace(collapsed.probe_state.matrix @ f).real)
+            worst = fold_max(worst, max_abs(effect - scale * np.eye(n)))
     return worst
 
 
@@ -384,8 +378,7 @@ def _check_remeasurement(rng, trials, max_dim) -> float:
         weights = context.weights(rho.matrix)
         basis = context.basis
         closed = remeasured_effect(unitary_mm, rho)
-        for x, out in zip(unitary_mm.meter.labels, closed, strict=True):
-            f = unitary_mm.meter.effect_matrix(x)
+        for f, out in zip(unitary_mm.meter.effects, closed, strict=True):
             diag = np.zeros(n)
             for i in range(n):
                 for j in range(n):
@@ -435,13 +428,10 @@ def _check_swap_family(rng, trials, max_dim) -> float:
             catalog.swap_product_output(rho)
             - apply_product(nd, rho, mm.probe_state)
         ))
-        measured = measured_observable_nd(mm)
-        for x, out in zip(mm.meter.labels, measured_instrument_direct(mm, rho), strict=True):
-            f = mm.meter.effect_matrix(x)
+        for f, out, effect in zip(mm.meter.effects, measured_instrument_direct(mm, rho),
+                                  measured_observable_nd(mm), strict=True):
             worst = fold_max(worst, max_abs(catalog.swap_instrument_output(rho, f) - out))
-            worst = fold_max(worst, max_abs(
-                catalog.swap_observable_effect(f) - measured.effect_matrix(x)
-            ))
+            worst = fold_max(worst, max_abs(catalog.swap_observable_effect(f) - effect))
     return worst
 
 
@@ -462,8 +452,8 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
         measured = measured_observable_nd(mm)
         closed = measured_instrument_nd(mm, rho)
         oracle = measured_instrument_direct(mm, rho)
-        for x, out, brute in zip(mm.meter.labels, closed, oracle, strict=True):
-            f = mm.meter.effect_matrix(x)
+        for f, out, brute, effect in zip(mm.meter.effects, closed, oracle, measured,
+                                         strict=True):
             for j in range(1, n + 1):
                 for k in range(1, n + 1):
                     direct = complex(np.trace(
@@ -472,18 +462,13 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
                     worst = fold_max(worst, abs(
                         catalog.fourier_pair_trace(j, k, m, f) - direct
                     ))
-            worst = fold_max(worst, max_abs(
-                catalog.fourier_observable_effect(n, m, f) - measured.effect_matrix(x)
-            ))
+            worst = fold_max(worst, max_abs(catalog.fourier_observable_effect(n, m, f) - effect))
             worst = fold_max(worst, max_abs(out - brute))
         diagonal = catalog.fourier_model(n, m)
-        diagonal_measured = measured_observable_nd(diagonal)
-        for x in diagonal.meter.labels:
-            f = diagonal.meter.effect_matrix(x)
+        for f, effect in zip(diagonal.meter.effects, measured_observable_nd(diagonal),
+                             strict=True):
             average = float(np.trace(f).real) / m
-            worst = fold_max(worst, max_abs(
-                diagonal_measured.effect_matrix(x) - average * np.eye(n)
-            ))
+            worst = fold_max(worst, max_abs(effect - average * np.eye(n)))
     return worst
 
 

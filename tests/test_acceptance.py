@@ -242,8 +242,7 @@ def test_criterion_06_measured_instrument_and_observable():
             probabilities.append(float(np.trace(closed).real))
         worst = max(worst, abs(sum(probabilities) - 1.0))
         worst = max(worst, max(0.0, -min(probabilities)))
-        obs = measured_observable_nd(mm)
-        mats = [obs.effect_matrix(x) for x in obs.labels]
+        mats = measured_observable_nd(mm)
         worst = max(worst, max_abs(sum(mats) - np.eye(n)))
         for a in range(len(mats)):
             for b in range(a + 1, len(mats)):
@@ -270,22 +269,20 @@ def test_criterion_07_post_interaction_probe():
             mm = random_model(n, dk, 2, int(rng.integers(1, 4)), rng, context=ctx)
         rho = State(random_density(n, rng))
         sigma = State(random_density(dk, rng))
-        obs = post_probe_observable(mm, rho)
-        instrument = zip(mm.meter.labels, post_probe_instrument_nd(mm, rho, sigma),
-                         post_probe_instrument_direct(mm, rho, sigma))
-        for x, closed, direct in instrument:
+        instrument = zip(mm.meter.effects, post_probe_observable(mm, rho),
+                         post_probe_instrument_nd(mm, rho, sigma),
+                         post_probe_instrument_direct(mm, rho, sigma), strict=True)
+        for f, effect, closed, direct in instrument:
             worst = max(worst, max_abs(closed - direct))
-            paired = float(np.trace(sigma.matrix @ obs.effect_matrix(x)).real)
+            paired = float(np.trace(sigma.matrix @ effect).real)
             worst = max(worst, abs(paired - float(np.trace(closed).real)))
             if unitary_rows:
                 weights = mm.nd.context.weights(rho.matrix)
                 pulled = sum(
-                    weights[i]
-                    * mm.nd.table[i][0].conj().T @ mm.meter.effect_matrix(x)
-                    @ mm.nd.table[i][0]
+                    weights[i] * mm.nd.table[i][0].conj().T @ f @ mm.nd.table[i][0]
                     for i in range(n)
                 )
-                worst = max(worst, max_abs(obs.effect_matrix(x) - pulled))
+                worst = max(worst, max_abs(effect - pulled))
     _report(7, "post-interaction-probe", worst < 1e-10,
             f"max residual {worst:.3e} over 100 models")
 
@@ -301,10 +298,9 @@ def test_criterion_08_commuting_probe_state_collapse():
         eta = State(np.eye(dk, dtype=complex) / dk)
         meter = Observable.from_matrices(random_povm(dk, int(rng.integers(2, 4)), rng))
         mm = MeasurementModel(n, dk, eta, nd, meter)
-        obs = measured_observable_nd(mm)
-        for x in obs.labels:
-            scale = float(np.trace(eta.matrix @ meter.effect_matrix(x)).real)
-            worst = max(worst, max_abs(obs.effect_matrix(x) - scale * np.eye(n)))
+        for f, effect in zip(meter.effects, measured_observable_nd(mm), strict=True):
+            scale = float(np.trace(eta.matrix @ f).real)
+            worst = max(worst, max_abs(effect - scale * np.eye(n)))
     _report(8, "commuting-probe-state-collapse", worst < 1e-10,
             f"max residual {worst:.3e} over 50 models")
 
@@ -319,7 +315,7 @@ def test_criterion_09_swap_family():
         for i in range(n):
             atom = np.zeros((n, n))
             atom[i, i] = 1.0
-            worst_sharp = max(worst_sharp, max_abs(obs.effect_matrix(str(i)) - atom))
+            worst_sharp = max(worst_sharp, max_abs(obs[i] - atom))
         for _ in range(20):
             rho = State(random_density(n, rng))
             worst_rest = max(worst_rest, max_abs(
@@ -334,8 +330,7 @@ def test_criterion_09_swap_family():
                 block[i, i] = 1.0
                 expected += w * kron(block, block)
             worst_rest = max(worst_rest, max_abs(out - expected))
-            for x, instrument in zip(mm.meter.labels, measured_instrument_nd(mm, measurable)):
-                f = mm.meter.effect_matrix(x)
+            for f, instrument in zip(mm.meter.effects, measured_instrument_nd(mm, measurable)):
                 diagonal = np.diag(
                     [weights[i] * f[i, i].real for i in range(n)]
                 )
@@ -351,20 +346,19 @@ def test_criterion_10_fourier_family():
     worst = 0.0
     for n, m in ((2, 3), (2, 5), (4, 5)):
         diagonal = fourier_model(n, m)
-        obs = measured_observable_nd(diagonal)
-        for x in obs.labels:
-            f = diagonal.meter.effect_matrix(x)
+        for f, effect in zip(diagonal.meter.effects, measured_observable_nd(diagonal),
+                             strict=True):
             average = float(np.trace(f).real) / m
-            worst = max(worst, max_abs(obs.effect_matrix(x) - average * np.eye(n)))
+            worst = max(worst, max_abs(effect - average * np.eye(n)))
         meter = Observable.from_matrices(random_povm(m, 3, rng))
         mm = fourier_model(n, m, meter)
         rho = State(random_density(n, rng))
         unitaries = fourier_unitaries(n, m)
         eta = mm.probe_state.matrix
-        instrument = zip(meter.labels, measured_instrument_nd(mm, rho),
-                         measured_instrument_direct(mm, rho))
-        for x, closed, direct in instrument:
-            f = meter.effect_matrix(x)
+        instrument = zip(meter.effects, measured_observable_nd(mm),
+                         measured_instrument_nd(mm, rho), measured_instrument_direct(mm, rho),
+                         strict=True)
+        for f, effect, closed, direct in instrument:
             worst = max(worst, max_abs(closed - direct))
             for j in range(1, n + 1):
                 for k in range(1, n + 1):
@@ -373,10 +367,7 @@ def test_criterion_10_fourier_family():
                         unitaries[j - 1] @ eta @ unitaries[k - 1].conj().T @ f
                     ))
                     worst = max(worst, abs(via_phases - via_probes))
-            worst = max(worst, max_abs(
-                fourier_observable_effect(n, m, f)
-                - measured_observable_nd(mm).effect_matrix(x)
-            ))
+            worst = max(worst, max_abs(fourier_observable_effect(n, m, f) - effect))
     rejected = False
     try:
         fourier_model(2, 2)
@@ -408,8 +399,7 @@ def test_criterion_11_remeasurement():
         )
         eta = unitary_mm.probe_state.matrix
         weights = ctx.weights(rho.matrix)
-        for x, closed in zip(unitary_mm.meter.labels, remeasured_effect(unitary_mm, rho)):
-            f = unitary_mm.meter.effect_matrix(x)
+        for f, closed in zip(unitary_mm.meter.effects, remeasured_effect(unitary_mm, rho)):
             diag = np.zeros(n)
             for i in range(n):
                 for j in range(n):

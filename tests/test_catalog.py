@@ -60,7 +60,7 @@ def test_swap_with_sharp_meter_measures_the_atoms(n):
     for i in range(n):
         atom = np.zeros((n, n))
         atom[i, i] = 1.0
-        assert max_abs(obs.effect_matrix(str(i)) - atom) <= 1e-12
+        assert max_abs(obs[i] - atom) <= 1e-12
     # cross-check through the brute-force path
     rho = State(random_density(n, 5))
     for i, direct in enumerate(measured_instrument_direct(mm, rho)):
@@ -85,15 +85,15 @@ def test_swap_instrument_closed_form_matches_both_paths():
     meter = Observable.from_matrices(random_povm(n, 2, 7))
     mm = swap_model(n, meter)
     rho = State(random_density(n, 8))
-    instrument = zip(meter.labels, measured_instrument_nd(mm, rho),
-                     measured_instrument_direct(mm, rho))
-    for x, out, direct in instrument:
-        f = meter.effect_matrix(x)
+    instrument = zip(meter.effects, measured_instrument_nd(mm, rho),
+                     measured_instrument_direct(mm, rho), measured_observable_nd(mm),
+                     strict=True)
+    for f, out, direct, measured in instrument:
         closed = swap_instrument_output(rho, f)
         assert max_abs(closed - out) < 1e-10
         assert max_abs(closed - direct) < 1e-10
         effect = swap_observable_effect(f)
-        assert max_abs(effect - measured_observable_nd(mm).effect_matrix(x)) < 1e-10
+        assert max_abs(effect - measured) < 1e-10
 
 
 def test_swap_on_measurable_input_produces_atom_pairs():
@@ -118,8 +118,7 @@ def test_swap_instrument_on_measurable_input_is_diagonal():
     mm = swap_model(n, meter)
     weights = np.array([0.7, 0.3])
     rho = State(np.diag(weights).astype(complex))
-    for x, out in zip(meter.labels, measured_instrument_nd(mm, rho)):
-        f = meter.effect_matrix(x)
+    for f, out in zip(meter.effects, measured_instrument_nd(mm, rho)):
         expected = np.diag([weights[i] * f[i, i].real for i in range(n)])
         assert max_abs(out - expected) < 1e-12
 
@@ -178,11 +177,9 @@ def test_fourier_pair_trace_matches_direct_probe_products():
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 5), (4, 5)])
 def test_fourier_diagonal_meter_collapses_to_average_eigenvalue(n, m):
     mm = fourier_model(n, m)  # sharp meter is diagonal in the probe basis
-    obs = measured_observable_nd(mm)
-    for x in obs.labels:
-        f = mm.meter.effect_matrix(x)
+    for f, effect in zip(mm.meter.effects, measured_observable_nd(mm), strict=True):
         average = np.trace(f).real / m
-        assert max_abs(obs.effect_matrix(x) - average * np.eye(n)) < 1e-9
+        assert max_abs(effect - average * np.eye(n)) < 1e-9
 
 
 def test_fourier_random_meter_matches_oracle_paths():
@@ -190,12 +187,13 @@ def test_fourier_random_meter_matches_oracle_paths():
     meter = Observable.from_matrices(random_povm(m, 3, 12))
     mm = fourier_model(n, m, meter)
     rho = State(random_density(n, 13))
-    instrument = zip(meter.labels, measured_instrument_nd(mm, rho),
-                     measured_instrument_direct(mm, rho))
-    for x, closed, direct in instrument:
+    instrument = zip(meter.effects, measured_instrument_nd(mm, rho),
+                     measured_instrument_direct(mm, rho), measured_observable_nd(mm),
+                     strict=True)
+    for f, closed, direct, measured in instrument:
         assert max_abs(closed - direct) < 1e-9
-        effect = fourier_observable_effect(n, m, meter.effect_matrix(x))
-        assert max_abs(effect - measured_observable_nd(mm).effect_matrix(x)) < 1e-9
+        effect = fourier_observable_effect(n, m, f)
+        assert max_abs(effect - measured) < 1e-9
 
 
 def test_fourier_one_dimensional_base():
@@ -204,12 +202,9 @@ def test_fourier_one_dimensional_base():
     mm = fourier_model(1, m, meter)
     v = fourier_unitaries(1, m)[0]
     eta = mm.probe_state.matrix
-    obs = measured_observable_nd(mm)
-    for x in meter.labels:
-        expected = np.trace(
-            v @ eta @ v.conj().T @ meter.effect_matrix(x)
-        ).real
-        assert max_abs(obs.effect_matrix(x) - expected * np.eye(1)) < 1e-10
+    for f, effect in zip(meter.effects, measured_observable_nd(mm), strict=True):
+        expected = np.trace(v @ eta @ v.conj().T @ f).real
+        assert max_abs(effect - expected * np.eye(1)) < 1e-10
 
 
 def test_fourier_instrument_closed_form_from_pair_traces():
@@ -217,8 +212,7 @@ def test_fourier_instrument_closed_form_from_pair_traces():
     meter = Observable.from_matrices(random_povm(m, 2, 15))
     mm = fourier_model(n, m, meter)
     rho = State(random_density(n, 16))
-    for x, out in zip(meter.labels, measured_instrument_nd(mm, rho)):
-        f = meter.effect_matrix(x)
+    for f, out in zip(meter.effects, measured_instrument_nd(mm, rho)):
         expected = np.zeros((n, n), dtype=complex)
         for j in range(1, n + 1):
             for k in range(1, n + 1):

@@ -270,12 +270,14 @@ def test_example_subcommand_fourier_requires_m(capsys):
     (["example", "fourier", "--n", "3", "--m", "0"], "--m"),
     (["example", "fourier", "--n", "3", "--m", "-2"], "--m"),
     (["verify", "--seed", "-1"], "--seed"),
+    (["example", "fourier", "--n", "1", "--m", "1"], "--m"),
 ])
 def test_out_of_range_dimension_or_seed_is_usage_error(capsys, argv, flag):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"usage error: {flag} must be >= {0 if flag == '--seed' else 1}\n"
+    lowest = {"--n": 1, "--m": 2, "--seed": 0}[flag]
+    assert captured.err == f"usage error: {flag} must be >= {lowest}\n"
 
 
 def test_smallest_dimension_and_seed_are_accepted(capsys):

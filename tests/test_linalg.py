@@ -184,6 +184,19 @@ def test_random_kraus_channel_completeness(count):
     assert max_abs(total - np.eye(3)) < 1e-12
 
 
+def test_generator_completeness_holds_for_ill_conditioned_draws():
+    # Some seeds draw nearly singular Gaussians; normalising through an
+    # inverse square root then misses completeness by ~1e-10.
+    for seed in range(300):
+        for dim in range(1, 5):
+            for count in range(1, 4):
+                kraus = random_kraus_channel(dim, count, seed)
+                total = sum(k.conj().T @ k for k in kraus)
+                assert max_abs(total - np.eye(dim)) < CONSTRUCTION_ATOL
+                povm = random_povm(dim, count, seed)
+                assert max_abs(sum(povm) - np.eye(dim)) < CONSTRUCTION_ATOL
+
+
 def test_generators_are_bit_identical_for_equal_seeds():
     assert np.array_equal(random_unitary(4, 21), random_unitary(4, 21))
     assert np.array_equal(random_density(4, 21), random_density(4, 21))

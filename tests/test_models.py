@@ -182,8 +182,8 @@ def test_closed_form_instrument_matches_direct_path():
 
 def test_instrument_kernel_is_psd():
     mm = random_model(3, 2, 2, 2, 17)
-    for x in mm.meter.labels:
-        kernel = pair_overlap_kernel(mm.nd, mm.probe_state.matrix, mm.meter.effect_matrix(x))
+    for f in mm.meter.effects:
+        kernel = pair_overlap_kernel(mm.nd, mm.probe_state.matrix, f)
         w = np.linalg.eigvalsh((kernel + kernel.conj().T) / 2)
         assert w[0] > -1e-12
 
@@ -193,13 +193,12 @@ def test_measurable_inputs_stay_measurable():
     ctx = mm.nd.context
     weights = np.array([0.2, 0.3, 0.5])
     rho = State(sum(w * ctx.atom(i) for i, w in enumerate(weights)))
-    for x, out in zip(mm.meter.labels, measured_instrument_nd(mm, rho)):
+    for f, out in zip(mm.meter.effects, measured_instrument_nd(mm, rho)):
         assert ctx.is_measurable(out, 1e-10)
         expected = sum(
             w
             * np.trace(
-                mm.nd.probe_channel(i).apply_matrix(mm.probe_state.matrix)
-                @ mm.meter.effect_matrix(x)
+                mm.nd.probe_channel(i).apply_matrix(mm.probe_state.matrix) @ f
             ).real
             * ctx.atom(i)
             for i, w in enumerate(weights)
@@ -210,15 +209,14 @@ def test_measurable_inputs_stay_measurable():
 def test_measured_observable_is_complete_commuting_and_paired():
     for seed in range(20):
         mm = random_model(3, 3, 3, 2, seed + 40, context=Context.random(3, seed))
-        obs = measured_observable_nd(mm)
-        mats = [obs.effect_matrix(x) for x in obs.labels]
+        mats = measured_observable_nd(mm)
         assert max_abs(sum(mats) - np.eye(3)) < 1e-10
         for a in range(len(mats)):
             for b in range(a + 1, len(mats)):
                 assert max_abs(mats[a] @ mats[b] - mats[b] @ mats[a]) < 1e-10
         rho = State(random_density(3, seed + 41))
-        for x, out in zip(obs.labels, measured_instrument_direct(mm, rho)):
-            paired = np.trace(rho.matrix @ obs.effect_matrix(x)).real
+        for effect, out in zip(mats, measured_instrument_direct(mm, rho), strict=True):
+            paired = np.trace(rho.matrix @ effect).real
             direct = np.trace(out).real
             assert abs(paired - direct) < 1e-10
         assert all(mm.nd.context.is_measurable(m, 1e-10) for m in mats)
@@ -230,8 +228,7 @@ def test_unitary_rows_give_conjugated_coefficient_form():
     eta = mm.probe_state.matrix
     rho = State(random_density(3, 56))
     basis = nd.context.basis
-    for x, out in zip(mm.meter.labels, measured_instrument_nd(mm, rho)):
-        f = mm.meter.effect_matrix(x)
+    for f, out in zip(mm.meter.effects, measured_instrument_nd(mm, rho)):
         coeff = np.array(
             [
                 [
@@ -254,10 +251,9 @@ def test_commuting_probe_state_collapses_observable_to_scalars():
     eta = State(np.eye(dk, dtype=complex) / dk)
     meter = Observable.from_matrices(random_povm(dk, 3, rng))
     mm = MeasurementModel(n, dk, eta, nd, meter)
-    obs = measured_observable_nd(mm)
-    for x in obs.labels:
-        scale = np.trace(eta.matrix @ meter.effect_matrix(x)).real
-        assert max_abs(obs.effect_matrix(x) - scale * np.eye(n)) < 1e-10
+    for f, effect in zip(meter.effects, measured_observable_nd(mm), strict=True):
+        scale = np.trace(eta.matrix @ f).real
+        assert max_abs(effect - scale * np.eye(n)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +285,8 @@ def test_post_probe_identity_channel_sandwiches_the_probe():
     )
     rho = State(random_density(n, 66))
     sigma = State(random_density(dk, 67))
-    for x, out in zip(meter.labels, post_probe_instrument_direct(mm, rho, sigma)):
-        root = psd_sqrt(meter.effect_matrix(x))
+    for f, out in zip(meter.effects, post_probe_instrument_direct(mm, rho, sigma)):
+        root = psd_sqrt(f)
         assert max_abs(out - root @ sigma.matrix @ root) < 1e-12
 
 
@@ -322,8 +318,8 @@ def test_atom_input_selects_single_probe_channel_term():
     nd = mm.nd
     sigma = State(random_density(2, 75))
     rho = State(nd.context.atom(1))
-    for x, out in zip(mm.meter.labels, post_probe_instrument_nd(mm, rho, sigma)):
-        root = psd_sqrt(mm.meter.effect_matrix(x))
+    for f, out in zip(mm.meter.effects, post_probe_instrument_nd(mm, rho, sigma)):
+        root = psd_sqrt(f)
         expected = root @ nd.probe_channel(1).apply_matrix(sigma.matrix) @ root
         assert max_abs(out - expected) < 1e-10
 
@@ -333,11 +329,10 @@ def test_post_probe_observable_duality_and_completeness():
         mm = random_model(2, 3, 3, 2, seed + 80)
         rho = State(random_density(2, seed + 81))
         sigma = State(random_density(3, seed + 82))
-        obs = post_probe_observable(mm, rho)
-        mats = [obs.effect_matrix(x) for x in obs.labels]
+        mats = post_probe_observable(mm, rho)
         assert max_abs(sum(mats) - np.eye(3)) < 1e-10
-        for x, out in zip(obs.labels, post_probe_instrument_nd(mm, rho, sigma)):
-            paired = np.trace(sigma.matrix @ obs.effect_matrix(x)).real
+        for effect, out in zip(mats, post_probe_instrument_nd(mm, rho, sigma), strict=True):
+            paired = np.trace(sigma.matrix @ effect).real
             closed = np.trace(out).real
             assert abs(paired - closed) < 1e-10
 
@@ -352,9 +347,9 @@ def test_post_probe_observable_at_atom_is_pulled_back_meter():
     nd = mm.nd
     for i in range(3):
         obs = post_probe_observable(mm, State(nd.context.atom(i)))
-        for x in obs.labels:
-            expected = _pulled_back(nd.probe_channel(i), mm.meter.effect_matrix(x))
-            assert max_abs(obs.effect_matrix(x) - expected) < 1e-10
+        for f, effect in zip(mm.meter.effects, obs, strict=True):
+            expected = _pulled_back(nd.probe_channel(i), f)
+            assert max_abs(effect - expected) < 1e-10
 
 
 def test_post_probe_observable_is_affine_on_random_mixtures():
@@ -364,10 +359,8 @@ def test_post_probe_observable_is_affine_on_random_mixtures():
         states = [State(random_density(3, rng)) for _ in range(3)]
         weights = rng.dirichlet(np.ones(3))
         mixture = State(sum(w * s.matrix for w, s in zip(weights, states)))
-        observables = [post_probe_observable(mm, s) for s in states]
-        for x in mm.meter.labels:
-            mixed = sum(w * obs.effect_matrix(x) for w, obs in zip(weights, observables))
-            assert max_abs(post_probe_observable(mm, mixture).effect_matrix(x) - mixed) < 1e-10
+        mixed = sum(w * post_probe_observable(mm, s) for w, s in zip(weights, states))
+        assert max_abs(post_probe_observable(mm, mixture) - mixed) < 1e-10
 
 
 def test_unitary_rows_pull_the_meter_back_by_conjugation():
@@ -376,13 +369,13 @@ def test_unitary_rows_pull_the_meter_back_by_conjugation():
     rho = State(random_density(2, 86))
     weights = nd.context.weights(rho.matrix)
     sigma = State(random_density(3, 87))
-    for x, out in zip(mm.meter.labels, post_probe_instrument_nd(mm, rho, sigma)):
-        f = mm.meter.effect_matrix(x)
+    for f, out, effect in zip(mm.meter.effects, post_probe_instrument_nd(mm, rho, sigma),
+                              post_probe_observable(mm, rho), strict=True):
         pulled = sum(
             weights[i] * nd.table[i][0].conj().T @ f @ nd.table[i][0]
             for i in range(2)
         )
-        assert max_abs(post_probe_observable(mm, rho).effect_matrix(x) - pulled) < 1e-10
+        assert max_abs(effect - pulled) < 1e-10
         root = psd_sqrt(f)
         sandwiched = sum(
             weights[i]
@@ -393,7 +386,7 @@ def test_unitary_rows_pull_the_meter_back_by_conjugation():
 
 
 # ---------------------------------------------------------------------------
-# Every instrument is one stack over the meter outcomes
+# Every closed form and oracle is one stack over the meter outcomes
 # ---------------------------------------------------------------------------
 
 INSTRUMENTS = [
@@ -403,18 +396,25 @@ INSTRUMENTS = [
     post_probe_instrument_direct,
     remeasured_effect,
     remeasured_effect_two_round,
+    measured_observable_nd,
+    post_probe_observable,
 ]
 
 
 def _instrument_call(fn, mm, rho, sigma):
-    if "sigma" in inspect.signature(fn).parameters:
+    params = inspect.signature(fn).parameters
+    if "sigma" in params:
         return fn(mm, rho, sigma)
-    return fn(mm, rho)
+    if "rho" in params:
+        return fn(mm, rho)
+    return fn(mm)
 
 
 @pytest.mark.parametrize("fn", INSTRUMENTS, ids=lambda fn: fn.__name__)
 def test_instrument_takes_no_outcome_and_stacks_outcomes_in_label_order(fn):
-    assert list(inspect.signature(fn).parameters) in (["mm", "rho"], ["mm", "rho", "sigma"])
+    assert list(inspect.signature(fn).parameters) in (
+        ["mm"], ["mm", "rho"], ["mm", "rho", "sigma"]
+    )
     mm = random_model(3, 2, 3, 2, 120, context=Context.random(3, 121))
     rho = State(random_density(3, 122))
     sigma = State(random_density(2, 123))
@@ -487,9 +487,9 @@ def test_pulled_meter_is_the_dual_of_each_probe_channel(shape):
     mm = _cache_model(shape, 110)
     n, dk, outcomes, _ = shape
     assert mm.pulled_meter.shape == (outcomes, n, dk, dk)
-    for xi, x in enumerate(mm.meter.labels):
+    for xi, f in enumerate(mm.meter.effects):
         for i in range(n):
-            expected = _pulled_back(mm.nd.probe_channel(i), mm.meter.effect_matrix(x))
+            expected = _pulled_back(mm.nd.probe_channel(i), f)
             assert max_abs(mm.pulled_meter[xi, i] - expected) < 1e-12
 
 
@@ -527,11 +527,13 @@ def test_cached_tensors_require_nd_channel():
 # ---------------------------------------------------------------------------
 
 
-def _three_system_remeasured_effect(mm: MeasurementModel, rho: State, x: str) -> np.ndarray:
+def _three_system_remeasured_effect(
+    mm: MeasurementModel, rho: State, f: np.ndarray
+) -> np.ndarray:
     """Dense reference on base (x) base (x) probe, built from the composite Kraus family.
 
     Round one acts on the first base (in ``I/n``) and the probe, round two on
-    the second base (in ``rho``) and the probe; then the meter effect weights
+    the second base (in ``rho``) and the probe; then the meter effect ``f`` weights
     the probe, the first base and the probe are traced out, and the result
     is dephased and scaled by ``n``.
     """
@@ -545,7 +547,7 @@ def _three_system_remeasured_effect(mm: MeasurementModel, rho: State, x: str) ->
     for kraus in (first, second):
         lifted = [k.reshape(state.shape) for k in kraus]
         state = sum(k @ state @ k.conj().T for k in lifted)
-    weighted = (state @ kron(np.eye(n * n), mm.meter.effect_matrix(x))).reshape(
+    weighted = (state @ kron(np.eye(n * n), f)).reshape(
         n, n, dk, n, n, dk
     )
     second_base = np.einsum("abpaep->be", weighted)
@@ -559,8 +561,8 @@ def test_remeasure_matches_three_system_reference(n, dk):
     rho = State(random_density(n, rng))
     closed = remeasured_effect(mm, rho)
     oracle = remeasured_effect_two_round(mm, rho)
-    for x, out, brute in zip(mm.meter.labels, closed, oracle):
-        reference = _three_system_remeasured_effect(mm, rho, x)
+    for f, out, brute in zip(mm.meter.effects, closed, oracle):
+        reference = _three_system_remeasured_effect(mm, rho, f)
         assert max_abs(out - reference) < 1e-12
         assert max_abs(brute - reference) < 1e-12
 
@@ -590,8 +592,7 @@ def test_remeasure_unitary_case_matches_explicit_double_product():
     eta = mm.probe_state.matrix
     rho = State(random_density(3, 97))
     weights = nd.context.weights(rho.matrix)
-    for x, out in zip(mm.meter.labels, remeasured_effect(mm, rho)):
-        f = mm.meter.effect_matrix(x)
+    for f, out in zip(mm.meter.effects, remeasured_effect(mm, rho)):
         diag = np.zeros(3)
         for i in range(3):
             for j in range(3):
@@ -610,8 +611,8 @@ def test_remeasure_identity_table_scales_the_dephased_state():
     mm = MeasurementModel(n, dk, eta, nd, meter)
     rho = State(random_density(n, 101))
     dephased = ctx.dephase(rho.matrix)
-    for x, out in zip(meter.labels, remeasured_effect(mm, rho)):
-        scale = np.trace(eta.matrix @ meter.effect_matrix(x)).real
+    for f, out in zip(meter.effects, remeasured_effect(mm, rho)):
+        scale = np.trace(eta.matrix @ f).real
         # every atom pair contributes once, so the inner sum scales by n
         assert max_abs(out - n * scale * dephased) < 1e-10
 

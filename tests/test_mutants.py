@@ -1,0 +1,96 @@
+"""Mutant catalogue: a plausible bug in any closed form, oracle or shared
+helper makes the verification battery FAIL, and never makes it crash.
+
+Each mutant is one textual change to the source of a real function.  The
+changed function is compiled in its own module's namespace and bound in
+place of the original, in every module of the package that holds it (or
+on its class, for a method).
+"""
+
+import __future__
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from nondisturbing import channels, linalg, models
+from nondisturbing.objects import Context
+from nondisturbing.verify import run_verification
+
+# The fewest trials at which every mutant below fails the battery.
+TRIALS = 1
+
+# (id, owner, function name, original text, mutated text, modules to patch;
+# None patches every module of the package that binds the function).
+MUTANTS = [
+    ("transposed-kernel", channels, "pair_overlap_kernel",
+     '"ikab,jkba->ij"', '"ikab,jkba->ji"', None),
+    ("context-blind-instrument", models, "measured_instrument_nd",
+     "basis = nd.context.basis", "basis = np.eye(nd.dim_base)", None),
+    ("standard-basis-weights", models, "post_probe_observable",
+     "weights = nd.context.weights(rho.matrix)",
+     "weights = np.real(np.diagonal(rho.matrix))", None),
+    ("trace-with-transposed-meter", models, "measured_observable_nd",
+     '"iab,xba->xi"', '"iab,xab->xi"', None),
+    ("first-atom-times-n", models, "remeasured_effect",
+     "mm.evolved_probe.sum(axis=0)", "mm.dim_base * mm.evolved_probe[0]", None),
+    ("meter-times-mixed", models, "post_probe_instrument_nd",
+     "hermitian_part(root @ mixed @ root) for root in map(psd_sqrt, mm.meter.effects)",
+     "hermitian_part(f @ mixed) for f in mm.meter.effects", None),
+    ("transposed-probe-adjoint", channels, "probe_outputs",
+     "np.conj(np.swapaxes(t, -1, -2))", "np.swapaxes(t, -1, -2)", None),
+    ("transposed-context-weights", Context, "weights",
+     '"ai,ab,bi->i"', '"ai,ba,bi->i"', None),
+    ("identity-square-root", linalg, "psd_sqrt",
+     "root = np.sqrt(np.clip(w, 0.0, None))", "root = np.clip(w, 0.0, None)", None),
+    # Only the model code: the random generators need the true Hermitian part
+    # to build valid inputs at all.
+    ("symmetric-part", linalg, "hermitian_part",
+     "np.swapaxes(arr.conj(), -1, -2)", "np.swapaxes(arr, -1, -2)", (models,)),
+    # One mutant per oracle.  The first reads the composite as probe-major,
+    # so its trace keeps the probe dimension but sums over the wrong factor.
+    ("oracle-trace-over-wrong-factor", models, "post_probe_instrument_direct",
+     'partial_trace(interacted, n, dk, over="left")',
+     'partial_trace(interacted, dk, n, over="right")', None),
+    ("oracle-transposed-meter", models, "measured_instrument_direct",
+     '"apbq,xqp->xab"', '"apbq,xpq->xab"', None),
+    ("oracle-without-dephasing", models, "remeasured_effect_two_round",
+     "n * sum(p @ out @ p for p in nd.context.atoms)", "n * out", None),
+]
+
+
+def _mutant(original, name, old, new):
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1, f"{name}: the text to mutate is not in its source"
+    code = compile(
+        source.replace(old, new), inspect.getsourcefile(original), "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    namespace = {}
+    exec(code, original.__globals__, namespace)
+    return namespace[name]
+
+
+def _install(monkeypatch, owner, name, old, new, modules):
+    original = getattr(owner, name)
+    mutant = _mutant(original, name, old, new)
+    if inspect.isclass(owner):
+        monkeypatch.setattr(owner, name, mutant)
+        return
+    if modules is None:
+        modules = [m for key, m in sys.modules.items()
+                   if key == "nondisturbing" or key.startswith("nondisturbing.")]
+    bound = [(m, attr) for m in modules for attr, value in vars(m).items() if value is original]
+    assert bound
+    for module, attr in bound:
+        monkeypatch.setattr(module, attr, mutant)
+
+
+@pytest.mark.parametrize(
+    "owner, name, old, new, modules", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS]
+)
+def test_mutant_fails_the_battery_without_raising(monkeypatch, owner, name, old, new, modules):
+    _install(monkeypatch, owner, name, old, new, modules)
+    results, ok = run_verification(42, TRIALS, 4, 1e-9)
+    assert not ok

@@ -71,20 +71,12 @@ def test_observable_accepts_zero_effect_and_single_outcome():
     assert single.labels == ("0",)
     assert single.effects.shape == (1, 3, 3)
     with_zero = Observable.from_matrices([np.zeros((3, 3)), np.eye(3)], ["never", "always"])
-    assert max_abs(with_zero.effect_matrix("never")) == 0.0
+    assert max_abs(with_zero.effects[0]) == 0.0
     probabilities = np.trace(rho @ with_zero.effects, axis1=1, axis2=2).real
     assert probabilities == pytest.approx([0.0, 1.0], abs=1e-12)
     atom = random_projection(3, 1, 2)
     sharp = Observable.from_matrices([atom, np.eye(3) - atom])
     assert np.trace(atom @ sharp.effects[0]).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_effect_matrix_reads_the_stack_by_label():
-    obs = Observable.from_matrices(random_povm(2, 3, 4), ["a", "b", "c"])
-    for x, label in enumerate(obs.labels):
-        assert np.array_equal(obs.effect_matrix(label), obs.effects[x])
-    with pytest.raises(KeyError, match="unknown outcome label"):
-        obs.effect_matrix("d")
 
 
 def test_kraus_operation_rejects_incomplete_family():
@@ -153,8 +145,7 @@ def test_apply_matrix_unitary_channel_preserves_spectrum():
 def test_sharp_observable_is_projective_and_complete():
     obs = sharp_observable(3)
     assert obs.labels == ("0", "1", "2")
-    for i in range(3):
-        m = obs.effect_matrix(str(i))
+    for m in obs.effects:
         assert max_abs(m @ m - m) == 0.0
-    assert max_abs(sum(obs.effect_matrix(x) for x in obs.labels) - np.eye(3)) == 0.0
+    assert max_abs(sum(obs.effects) - np.eye(3)) == 0.0
 

@@ -40,6 +40,7 @@ REMOVED = {
     "probability",
     "_meter_stack",
     "dual_matrix",
+    "effect_matrix",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.

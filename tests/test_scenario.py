@@ -1,8 +1,6 @@
 """The scenario check registry: residual names, shared oracle work, and the
 one check that both the scenario runner and ``verify`` run."""
 
-import types
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -49,18 +47,24 @@ def test_nd_scenario_residual_names():
         "instrument.state1.probability_min",
         "observable.completeness",
         "observable.commutators",
+        "observable.outcome0.psd_defect",
+        "observable.outcome1.psd_defect",
         "observable.state0.pairing",
         "observable.state1.pairing",
         "post_probe.state0.completeness",
         "post_probe.state0.outcome0.closed_vs_direct",
         "post_probe.state0.outcome0.duality",
+        "post_probe.state0.outcome0.psd_defect",
         "post_probe.state0.outcome1.closed_vs_direct",
         "post_probe.state0.outcome1.duality",
+        "post_probe.state0.outcome1.psd_defect",
         "post_probe.state1.completeness",
         "post_probe.state1.outcome0.closed_vs_direct",
         "post_probe.state1.outcome0.duality",
+        "post_probe.state1.outcome0.psd_defect",
         "post_probe.state1.outcome1.closed_vs_direct",
         "post_probe.state1.outcome1.duality",
+        "post_probe.state1.outcome1.psd_defect",
         "remeasure.state0.outcome0.closed_vs_two_round",
         "remeasure.state0.outcome1.closed_vs_two_round",
         "remeasure.state1.outcome0.closed_vs_two_round",
@@ -144,8 +148,7 @@ def test_nan_closed_forms_give_nan_folded_residuals(monkeypatch):
         return np.full_like(original_instrument(mm, rho), np.nan)
 
     def nan_observable(mm):
-        obs = original_observable(mm)
-        return types.SimpleNamespace(labels=obs.labels, effects=np.full_like(obs.effects, np.nan))
+        return np.full_like(original_observable(mm), np.nan)
 
     monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_nd", nan_instrument)
     monkeypatch.setattr(nondisturbing.scenario, "measured_observable_nd", nan_observable)

@@ -49,8 +49,7 @@ def test_observable_round_trip():
     doc = json.loads(json.dumps(observable_to_json(obs)))
     back = observable_from_json(doc)
     assert back.labels == obs.labels
-    for x in obs.labels:
-        assert max_abs(back.effect_matrix(x) - obs.effect_matrix(x)) == 0.0
+    assert max_abs(back.effects - obs.effects) == 0.0
 
 
 def test_observable_schema_and_invariant_errors_are_distinct():

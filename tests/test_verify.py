@@ -1,8 +1,6 @@
 """The verification battery: NaN residuals fail their family, and the
 battery runs at larger dimensions."""
 
-import types
-
 import numpy as np
 import pytest
 
@@ -11,52 +9,36 @@ import nondisturbing.verify
 from nondisturbing.verify import FAMILY_NAMES, run_verification
 
 
-def _nan_like(matrix):
-    return np.full_like(matrix, np.nan)
-
-
-def _nan_observable(original):
-    def patched(mm):
-        obs = original(mm)
-        return types.SimpleNamespace(
-            labels=obs.labels,
-            effects=_nan_like(obs.effects),
-            effect_matrix=lambda x: _nan_like(obs.effect_matrix(x)),
-        )
-    return patched
-
-
 def _nan_array(original):
     def patched(*args):
-        return _nan_like(original(*args))
+        return np.full_like(original(*args), np.nan)
     return patched
 
 
-# (closed form, module whose binding is replaced, NaN wrapper, families that
-# must fail); the scenario bindings drive the three model families.
+# (closed form, module whose binding is replaced, families that must fail);
+# the scenario bindings drive the three model families.
 CASES = [
-    ("measured_instrument_nd", nondisturbing.scenario, _nan_array,
-     {"measured-instrument"}),
-    ("measured_observable_nd", nondisturbing.scenario, _nan_observable,
-     {"measured-instrument"}),
-    ("post_probe_instrument_nd", nondisturbing.scenario, _nan_array, {"post-probe"}),
-    ("remeasured_effect", nondisturbing.scenario, _nan_array, {"remeasurement"}),
-    ("measured_instrument_nd", nondisturbing.verify, _nan_array,
+    ("measured_instrument_nd", nondisturbing.scenario, {"measured-instrument"}),
+    ("measured_observable_nd", nondisturbing.scenario, {"measured-instrument"}),
+    ("post_probe_instrument_nd", nondisturbing.scenario, {"post-probe"}),
+    ("post_probe_observable", nondisturbing.scenario, {"post-probe"}),
+    ("remeasured_effect", nondisturbing.scenario, {"remeasurement"}),
+    ("measured_instrument_nd", nondisturbing.verify,
      {"fourier-family", "unitary-specialization"}),
-    ("measured_observable_nd", nondisturbing.verify, _nan_observable,
+    ("measured_observable_nd", nondisturbing.verify,
      {"fourier-family", "swap-family", "unitary-specialization"}),
-    ("post_probe_instrument_nd", nondisturbing.verify, _nan_array,
-     {"unitary-specialization"}),
-    ("remeasured_effect", nondisturbing.verify, _nan_array, {"remeasurement"}),
+    ("post_probe_instrument_nd", nondisturbing.verify, {"unitary-specialization"}),
+    ("post_probe_observable", nondisturbing.verify, {"unitary-specialization"}),
+    ("remeasured_effect", nondisturbing.verify, {"remeasurement"}),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, module, wrap, failing", CASES,
-    ids=[f"{module.__name__.rsplit('.', 1)[1]}.{name}" for name, module, _, _ in CASES],
+    "name, module, failing", CASES,
+    ids=[f"{module.__name__.rsplit('.', 1)[1]}.{name}" for name, module, _ in CASES],
 )
-def test_nan_closed_form_fails_its_family(monkeypatch, name, module, wrap, failing):
-    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+def test_nan_closed_form_fails_its_family(monkeypatch, name, module, failing):
+    monkeypatch.setattr(module, name, _nan_array(getattr(module, name)))
     results, ok = run_verification(seed=42, trials=2, max_dim=3, tol=1e-9)
     assert not ok
     assert {r.name for r in results if not r.passed(1e-9)} == failing
