@@ -11,7 +11,6 @@ tensor-product oracles.
 from .linalg import (
     CONSTRUCTION_ATOL,
     DEFAULT_ATOL,
-    hermitian_eig,
     hermitian_part,
     is_effect_matrix,
     is_hermitian,
@@ -22,7 +21,6 @@ from .linalg import (
     loewner_leq,
     max_abs,
     partial_trace,
-    psd_inv_sqrt,
     psd_sqrt,
     random_density,
     random_effect,

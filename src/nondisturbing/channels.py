@@ -20,9 +20,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_ATOL,
-    as_complex_matrix,
     as_complex_stack,
-    max_abs,
+    completeness_defects,
     random_kraus_channel,
 )
 from .objects import Context, KrausOperation, State
@@ -60,16 +59,11 @@ class NDChannel:
                 f"need one table row per context atom: "
                 f"{len(self.table)} rows for dimension {self.context.dim}"
             )
-        counts = {len(row) for row in self.table}
+        counts = {len(row) if hasattr(row, "__len__") else 0 for row in self.table}
         if counts == {0} or len(counts) != 1:
             raise ValueError(f"table rows must share one nonzero length, got {counts}")
-        shapes = {np.shape(b) for row in self.table for b in row}
-        shape = next(iter(shapes))
-        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"table entries must be square and same-shaped, got {shapes}")
-        table = as_complex_stack(self.table, "table")
-        gram = (np.conj(np.swapaxes(table, -1, -2)) @ table).sum(axis=1)
-        defects = np.abs(gram - np.eye(shape[0])).max(axis=(1, 2))
+        table = as_complex_stack(self.table, "table entries", 4)
+        defects = completeness_defects(table)
         bad = np.flatnonzero(defects > DEFAULT_ATOL)
         if bad.size:
             i = bad[0]
@@ -97,20 +91,21 @@ class NDChannel:
         return self.table
 
     @cached_property
-    def induced_kraus(self) -> tuple[np.ndarray, ...]:
-        """Kraus operators on the composite space: ``S_k = sum_i P_i (x) B_i^k``."""
+    def induced_kraus(self) -> np.ndarray:
+        """Kraus operators on the composite space: ``S_k = sum_i P_i (x) B_i^k``.
+
+        One read-only array of shape ``(kraus_count, n dk, n dk)``.
+        """
         return self.as_operation().kraus
 
     @cached_property
     def _operation(self) -> KrausOperation:
         # The one owner of the composite Kraus family; its constructor runs
         # the composite completeness check.
-        return KrausOperation(
-            tuple(
-                ProbeDecomposition(self.context, self.table[:, k]).assemble()
-                for k in range(self.kraus_count)
-            )
-        )
+        return KrausOperation([
+            ProbeDecomposition(self.context, self.table[:, k]).assemble()
+            for k in range(self.kraus_count)
+        ])
 
     def as_operation(self) -> KrausOperation:
         """The channel on the composite space in generic Kraus form, built once."""
@@ -132,9 +127,7 @@ def nd_channel_from_kraus(
     first failure is reported with its index and defect.  The resulting
     table row ``i`` collects the atom-``i`` block of each Kraus operator.
     """
-    mats = [as_complex_matrix(s, f"kraus[{k}]") for k, s in enumerate(kraus)]
-    if not mats:
-        raise ValueError("need at least one Kraus operator")
+    mats = as_complex_stack(kraus, "Kraus operators", 3)
     blocks = []
     for k, s in enumerate(mats):
         defect = commutator_defect(s, context, dim_probe)
@@ -144,8 +137,7 @@ def nd_channel_from_kraus(
                 f"(largest commutator norm {defect:.3e} > {DEFAULT_ATOL:.3e})"
             )
         blocks.append(_probe_blocks(s, context, dim_probe))
-    total = sum(s.conj().T @ s for s in mats)
-    defect = max_abs(total - np.eye(context.dim * dim_probe))
+    defect = float(completeness_defects(mats))
     if defect > DEFAULT_ATOL:
         raise ValueError(f"kraus family is not a channel (defect {defect:.3e})")
     return NDChannel(context, np.stack(blocks, axis=1))

@@ -6,8 +6,8 @@ Composite systems are flattened base-major: the product of basis vector
 convention of ``numpy.kron(left, right)`` and makes partial traces
 contiguous block sums.
 
-Value types, decoders, builders and the eigen-routines below validate at
-the fixed ``DEFAULT_ATOL``; it cannot be set per object or per call.
+Value types, decoders, builders and :func:`psd_sqrt` validate at the
+fixed ``DEFAULT_ATOL``; it cannot be set per object or per call.
 Semantic predicates (Hermiticity, positivity, unitarity, operator order)
 default to ``DEFAULT_ATOL`` and take their tolerance as an explicit
 argument.  ``CONSTRUCTION_ATOL`` is the much tighter bound that the
@@ -28,8 +28,8 @@ import numpy as np
 __all__ = [
     "DEFAULT_ATOL",
     "CONSTRUCTION_ATOL",
-    "as_complex_matrix",
     "as_complex_stack",
+    "completeness_defects",
     "max_abs",
     "fold_max",
     "hermitian_part",
@@ -40,9 +40,7 @@ __all__ = [
     "is_unitary",
     "is_projection_matrix",
     "is_effect_matrix",
-    "hermitian_eig",
     "psd_sqrt",
-    "psd_inv_sqrt",
     "loewner_leq",
     "random_unitary",
     "random_hermitian",
@@ -57,24 +55,40 @@ DEFAULT_ATOL = 1e-9
 CONSTRUCTION_ATOL = 1e-12
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a read-only complex matrix with finite entries."""
-    if np.ndim(m) != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {np.shape(m)}")
-    return as_complex_stack(m, name)
+def as_complex_stack(family, name: str, ndim: int) -> np.ndarray:
+    """Coerce a family of square matrices to one read-only complex array.
 
-
-def as_complex_stack(family, name: str) -> np.ndarray:
-    """Coerce a family of same-shaped matrices to one read-only complex array.
-
-    ``family`` is an array whose last two axes index each matrix, or
-    nested sequences of matrices; callers check the shapes first.
+    ``family`` is an array, or nested sequences, with ``ndim`` axes whose
+    last two index each matrix.  A ragged or non-numeric family, the
+    wrong number of axes, non-square matrices and non-finite entries all
+    raise ``ValueError`` naming ``name``.
     """
-    arr = np.array(family, dtype=complex, order="C")
+    try:
+        arr = np.array(family, dtype=complex, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{name} must hold numbers in matrices that share one dimension"
+        ) from exc
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} axes, got shape {arr.shape}")
+    if arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape[-2:]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def completeness_defects(stack: np.ndarray) -> np.ndarray:
+    """``max|sum_k K_k* K_k - I|`` for each Kraus family of a ``(..., K, d, d)`` stack.
+
+    The sum is the Gram matrix ``M* M`` of the family stacked into one
+    ``(K d) x d`` block column ``M``, so no per-term product is formed.
+    """
+    *lead, count, dim, _ = stack.shape
+    column = stack.reshape(*lead, count * dim, dim)
+    gram = np.conj(np.swapaxes(column, -1, -2)) @ column
+    return np.abs(gram - np.eye(dim)).max(axis=(-2, -1))
 
 
 def _square(m, name: str = "matrix") -> np.ndarray:
@@ -180,12 +194,12 @@ def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool:
     return float(w[0]) >= -atol and float(w[-1]) <= 1 + atol
 
 
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def psd_sqrt(m) -> np.ndarray:
+    """Positive semidefinite square root of a PSD Hermitian matrix.
 
-    Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
-    eigenvector matrix ``v`` whose columns satisfy ``m = v diag(w) v*``.
     Rejects inputs that are not Hermitian within ``DEFAULT_ATOL``.
+    Eigenvalues in ``[-DEFAULT_ATOL, 0)`` are clamped to zero; anything
+    below ``-DEFAULT_ATOL`` is rejected as not positive semidefinite.
     """
     arr = _square(m)
     defect = max_abs(arr - arr.conj().T)
@@ -194,32 +208,12 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not Hermitian (defect {defect:.3e} > {DEFAULT_ATOL:.3e})"
         )
     w, v = np.linalg.eigh(hermitian_part(arr))
-    return w, v
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Positive semidefinite square root of a PSD Hermitian matrix.
-
-    Eigenvalues in ``[-DEFAULT_ATOL, 0)`` are clamped to zero; anything
-    below ``-DEFAULT_ATOL`` is rejected as not positive semidefinite.
-    """
-    w, v = hermitian_eig(m)
     if float(w[0]) < -DEFAULT_ATOL:
         raise ValueError(
             f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
         )
     root = np.sqrt(np.clip(w, 0.0, None))
     return hermitian_part((v * root) @ v.conj().T)
-
-
-def psd_inv_sqrt(m) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix."""
-    w, v = hermitian_eig(m)
-    if float(w[0]) <= DEFAULT_ATOL:
-        raise ValueError(
-            f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
-        )
-    return hermitian_part((v / np.sqrt(w)) @ v.conj().T)
 
 
 def loewner_leq(a, b, atol: float = DEFAULT_ATOL) -> bool:

@@ -151,7 +151,8 @@ def measured_instrument_direct(mm: MeasurementModel, rho: State) -> np.ndarray:
     interacted = mm.channel_operation().apply_matrix(
         kron(rho.matrix, mm.probe_state.matrix)
     ).reshape(n, dk, n, dk)
-    return hermitian_part(np.einsum("apbq,xqp->xab", interacted, mm.meter.effects))
+    outs = np.einsum("apbq,xqp->xab", interacted, mm.meter.effects)
+    return (outs + np.swapaxes(outs.conj(), -1, -2)) / 2
 
 
 def measured_instrument_nd(mm: MeasurementModel, rho: State) -> np.ndarray:
@@ -191,15 +192,20 @@ def post_probe_instrument_direct(mm: MeasurementModel, rho: State, sigma: State)
     Applies the channel to ``rho (x) sigma`` once and traces the base out
     of the output ``X``.  Outcome ``x`` is ``Tr_base[(I (x) R) X (I (x) R)]``
     with ``R = F_x^(1/2)``; a probe-side factor passes through the
-    base-side partial trace, so this is ``R Tr_base[X] R`` exactly.
+    base-side partial trace, so this is ``R Tr_base[X] R`` exactly.  The
+    roots come from one batched eigendecomposition of the meter, with the
+    eigenvalues clipped at 0; the closed forms take theirs from
+    :func:`psd_sqrt`.
     """
     _check_inputs(mm, rho, sigma)
     n, dk = mm.dim_base, mm.dim_probe
     interacted = mm.channel_operation().apply_matrix(kron(rho.matrix, sigma.matrix))
     reduced = partial_trace(interacted, n, dk, over="left")
-    return np.array([
-        hermitian_part(root @ reduced @ root) for root in map(psd_sqrt, mm.meter.effects)
-    ])
+    w, v = np.linalg.eigh(mm.meter.effects)
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    roots = (roots + np.swapaxes(roots.conj(), -1, -2)) / 2
+    outs = roots @ reduced @ roots
+    return (outs + np.swapaxes(outs.conj(), -1, -2)) / 2
 
 
 def post_probe_instrument_nd(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:

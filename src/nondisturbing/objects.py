@@ -18,8 +18,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_ATOL,
-    as_complex_matrix,
     as_complex_stack,
+    completeness_defects,
     is_hermitian,
     max_abs,
     random_unitary,
@@ -34,13 +34,6 @@ __all__ = [
 ]
 
 
-def _validated_square(m, name: str) -> np.ndarray:
-    arr = as_complex_matrix(m, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """PSD Hermitian operator with unit trace."""
@@ -48,7 +41,7 @@ class State:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _validated_square(self.matrix, "state")
+        m = as_complex_stack(self.matrix, "state", 2)
         if not is_hermitian(m):
             raise ValueError("state must be Hermitian")
         w = np.linalg.eigvalsh(m)
@@ -86,20 +79,12 @@ class Observable:
             raise ValueError("observable needs at least one outcome")
         if len(set(labels)) != len(labels):
             raise ValueError(f"outcome labels must be unique, got {list(labels)}")
-        if len(self.effects) != len(labels):
+        effects = as_complex_stack(self.effects, "effects", 3)
+        if len(effects) != len(labels):
             raise ValueError(
                 f"need one effect per outcome label: "
-                f"{len(self.effects)} effects for {len(labels)} labels"
+                f"{len(effects)} effects for {len(labels)} labels"
             )
-        shapes = {np.shape(m) for m in self.effects}
-        for shape in shapes:
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ValueError(f"effect must be square, got shape {shape}")
-        if len(shapes) != 1:
-            raise ValueError(
-                f"effects must share one dimension, got {sorted(s[0] for s in shapes)}"
-            )
-        effects = as_complex_stack(self.effects, "effect")
         if max_abs(effects - np.conj(np.swapaxes(effects, -1, -2))) > DEFAULT_ATOL:
             raise ValueError("effect must be Hermitian")
         w = np.linalg.eigvalsh(effects)
@@ -129,26 +114,23 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class KrausOperation:
-    """Channel given by its Kraus operators: ``sum_k k* k`` equals the identity."""
+    """Channel given by its Kraus operators: ``sum_k k* k`` equals the identity.
 
-    kraus: tuple[np.ndarray, ...]
+    ``kraus`` is one read-only array of shape ``(count, dim, dim)``.
+    """
+
+    kraus: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(as_complex_matrix(k, "kraus operator") for k in self.kraus)
-        if not mats:
-            raise ValueError("operation needs at least one Kraus operator")
-        dims = {m.shape for m in mats}
-        if len(dims) != 1 or mats[0].shape[0] != mats[0].shape[1]:
-            raise ValueError(f"Kraus operators must be square and same-shaped, got {dims}")
-        total = sum(m.conj().T @ m for m in mats)
-        defect = max_abs(total - np.eye(mats[0].shape[0]))
+        kraus = as_complex_stack(self.kraus, "Kraus operators", 3)
+        defect = float(completeness_defects(kraus))
         if defect > DEFAULT_ATOL:
             raise ValueError(f"channel completeness violated (defect {defect:.3e})")
-        object.__setattr__(self, "kraus", mats)
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         return sum(k @ m @ k.conj().T for k in self.kraus)
@@ -165,7 +147,7 @@ class Context:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = _validated_square(self.basis, "context basis")
+        b = as_complex_stack(self.basis, "context basis", 2)
         defect = max_abs(b.conj().T @ b - np.eye(b.shape[0]))
         if defect > DEFAULT_ATOL:
             raise ValueError(

@@ -55,16 +55,13 @@ class ProbeDecomposition:
     probes: np.ndarray
 
     def __post_init__(self):
-        if len(self.probes) != self.context.dim:
+        probes = as_complex_stack(self.probes, "probe blocks", 3)
+        if len(probes) != self.context.dim:
             raise ValueError(
                 f"need one probe block per context atom: "
-                f"{len(self.probes)} blocks for dimension {self.context.dim}"
+                f"{len(probes)} blocks for dimension {self.context.dim}"
             )
-        shapes = {np.shape(b) for b in self.probes}
-        shape = next(iter(shapes), ())
-        if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"probe blocks must be square and same-shaped, got {shapes}")
-        object.__setattr__(self, "probes", as_complex_stack(self.probes, "probe block"))
+        object.__setattr__(self, "probes", probes)
 
     @property
     def dim_base(self) -> int:
@@ -86,9 +83,6 @@ class ProbeDecomposition:
         # placed[i, p, b, q] = B_i[p, q] conj(V[b, i]) is blockdiag(B) (V* (x) I)
         placed = self.probes[:, :, None, :] * basis.conj().T[:, None, :, None]
         return (basis @ placed.reshape(n, -1)).reshape(n * dk, n * dk)
-
-    def adjoint(self) -> "ProbeDecomposition":
-        return ProbeDecomposition(self.context, np.conj(np.swapaxes(self.probes, -1, -2)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import as_complex_matrix
 from .objects import Context, Observable
 from .channels import NDChannel
 
@@ -75,10 +74,11 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
         ):
             raise SchemaError(f"{path}.data[{idx}]", "entries must be [re, im] numbers")
         values.append(complex(pair[0], pair[1]))
-    try:
-        return as_complex_matrix(np.array(values).reshape(rows, cols), path)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    matrix = np.array(values, dtype=complex).reshape(rows, cols)
+    if not np.all(np.isfinite(matrix)):
+        raise SchemaError(path, "contains non-finite entries")
+    matrix.setflags(write=False)
+    return matrix
 
 
 def observable_to_json(obs: Observable) -> dict[str, Any]:

@@ -72,6 +72,8 @@ def test_ragged_or_empty_tables_are_rejected():
     row = tuple(random_kraus_channel(2, 2, 3))
     with pytest.raises(ValueError, match="share one nonzero length"):
         NDChannel(ctx, (row, row[:1]))
+    with pytest.raises(ValueError, match="share one nonzero length"):
+        NDChannel(ctx, (row, None))
     with pytest.raises(ValueError, match="one table row per context atom"):
         NDChannel(ctx, (row,))
 

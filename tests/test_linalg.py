@@ -3,7 +3,8 @@ import pytest
 
 from nondisturbing.linalg import (
     CONSTRUCTION_ATOL,
-    hermitian_eig,
+    as_complex_stack,
+    completeness_defects,
     is_hermitian,
     is_psd,
     is_unitary,
@@ -18,7 +19,6 @@ from nondisturbing.linalg import (
     random_povm,
     random_projection,
     random_unitary,
-    random_hermitian,
 )
 
 
@@ -72,28 +72,30 @@ def test_partial_trace_rejects_bad_dimensions():
         partial_trace(np.eye(6), 2, 3, "middle")
 
 
-def test_hermitian_eig_diagonal_and_projection():
-    w, _ = hermitian_eig(np.diag([3.0, 1.0]))
-    assert np.allclose(w, [1.0, 3.0])
-    v = np.array([1.0, 1j]) / np.sqrt(2)
-    proj = np.outer(v, v.conj())
-    w, _ = hermitian_eig(proj)
-    assert np.allclose(w, [0.0, 1.0], atol=1e-12)
+def test_as_complex_stack_copies_into_a_read_only_array():
+    source = [np.eye(2), np.zeros((2, 2))]
+    stack = as_complex_stack(source, "family", 3)
+    assert stack.shape == (2, 2, 2) and stack.dtype == complex
+    assert not stack.flags.writeable
+    source[0][0, 0] = 5.0
+    assert stack[0, 0, 0] == 1.0
+    with pytest.raises(ValueError, match="family contains non-finite"):
+        as_complex_stack([[np.nan]], "family", 2)
 
 
-def test_hermitian_eig_reconstructs_random_matrices():
-    for seed in range(100):
-        m = random_hermitian(5, seed)
-        w, v = hermitian_eig(m)
-        rebuilt = (v * w) @ v.conj().T
-        denom = max(np.linalg.norm(m), 1.0)
-        assert np.linalg.norm(rebuilt - m) / denom < 1e-10
-        assert is_unitary(v, 1e-12)
+def test_completeness_defects_per_leading_index():
+    good = random_kraus_channel(3, 2, 4)
+    table = np.array([good, [np.eye(3) / 2, np.eye(3) / 2]])
+    defects = completeness_defects(table)
+    assert defects.shape == (2,)
+    assert defects[0] < CONSTRUCTION_ATOL
+    assert defects[1] == pytest.approx(0.5)
+    assert float(completeness_defects(np.array(good))) == pytest.approx(defects[0], abs=1e-15)
 
 
-def test_hermitian_eig_rejects_non_hermitian():
+def test_psd_sqrt_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_psd_sqrt_trivial_cases():

@@ -461,7 +461,7 @@ def test_oracle_reads_no_closed_form_code(monkeypatch, fn):
 
     for name in ("pulled_meter", "evolved_probe"):
         monkeypatch.setattr(MeasurementModel, name, property(forbidden))
-    for name in ("pair_overlap_kernel", "probe_outputs"):
+    for name in ("pair_overlap_kernel", "probe_outputs", "psd_sqrt", "hermitian_part"):
         monkeypatch.setattr(nondisturbing.models, name, forbidden)
     for name in ("weights", "dephase"):
         monkeypatch.setattr(Context, name, forbidden)

@@ -15,7 +15,10 @@ import textwrap
 import pytest
 
 from nondisturbing import channels, linalg, models
-from nondisturbing.objects import Context
+from nondisturbing.linalg import random_density
+from nondisturbing.models import random_model
+from nondisturbing.objects import Context, State
+from nondisturbing.scenario import evaluate
 from nondisturbing.verify import run_verification
 
 # The fewest trials at which every mutant below fails the battery.
@@ -94,3 +97,19 @@ def test_mutant_fails_the_battery_without_raising(monkeypatch, owner, name, old,
     _install(monkeypatch, owner, name, old, new, modules)
     results, ok = run_verification(42, TRIALS, 4, 1e-9)
     assert not ok
+
+
+# The post-probe oracle takes its own square root and Hermitian part, so a
+# bug in the shared helpers moves the closed form away from the oracle
+# instead of moving both together.
+@pytest.mark.parametrize("mutant", ["identity-square-root", "symmetric-part"])
+def test_shared_helper_mutant_separates_closed_form_from_oracle(monkeypatch, mutant):
+    mm = random_model(3, 3, 3, 2, 11)
+    inputs = (State(random_density(3, 12)),)
+    _, before = evaluate(mm, inputs, ["post_probe"])
+    _install(monkeypatch, *next(m[1:] for m in MUTANTS if m[0] == mutant))
+    _, after = evaluate(mm, inputs, ["post_probe"])
+    names = [name for name in after if name.endswith(".closed_vs_direct")]
+    assert names
+    assert max(before[name] for name in names) < 1e-15
+    assert max(after[name] for name in names) > 1e-2

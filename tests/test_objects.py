@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nondisturbing.channels import NDChannel, nd_channel_from_kraus
 from nondisturbing.linalg import (
     max_abs,
     random_density,
@@ -18,6 +19,7 @@ from nondisturbing.objects import (
     State,
     sharp_observable,
 )
+from nondisturbing.probes import ProbeDecomposition
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +59,39 @@ def test_observable_completeness_and_unique_labels():
 def test_observable_rejects_mixed_dimensions_empty_input_and_label_count():
     with pytest.raises(ValueError, match="share one dimension"):
         Observable.from_matrices([np.eye(2) / 2, np.eye(3) / 2])
-    with pytest.raises(ValueError, match="square"):
-        Observable.from_matrices([np.ones((2, 3))])
     with pytest.raises(ValueError, match="at least one outcome"):
         Observable.from_matrices([])
     with pytest.raises(ValueError, match="one effect per outcome label"):
         Observable(("a", "b"), [np.eye(2)])
+
+
+# Every operator family goes through one shape check.  Each builder below
+# takes a family of two 2 x 2 matrices (a 2 x 2 table for the channel); each
+# malformed family replaces it.
+_BUILDERS = {
+    "Observable": lambda family: Observable(("a", "b"), family),
+    "KrausOperation": KrausOperation,
+    "ProbeDecomposition": lambda family: ProbeDecomposition(Context.standard(2), family),
+    "NDChannel": lambda family: NDChannel(Context.standard(2), [family, family]),
+    "nd_channel_from_kraus": lambda family: nd_channel_from_kraus(
+        family, Context.standard(1), 2
+    ),
+}
+
+_MALFORMED = {
+    "ragged": ([np.eye(2), np.eye(3)], "share one dimension"),
+    "non-square": ([np.ones((2, 3)), np.ones((2, 3))], "square"),
+    "wrong-axes": (np.eye(2), "axes"),
+    "none-entry": ([np.eye(2), None], "share one dimension"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+def test_malformed_families_raise_value_error(builder, case):
+    family, message = _MALFORMED[case]
+    with pytest.raises(ValueError, match=message):
+        _BUILDERS[builder](family)
 
 
 def test_observable_accepts_zero_effect_and_single_outcome():

@@ -9,6 +9,7 @@ import pytest
 
 import nondisturbing
 from nondisturbing.channels import NDChannel
+from nondisturbing.linalg import random_kraus_channel
 from nondisturbing.models import random_model
 from nondisturbing.objects import (
     Context,
@@ -41,6 +42,10 @@ REMOVED = {
     "_meter_stack",
     "dual_matrix",
     "effect_matrix",
+    "hermitian_eig",
+    "psd_inv_sqrt",
+    "as_complex_matrix",
+    "adjoint",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.
@@ -87,19 +92,24 @@ def test_traced_attributes_keep_their_names_and_kinds():
 def _stacked_families():
     mm = random_model(3, 2, 3, 2, 5, context=Context.random(3, 6))
     decomp = extract_probes(mm.nd.induced_kraus[0], mm.nd.context, 2)
-    return mm.meter, mm.nd, decomp
+    op = KrausOperation(random_kraus_channel(2, 3, 7))
+    return mm.meter, mm.nd, decomp, op
+
+
+FAMILY_IDS = ["meter.effects", "nd.table", "decomp.probes", "op.kraus", "nd.induced_kraus"]
+
+
+def _stacks(meter, nd, decomp, op):
+    return (meter.effects, nd.table, decomp.probes, op.kraus, nd.induced_kraus)
 
 
 def test_each_operator_family_is_one_stacked_array():
-    meter, nd, decomp = _stacked_families()
+    meter, nd, decomp, op = _stacked_families()
     assert [f.name for f in dataclasses.fields(Observable)] == ["labels", "effects"]
     assert not {"outcomes", "effect"} & set(vars(Observable))
     assert nd.table_array is nd.table
-    for stack, shape in (
-        (meter.effects, (3, 2, 2)),
-        (nd.table, (3, 2, 2, 2)),
-        (decomp.probes, (3, 2, 2)),
-    ):
+    shapes = ((3, 2, 2), (3, 2, 2, 2), (3, 2, 2), (3, 2, 2), (2, 6, 6))
+    for stack, shape in zip(_stacks(meter, nd, decomp, op), shapes, strict=True):
         assert type(stack) is np.ndarray
         assert stack.shape == shape
         assert stack.dtype == complex
@@ -107,27 +117,31 @@ def test_each_operator_family_is_one_stacked_array():
 
 # A writable stack would let a caller corrupt caches built from it, such as
 # the pulled-back meter of a model.
-@pytest.mark.parametrize("index", [0, 1, 2], ids=["meter.effects", "nd.table", "decomp.probes"])
+@pytest.mark.parametrize("index", range(len(FAMILY_IDS)), ids=FAMILY_IDS)
 def test_stacked_families_are_read_only(index):
-    meter, nd, decomp = _stacked_families()
-    stack = (meter.effects, nd.table, decomp.probes)[index]
+    stack = _stacks(*_stacked_families())[index]
     with pytest.raises(ValueError, match="read-only"):
         stack[0] = 0
 
 
 def test_stacks_do_not_alias_the_caller_input():
-    meter, nd, decomp = _stacked_families()
-    effects, table, probes = meter.effects.copy(), nd.table.copy(), decomp.probes.copy()
+    meter, nd, decomp, op = _stacked_families()
+    effects, table, probes, kraus = (
+        meter.effects.copy(), nd.table.copy(), decomp.probes.copy(), op.kraus.copy()
+    )
     rebuilt = (
         Observable(meter.labels, effects),
         NDChannel(nd.context, table),
         ProbeDecomposition(decomp.context, probes),
+        KrausOperation(kraus),
     )
-    for source in (effects, table, probes):
+    for source in (effects, table, probes, kraus):
         source[0] = 0
     assert np.array_equal(rebuilt[0].effects, meter.effects)
     assert np.array_equal(rebuilt[1].table, nd.table)
+    assert np.array_equal(rebuilt[1].induced_kraus, nd.induced_kraus)
     assert np.array_equal(rebuilt[2].probes, decomp.probes)
+    assert np.array_equal(rebuilt[3].kraus, op.kraus)
 
 
 def test_channels_keep_no_superoperator():
@@ -135,7 +149,7 @@ def test_channels_keep_no_superoperator():
     assert "superoperator" not in vars(KrausOperation)
 
 
-# Value types, decoders, builders and the eigen-routines validate at the fixed
+# Value types, decoders, builders and psd_sqrt validate at the fixed
 # DEFAULT_ATOL, so none takes a tolerance; nor do they take settings for which
 # every caller used the default.
 REMOVED_PARAMETERS = {
@@ -147,9 +161,7 @@ REMOVED_PARAMETERS = {
     "serialization.nd_channel_from_json": ("atol",),
     "catalog.swap_model": ("atol", "probe_state"),
     "catalog.fourier_model": ("atol", "probe_state"),
-    "linalg.hermitian_eig": ("atol",),
     "linalg.psd_sqrt": ("atol",),
-    "linalg.psd_inv_sqrt": ("atol",),
     "models.random_model": ("nondisturbing",),
     "linalg.random_hermitian": ("scale",),
 }

@@ -445,28 +445,6 @@ def test_conjugate_rejects_bad_factor_shapes():
         conjugate(dec, np.eye(2), np.eye(2))
 
 
-def test_adjoint_probes_are_blockwise_adjoints():
-    ctx = Context.random(2, 10)
-    dec = ProbeDecomposition(ctx, _generic_blocks(3, 2, 81))
-    adj = dec.adjoint()
-    assert max_abs(adj.assemble() - dec.assemble().conj().T) < 1e-12
-    hermitian = ProbeDecomposition(ctx, tuple(random_hermitian(3, i) for i in range(2)))
-    fixed = hermitian.adjoint()
-    for a, b in zip(hermitian.probes, fixed.probes):
-        assert max_abs(a - b) < 1e-12
-    double = adj.adjoint()
-    for a, b in zip(dec.probes, double.probes):
-        assert max_abs(a - b) == 0.0
-
-
-def test_adjoint_of_unitary_blocks_inverts():
-    ctx = Context.standard(2)
-    dec = ProbeDecomposition(ctx, (random_unitary(3, 5), random_unitary(3, 6)))
-    full = dec.assemble()
-    inverse = dec.adjoint().assemble()
-    assert max_abs(full @ inverse - np.eye(6)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Algebraic closure
 # ---------------------------------------------------------------------------

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import nondisturbing.scenario
 from nondisturbing.channels import random_nd_channel
-from nondisturbing.linalg import random_density, random_kraus_channel, random_povm
+from nondisturbing.linalg import (
+    DEFAULT_ATOL,
+    hermitian_part,
+    random_density,
+    random_kraus_channel,
+    random_povm,
+    random_unitary,
+)
 from nondisturbing.models import MeasurementModel
 from nondisturbing.objects import Context, KrausOperation, Observable, State, sharp_observable
 from nondisturbing.scenario import evaluate, run_scenario, scenario_from_json
@@ -186,3 +193,20 @@ def test_degenerate_meters_with_rank_one_eta_pass_every_check(n, dk, meter_kind,
     _, residuals = evaluate(mm, inputs, ALL_REQUESTS, _pure_state(dk, rng))
     assert residuals
     assert {name: r for name, r in residuals.items() if not r <= 1e-9} == {}
+
+
+def test_near_singular_meter_is_clipped_alike_by_closed_forms_and_oracles():
+    # The first effect has eigenvalue -DEFAULT_ATOL/2, which Observable
+    # accepts; both square-root paths clip it to 0.
+    v = random_unitary(3, 31)
+    low = hermitian_part((v * [-DEFAULT_ATOL / 2, 0.3, 0.6]) @ v.conj().T)
+    meter = Observable.from_matrices([low, np.eye(3) - low])
+    assert np.linalg.eigvalsh(meter.effects[0])[0] < 0
+    nd = random_nd_channel(Context.random(2, 32), 3, 2, 33)
+    mm = MeasurementModel(2, 3, State(random_density(3, 34)), nd, meter)
+    inputs = (State(random_density(2, 35)), State(random_density(2, 36)))
+    _, residuals = evaluate(mm, inputs, ALL_REQUESTS, State(random_density(3, 37)))
+    closed = {name: r for name, r in residuals.items() if ".closed_vs_" in name}
+    assert closed
+    assert max(closed.values()) <= 1e-14
+    assert max(residuals.values()) <= DEFAULT_ATOL
