@@ -59,7 +59,7 @@ for x, effect, closed, direct in probe_instrument:
 
 print("\n=== The probe observable at each context atom ===")
 for i in range(model.dim_base):
-    obs = post_probe_observable(model, State(model.nd.context.atom(i)))
+    obs = post_probe_observable(model, State(model.nd.context.atoms[i]))
     defect = max_abs(obs.sum(axis=0) - np.eye(2))
     print(f"atom {i}: probe observable completeness defect {defect:.2e}")
 

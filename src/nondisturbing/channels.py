@@ -54,10 +54,16 @@ class NDChannel:
     table: np.ndarray
 
     def __post_init__(self):
-        if len(self.table) != self.context.dim:
+        try:
+            rows = len(self.table)
+        except TypeError:
+            raise ValueError(
+                f"need one table row per context atom, got {type(self.table).__name__}"
+            ) from None
+        if rows != self.context.dim:
             raise ValueError(
                 f"need one table row per context atom: "
-                f"{len(self.table)} rows for dimension {self.context.dim}"
+                f"{rows} rows for dimension {self.context.dim}"
             )
         counts = {len(row) if hasattr(row, "__len__") else 0 for row in self.table}
         if counts == {0} or len(counts) != 1:
@@ -155,17 +161,20 @@ def random_nd_channel(
 def pair_overlap_kernel(
     nd: NDChannel, eta: np.ndarray, weight: np.ndarray | None = None
 ) -> np.ndarray:
-    """Coefficient kernel ``c[i, j] = sum_k tr(B_i^k eta B_j^k* W)``.
+    """Coefficient kernel ``c[..., i, j] = sum_k tr(B_i^k eta B_j^k* W)``.
 
-    With ``weight`` omitted, ``W`` is the identity.  These kernels drive
-    every closed form for measured and reduced outputs.
+    With ``weight`` omitted, ``W`` is the identity.  ``weight`` may carry
+    leading batch axes, such as the outcome axis of a meter; the result has
+    shape ``weight.shape[:-2] + (dim_base, dim_base)``, one kernel per
+    weight.  These kernels drive every closed form for measured and reduced
+    outputs.
     """
     t = nd.table
     left = t @ eta
     right = np.conj(np.swapaxes(t, -1, -2))
     if weight is not None:
-        right = right @ np.asarray(weight, dtype=complex)
-    return np.einsum("ikab,jkba->ij", left, right)
+        right = right @ np.asarray(weight, dtype=complex)[..., None, None, :, :]
+    return np.einsum("ikab,...jkba->...ij", left, right)
 
 
 def probe_outputs(nd: NDChannel, sigma: np.ndarray) -> np.ndarray:

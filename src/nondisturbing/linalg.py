@@ -91,9 +91,10 @@ def completeness_defects(stack: np.ndarray) -> np.ndarray:
     return np.abs(gram - np.eye(dim)).max(axis=(-2, -1))
 
 
-def _square(m, name: str = "matrix") -> np.ndarray:
+def _square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``m`` as a complex square matrix, or with ``stack`` a stack of them."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or (arr.ndim > 2 and not stack) or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     return arr
 
@@ -195,25 +196,26 @@ def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool:
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Positive semidefinite square root of a PSD Hermitian matrix.
+    """Positive semidefinite square root of a PSD Hermitian matrix, or of each of a stack.
 
     Rejects inputs that are not Hermitian within ``DEFAULT_ATOL``.
     Eigenvalues in ``[-DEFAULT_ATOL, 0)`` are clamped to zero; anything
     below ``-DEFAULT_ATOL`` is rejected as not positive semidefinite.
     """
-    arr = _square(m)
-    defect = max_abs(arr - arr.conj().T)
+    arr = _square(m, stack=True)
+    defect = max_abs(arr - np.swapaxes(arr.conj(), -1, -2))
     if defect > DEFAULT_ATOL:
         raise ValueError(
             f"matrix is not Hermitian (defect {defect:.3e} > {DEFAULT_ATOL:.3e})"
         )
     w, v = np.linalg.eigh(hermitian_part(arr))
-    if float(w[0]) < -DEFAULT_ATOL:
+    lowest = float(w[..., 0].min())
+    if lowest < -DEFAULT_ATOL:
         raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+            f"matrix is not positive semidefinite (min eigenvalue {lowest:.3e})"
         )
     root = np.sqrt(np.clip(w, 0.0, None))
-    return hermitian_part((v * root) @ v.conj().T)
+    return hermitian_part((v * root[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
 
 
 def loewner_leq(a, b, atol: float = DEFAULT_ATOL) -> bool:

@@ -49,8 +49,11 @@ class MeasurementModel:
 
     The channel may be a generic Kraus channel on the composite space or
     an :class:`NDChannel`; closed forms are only available for the latter.
-    Their two state-independent tensors, :attr:`pulled_meter` and
-    :attr:`evolved_probe`, are computed once per model on first use.
+    Their one state-independent tensor, :attr:`pulled_meter`, is computed
+    once per model on first use.  The forms that evolve the probe state
+    apply the probe channels per call instead, at a cost of ``n K dk^3``:
+    reading ``tr(G_i(eta) F_x)`` off the pulled-back meter by duality would
+    force its ``outcomes`` times larger build on every observable request.
     """
 
     dim_base: int
@@ -111,16 +114,6 @@ class MeasurementModel:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def evolved_probe(self) -> np.ndarray:
-        """Probe state after every probe channel, ``G_i(eta)``, read-only.
-
-        Shape ``(dim_base, dim_probe, dim_probe)``.
-        """
-        out = probe_outputs(self.nd, self.probe_state.matrix)
-        out.setflags(write=False)
-        return out
-
     def channel_operation(self) -> KrausOperation:
         if isinstance(self.channel, NDChannel):
             return self.channel.as_operation()
@@ -159,19 +152,14 @@ def measured_instrument_nd(mm: MeasurementModel, rho: State) -> np.ndarray:
     """Closed-form measured instrument of a nondisturbing model.
 
     Outcome ``x`` is ``sum_{i,j} c_x[i, j] P_i rho P_j`` with the kernel
-    ``c_x[i, j] = sum_k tr(B_i^k eta B_j^k* F_x)``.
+    ``c_x[i, j] = sum_k tr(B_i^k eta B_j^k* F_x)``, one kernel per outcome.
     """
     _check_inputs(mm, rho)
     nd = mm.nd
     basis = nd.context.basis
     overlaps = basis.conj().T @ rho.matrix @ basis
-    return np.array([
-        hermitian_part(
-            basis @ (pair_overlap_kernel(nd, mm.probe_state.matrix, f) * overlaps)
-            @ basis.conj().T
-        )
-        for f in mm.meter.effects
-    ])
+    kernels = pair_overlap_kernel(nd, mm.probe_state.matrix, mm.meter.effects)
+    return hermitian_part(basis @ (kernels * overlaps) @ basis.conj().T)
 
 
 def measured_observable_nd(mm: MeasurementModel) -> np.ndarray:
@@ -182,7 +170,8 @@ def measured_observable_nd(mm: MeasurementModel) -> np.ndarray:
     context and therefore commute pairwise.
     """
     basis = mm.nd.context.basis
-    diag = np.real(np.einsum("iab,xba->xi", mm.evolved_probe, mm.meter.effects))
+    evolved = probe_outputs(mm.nd, mm.probe_state.matrix)
+    diag = np.real(np.einsum("iab,xba->xi", evolved, mm.meter.effects))
     return (basis * diag[:, None, :]) @ basis.conj().T
 
 
@@ -217,9 +206,8 @@ def post_probe_instrument_nd(mm: MeasurementModel, rho: State, sigma: State) -> 
     _check_inputs(mm, rho, sigma)
     weights = nd.context.weights(rho.matrix)
     mixed = np.tensordot(weights, probe_outputs(nd, sigma.matrix), axes=1)
-    return np.array([
-        hermitian_part(root @ mixed @ root) for root in map(psd_sqrt, mm.meter.effects)
-    ])
+    roots = psd_sqrt(mm.meter.effects)
+    return hermitian_part(roots @ mixed @ roots)
 
 
 def post_probe_observable(mm: MeasurementModel, rho: State) -> np.ndarray:
@@ -249,14 +237,12 @@ def remeasured_effect(mm: MeasurementModel, rho: State) -> np.ndarray:
     """
     nd = mm.nd
     _check_inputs(mm, rho)
-    twice = probe_outputs(nd, mm.evolved_probe.sum(axis=0))  # G_i(sum_j G_j(eta))
+    handed_on = probe_outputs(nd, mm.probe_state.matrix).sum(axis=0)
+    twice = probe_outputs(nd, handed_on)  # G_i(sum_j G_j(eta))
+    coeff = np.real(np.einsum("iab,xba->xi", twice, mm.meter.effects))
     basis = nd.context.basis
     weights = nd.context.weights(rho.matrix)
-    out = []
-    for meter in mm.meter.effects:
-        coeff = np.real(np.einsum("iab,ba->i", twice, meter))
-        out.append(hermitian_part((basis * (coeff * weights)) @ basis.conj().T))
-    return np.array(out)
+    return hermitian_part((basis * (coeff * weights)[:, None, :]) @ basis.conj().T)
 
 
 def remeasured_effect_two_round(mm: MeasurementModel, rho: State) -> np.ndarray:

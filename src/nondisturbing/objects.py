@@ -140,7 +140,7 @@ class KrausOperation:
 class Context:
     """Orthonormal basis of the base space together with its atoms.
 
-    ``basis`` holds the basis vectors as columns; ``atoms`` are the
+    ``basis`` holds the basis vectors as columns; ``atoms`` stacks the
     rank-one projections onto them, which sum to the identity.
     """
 
@@ -167,21 +167,13 @@ class Context:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.basis[:, i]
-
     @cached_property
-    def atoms(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for i in range(self.dim):
-            v = self.basis[:, i]
-            p = np.outer(v, v.conj())
-            p.setflags(write=False)
-            out.append(p)
-        return tuple(out)
-
-    def atom(self, i: int) -> np.ndarray:
-        return self.atoms[i]
+    def atoms(self) -> np.ndarray:
+        """Rank-one projections ``atoms[i] = v_i v_i*``, read-only; shape ``(dim, dim, dim)``."""
+        vectors = self.basis.T
+        out = vectors[:, :, None] * vectors.conj()[:, None, :]
+        out.setflags(write=False)
+        return out
 
     def weights(self, rho: np.ndarray) -> np.ndarray:
         """Diagonal of ``rho`` in this basis: real vector of <v_i, rho v_i>."""

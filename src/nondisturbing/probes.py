@@ -214,7 +214,7 @@ def extract_probes_by_matrix_elements(
     eye = np.eye(dim_probe, dtype=complex)
     blocks = []
     for i in range(context.dim):
-        v = context.vector(i).reshape(-1, 1)
+        v = context.basis[:, i, None]
         bra = kron(v, probe_basis).conj().T     # rows <v_i (x) u_j|
         ket = arr @ kron(v, eye)                # columns A(v_i (x) e_l)
         blocks.append(probe_basis @ (bra @ ket))
@@ -231,7 +231,7 @@ def closed_form_partial_traces(decomp: ProbeDecomposition) -> tuple[np.ndarray, 
     """
     over_base = sum(decomp.probes)
     over_probe = sum(
-        np.trace(b) * decomp.context.atom(i) for i, b in enumerate(decomp.probes)
+        np.trace(b) * atom for atom, b in zip(decomp.context.atoms, decomp.probes)
     )
     return over_base, over_probe
 

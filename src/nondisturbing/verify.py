@@ -228,9 +228,9 @@ def _check_conjugation(rng, trials, max_dim) -> float:
         direct = full @ kron(b, d) @ full.conj().T
         worst = fold_max(worst, max_abs(closed - direct))
         k = int(rng.integers(0, n))
-        atom_case = conjugate(decomp, decomp.context.atom(k), np.eye(dk))
+        atom_case = conjugate(decomp, decomp.context.atoms[k], np.eye(dk))
         bk = decomp.probes[k]
-        expected = kron(decomp.context.atom(k), bk @ bk.conj().T)
+        expected = kron(decomp.context.atoms[k], bk @ bk.conj().T)
         worst = fold_max(worst, max_abs(atom_case - expected))
     return worst
 

@@ -200,8 +200,8 @@ def test_criterion_04_conjugation_identity():
         k = int(rng.integers(0, n))
         bk = dec.probes[k]
         worst = max(worst, max_abs(
-            conjugate(dec, ctx.atom(k), np.eye(dk))
-            - kron(ctx.atom(k), bk @ bk.conj().T)
+            conjugate(dec, ctx.atoms[k], np.eye(dk))
+            - kron(ctx.atoms[k], bk @ bk.conj().T)
         ))
     _report(4, "conjugation-identity", worst < 1e-10,
             f"max residual {worst:.3e} over 100 instances")

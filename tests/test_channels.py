@@ -8,6 +8,7 @@ from nondisturbing.linalg import (
     partial_trace,
     random_density,
     random_kraus_channel,
+    random_povm,
     random_unitary,
 )
 from nondisturbing.objects import Context, State
@@ -18,6 +19,7 @@ from nondisturbing.channels import (
     NDChannel,
     apply_product,
     nd_channel_from_kraus,
+    pair_overlap_kernel,
     random_nd_channel,
     reduced_product_outputs,
 )
@@ -76,6 +78,9 @@ def test_ragged_or_empty_tables_are_rejected():
         NDChannel(ctx, (row, None))
     with pytest.raises(ValueError, match="one table row per context atom"):
         NDChannel(ctx, (row,))
+    for table in (None, 3):
+        with pytest.raises(ValueError, match="one table row per context atom"):
+            NDChannel(ctx, table)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,7 @@ def test_induced_kraus_match_kron_sums():
         ctx = Context.random(3, seed + 60) if seed % 2 else Context.standard(3)
         nd = random_nd_channel(ctx, 2, 2, seed)
         for k, s in enumerate(nd.induced_kraus):
-            reference = sum(kron(ctx.atom(i), nd.table[i][k]) for i in range(3))
+            reference = sum(kron(ctx.atoms[i], nd.table[i][k]) for i in range(3))
             assert max_abs(s - reference) <= 1e-12
             assert not s.flags.writeable
 
@@ -238,10 +243,10 @@ def test_measurable_input_splits_into_atom_blocks():
     ctx = Context.random(3, 91)
     nd = random_nd_channel(ctx, 2, 2, 92)
     weights = np.array([0.5, 0.3, 0.2])
-    rho = State(sum(w * ctx.atom(i) for i, w in enumerate(weights)))
+    rho = State(sum(w * ctx.atoms[i] for i, w in enumerate(weights)))
     eta = State(random_density(2, 93))
     expected = sum(
-        w * kron(ctx.atom(i), nd.probe_channel(i).apply_matrix(eta.matrix))
+        w * kron(ctx.atoms[i], nd.probe_channel(i).apply_matrix(eta.matrix))
         for i, w in enumerate(weights)
     )
     assert max_abs(apply_product(nd, rho, eta) - expected) < 1e-10
@@ -322,11 +327,45 @@ def test_reduced_probe_output_is_convex_mixture_of_probe_channels():
     assert max_abs(reduced.probe - mixture) < 1e-10
 
 
+def _explicit_kernel(nd: NDChannel, eta: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    n = nd.dim_base
+    return np.array([[
+        sum(np.trace(bi @ eta @ bj.conj().T @ weight) for bi, bj in zip(nd.table[i], nd.table[j]))
+        for j in range(n)] for i in range(n)])
+
+
+def test_stacked_weights_give_one_kernel_per_weight():
+    rng = np.random.default_rng(221)
+    nd = random_nd_channel(Context.random(3, rng), 2, 3, rng)
+    eta = random_density(2, rng)
+    effects = np.array(random_povm(2, 4, rng))
+    kernels = pair_overlap_kernel(nd, eta, effects)
+    assert kernels.shape == (4, 3, 3)
+    for f, kernel in zip(effects, kernels):
+        assert max_abs(kernel - pair_overlap_kernel(nd, eta, f)) <= 1e-15
+        assert max_abs(kernel - _explicit_kernel(nd, eta, f)) < 1e-12
+    grid = effects.reshape(2, 2, 2, 2)
+    assert max_abs(pair_overlap_kernel(nd, eta, grid) - kernels.reshape(2, 2, 3, 3)) == 0.0
+
+
+def test_omitted_weight_kernel_is_the_identity_weight_and_gives_the_reduced_base_output():
+    ctx = Context.random(3, 231)
+    nd = random_nd_channel(ctx, 2, 2, 232)
+    rho = State(random_density(3, 233))
+    eta = State(random_density(2, 234))
+    kernel = pair_overlap_kernel(nd, eta.matrix)
+    assert max_abs(kernel - pair_overlap_kernel(nd, eta.matrix, np.eye(2))) <= 1e-15
+    assert max_abs(kernel - _explicit_kernel(nd, eta.matrix, np.eye(2))) < 1e-12
+    overlaps = ctx.basis.conj().T @ rho.matrix @ ctx.basis
+    expected = ctx.basis @ (kernel * overlaps) @ ctx.basis.conj().T
+    assert max_abs(reduced_product_outputs(nd, rho, eta).base - expected) == 0.0
+
+
 def test_atom_input_selects_one_probe_channel():
     ctx = Context.random(2, 211)
     nd = random_nd_channel(ctx, 3, 2, 212)
     eta = State(random_density(3, 213))
-    rho = State(ctx.atom(0))
+    rho = State(ctx.atoms[0])
     reduced = reduced_product_outputs(nd, rho, eta)
     expected = nd.probe_channel(0).apply_matrix(eta.matrix)
     assert max_abs(reduced.probe - expected) < 1e-12

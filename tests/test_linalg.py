@@ -119,6 +119,33 @@ def test_psd_sqrt_clamps_tiny_negatives_but_rejects_real_ones():
         psd_sqrt(np.diag([1.0, -1e-3]))
 
 
+def _effect_stack(seed: int) -> np.ndarray:
+    return np.array([random_effect(3, seed + x) for x in range(4)])
+
+
+def test_psd_sqrt_of_a_stack_is_the_root_of_each_member():
+    for seed in range(0, 40, 4):
+        stack = _effect_stack(seed)
+        roots = psd_sqrt(stack)
+        assert roots.shape == stack.shape
+        for x, f in enumerate(stack):
+            assert np.array_equal(roots[x], psd_sqrt(f))
+
+
+def test_psd_sqrt_of_a_stack_rejects_one_bad_member():
+    stack = _effect_stack(50)
+    skewed = stack.copy()
+    skewed[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        psd_sqrt(skewed)
+    negative = stack.copy()
+    negative[1] = np.diag([1.0, 0.5, -1e-3])
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        psd_sqrt(negative)
+    with pytest.raises(ValueError, match="square"):
+        psd_sqrt(stack[:, :2])
+
+
 def test_loewner_basic_order():
     assert loewner_leq(np.zeros((3, 3)), np.eye(3))
     proj = random_projection(3, 1, 0)

@@ -1,3 +1,4 @@
+import functools
 import inspect
 
 import numpy as np
@@ -21,7 +22,7 @@ from nondisturbing.objects import (
     State,
     sharp_observable,
 )
-from nondisturbing.channels import NDChannel, pair_overlap_kernel
+from nondisturbing.channels import NDChannel, pair_overlap_kernel, probe_outputs
 from nondisturbing.models import (
     MeasurementModel,
     measured_instrument_direct,
@@ -192,7 +193,7 @@ def test_measurable_inputs_stay_measurable():
     mm = random_model(3, 2, 2, 2, 19, context=Context.random(3, 20))
     ctx = mm.nd.context
     weights = np.array([0.2, 0.3, 0.5])
-    rho = State(sum(w * ctx.atom(i) for i, w in enumerate(weights)))
+    rho = State(sum(w * ctx.atoms[i] for i, w in enumerate(weights)))
     for f, out in zip(mm.meter.effects, measured_instrument_nd(mm, rho)):
         assert ctx.is_measurable(out, 1e-10)
         expected = sum(
@@ -200,7 +201,7 @@ def test_measurable_inputs_stay_measurable():
             * np.trace(
                 mm.nd.probe_channel(i).apply_matrix(mm.probe_state.matrix) @ f
             ).real
-            * ctx.atom(i)
+            * ctx.atoms[i]
             for i, w in enumerate(weights)
         )
         assert max_abs(out - expected) < 1e-10
@@ -317,7 +318,7 @@ def test_atom_input_selects_single_probe_channel_term():
     mm = random_model(3, 2, 2, 2, 73, context=Context.random(3, 74))
     nd = mm.nd
     sigma = State(random_density(2, 75))
-    rho = State(nd.context.atom(1))
+    rho = State(nd.context.atoms[1])
     for f, out in zip(mm.meter.effects, post_probe_instrument_nd(mm, rho, sigma)):
         root = psd_sqrt(f)
         expected = root @ nd.probe_channel(1).apply_matrix(sigma.matrix) @ root
@@ -346,7 +347,7 @@ def test_post_probe_observable_at_atom_is_pulled_back_meter():
     mm = random_model(3, 2, 2, 2, 83, context=Context.random(3, 84))
     nd = mm.nd
     for i in range(3):
-        obs = post_probe_observable(mm, State(nd.context.atom(i)))
+        obs = post_probe_observable(mm, State(nd.context.atoms[i]))
         for f, effect in zip(mm.meter.effects, obs, strict=True):
             expected = _pulled_back(nd.probe_channel(i), f)
             assert max_abs(effect - expected) < 1e-10
@@ -459,8 +460,7 @@ def test_oracle_reads_no_closed_form_code(monkeypatch, fn):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle read closed-form code")
 
-    for name in ("pulled_meter", "evolved_probe"):
-        monkeypatch.setattr(MeasurementModel, name, property(forbidden))
+    monkeypatch.setattr(MeasurementModel, "pulled_meter", property(forbidden))
     for name in ("pair_overlap_kernel", "probe_outputs", "psd_sqrt", "hermitian_part"):
         monkeypatch.setattr(nondisturbing.models, name, forbidden)
     for name in ("weights", "dephase"):
@@ -493,33 +493,61 @@ def test_pulled_meter_is_the_dual_of_each_probe_channel(shape):
             assert max_abs(mm.pulled_meter[xi, i] - expected) < 1e-12
 
 
+# The evolved probe G_i(eta) is not cached: the closed forms that need it
+# apply the probe channels per call through probe_outputs.
 @pytest.mark.parametrize("shape", CACHE_SHAPES)
 def test_evolved_probe_applies_each_probe_channel(shape):
     mm = _cache_model(shape, 111)
     n, dk, _, _ = shape
-    assert mm.evolved_probe.shape == (n, dk, dk)
+    evolved = probe_outputs(mm.nd, mm.probe_state.matrix)
+    assert evolved.shape == (n, dk, dk)
     for i in range(n):
         expected = mm.nd.probe_channel(i).apply_matrix(mm.probe_state.matrix)
-        assert max_abs(mm.evolved_probe[i] - expected) < 1e-12
+        assert max_abs(evolved[i] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("shape", CACHE_SHAPES)
+def test_measured_observable_matches_schroedinger_reference(shape):
+    mm = _cache_model(shape, 111)
+    n, _, outcomes, _ = shape
+    basis = mm.nd.context.basis
+    observable = measured_observable_nd(mm)
+    assert observable.shape == (outcomes, n, n)
+    inner = basis.conj().T @ observable @ basis
+    for i in range(n):
+        evolved = mm.nd.probe_channel(i).apply_matrix(mm.probe_state.matrix)
+        for xi, f in enumerate(mm.meter.effects):
+            assert abs(inner[xi, i, i] - np.trace(evolved @ f)) < 1e-12
+
+
+def test_observable_and_remeasure_leave_the_pulled_meter_unbuilt():
+    mm = _cache_model((4, 3, 3, 3), 113)
+    measured_observable_nd(mm)
+    remeasured_effect(mm, State(random_density(4, 114)))
+    assert "pulled_meter" not in vars(mm)
+
+
+def test_pulled_meter_is_the_only_cached_tensor():
+    cached = [name for name, value in vars(MeasurementModel).items()
+              if isinstance(value, functools.cached_property)]
+    assert cached == ["pulled_meter"]
 
 
 def test_cached_tensors_are_read_only_and_computed_once():
     mm = _cache_model((3, 2, 2, 2), 112)
-    for name in ("pulled_meter", "evolved_probe"):
-        cached = getattr(mm, name)
-        assert getattr(mm, name) is cached
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0, 0] = 0.0
+    cached = mm.pulled_meter
+    assert mm.pulled_meter is cached
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 0.0
 
 
 def test_cached_tensors_require_nd_channel():
     mm = _identity_channel_model(2, 2, 115, 116)
     with pytest.raises(ValueError, match="nondisturbing") as expected:
         mm.nd
-    for name in ("pulled_meter", "evolved_probe"):
-        with pytest.raises(ValueError) as raised:
-            getattr(mm, name)
-        assert str(raised.value) == str(expected.value)
+    with pytest.raises(ValueError) as raised:
+        mm.pulled_meter
+    assert str(raised.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ TRIALS = 1
 # None patches every module of the package that binds the function).
 MUTANTS = [
     ("transposed-kernel", channels, "pair_overlap_kernel",
-     '"ikab,jkba->ij"', '"ikab,jkba->ji"', None),
+     '"ikab,...jkba->...ij"', '"ikab,...jkba->...ji"', None),
     ("context-blind-instrument", models, "measured_instrument_nd",
      "basis = nd.context.basis", "basis = np.eye(nd.dim_base)", None),
     ("standard-basis-weights", models, "post_probe_observable",
@@ -37,10 +37,10 @@ MUTANTS = [
     ("trace-with-transposed-meter", models, "measured_observable_nd",
      '"iab,xba->xi"', '"iab,xab->xi"', None),
     ("first-atom-times-n", models, "remeasured_effect",
-     "mm.evolved_probe.sum(axis=0)", "mm.dim_base * mm.evolved_probe[0]", None),
+     "probe_outputs(nd, mm.probe_state.matrix).sum(axis=0)",
+     "mm.dim_base * probe_outputs(nd, mm.probe_state.matrix)[0]", None),
     ("meter-times-mixed", models, "post_probe_instrument_nd",
-     "hermitian_part(root @ mixed @ root) for root in map(psd_sqrt, mm.meter.effects)",
-     "hermitian_part(f @ mixed) for f in mm.meter.effects", None),
+     "hermitian_part(roots @ mixed @ roots)", "hermitian_part(mm.meter.effects @ mixed)", None),
     ("transposed-probe-adjoint", channels, "probe_outputs",
      "np.conj(np.swapaxes(t, -1, -2))", "np.swapaxes(t, -1, -2)", None),
     ("transposed-context-weights", Context, "weights",

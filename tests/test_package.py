@@ -46,6 +46,9 @@ REMOVED = {
     "psd_inv_sqrt",
     "as_complex_matrix",
     "adjoint",
+    "evolved_probe",
+    "atom",
+    "vector",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.
@@ -96,11 +99,13 @@ def _stacked_families():
     return mm.meter, mm.nd, decomp, op
 
 
-FAMILY_IDS = ["meter.effects", "nd.table", "decomp.probes", "op.kraus", "nd.induced_kraus"]
+FAMILY_IDS = [
+    "meter.effects", "nd.table", "decomp.probes", "op.kraus", "nd.induced_kraus", "ctx.atoms"
+]
 
 
 def _stacks(meter, nd, decomp, op):
-    return (meter.effects, nd.table, decomp.probes, op.kraus, nd.induced_kraus)
+    return (meter.effects, nd.table, decomp.probes, op.kraus, nd.induced_kraus, nd.context.atoms)
 
 
 def test_each_operator_family_is_one_stacked_array():
@@ -108,7 +113,7 @@ def test_each_operator_family_is_one_stacked_array():
     assert [f.name for f in dataclasses.fields(Observable)] == ["labels", "effects"]
     assert not {"outcomes", "effect"} & set(vars(Observable))
     assert nd.table_array is nd.table
-    shapes = ((3, 2, 2), (3, 2, 2, 2), (3, 2, 2), (3, 2, 2), (2, 6, 6))
+    shapes = ((3, 2, 2), (3, 2, 2, 2), (3, 2, 2), (3, 2, 2), (2, 6, 6), (3, 3, 3))
     for stack, shape in zip(_stacks(meter, nd, decomp, op), shapes, strict=True):
         assert type(stack) is np.ndarray
         assert stack.shape == shape
@@ -126,22 +131,25 @@ def test_stacked_families_are_read_only(index):
 
 def test_stacks_do_not_alias_the_caller_input():
     meter, nd, decomp, op = _stacked_families()
-    effects, table, probes, kraus = (
-        meter.effects.copy(), nd.table.copy(), decomp.probes.copy(), op.kraus.copy()
+    effects, table, probes, kraus, basis = (
+        meter.effects.copy(), nd.table.copy(), decomp.probes.copy(), op.kraus.copy(),
+        nd.context.basis.copy(),
     )
     rebuilt = (
         Observable(meter.labels, effects),
         NDChannel(nd.context, table),
         ProbeDecomposition(decomp.context, probes),
         KrausOperation(kraus),
+        Context(basis),
     )
-    for source in (effects, table, probes, kraus):
+    for source in (effects, table, probes, kraus, basis):
         source[0] = 0
     assert np.array_equal(rebuilt[0].effects, meter.effects)
     assert np.array_equal(rebuilt[1].table, nd.table)
     assert np.array_equal(rebuilt[1].induced_kraus, nd.induced_kraus)
     assert np.array_equal(rebuilt[2].probes, decomp.probes)
     assert np.array_equal(rebuilt[3].kraus, op.kraus)
+    assert np.array_equal(rebuilt[4].atoms, nd.context.atoms)
 
 
 def test_channels_keep_no_superoperator():

@@ -47,7 +47,7 @@ def _swap_unitary(n: int) -> np.ndarray:
     for i in range(n):
         v = np.eye(n, dtype=complex)
         v[[0, i]] = v[[i, 0]]
-        total += kron(ctx.atom(i), v)
+        total += kron(ctx.atoms[i], v)
     return total
 
 
@@ -58,7 +58,7 @@ def _swap_unitary(n: int) -> np.ndarray:
 
 def test_measurable_tensor_factor_is_nondisturbing():
     ctx = Context.random(3, 1)
-    measurable = sum((i + 1) * ctx.atom(i) for i in range(3))
+    measurable = sum((i + 1) * ctx.atoms[i] for i in range(3))
     probe_part = random_hermitian(2, 2)
     assert is_c_nondisturbing(kron(measurable, probe_part), ctx, 2)
 
@@ -162,7 +162,7 @@ def _kron_commutator_defect(a, ctx: Context, dk: int) -> float:
 
 
 def _kron_assemble(ctx: Context, blocks) -> np.ndarray:
-    return sum(kron(ctx.atom(i), b) for i, b in enumerate(blocks))
+    return sum(kron(ctx.atoms[i], b) for i, b in enumerate(blocks))
 
 
 _SIZES = list(itertools.product((1, 2, 3, 5), repeat=2)) + [(8, 8)]
@@ -386,9 +386,9 @@ def test_conjugate_atom_case():
     ctx = Context.random(3, 8)
     dec = ProbeDecomposition(ctx, _generic_blocks(2, 3, 61))
     for k in range(3):
-        out = conjugate(dec, ctx.atom(k), np.eye(2))
+        out = conjugate(dec, ctx.atoms[k], np.eye(2))
         bk = dec.probes[k]
-        assert max_abs(out - kron(ctx.atom(k), bk @ bk.conj().T)) < 1e-10
+        assert max_abs(out - kron(ctx.atoms[k], bk @ bk.conj().T)) < 1e-10
 
 
 def test_conjugate_identity_blocks_leave_products_alone():

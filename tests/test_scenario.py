@@ -177,7 +177,7 @@ def _pure_state(dim, rng):
 @given(
     n=st.integers(1, 4),
     dk=st.integers(1, 4),
-    meter_kind=st.sampled_from(["single outcome", "zero effect"]),
+    meter_kind=st.sampled_from(["single outcome", "zero effect", "near singular"]),
     kraus_count=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -186,13 +186,25 @@ def test_degenerate_meters_with_rank_one_eta_pass_every_check(n, dk, meter_kind,
     nd = random_nd_channel(Context.random(n, rng), dk, kraus_count, rng)
     if meter_kind == "single outcome":
         effects = [np.eye(dk)]
-    else:
+    elif meter_kind == "zero effect":
         effects = [np.zeros((dk, dk)), *random_povm(dk, 2, rng)]
+    else:
+        # One eigenvalue in [-DEFAULT_ATOL/2, 0), which Observable accepts and
+        # every square root clips to 0.
+        depth = rng.uniform(0.01, 1.0) * DEFAULT_ATOL / 2
+        v = random_unitary(dk, rng)
+        low = hermitian_part((v * [-depth, *rng.uniform(0, 1, dk - 1)]) @ v.conj().T)
+        effects = [low, np.eye(dk) - low]
     mm = MeasurementModel(n, dk, _pure_state(dk, rng), nd, Observable.from_matrices(effects))
     inputs = (State(random_density(n, rng)), _pure_state(n, rng))
     _, residuals = evaluate(mm, inputs, ALL_REQUESTS, _pure_state(dk, rng))
     assert residuals
     assert {name: r for name, r in residuals.items() if not r <= 1e-9} == {}
+    if meter_kind == "near singular":
+        assert np.linalg.eigvalsh(mm.meter.effects[0])[0] < 0
+        closed = {name: r for name, r in residuals.items() if ".closed_vs_" in name}
+        assert closed
+        assert {name: r for name, r in closed.items() if not r <= 1e-14} == {}
 
 
 def test_near_singular_meter_is_clipped_alike_by_closed_forms_and_oracles():
