@@ -102,7 +102,7 @@ def _square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
 def max_abs(m) -> float:
     """Largest entrywise modulus, the norm used for equality checks."""
     arr = np.asarray(m)
-    return 0.0 if arr.size == 0 else float(np.max(np.abs(arr)))
+    return 0.0 if arr.size == 0 else float(np.abs(arr).max())
 
 
 def fold_max(worst: float, *residuals: float) -> float:
@@ -128,7 +128,10 @@ def kron(a, b) -> np.ndarray:
     Basis vector ``i`` of ``a`` tensored with basis vector ``j`` of ``b``
     maps to flat index ``i * b.shape[1] + j``.
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
 
 
 def partial_trace(m, dim_left: int, dim_right: int, over: str) -> np.ndarray:

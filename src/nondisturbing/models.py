@@ -30,6 +30,7 @@ from .objects import Context, KrausOperation, Observable, State
 from .channels import NDChannel, pair_overlap_kernel, probe_outputs, random_nd_channel
 
 __all__ = [
+    "DirectOracle",
     "MeasurementModel",
     "measured_instrument_direct",
     "measured_instrument_nd",
@@ -133,19 +134,8 @@ def _check_inputs(mm: MeasurementModel, rho: State, sigma: State | None = None) 
 
 
 def measured_instrument_direct(mm: MeasurementModel, rho: State) -> np.ndarray:
-    """Brute-force measured instrument, valid for any channel.
-
-    Tensors the input with the probe state and applies the channel once;
-    outcome ``x`` is then ``Tr_probe[X (I (x) F_x)]`` of that output ``X``,
-    one contraction of its probe indices with the meter effect.
-    """
-    _check_inputs(mm, rho)
-    n, dk = mm.dim_base, mm.dim_probe
-    interacted = mm.channel_operation().apply_matrix(
-        kron(rho.matrix, mm.probe_state.matrix)
-    ).reshape(n, dk, n, dk)
-    outs = np.einsum("apbq,xqp->xab", interacted, mm.meter.effects)
-    return (outs + np.swapaxes(outs.conj(), -1, -2)) / 2
+    """Brute-force measured instrument, valid for any channel: see :class:`DirectOracle`."""
+    return DirectOracle(mm).instrument(rho)
 
 
 def measured_instrument_nd(mm: MeasurementModel, rho: State) -> np.ndarray:
@@ -176,25 +166,8 @@ def measured_observable_nd(mm: MeasurementModel) -> np.ndarray:
 
 
 def post_probe_instrument_direct(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:
-    """Brute-force post-interaction probe instrument.
-
-    Applies the channel to ``rho (x) sigma`` once and traces the base out
-    of the output ``X``.  Outcome ``x`` is ``Tr_base[(I (x) R) X (I (x) R)]``
-    with ``R = F_x^(1/2)``; a probe-side factor passes through the
-    base-side partial trace, so this is ``R Tr_base[X] R`` exactly.  The
-    roots come from one batched eigendecomposition of the meter, with the
-    eigenvalues clipped at 0; the closed forms take theirs from
-    :func:`psd_sqrt`.
-    """
-    _check_inputs(mm, rho, sigma)
-    n, dk = mm.dim_base, mm.dim_probe
-    interacted = mm.channel_operation().apply_matrix(kron(rho.matrix, sigma.matrix))
-    reduced = partial_trace(interacted, n, dk, over="left")
-    w, v = np.linalg.eigh(mm.meter.effects)
-    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    roots = (roots + np.swapaxes(roots.conj(), -1, -2)) / 2
-    outs = roots @ reduced @ roots
-    return (outs + np.swapaxes(outs.conj(), -1, -2)) / 2
+    """Brute-force post-interaction probe instrument: see :class:`DirectOracle`."""
+    return DirectOracle(mm).post_probe(rho, sigma)
 
 
 def post_probe_instrument_nd(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:
@@ -246,27 +219,108 @@ def remeasured_effect(mm: MeasurementModel, rho: State) -> np.ndarray:
 
 
 def remeasured_effect_two_round(mm: MeasurementModel, rho: State) -> np.ndarray:
-    """Oracle for :func:`remeasured_effect`: two brute-force rounds.
+    """Oracle for :func:`remeasured_effect`, two brute-force rounds: see :class:`DirectOracle`."""
+    return DirectOracle(mm).remeasure(rho)
 
-    Round one runs the composite channel on ``I/n (x) eta`` and traces the
-    base out, leaving the probe state ``eta'`` that a maximally mixed
-    first base system hands on.  Round two is the brute-force instrument
-    of the same model with probe state ``eta'``, applied to ``rho``; each
-    outcome is dephased atom by atom and scaled by ``n``.  Tracing the
-    first base out between the rounds is exact, because round two never
-    acts on it.
+
+def _own_hermitian_part(stack: np.ndarray) -> np.ndarray:
+    # The oracles' copy of :func:`hermitian_part`, so that a bug there moves
+    # the closed forms away from the oracles instead of moving both.
+    return (stack + np.swapaxes(stack.conj(), -1, -2)) / 2
+
+
+class DirectOracle:
+    """The brute-force oracles of one model, valid for any channel.
+
+    Each oracle tensors an input ``rho`` with a probe input ``sigma``,
+    applies the composite channel once and reads its outcomes off the
+    output ``X``.  One object applies the channel once per distinct pair of
+    input objects and keeps only the two readings of ``X`` (see
+    :meth:`readings`), so the oracles it serves share that work and
+    nothing else: the measured instrument and the post-interaction
+    instrument with the model's own probe state read one ``X``, and the
+    first round of the two-round oracle runs once.  No oracle reads
+    closed-form code; the post-interaction one takes its own square roots
+    and every output its own Hermitian part.
     """
-    nd = mm.nd
-    n, dk = mm.dim_base, mm.dim_probe
-    first = mm.channel_operation().apply_matrix(
-        kron(np.eye(n) / n, mm.probe_state.matrix)
-    )
-    handed_on = State(partial_trace(first, n, dk, over="left"))
-    second = MeasurementModel(n, dk, handed_on, mm.channel, mm.meter)
-    return np.array([
-        n * sum(p @ out @ p for p in nd.context.atoms)
-        for out in measured_instrument_direct(second, rho)
-    ])
+
+    def __init__(self, mm: MeasurementModel):
+        self.mm = mm
+        self._readings: dict[tuple[State, State], tuple[np.ndarray, np.ndarray]] = {}
+
+    def readings(self, rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray]:
+        """Both readings of ``X``, the channel's output on ``rho (x) sigma``.
+
+        The first is ``Tr_probe[X (I (x) F_x)]`` per meter outcome, in the
+        order of ``meter.labels``, Hermitised: one product that contracts
+        the output's probe indices with each flattened effect.  The second
+        is ``Tr_base[X]``.  Both are read-only, since every caller with the
+        same pair gets the same arrays.
+        """
+        key = (rho, sigma)
+        if key not in self._readings:
+            mm = self.mm
+            _check_inputs(mm, rho, sigma)
+            n, dk = mm.dim_base, mm.dim_probe
+            interacted = mm.channel_operation().apply_matrix(kron(rho.matrix, sigma.matrix))
+            # Row (a, b), column (q, p) holds X[(a, p), (b, q)], to meet F_x[q, p].
+            pairs = interacted.reshape(n, dk, n, dk).transpose(0, 2, 3, 1).reshape(n * n, dk * dk)
+            outs = (pairs @ mm.meter.effects.reshape(-1, dk * dk).T).T.reshape(-1, n, n)
+            readings = (_own_hermitian_part(outs), partial_trace(interacted, n, dk, over="left"))
+            for reading in readings:
+                reading.setflags(write=False)
+            self._readings[key] = readings
+        return self._readings[key]
+
+    def instrument(self, rho: State) -> np.ndarray:
+        """Measured instrument: outcome ``x`` is ``Tr_probe[X (I (x) F_x)]``, probe state ``eta``."""
+        return self.readings(rho, self.mm.probe_state)[0]
+
+    @cached_property
+    def meter_roots(self) -> np.ndarray:
+        """``F_x^(1/2)`` per outcome, in the order of ``meter.labels``.
+
+        One batched eigendecomposition of the meter, with the eigenvalues
+        clipped at 0; the closed forms take theirs from :func:`psd_sqrt`.
+        """
+        w, v = np.linalg.eigh(self.mm.meter.effects)
+        roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        return _own_hermitian_part(roots)
+
+    def post_probe(self, rho: State, sigma: State) -> np.ndarray:
+        """Post-interaction probe instrument on ``X = channel(rho (x) sigma)``.
+
+        Outcome ``x`` is ``Tr_base[(I (x) R) X (I (x) R)]`` with
+        ``R = F_x^(1/2)``; a probe-side factor passes through the base-side
+        partial trace, so this is ``R Tr_base[X] R`` exactly.
+        """
+        reduced = self.readings(rho, sigma)[1]
+        return _own_hermitian_part(self.meter_roots @ reduced @ self.meter_roots)
+
+    @cached_property
+    def handed_on(self) -> State:
+        """Probe state ``eta'`` that a maximally mixed first base system hands on.
+
+        Round one of the two-round oracle: the base traced out of the
+        channel's output on ``I/n (x) eta``.
+        """
+        n = self.mm.dim_base
+        return State(self.readings(State(np.eye(n) / n), self.mm.probe_state)[1])
+
+    def remeasure(self, rho: State) -> np.ndarray:
+        """Oracle for :func:`remeasured_effect`: two brute-force rounds.
+
+        Round two is the measured instrument of the same model with probe
+        state :attr:`handed_on`, applied to ``rho``; each outcome is
+        dephased atom by atom and scaled by ``n``.  Tracing the first base
+        out between the rounds is exact, because round two never acts on it.
+        """
+        nd = self.mm.nd
+        n = self.mm.dim_base
+        return np.array([
+            n * sum(p @ out @ p for p in nd.context.atoms)
+            for out in self.readings(rho, self.handed_on)[0]
+        ])
 
 
 def random_model(

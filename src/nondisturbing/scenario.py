@@ -9,7 +9,6 @@ the report passes when every residual stays within the tolerance.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -21,15 +20,13 @@ from .linalg import fold_max, max_abs
 from .objects import KrausOperation, State
 from .channels import NDChannel
 from .models import (
+    DirectOracle,
     MeasurementModel,
-    measured_instrument_direct,
     measured_instrument_nd,
     measured_observable_nd,
-    post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
     remeasured_effect,
-    remeasured_effect_two_round,
 )
 from . import catalog
 from .serialization import (
@@ -199,19 +196,19 @@ def _psd_defects(stack: np.ndarray) -> list[float]:
     ]
 
 
-# A check takes (model, inputs, probe input sigma, direct), where ``direct(i)``
-# is the brute-force instrument of input ``i``, one output per meter outcome
-# in label order, and returns its produced (input, outcome, matrix) entries
-# and named residuals.
+# A check takes (model, inputs, probe input sigma, oracle), where ``oracle``
+# is the model's :class:`DirectOracle`, shared by every check of one
+# evaluation, and returns its produced (input, outcome, matrix) entries and
+# named residuals.
 
 
-def _check_instrument(mm: MeasurementModel, inputs, sigma, direct):
+def _check_instrument(mm: MeasurementModel, inputs, sigma, oracle):
     produced, residuals = [], {}
     for i, rho in enumerate(inputs):
-        oracle = direct(i)
-        outs = measured_instrument_nd(mm, rho) if mm.is_nondisturbing else oracle
+        direct = oracle.instrument(rho)
+        outs = measured_instrument_nd(mm, rho) if mm.is_nondisturbing else direct
         traces = []
-        for x, out, brute, defect in zip(mm.meter.labels, outs, oracle, _psd_defects(outs),
+        for x, out, brute, defect in zip(mm.meter.labels, outs, direct, _psd_defects(outs),
                                          strict=True):
             if mm.is_nondisturbing:
                 residuals[f"instrument.state{i}.outcome{x}.closed_vs_direct"] = max_abs(
@@ -225,7 +222,7 @@ def _check_instrument(mm: MeasurementModel, inputs, sigma, direct):
     return produced, residuals
 
 
-def _check_observable(mm: MeasurementModel, inputs, sigma, direct):
+def _check_observable(mm: MeasurementModel, inputs, sigma, oracle):
     mats = measured_observable_nd(mm)
     residuals = {"observable.completeness": max_abs(sum(mats) - np.eye(mm.dim_base))}
     for x, defect in zip(mm.meter.labels, _psd_defects(mats), strict=True):
@@ -237,14 +234,14 @@ def _check_observable(mm: MeasurementModel, inputs, sigma, direct):
     residuals["observable.commutators"] = worst
     for i, rho in enumerate(inputs):
         defect = 0.0
-        for effect, out in zip(mats, direct(i), strict=True):
+        for effect, out in zip(mats, oracle.instrument(rho), strict=True):
             paired = float(np.trace(rho.matrix @ effect).real)
             defect = fold_max(defect, abs(paired - float(np.trace(out).real)))
         residuals[f"observable.state{i}.pairing"] = defect
     return [(None, x, effect) for x, effect in zip(mm.meter.labels, mats)], residuals
 
 
-def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
+def _check_post_probe(mm: MeasurementModel, inputs, sigma, oracle):
     produced, residuals = [], {}
     for i, rho in enumerate(inputs):
         mats = post_probe_observable(mm, rho)
@@ -252,9 +249,9 @@ def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
             sum(mats) - np.eye(mm.dim_probe)
         )
         closed = post_probe_instrument_nd(mm, rho, sigma)
-        oracle = post_probe_instrument_direct(mm, rho, sigma)
+        direct = oracle.post_probe(rho, sigma)
         for x, effect, defect, out, brute in zip(mm.meter.labels, mats, _psd_defects(mats),
-                                                 closed, oracle, strict=True):
+                                                 closed, direct, strict=True):
             residuals[f"post_probe.state{i}.outcome{x}.psd_defect"] = defect
             residuals[f"post_probe.state{i}.outcome{x}.closed_vs_direct"] = max_abs(
                 out - brute
@@ -267,12 +264,12 @@ def _check_post_probe(mm: MeasurementModel, inputs, sigma, direct):
     return produced, residuals
 
 
-def _check_remeasure(mm: MeasurementModel, inputs, sigma, direct):
+def _check_remeasure(mm: MeasurementModel, inputs, sigma, oracle):
     produced, residuals = [], {}
     for i, rho in enumerate(inputs):
         closed = remeasured_effect(mm, rho)
-        oracle = remeasured_effect_two_round(mm, rho)
-        for x, out, brute in zip(mm.meter.labels, closed, oracle, strict=True):
+        direct = oracle.remeasure(rho)
+        for x, out, brute in zip(mm.meter.labels, closed, direct, strict=True):
             residuals[f"remeasure.state{i}.outcome{x}.closed_vs_two_round"] = max_abs(
                 out - brute
             )
@@ -297,18 +294,16 @@ def evaluate(mm: MeasurementModel, inputs: Sequence[State], requests: Sequence[s
     Returns the produced ``(input, outcome, matrix)`` entries per request
     (``input`` is ``None`` for the input-independent observable) and the
     named residuals.  ``sigma`` is the probe input of the post-interaction
-    instrument; it defaults to the model's probe state.  The direct
-    instrument of each input is computed once and shared by the checks.
+    instrument; it defaults to the model's probe state.  The checks share
+    one :class:`DirectOracle`, so the composite channel is applied once per
+    distinct (input, probe input) pair and the two-round oracle's first
+    round once.
     """
     sigma = mm.probe_state if sigma is None else sigma
-
-    @functools.cache
-    def direct(i: int) -> np.ndarray:
-        return measured_instrument_direct(mm, inputs[i])
-
+    oracle = DirectOracle(mm)
     produced, residuals = {}, {}
     for request in requests:
-        produced[request], named = _CHECKS[request](mm, inputs, sigma, direct)
+        produced[request], named = _CHECKS[request](mm, inputs, sigma, oracle)
         residuals.update(named)
     return produced, residuals
 

@@ -9,6 +9,7 @@ of IEEE-754 doubles.  Structural problems raise :class:`SchemaError`
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -47,7 +48,7 @@ def matrix_to_json(m) -> dict[str, Any]:
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in arr.reshape(-1)],
+        "data": np.ascontiguousarray(arr).view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -65,15 +66,25 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
             path, f"data must hold {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    values = []
-    for idx, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise SchemaError(f"{path}.data[{idx}]", "entries must be [re, im] numbers")
-        values.append(complex(pair[0], pair[1]))
+    # Exact JSON types convert as one array; anything else, such as a bool
+    # or a subclass of float, goes through the per-entry loop, which names
+    # the first bad entry.
+    if (
+        set(map(type, data)) == {list}
+        and set(map(len, data)) == {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
+        values = np.array(data, dtype=float).view(complex)
+    else:
+        values = []
+        for idx, pair in enumerate(data):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+            ):
+                raise SchemaError(f"{path}.data[{idx}]", "entries must be [re, im] numbers")
+            values.append(complex(pair[0], pair[1]))
     matrix = np.array(values, dtype=complex).reshape(rows, cols)
     if not np.all(np.isfinite(matrix)):
         raise SchemaError(path, "contains non-finite entries")

@@ -201,6 +201,10 @@ def _check_classification(rng, trials, max_dim) -> float:
         traced = partial_trace(full, n, dk, "right")
         if reduced.self_adjoint != is_hermitian(traced):
             mismatches += 1
+        if reduced.unitary != is_unitary(traced):
+            mismatches += 1
+        if reduced.effect != is_effect_matrix(traced):
+            mismatches += 1
         if reduced.projection != is_projection_matrix(traced):
             mismatches += 1
         base = tuple(random_effect(dk, rng) for _ in range(n))

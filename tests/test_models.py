@@ -496,7 +496,7 @@ def test_pulled_meter_is_the_dual_of_each_probe_channel(shape):
 # The evolved probe G_i(eta) is not cached: the closed forms that need it
 # apply the probe channels per call through probe_outputs.
 @pytest.mark.parametrize("shape", CACHE_SHAPES)
-def test_evolved_probe_applies_each_probe_channel(shape):
+def test_probe_outputs_apply_each_probe_channel(shape):
     mm = _cache_model(shape, 111)
     n, dk, _, _ = shape
     evolved = probe_outputs(mm.nd, mm.probe_state.matrix)

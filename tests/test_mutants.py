@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 
-from nondisturbing import channels, linalg, models
+from nondisturbing import channels, linalg, models, probes
 from nondisturbing.linalg import random_density
 from nondisturbing.models import random_model
 from nondisturbing.objects import Context, State
@@ -45,6 +45,9 @@ MUTANTS = [
      "np.conj(np.swapaxes(t, -1, -2))", "np.swapaxes(t, -1, -2)", None),
     ("transposed-context-weights", Context, "weights",
      '"ai,ab,bi->i"', '"ai,ba,bi->i"', None),
+    # The battery compares these block-trace flags with the traced operator.
+    ("effect-bound-below-one", probes, "reduced_trace_flags",
+     "traces.real <= 1 + atol", "traces.real <= 1 - atol", None),
     ("identity-square-root", linalg, "psd_sqrt",
      "root = np.sqrt(np.clip(w, 0.0, None))", "root = np.clip(w, 0.0, None)", None),
     # Only the model code: the random generators need the true Hermitian part
@@ -53,12 +56,13 @@ MUTANTS = [
      "np.swapaxes(arr.conj(), -1, -2)", "np.swapaxes(arr, -1, -2)", (models,)),
     # One mutant per oracle.  The first reads the composite as probe-major,
     # so its trace keeps the probe dimension but sums over the wrong factor.
-    ("oracle-trace-over-wrong-factor", models, "post_probe_instrument_direct",
+    ("oracle-trace-over-wrong-factor", models.DirectOracle, "readings",
      'partial_trace(interacted, n, dk, over="left")',
      'partial_trace(interacted, dk, n, over="right")', None),
-    ("oracle-transposed-meter", models, "measured_instrument_direct",
-     '"apbq,xqp->xab"', '"apbq,xpq->xab"', None),
-    ("oracle-without-dephasing", models, "remeasured_effect_two_round",
+    ("oracle-transposed-meter", models.DirectOracle, "readings",
+     "mm.meter.effects.reshape(-1, dk * dk)",
+     "np.swapaxes(mm.meter.effects, 1, 2).reshape(-1, dk * dk)", None),
+    ("oracle-without-dephasing", models.DirectOracle, "remeasure",
      "n * sum(p @ out @ p for p in nd.context.atoms)", "n * out", None),
 ]
 

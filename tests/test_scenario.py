@@ -2,6 +2,7 @@
 one check that both the scenario runner and ``verify`` run."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import nondisturbing.scenario
@@ -9,12 +10,22 @@ from nondisturbing.channels import random_nd_channel
 from nondisturbing.linalg import (
     DEFAULT_ATOL,
     hermitian_part,
+    max_abs,
     random_density,
     random_kraus_channel,
     random_povm,
     random_unitary,
 )
-from nondisturbing.models import MeasurementModel
+from nondisturbing.models import (
+    MeasurementModel,
+    measured_instrument_direct,
+    measured_instrument_nd,
+    post_probe_instrument_direct,
+    post_probe_instrument_nd,
+    random_model,
+    remeasured_effect,
+    remeasured_effect_two_round,
+)
 from nondisturbing.objects import Context, KrausOperation, Observable, State, sharp_observable
 from nondisturbing.scenario import evaluate, run_scenario, scenario_from_json
 from nondisturbing.serialization import matrix_to_json, nd_channel_to_json, observable_to_json
@@ -115,30 +126,78 @@ def test_run_builds_one_composite_operation_and_one_direct_output_per_pair(monke
         built.append(self)
         original_init(self)
 
-    direct_calls = []
-    original_direct = nondisturbing.scenario.measured_instrument_direct
+    applied = []
+    original_apply = KrausOperation.apply_matrix
 
-    def counting_direct(mm, rho):
-        direct_calls.append(id(rho))
-        return original_direct(mm, rho)
+    def counting_apply(self, m):
+        applied.append(m.tobytes())
+        return original_apply(self, m)
 
     monkeypatch.setattr(KrausOperation, "__post_init__", counting_init)
-    monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_direct", counting_direct)
+    monkeypatch.setattr(KrausOperation, "apply_matrix", counting_apply)
     report = run_scenario(scenario)
     assert report["pass"]
     assert len(built) == 1
-    assert len(direct_calls) == 2
-    assert len(set(direct_calls)) == 2
+    # One output per input, shared by the three one-round oracles, then the
+    # two-round oracle's first round once and its second round per input.
+    assert len(applied) == 2 * 2 + 1
+    assert len(set(applied)) == len(applied)
+
+
+def _counting_applications(monkeypatch) -> list[int]:
+    applied = []
+    original = KrausOperation.apply_matrix
+
+    def counting(self, m):
+        applied.append(m.shape[0])
+        return original(self, m)
+
+    monkeypatch.setattr(KrausOperation, "apply_matrix", counting)
+    return applied
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_evaluate_applies_the_channel_once_per_distinct_input(monkeypatch, count):
+    mm = random_model(3, 2, 3, 2, 50, context=Context.random(3, 51))
+    inputs = tuple(State(random_density(3, 52 + i)) for i in range(count))
+    applied = _counting_applications(monkeypatch)
+    evaluate(mm, inputs, ALL_REQUESTS)
+    # The measured-instrument and post-probe oracles share each input's
+    # output; the two-round oracle adds its first round once and its second
+    # round per input.
+    assert applied == [6] * (2 * count + 1)
+    applied.clear()
+    evaluate(mm, inputs, ALL_REQUESTS, State(random_density(2, 60)))
+    # Another probe input is another composite input.
+    assert applied == [6] * (3 * count + 1)
+
+
+def test_shared_oracle_outputs_are_the_standalone_oracles_bit_for_bit():
+    mm = random_model(3, 2, 3, 2, 70, context=Context.random(3, 71))
+    inputs = (State(random_density(3, 72)), State(random_density(3, 73)))
+    for sigma in (mm.probe_state, State(random_density(2, 74))):
+        _, residuals = evaluate(mm, inputs, ALL_REQUESTS, sigma)
+        for i, rho in enumerate(inputs):
+            pairs = [
+                ("instrument", "closed_vs_direct",
+                 measured_instrument_nd(mm, rho), measured_instrument_direct(mm, rho)),
+                ("post_probe", "closed_vs_direct",
+                 post_probe_instrument_nd(mm, rho, sigma), post_probe_instrument_direct(mm, rho, sigma)),
+                ("remeasure", "closed_vs_two_round",
+                 remeasured_effect(mm, rho), remeasured_effect_two_round(mm, rho)),
+            ]
+            for request, name, closed, oracle in pairs:
+                for x, out, brute in zip(mm.meter.labels, closed, oracle, strict=True):
+                    assert residuals[f"{request}.state{i}.outcome{x}.{name}"] == max_abs(out - brute)
 
 
 def test_scenario_and_verify_run_the_same_instrument_check(monkeypatch):
-    original = nondisturbing.scenario.measured_instrument_direct
+    class Shifted(nondisturbing.scenario.DirectOracle):
+        def instrument(self, rho):
+            outs = super().instrument(rho)
+            return outs + 1e-3 * np.eye(outs.shape[-1])
 
-    def shifted(mm, rho):
-        outs = original(mm, rho)
-        return outs + 1e-3 * np.eye(outs.shape[-1])
-
-    monkeypatch.setattr(nondisturbing.scenario, "measured_instrument_direct", shifted)
+    monkeypatch.setattr(nondisturbing.scenario, "DirectOracle", Shifted)
     report = run_scenario(scenario_from_json(_nd_document(2, 2, 2, 30)))
     assert not report["pass"]
     assert not report["checks"]["instrument.state0.outcome0.closed_vs_direct"]

@@ -78,3 +78,88 @@ def test_nd_channel_schema_errors_carry_paths():
     doc["table"][1] = []
     with pytest.raises(SchemaError, match=r"table\[1\]"):
         nd_channel_from_json(doc)
+
+
+# The per-entry codec that matrix_to_json and matrix_from_json replace with
+# whole-array conversions; they must behave exactly like it.
+def _per_entry_to_json(m):
+    arr = np.asarray(m, dtype=complex)
+    return {
+        "rows": int(arr.shape[0]),
+        "cols": int(arr.shape[1]),
+        "data": [[float(z.real), float(z.imag)] for z in arr.reshape(-1)],
+    }
+
+
+def _per_entry_from_json(obj, path="matrix"):
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    values = []
+    for idx, pair in enumerate(data):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+        ):
+            raise SchemaError(f"{path}.data[{idx}]", "entries must be [re, im] numbers")
+        values.append(complex(pair[0], pair[1]))
+    matrix = np.array(values, dtype=complex).reshape(rows, cols)
+    if not np.all(np.isfinite(matrix)):
+        raise SchemaError(path, "contains non-finite entries")
+    return matrix
+
+
+def _outcome(decode, doc):
+    try:
+        matrix = decode(doc, "m")
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+    return matrix.shape, matrix.view(float).tobytes()  # bytes keep the sign of a zero
+
+
+@pytest.mark.parametrize("bad", [
+    True, False, "1.0", None, [0.0], {"re": 1.0},
+], ids=["true", "false", "string", "null", "list", "object"])
+@pytest.mark.parametrize("where", ["entry", "component"])
+def test_matrix_from_json_rejects_each_malformed_entry_as_the_per_entry_loop(bad, where):
+    data = [[1.0, 0.0], [0, -2], [0.5, 0.25], [3.0, 4.0]]
+    data[2] = bad if where == "entry" else [0.5, bad]
+    doc = {"rows": 2, "cols": 2, "data": data}
+    expected = _outcome(_per_entry_from_json, doc)
+    assert expected == (SchemaError, "m.data[2]: entries must be [re, im] numbers")
+    assert _outcome(matrix_from_json, doc) == expected
+
+
+@pytest.mark.parametrize("data", [
+    [[1.0, 0.0], [0.0, 1.0, 2.0]],
+    [[1.0, 0.0], (0.0, 1.0)],
+    [[1.0, 0.0], 2.0],
+    [[1.0, 0.0], [True, 0.0]],
+    json.loads("[[1.0, 0.0], [NaN, 0.0]]"),
+    json.loads("[[Infinity, 0.0], [0.0, 1.0]]"),
+    [[1.0, 0.0], [10**400, 0]],
+    [[1.0, 0.0], [2**70 + 1, -(2**53 + 1)]],
+    [[np.float64(1.0), 0.0], [0.0, 1.0]],
+    [[-0.0, -0.0], [0.0, -0.0]],
+], ids=["three-element-pair", "tuple-entry", "number-entry", "bool", "nan", "infinity",
+        "int-overflow", "large-ints", "float-subclass", "signed-zeros"])
+def test_matrix_from_json_matches_the_per_entry_loop(data):
+    doc = {"rows": 1, "cols": 2, "data": data}
+    assert _outcome(matrix_from_json, doc) == _outcome(_per_entry_from_json, doc)
+
+
+def test_matrix_to_json_matches_the_per_entry_encoding():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    m[0, 0], m[1, 2] = complex(-0.0, -0.0), complex(0.0, -0.0)
+    for value in (m, m.T, m[:, ::2], m.real, m.astype(np.complex64), np.asfortranarray(m)):
+        doc = matrix_to_json(value)
+        assert json.dumps(doc) == json.dumps(_per_entry_to_json(value))
+        assert all(type(v) is float for pair in doc["data"] for v in pair)
+
+
+def test_signed_zeros_round_trip():
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+    doc = json.loads(json.dumps(matrix_to_json(m)))
+    assert doc["data"][:3] == [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
+    back = matrix_from_json(doc)
+    assert back.view(float).tobytes() == m.view(float).tobytes()
