@@ -126,9 +126,12 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product with base-major indexing.
 
     Basis vector ``i`` of ``a`` tensored with basis vector ``j`` of ``b``
-    maps to flat index ``i * b.shape[1] + j``.
+    maps to flat index ``i * b.shape[1] + j``.  Both inputs must be 2-D;
+    any other shape raises ``ValueError``.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     )

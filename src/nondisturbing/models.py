@@ -273,8 +273,11 @@ class DirectOracle:
         return self._readings[key]
 
     def instrument(self, rho: State) -> np.ndarray:
-        """Measured instrument: outcome ``x`` is ``Tr_probe[X (I (x) F_x)]``, probe state ``eta``."""
-        return self.readings(rho, self.mm.probe_state)[0]
+        """Measured instrument: outcome ``x`` is ``Tr_probe[X (I (x) F_x)]``, probe state ``eta``.
+
+        A writable copy of the shared reading, like every oracle's output.
+        """
+        return self.readings(rho, self.mm.probe_state)[0].copy()
 
     @cached_property
     def meter_roots(self) -> np.ndarray:

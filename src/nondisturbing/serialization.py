@@ -66,17 +66,14 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
             path, f"data must hold {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    # Exact JSON types convert as one array; anything else, such as a bool
-    # or a subclass of float, goes through the per-entry loop, which names
-    # the first bad entry.
-    if (
+    # The set checks pass every list of exact JSON types at C speed; only a
+    # list they reject, such as one holding a bool or a subclass of float,
+    # is walked entry by entry to name the first bad one.
+    if not (
         set(map(type, data)) == {list}
         and set(map(len, data)) == {2}
         and set(map(type, chain.from_iterable(data))) <= {int, float}
     ):
-        values = np.array(data, dtype=float).view(complex)
-    else:
-        values = []
         for idx, pair in enumerate(data):
             if (
                 not isinstance(pair, list)
@@ -84,8 +81,7 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
             ):
                 raise SchemaError(f"{path}.data[{idx}]", "entries must be [re, im] numbers")
-            values.append(complex(pair[0], pair[1]))
-    matrix = np.array(values, dtype=complex).reshape(rows, cols)
+    matrix = np.array(data, dtype=float).view(complex).reshape(rows, cols)
     if not np.all(np.isfinite(matrix)):
         raise SchemaError(path, "contains non-finite entries")
     matrix.setflags(write=False)

@@ -28,6 +28,16 @@ def test_kron_identity_cases():
     assert np.array_equal(out, np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
+def test_kron_matches_numpy_kron_and_takes_only_matrices():
+    rng = np.random.default_rng(103)
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    b = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+    for left, right in ((np.ones(2), np.eye(2)), (np.eye(2), np.ones((2, 2, 2)))):
+        with pytest.raises(ValueError, match="two matrices"):
+            kron(left, right)
+
+
 def test_kron_mixed_product_against_direct_multiplication():
     rng = np.random.default_rng(101)
     for _ in range(20):

@@ -162,6 +162,18 @@ def test_oracles_match_their_dense_definitions_on_a_generic_channel(n, dk, outco
         assert max_abs(out_post - expected_post) < 1e-12
 
 
+def test_oracle_outputs_are_writable_arrays():
+    rng = np.random.default_rng(135)
+    mm = random_model(2, 2, 2, 2, rng)
+    rho, sigma = State(random_density(2, rng)), State(random_density(2, rng))
+    for out in (
+        measured_instrument_direct(mm, rho),
+        post_probe_instrument_direct(mm, rho, sigma),
+        remeasured_effect_two_round(mm, rho),
+    ):
+        assert out.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Closed-form measured instrument and observable
 # ---------------------------------------------------------------------------
