@@ -69,6 +69,6 @@ for x, closed, oracle in zip(model.meter.labels, remeasured,
                              remeasured_effect_two_round(model, rho)):
     print(f"outcome {x}: closed vs two-round oracle {max_abs(closed - oracle):.2e}")
 summed = remeasured.sum(axis=0)
-dephased = model.nd.context.dephase(rho.matrix)
+dephased = sum(p @ rho.matrix @ p for p in model.nd.context.atoms)
 print("outcome sum equals dim_base times the dephased input:",
       max_abs(summed - model.dim_base * dephased))

@@ -28,6 +28,7 @@ from .linalg import (
     random_kraus_channel,
     random_povm,
     random_projection,
+    random_unitaries,
     random_unitary,
 )
 from .objects import (
@@ -76,7 +77,7 @@ from .models import (
 from .catalog import (
     fourier_model,
     fourier_observable_effect,
-    fourier_pair_trace,
+    fourier_pair_traces,
     fourier_unitaries,
     swap_instrument_output,
     swap_model,

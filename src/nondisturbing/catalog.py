@@ -33,7 +33,7 @@ __all__ = [
     "swap_observable_effect",
     "fourier_unitaries",
     "fourier_model",
-    "fourier_pair_trace",
+    "fourier_pair_traces",
     "fourier_observable_effect",
 ]
 
@@ -150,26 +150,27 @@ def fourier_model(n: int, m: int, meter: Observable | None = None) -> Measuremen
     return MeasurementModel(n, m, _pure_first_basis_state(m), channel, meter)
 
 
-def fourier_pair_trace(j: int, k: int, m: int, meter_effect: np.ndarray) -> complex:
-    """Pair coefficient of the Fourier-phase instrument, straight from phases.
+def fourier_pair_traces(n: int, m: int, meter_effect: np.ndarray) -> np.ndarray:
+    """Pair coefficients of the Fourier-phase instrument, straight from phases.
 
-    For atoms ``j`` and ``k`` (counted from 1), the coefficient is
-    ``(1/m) sum_{s,t} exp(2 pi i (j s - k t) / m) <t|F|s>``.
+    Entry ``[j - 1, k - 1]`` is the coefficient of atoms ``j`` and ``k``
+    (counted from 1), ``(1/m) sum_{s,t} exp(2 pi i (j s - k t) / m) <t|F|s>``.
+    With ``a[j, s] = exp(2 pi i j s / m)`` that is the matrix
+    ``a F^T a* / m``.  ``meter_effect`` is one ``m x m`` effect or a
+    ``(..., m, m)`` stack of them; the result has shape ``(..., n, n)``.
     """
     f = np.asarray(meter_effect, dtype=complex)
-    if f.shape != (m, m):
+    if f.ndim < 2 or f.shape[-2:] != (m, m):
         raise ValueError(f"meter effect must be {m} x {m}, got {f.shape}")
-    s = np.arange(1, m + 1)
-    t = np.arange(1, m + 1)
-    phases = np.exp(2j * np.pi * (j * s[None, :] - k * t[:, None]) / m)
-    return complex(np.sum(phases * f) / m)
+    a = np.exp(2j * np.pi * np.outer(np.arange(1, n + 1), np.arange(1, m + 1)) / m)
+    return a @ np.swapaxes(f, -1, -2) @ a.conj().T / m
 
 
 def fourier_observable_effect(n: int, m: int, meter_effect: np.ndarray) -> np.ndarray:
     """Measured-observable effect of the Fourier-phase model.
 
-    Diagonal over the base atoms with entries
-    ``(1/m) sum_{s,t} exp(2 pi i j (s - t) / m) <t|F|s>`` for atom ``j``.
+    Diagonal over the base atoms, holding the diagonal of
+    :func:`fourier_pair_traces`: ``(1/m) sum_{s,t} exp(2 pi i j (s - t) / m) <t|F|s>``
+    for atom ``j``.  Takes one effect or a stack, like :func:`fourier_pair_traces`.
     """
-    diag = [fourier_pair_trace(j, j, m, meter_effect) for j in range(1, n + 1)]
-    return np.diag(np.asarray(diag))
+    return fourier_pair_traces(n, m, meter_effect) * np.eye(n)

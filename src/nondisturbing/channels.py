@@ -21,8 +21,9 @@ import numpy as np
 from .linalg import (
     DEFAULT_ATOL,
     as_complex_stack,
+    _gaussians,
+    _polar_blocks,
     completeness_defects,
-    random_kraus_channel,
 )
 from .objects import Context, KrausOperation, State
 from .probes import ProbeDecomposition, _probe_blocks, commutator_defect
@@ -152,10 +153,16 @@ def nd_channel_from_kraus(
 def random_nd_channel(
     context: Context, dim_probe: int, kraus_count: int, seed
 ) -> NDChannel:
-    """Random nondisturbing channel: one random probe channel per atom."""
-    rng = np.random.default_rng(seed)
-    table = [random_kraus_channel(dim_probe, kraus_count, rng) for _ in range(context.dim)]
-    return NDChannel(context, table)
+    """Random nondisturbing channel: one random probe channel per atom.
+
+    Row ``i`` is drawn as :func:`~nondisturbing.linalg.random_kraus_channel`
+    would draw it after rows ``0..i-1``; all rows share one batched SVD.
+    """
+    if kraus_count < 1:
+        raise ValueError("kraus_count must be >= 1")
+    n = context.dim
+    draws = _gaussians(dim_probe, n * kraus_count, np.random.default_rng(seed))
+    return NDChannel(context, _polar_blocks(draws.reshape(n, kraus_count, dim_probe, dim_probe)))
 
 
 def pair_overlap_kernel(

@@ -43,6 +43,7 @@ __all__ = [
     "psd_sqrt",
     "loewner_leq",
     "random_unitary",
+    "random_unitaries",
     "random_hermitian",
     "random_density",
     "random_effect",
@@ -166,39 +167,72 @@ def partial_trace(m, dim_left: int, dim_right: int, over: str) -> np.ndarray:
     return np.trace(blocks, axis1=0, axis2=2)
 
 
-def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool:
-    arr = _square(m)
-    return max_abs(arr - arr.conj().T) <= atol
+def _per_member(mask) -> bool | np.ndarray:
+    """A predicate's answer: a ``bool`` for one matrix, a bool array for a stack."""
+    return bool(mask) if mask.ndim == 0 else mask
 
 
-def is_psd(m, atol: float = DEFAULT_ATOL) -> bool:
-    arr = _square(m)
-    if not is_hermitian(arr, atol):
-        return False
-    return float(np.linalg.eigvalsh(arr)[0]) >= -atol
+def _within(defect: np.ndarray, atol: float):
+    """Whether each matrix of a ``(..., d, d)`` stack has every entry within ``atol``.
+
+    A NumPy bool for one matrix, a bool array for a stack.
+    """
+    return np.abs(defect).max(axis=(-2, -1), initial=0.0) <= atol
 
 
-def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool:
-    arr = _square(m)
-    eye = np.eye(arr.shape[0])
-    return max_abs(arr @ arr.conj().T - eye) <= atol and max_abs(
-        arr.conj().T @ arr - eye
-    ) <= atol
+def _adjoint(arr: np.ndarray) -> np.ndarray:
+    return arr.conj().swapaxes(-1, -2)
 
 
-def is_projection_matrix(m, atol: float = DEFAULT_ATOL) -> bool:
+def _hermitian(arr: np.ndarray, atol: float) -> np.ndarray:
+    return _within(arr - _adjoint(arr), atol)
+
+
+# Each predicate takes one square matrix, answered with a ``bool``, or a
+# ``(..., d, d)`` stack, answered member by member with a bool array of
+# shape ``(...)``.
+
+
+def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+    return _per_member(_hermitian(_square(m, stack=True), atol))
+
+
+def _spectrum_within(arr: np.ndarray, atol: float, upper: float | None) -> np.ndarray:
+    """Hermitian members whose spectrum is ``>= -atol`` (and ``<= upper + atol``).
+
+    Only the Hermitian members are diagonalised, so a NaN entry gives
+    False rather than reaching ``eigvalsh``.
+    """
+    ok = np.array(_hermitian(arr, atol))
+    if ok.any():
+        w = np.linalg.eigvalsh(arr[ok])
+        inside = w[:, 0] >= -atol
+        if upper is not None:
+            inside &= w[:, -1] <= upper + atol
+        ok[ok] = inside
+    return ok
+
+
+def is_psd(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+    return _per_member(_spectrum_within(_square(m, stack=True), atol, None))
+
+
+def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+    arr = _square(m, stack=True)
+    eye = np.eye(arr.shape[-1])
+    adj = _adjoint(arr)
+    return _per_member(_within(arr @ adj - eye, atol) & _within(adj @ arr - eye, atol))
+
+
+def is_projection_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
     """True for Hermitian idempotents (orthogonal projections)."""
-    arr = _square(m)
-    return is_hermitian(arr, atol) and max_abs(arr @ arr - arr) <= atol
+    arr = _square(m, stack=True)
+    return _per_member(_hermitian(arr, atol) & _within(arr @ arr - arr, atol))
 
 
-def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool:
+def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
     """True for Hermitian operators with spectrum inside ``[0, 1]``."""
-    arr = _square(m)
-    if not is_hermitian(arr, atol):
-        return False
-    w = np.linalg.eigvalsh(arr)
-    return float(w[0]) >= -atol and float(w[-1]) <= 1 + atol
+    return _per_member(_spectrum_within(_square(m, stack=True), atol, 1.0))
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -224,16 +258,21 @@ def psd_sqrt(m) -> np.ndarray:
     return hermitian_part((v * root[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
 
 
-def loewner_leq(a, b, atol: float = DEFAULT_ATOL) -> bool:
-    """Operator-order comparison: True iff ``b - a`` is PSD within ``atol``."""
-    a = _square(a, "a")
-    b = _square(b, "b")
+def loewner_leq(a, b, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+    """Operator-order comparison: True iff ``b - a`` is PSD within ``atol``.
+
+    ``a`` and ``b`` are two matrices, or two stacks of one shape compared
+    member by member; a member of either that is not Hermitian within
+    ``atol`` raises ``ValueError``.
+    """
+    a = _square(a, "a", stack=True)
+    b = _square(b, "b", stack=True)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     for name, arr in (("a", a), ("b", b)):
-        if not is_hermitian(arr, atol):
+        if not _hermitian(arr, atol).all():
             raise ValueError(f"{name} is not Hermitian within {atol:.3e}")
-    return float(np.linalg.eigvalsh(hermitian_part(b - a))[0]) >= -atol
+    return _per_member(np.linalg.eigvalsh(hermitian_part(b - a))[..., 0] >= -atol)
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +284,40 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _gaussians(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` complex Gaussian ``dim x dim`` matrices, shape ``(count, dim, dim)``.
+
+    One ``(count, 2, dim, dim)`` draw holds each matrix's real part, then
+    its imaginary part, so the stream is the same as ``count`` draws of
+    one matrix each.
+    """
+    g = rng.standard_normal((count, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
+
+
 def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _gaussians(dim, 1, rng)[0]
+
+
+def random_unitaries(dim: int, count: int, seed) -> np.ndarray:
+    """``count`` Haar-like random unitaries, shape ``(count, dim, dim)``.
+
+    One stacked QR of complex Gaussian matrices, with the phases of the
+    diagonal of ``R`` moved into ``Q``.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    q, r = np.linalg.qr(_gaussians(dim, count, _rng(seed)))
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[:, None, :]
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-like random unitary via QR of a complex Gaussian matrix."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = _rng(seed)
-    q, r = np.linalg.qr(_gaussian(dim, rng))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    """Haar-like random unitary: :func:`random_unitaries` with ``count = 1``."""
+    return random_unitaries(dim, 1, seed)[0]
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:
@@ -300,9 +360,8 @@ def random_povm(dim: int, count: int, seed) -> list[np.ndarray]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = _rng(seed)
-    raw = [_gaussian(dim, rng).conj().T for _ in range(count)]
-    return [hermitian_part(a.conj().T @ a) for a in _polar_blocks(raw)]
+    polar = _polar_blocks(_adjoint(_gaussians(dim, count, _rng(seed))))
+    return list(hermitian_part(_adjoint(polar) @ polar))
 
 
 def random_kraus_channel(dim: int, count: int, seed) -> list[np.ndarray]:
@@ -313,23 +372,22 @@ def random_kraus_channel(dim: int, count: int, seed) -> list[np.ndarray]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = _rng(seed)
-    return _polar_blocks([_gaussian(dim, rng) for _ in range(count)])
+    return list(_polar_blocks(_gaussians(dim, count, _rng(seed))))
 
 
-def _polar_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
+def _polar_blocks(blocks: np.ndarray) -> np.ndarray:
     """Square blocks of ``M (M* M)^(-1/2)`` for ``M`` the blocks stacked.
 
-    Taken from the SVD ``M = U S V*`` as ``U V*``, an exact isometry up to
-    rounding, rather than through an inverse square root, whose rounding
-    grows with the condition number of ``M* M``.
+    ``blocks`` has shape ``(..., K, d, d)``; each family of ``K`` blocks
+    is stacked into one ``(K d) x d`` column ``M`` and the result has the
+    shape of ``blocks``.  The factor is taken from the SVD ``M = U S V*``
+    as ``U V*``, an exact isometry up to rounding, rather than through an
+    inverse square root, whose rounding grows with the condition number
+    of ``M* M``.  All families share one batched SVD.
     """
-    stacked = np.vstack(blocks)
-    u, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    if float(s[-1]) ** 2 <= DEFAULT_ATOL:
-        raise ValueError(
-            f"matrix is not positive definite (min eigenvalue {float(s[-1]) ** 2:.3e})"
-        )
-    polar = u @ vh
-    dim = blocks[0].shape[0]
-    return [polar[k * dim:(k + 1) * dim] for k in range(len(blocks))]
+    *lead, count, dim, _ = blocks.shape
+    u, s, vh = np.linalg.svd(blocks.reshape(*lead, count * dim, dim), full_matrices=False)
+    lowest = float(s[..., -1].min()) ** 2
+    if lowest <= DEFAULT_ATOL:
+        raise ValueError(f"matrix is not positive definite (min eigenvalue {lowest:.3e})")
+    return (u @ vh).reshape(blocks.shape)

@@ -315,15 +315,16 @@ class DirectOracle:
 
         Round two is the measured instrument of the same model with probe
         state :attr:`handed_on`, applied to ``rho``; each outcome is
-        dephased atom by atom and scaled by ``n``.  Tracing the first base
-        out between the rounds is exact, because round two never acts on it.
+        dephased, ``sum_i P_i out P_i``, and scaled by ``n``.  Tracing the
+        first base out between the rounds is exact, because round two never
+        acts on it.
         """
-        nd = self.mm.nd
+        basis = self.mm.nd.context.basis
         n = self.mm.dim_base
-        return np.array([
-            n * sum(p @ out @ p for p in nd.context.atoms)
-            for out in self.readings(rho, self.handed_on)[0]
-        ])
+        outs = self.readings(rho, self.handed_on)[0]
+        # <v_i, out v_i> for every outcome, spread back over the atoms
+        diag = np.einsum("ai,xab,bi->xi", basis.conj(), outs, basis)
+        return n * (basis * diag[:, None, :]) @ basis.conj().T
 
 
 def random_model(

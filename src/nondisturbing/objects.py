@@ -179,10 +179,6 @@ class Context:
         """Diagonal of ``rho`` in this basis: real vector of <v_i, rho v_i>."""
         return np.real(np.einsum("ai,ab,bi->i", self.basis.conj(), rho, self.basis))
 
-    def dephase(self, rho: np.ndarray) -> np.ndarray:
-        """Project ``rho`` onto the atoms: ``sum_i P_i rho P_i``."""
-        return (self.basis * self.weights(rho)) @ self.basis.conj().T
-
     def is_measurable(self, m: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
         """True iff ``m`` is a combination of the atoms (diagonal in this basis)."""
         inner = self.basis.conj().T @ np.asarray(m, dtype=complex) @ self.basis

@@ -244,14 +244,12 @@ def classify(decomp: ProbeDecomposition, atol: float = DEFAULT_ATOL) -> ProbeFla
     sum to the probe identity.
     """
     probes = decomp.probes
-    effect = all(is_effect_matrix(b, atol) for b in probes)
-    family = effect and max_abs(
-        sum(probes) - np.eye(decomp.dim_probe)
-    ) <= atol
+    effect = bool(is_effect_matrix(probes, atol).all())
+    family = effect and max_abs(probes.sum(axis=0) - np.eye(decomp.dim_probe)) <= atol
     return ProbeFlags(
-        self_adjoint=all(is_hermitian(b, atol) for b in probes),
-        unitary=all(is_unitary(b, atol) for b in probes),
-        projection=all(is_projection_matrix(b, atol) for b in probes),
+        self_adjoint=bool(is_hermitian(probes, atol).all()),
+        unitary=bool(is_unitary(probes, atol).all()),
+        projection=bool(is_projection_matrix(probes, atol).all()),
         effect=effect,
         observable_family=family,
     )
@@ -279,16 +277,18 @@ def reduced_trace_flags(decomp: ProbeDecomposition, atol: float = DEFAULT_ATOL) 
 def order_leq_via_probes(
     a: ProbeDecomposition, d: ProbeDecomposition, atol: float = DEFAULT_ATOL
 ) -> bool:
-    """Operator order of assembled operators, decided blockwise."""
+    """Operator order of assembled operators, decided blockwise.
+
+    A block of either decomposition that is not Hermitian within ``atol``
+    raises ``ValueError``, as :func:`~nondisturbing.linalg.loewner_leq` does.
+    """
     if a.context is not d.context and max_abs(a.context.basis - d.context.basis) > atol:
         raise ValueError("decompositions use different contexts")
     if a.dim_probe != d.dim_probe:
         raise ValueError(
             f"probe dimension mismatch: {a.dim_probe} vs {d.dim_probe}"
         )
-    return all(
-        loewner_leq(b, c, atol) for b, c in zip(a.probes, d.probes)
-    )
+    return bool(loewner_leq(a.probes, d.probes, atol).all())
 
 
 def conjugate(decomp: ProbeDecomposition, base_factor, probe_factor) -> np.ndarray:

@@ -81,7 +81,10 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
             ):
                 raise SchemaError(f"{path}.data[{idx}]", "entries must be [re, im] numbers")
-    matrix = np.array(data, dtype=float).view(complex).reshape(rows, cols)
+    try:
+        matrix = np.array(data, dtype=float).view(complex).reshape(rows, cols)
+    except OverflowError:
+        raise SchemaError(path, "contains an integer too large for a double") from None
     if not np.all(np.isfinite(matrix)):
         raise SchemaError(path, "contains non-finite entries")
     matrix.setflags(write=False)

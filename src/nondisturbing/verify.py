@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    _adjoint,
     fold_max,
     is_effect_matrix,
     is_hermitian,
@@ -33,7 +34,7 @@ from .linalg import (
     random_hermitian,
     random_povm,
     random_projection,
-    random_unitary,
+    random_unitaries,
 )
 from .objects import Context, Observable, State
 from .probes import (
@@ -107,17 +108,14 @@ def _check_probe_round_trip(rng, trials, max_dim) -> float:
         full = decomp.assemble()
         n, dk = decomp.dim_base, decomp.dim_probe
         recovered = extract_probes(full, decomp.context, dk)
-        for original, back in zip(decomp.probes, recovered.probes):
-            worst = fold_max(worst, max_abs(original - back))
+        worst = fold_max(worst, max_abs(decomp.probes - recovered.probes))
         worst = fold_max(worst, max_abs(recovered.assemble() - full))
-        first = extract_probes_by_matrix_elements(
-            full, decomp.context, dk, random_unitary(dk, rng)
+        first, second = (
+            extract_probes_by_matrix_elements(full, decomp.context, dk, probe_basis)
+            for probe_basis in random_unitaries(dk, 2, rng)
         )
-        second = extract_probes_by_matrix_elements(
-            full, decomp.context, dk, random_unitary(dk, rng)
-        )
-        for a, b, c in zip(first.probes, second.probes, recovered.probes):
-            worst = fold_max(worst, max_abs(a - b), max_abs(a - c))
+        worst = fold_max(worst, max_abs(first.probes - second.probes),
+                         max_abs(first.probes - recovered.probes))
     return worst
 
 
@@ -130,8 +128,8 @@ def _check_reduced_traces(rng, trials, max_dim) -> float:
         over_base, over_probe = closed_form_partial_traces(decomp)
         worst = fold_max(worst, max_abs(over_base - partial_trace(full, n, dk, "left")))
         worst = fold_max(worst, max_abs(over_probe - partial_trace(full, n, dk, "right")))
-        for atom in decomp.context.atoms:
-            worst = fold_max(worst, max_abs(over_probe @ atom - atom @ over_probe))
+        atoms = decomp.context.atoms
+        worst = fold_max(worst, max_abs(over_probe @ atoms - atoms @ over_probe))
     return worst
 
 
@@ -143,7 +141,7 @@ def _classification_instances(rng, dk: int, flag: str, positive: bool, count: in
         if not positive:
             probes[int(rng.integers(0, count))] += 0.5j * np.eye(dk)
     elif flag == "unitary":
-        probes = [random_unitary(dk, rng) for _ in range(count)]
+        probes = list(random_unitaries(dk, count, rng))
         if not positive:
             probes[int(rng.integers(0, count))] *= 1.5
     elif flag == "projection":
@@ -165,18 +163,42 @@ def _classification_instances(rng, dk: int, flag: str, positive: bool, count: in
     return tuple(probes)
 
 
-def _direct_flags(full: np.ndarray, n: int, dk: int) -> dict[str, bool]:
-    effect = is_effect_matrix(full)
-    family = effect and max_abs(
-        partial_trace(full, n, dk, "left") - np.eye(dk)
-    ) <= 1e-9
+def _direct_flag(full: np.ndarray, n: int, dk: int, flag: str) -> bool:
+    """One structural flag, read off the assembled operator itself."""
+    if flag == "observable_family":
+        return is_effect_matrix(full) and max_abs(
+            partial_trace(full, n, dk, "left") - np.eye(dk)
+        ) <= 1e-9
     return {
-        "self_adjoint": is_hermitian(full),
-        "unitary": is_unitary(full),
-        "projection": is_projection_matrix(full),
-        "effect": effect,
-        "observable_family": family,
-    }
+        "self_adjoint": is_hermitian,
+        "unitary": is_unitary,
+        "projection": is_projection_matrix,
+        "effect": is_effect_matrix,
+    }[flag](full)
+
+
+def _reduced_mismatches(decomp: ProbeDecomposition, full: np.ndarray) -> int:
+    """How many block-trace flags disagree with the probe-traced operator."""
+    reduced = reduced_trace_flags(decomp)
+    traced = partial_trace(full, decomp.dim_base, decomp.dim_probe, "right")
+    return sum((
+        reduced.self_adjoint != is_hermitian(traced),
+        reduced.unitary != is_unitary(traced),
+        reduced.effect != is_effect_matrix(traced),
+        reduced.projection != is_projection_matrix(traced),
+    ))
+
+
+def _rotating_corner(context: Context, dk: int) -> ProbeDecomposition:
+    """Blocks ``exp(2 pi i k / n) |0><0|``: every block trace is a phase.
+
+    Its probe trace is unitary, which no random classification instance
+    reliably is.  It takes no random draw.
+    """
+    n = context.dim
+    blocks = np.zeros((n, dk, dk), dtype=complex)
+    blocks[:, 0, 0] = np.exp(2j * np.pi * np.arange(n) / n)
+    return ProbeDecomposition(context, blocks)
 
 
 def _check_classification(rng, trials, max_dim) -> float:
@@ -191,31 +213,22 @@ def _check_classification(rng, trials, max_dim) -> float:
         probes = _classification_instances(rng, dk, flag, positive, n)
         decomp = ProbeDecomposition(context, probes)
         full = decomp.assemble()
-        blockwise = classify(decomp)
-        direct = _direct_flags(full, n, dk)
-        if getattr(blockwise, flag) != direct[flag]:
+        blockwise = getattr(classify(decomp), flag)
+        if blockwise != _direct_flag(full, n, dk, flag):
             mismatches += 1
-        if getattr(blockwise, flag) != positive:
+        if blockwise != positive:
             mismatches += 1
-        reduced = reduced_trace_flags(decomp)
-        traced = partial_trace(full, n, dk, "right")
-        if reduced.self_adjoint != is_hermitian(traced):
-            mismatches += 1
-        if reduced.unitary != is_unitary(traced):
-            mismatches += 1
-        if reduced.effect != is_effect_matrix(traced):
-            mismatches += 1
-        if reduced.projection != is_projection_matrix(traced):
-            mismatches += 1
+        mismatches += _reduced_mismatches(decomp, full)
+        rotating = _rotating_corner(context, dk)
+        mismatches += _reduced_mismatches(rotating, rotating.assemble())
         base = tuple(random_effect(dk, rng) for _ in range(n))
         bumps = tuple(random_effect(dk, rng) for _ in range(n))
         lower = ProbeDecomposition(context, base)
         upper = ProbeDecomposition(context, tuple(b + p for b, p in zip(base, bumps)))
-        if not order_leq_via_probes(lower, upper):
+        ordered = order_leq_via_probes(lower, upper)
+        if not ordered:
             mismatches += 1
-        if order_leq_via_probes(lower, upper) != loewner_leq(
-            lower.assemble(), upper.assemble()
-        ):
+        if ordered != loewner_leq(lower.assemble(), upper.assemble()):
             mismatches += 1
     return float(mismatches)
 
@@ -270,13 +283,11 @@ def _check_channel_partial_traces(rng, trials, max_dim) -> float:
         reduced = reduced_product_outputs(nd, rho, eta)
         worst = fold_max(worst, max_abs(reduced.base - partial_trace(direct, n, dk, "right")))
         worst = fold_max(worst, max_abs(reduced.probe - partial_trace(direct, n, dk, "left")))
-        weights = context.weights(rho.matrix)
+        weights = _context_weights(context.basis, rho.matrix)
         worst = fold_max(worst, -float(weights.min()))
         worst = fold_max(worst, abs(float(weights.sum()) - 1.0))
-        mixture = sum(
-            w * nd.probe_channel(i).apply_matrix(eta.matrix)
-            for i, w in enumerate(weights)
-        )
+        # sum_i w_i G_i(eta), with G_i(eta) = sum_k B_i^k eta B_i^k*
+        mixture = np.einsum("i,ikab,bc,ikdc->ad", weights, nd.table, eta.matrix, nd.table.conj())
         worst = fold_max(worst, max_abs(reduced.probe - mixture))
     return worst
 
@@ -304,9 +315,25 @@ def _check_post_probe(rng, trials, max_dim) -> float:
     return worst
 
 
-def _unitary_model(rng, n: int, dk: int, context: Context) -> tuple[MeasurementModel, list[np.ndarray]]:
-    unitaries = [random_unitary(dk, rng) for _ in range(n)]
-    nd = NDChannel(context, tuple((u,) for u in unitaries))
+def _context_weights(basis: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``<v_i, rho v_i>`` for every context vector; the battery's own copy."""
+    return np.real(np.diagonal(basis.conj().T @ rho @ basis))
+
+
+def _pair_traces(unitaries: np.ndarray, eta: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """``tr(U_i eta U_j* F_x)`` for every outcome ``x`` and pair ``(i, j)``.
+
+    Shape ``(outcomes, n, n)``, with ``unitaries`` stacked ``(n, d, d)``
+    and ``effects`` ``(outcomes, d, d)``.
+    """
+    left = unitaries @ eta
+    right = _adjoint(unitaries) @ effects[:, None]
+    return np.einsum("iab,xjba->xij", left, right)
+
+
+def _unitary_model(rng, n: int, dk: int, context: Context) -> tuple[MeasurementModel, np.ndarray]:
+    unitaries = random_unitaries(dk, n, rng)
+    nd = NDChannel(context, unitaries[:, None])
     eta = State(random_density(dk, rng))
     meter = Observable.from_matrices(random_povm(dk, int(rng.integers(2, 4)), rng))
     return MeasurementModel(n, dk, eta, nd, meter), unitaries
@@ -318,53 +345,35 @@ def _check_unitary_specialization(rng, trials, max_dim) -> float:
         n, dk = _dims(rng, max_dim)
         context = _random_context(rng, n)
         mm, unitaries = _unitary_model(rng, n, dk, context)
-        eta = mm.probe_state.matrix
         rho = State(random_density(n, rng))
         sigma = State(random_density(dk, rng))
+        effects = mm.meter.effects
         basis = context.basis
-        weights = context.weights(rho.matrix)
-        measured = measured_observable_nd(mm)
-        post = post_probe_observable(mm, rho)
-        instrument = measured_instrument_nd(mm, rho)
-        probe_instrument = post_probe_instrument_nd(mm, rho, sigma)
-        for f, out, probe_out, effect, pulled_effect in zip(
-            mm.meter.effects, instrument, probe_instrument, measured, post, strict=True
-        ):
-            coeff = np.array(
-                [
-                    [np.trace(unitaries[i] @ eta @ unitaries[j].conj().T @ f)
-                     for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            overlaps = basis.conj().T @ rho.matrix @ basis
-            explicit = basis @ (coeff * overlaps) @ basis.conj().T
-            worst = fold_max(worst, max_abs(explicit - out))
-            diag = np.array(
-                [np.trace(unitaries[i] @ eta @ unitaries[i].conj().T @ f)
-                 for i in range(n)]
-            )
-            explicit_effect = (basis * diag.real) @ basis.conj().T
-            worst = fold_max(worst, max_abs(explicit_effect - effect))
-            root = psd_sqrt(f)
-            sandwiched = sum(
-                weights[i] * root @ unitaries[i] @ sigma.matrix
-                @ unitaries[i].conj().T @ root
-                for i in range(n)
-            )
-            worst = fold_max(worst, max_abs(sandwiched - probe_out))
-            pulled = sum(
-                weights[i] * unitaries[i].conj().T @ f @ unitaries[i]
-                for i in range(n)
-            )
-            worst = fold_max(worst, max_abs(pulled - pulled_effect))
+        overlaps = basis.conj().T @ rho.matrix @ basis
+        weights = np.real(np.diagonal(overlaps))
+        coeff = _pair_traces(unitaries, mm.probe_state.matrix, effects)
+        explicit = basis @ (coeff * overlaps) @ basis.conj().T
+        worst = fold_max(worst, max_abs(explicit - measured_instrument_nd(mm, rho)))
+        diag = np.real(np.diagonal(coeff, axis1=1, axis2=2))
+        explicit_effect = (basis * diag[:, None, :]) @ basis.conj().T
+        worst = fold_max(worst, max_abs(explicit_effect - measured_observable_nd(mm)))
+        # sum_i w_i F_x^(1/2) U_i sigma U_i* F_x^(1/2)
+        roots = psd_sqrt(effects)
+        mixed = np.tensordot(weights, unitaries @ sigma.matrix @ _adjoint(unitaries), axes=1)
+        worst = fold_max(worst, max_abs(
+            roots @ mixed @ roots - post_probe_instrument_nd(mm, rho, sigma)
+        ))
+        # sum_i w_i U_i* F_x U_i
+        pulled = np.tensordot(weights, _adjoint(unitaries) @ effects[:, None] @ unitaries,
+                              axes=(0, 1))
+        worst = fold_max(worst, max_abs(pulled - post_probe_observable(mm, rho)))
         collapsed = MeasurementModel(
             n, dk, State(np.eye(dk, dtype=complex) / dk), mm.channel, mm.meter
         )
-        for f, effect in zip(collapsed.meter.effects, measured_observable_nd(collapsed),
-                             strict=True):
-            scale = float(np.trace(collapsed.probe_state.matrix @ f).real)
-            worst = fold_max(worst, max_abs(effect - scale * np.eye(n)))
+        scale = np.real(np.trace(effects, axis1=1, axis2=2)) / dk
+        worst = fold_max(worst, max_abs(
+            measured_observable_nd(collapsed) - scale[:, None, None] * np.eye(n)
+        ))
     return worst
 
 
@@ -378,18 +387,14 @@ def _check_remeasurement(rng, trials, max_dim) -> float:
         rho = State(random_density(n, rng))
         worst = fold_max(worst, *evaluate(mm, (rho,), ("remeasure",))[1].values())
         unitary_mm, unitaries = _unitary_model(rng, n, dk, context)
-        eta = unitary_mm.probe_state.matrix
-        weights = context.weights(rho.matrix)
         basis = context.basis
-        closed = remeasured_effect(unitary_mm, rho)
-        for f, out in zip(unitary_mm.meter.effects, closed, strict=True):
-            diag = np.zeros(n)
-            for i in range(n):
-                for j in range(n):
-                    w = unitaries[i] @ unitaries[j]
-                    diag[i] += float(np.trace(w @ eta @ w.conj().T @ f).real)
-            explicit = (basis * (diag * weights)) @ basis.conj().T
-            worst = fold_max(worst, max_abs(explicit - out))
+        weights = _context_weights(basis, rho.matrix)
+        # sum_j tr(W_ij eta W_ij* F_x) with W_ij = U_i U_j
+        twice = unitaries[:, None] @ unitaries[None]
+        sandwiches = twice @ unitary_mm.probe_state.matrix @ _adjoint(twice)
+        diag = np.real(np.einsum("ijab,xba->xi", sandwiches, unitary_mm.meter.effects))
+        explicit = (basis * (diag * weights)[:, None, :]) @ basis.conj().T
+        worst = fold_max(worst, max_abs(explicit - remeasured_effect(unitary_mm, rho)))
     return worst
 
 
@@ -409,8 +414,7 @@ def _check_algebra_closure(rng, trials, max_dim) -> float:
         for candidate in (a @ d, a.conj().T, coeff * a + d):
             worst = fold_max(worst, commutator_defect(candidate, context, dk))
         product = extract_probes(a @ d, context, dk)
-        for composed, b, c in zip(product.probes, first.probes, second.probes):
-            worst = fold_max(worst, max_abs(composed - b @ c))
+        worst = fold_max(worst, max_abs(product.probes - first.probes @ second.probes))
     return worst
 
 
@@ -447,32 +451,23 @@ def _check_fourier_family(rng, trials, max_dim) -> float:
         meter = Observable.from_matrices(random_povm(m, int(rng.integers(2, 4)), rng))
         mm = catalog.fourier_model(n, m, meter)
         nd = mm.nd
-        unitaries = catalog.fourier_unitaries(n, m)
+        unitaries = np.array(catalog.fourier_unitaries(n, m))
         recovered = extract_probes(nd.induced_kraus[0], nd.context, m)
-        for v, b in zip(unitaries, recovered.probes):
-            worst = fold_max(worst, max_abs(v - b))
-        eta = mm.probe_state.matrix
+        worst = fold_max(worst, max_abs(unitaries - recovered.probes))
         rho = State(random_density(n, rng))
-        measured = measured_observable_nd(mm)
-        closed = measured_instrument_nd(mm, rho)
-        oracle = measured_instrument_direct(mm, rho)
-        for f, out, brute, effect in zip(mm.meter.effects, closed, oracle, measured,
-                                         strict=True):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    direct = complex(np.trace(
-                        unitaries[j - 1] @ eta @ unitaries[k - 1].conj().T @ f
-                    ))
-                    worst = fold_max(worst, abs(
-                        catalog.fourier_pair_trace(j, k, m, f) - direct
-                    ))
-            worst = fold_max(worst, max_abs(catalog.fourier_observable_effect(n, m, f) - effect))
-            worst = fold_max(worst, max_abs(out - brute))
+        effects = mm.meter.effects
+        direct = _pair_traces(unitaries, mm.probe_state.matrix, effects)
+        worst = fold_max(
+            worst,
+            max_abs(catalog.fourier_pair_traces(n, m, effects) - direct),
+            max_abs(catalog.fourier_observable_effect(n, m, effects) - measured_observable_nd(mm)),
+            max_abs(measured_instrument_nd(mm, rho) - measured_instrument_direct(mm, rho)),
+        )
         diagonal = catalog.fourier_model(n, m)
-        for f, effect in zip(diagonal.meter.effects, measured_observable_nd(diagonal),
-                             strict=True):
-            average = float(np.trace(f).real) / m
-            worst = fold_max(worst, max_abs(effect - average * np.eye(n)))
+        average = np.real(np.trace(diagonal.meter.effects, axis1=1, axis2=2)) / m
+        worst = fold_max(worst, max_abs(
+            measured_observable_nd(diagonal) - average[:, None, None] * np.eye(n)
+        ))
     return worst
 
 

@@ -19,7 +19,7 @@ from nondisturbing.models import (
 from nondisturbing.catalog import (
     fourier_model,
     fourier_observable_effect,
-    fourier_pair_trace,
+    fourier_pair_traces,
     fourier_unitaries,
     swap_instrument_output,
     swap_model,
@@ -166,12 +166,37 @@ def test_fourier_pair_trace_matches_direct_probe_products():
     eta = np.zeros((m, m), dtype=complex)
     eta[0, 0] = 1.0
     f = random_povm(m, 2, 11)[0]
+    pairs = fourier_pair_traces(n, m, f)
     for j in range(1, n + 1):
         for k in range(1, n + 1):
             direct = complex(
                 np.trace(unitaries[j - 1] @ eta @ unitaries[k - 1].conj().T @ f)
             )
-            assert abs(fourier_pair_trace(j, k, m, f) - direct) < 1e-10
+            assert abs(pairs[j - 1, k - 1] - direct) < 1e-10
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 5), (4, 5), (6, 7)])
+def test_fourier_pair_traces_equal_the_per_pair_formula(n, m):
+    effects = np.array(random_povm(m, 3, 17 + n))
+    pairs = fourier_pair_traces(n, m, effects)
+    effect = fourier_observable_effect(n, m, effects)
+    assert pairs.shape == effect.shape == (3, n, n)
+    s = t = np.arange(1, m + 1)
+    for x, f in enumerate(effects):
+        assert max_abs(fourier_pair_traces(n, m, f) - pairs[x]) < 1e-15
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                phases = np.exp(2j * np.pi * (j * s[None, :] - k * t[:, None]) / m)
+                per_pair = np.sum(phases * f) / m
+                assert abs(pairs[x, j - 1, k - 1] - per_pair) < 1e-13
+                assert effect[x, j - 1, k - 1] == (pairs[x, j - 1, k - 1] if j == k else 0)
+
+
+def test_fourier_pair_traces_reject_a_wrong_size_effect():
+    with pytest.raises(ValueError, match="5 x 5"):
+        fourier_pair_traces(2, 5, np.eye(4))
+    with pytest.raises(ValueError, match="5 x 5"):
+        fourier_observable_effect(2, 5, np.ones(5))
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 5), (4, 5)])
@@ -213,10 +238,5 @@ def test_fourier_instrument_closed_form_from_pair_traces():
     mm = fourier_model(n, m, meter)
     rho = State(random_density(n, 16))
     for f, out in zip(meter.effects, measured_instrument_nd(mm, rho)):
-        expected = np.zeros((n, n), dtype=complex)
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                expected[j - 1, k - 1] = (
-                    fourier_pair_trace(j, k, m, f) * rho.matrix[j - 1, k - 1]
-                )
+        expected = fourier_pair_traces(n, m, f) * rho.matrix
         assert max_abs(out - expected) < 1e-9

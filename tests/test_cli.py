@@ -190,6 +190,16 @@ def test_run_exits_two_on_boolean_in_integer_field(tmp_path, capsys, field):
     assert message in err
 
 
+def test_run_exits_two_on_an_integer_too_large_for_a_double(tmp_path, capsys):
+    effect = {"rows": 1, "cols": 1, "data": [[10**400, 0]]}
+    probe = {"outcomes": [{"label": "0", "effect": effect}]}
+    path = _write(tmp_path, "overflow.json", {"example": {"name": "swap", "n": 1, "probe": probe}})
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert "contains an integer too large for a double" in err
+
+
 @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "string"])
 @pytest.mark.parametrize("key", ["dimH", "dimK"])
 def test_run_exits_two_on_non_integer_example_dimension(tmp_path, capsys, key, value):

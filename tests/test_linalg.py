@@ -5,7 +5,9 @@ from nondisturbing.linalg import (
     CONSTRUCTION_ATOL,
     as_complex_stack,
     completeness_defects,
+    is_effect_matrix,
     is_hermitian,
+    is_projection_matrix,
     is_psd,
     is_unitary,
     kron,
@@ -18,8 +20,11 @@ from nondisturbing.linalg import (
     random_kraus_channel,
     random_povm,
     random_projection,
+    random_unitaries,
     random_unitary,
 )
+from nondisturbing.channels import random_nd_channel
+from nondisturbing.objects import Context
 
 
 def test_kron_identity_cases():
@@ -254,3 +259,170 @@ def test_hermiticity_predicates():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert is_psd(np.diag([0.0, 2.0]))
     assert not is_psd(np.diag([-1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# Stack-aware predicates against a per-member loop
+# ---------------------------------------------------------------------------
+
+# The single-matrix definitions, written out once per member.
+def _loop_hermitian(m, atol):
+    return max_abs(m - m.conj().T) <= atol
+
+
+def _loop_psd(m, atol):
+    return _loop_hermitian(m, atol) and float(np.linalg.eigvalsh(m)[0]) >= -atol
+
+
+def _loop_unitary(m, atol):
+    eye = np.eye(len(m))
+    return max_abs(m @ m.conj().T - eye) <= atol and max_abs(m.conj().T @ m - eye) <= atol
+
+
+def _loop_projection(m, atol):
+    return _loop_hermitian(m, atol) and max_abs(m @ m - m) <= atol
+
+
+def _loop_effect(m, atol):
+    if not _loop_hermitian(m, atol):
+        return False
+    w = np.linalg.eigvalsh(m)
+    return float(w[0]) >= -atol and float(w[-1]) <= 1 + atol
+
+
+def _loop_loewner(a, b, atol):
+    return float(np.linalg.eigvalsh((b - a + (b - a).conj().T) / 2)[0]) >= -atol
+
+
+PREDICATE_LOOPS = [
+    (is_hermitian, _loop_hermitian),
+    (is_psd, _loop_psd),
+    (is_unitary, _loop_unitary),
+    (is_projection_matrix, _loop_projection),
+    (is_effect_matrix, _loop_effect),
+]
+
+
+def _predicate_stack(dim: int = 3) -> np.ndarray:
+    """Random members and members just across each predicate's boundary, shape (4, 4, d, d)."""
+    unitary = random_unitary(dim, 60)
+    projection = random_projection(dim, 1, 61)
+    skew = np.zeros((dim, dim))
+    skew[0, 1] = 3e-9
+    members = [
+        random_effect(dim, 62),
+        unitary,
+        projection,
+        random_density(dim, 63),
+        random_effect(dim, 64) + skew,              # not Hermitian, by 3e-9
+        (1 + 3e-9) * unitary,                       # not unitary, by about 6e-9
+        (1 - 3e-9) * projection,                    # not idempotent, by 3e-9
+        np.diag([1 + 3e-9, 0.5, 0.0][:dim]),        # eigenvalue just above 1
+        np.diag([-3e-9, 0.5, 1.0][:dim]),           # eigenvalue just below 0
+        np.diag([1 + 5e-10, -5e-10, 0.0][:dim]),    # both within the tolerance
+        np.eye(dim),
+        np.zeros((dim, dim)),
+        2 * np.eye(dim),                            # PSD, not an effect
+        1j * random_effect(dim, 66),                # skew-Hermitian
+        -unitary,
+        np.full((dim, dim), np.nan),                # every answer False, nothing raises
+    ]
+    return np.array(members, dtype=complex).reshape(4, 4, dim, dim)
+
+
+@pytest.mark.parametrize("predicate, loop", PREDICATE_LOOPS, ids=lambda f: f.__name__)
+def test_stack_predicate_answers_each_member_like_the_loop(predicate, loop):
+    stack = _predicate_stack()
+    for atol in (1e-9, 1e-6):
+        answer = predicate(stack, atol)
+        assert answer.shape == stack.shape[:-2] and answer.dtype == bool
+        expected = [[loop(m, atol) for m in row] for row in stack]
+        assert answer.tolist() == expected
+        assert type(predicate(stack[1, 2], atol)) is bool
+        assert predicate(stack[1, 2], atol) == expected[1][2]
+    # The stack holds members on both sides of every predicate at 1e-9.
+    assert predicate(stack).any() and not predicate(stack).all()
+
+
+def test_loewner_leq_of_stacks_answers_each_pair_like_the_loop():
+    stack = _predicate_stack()[:3]                  # no NaN member
+    lower = (stack + np.swapaxes(stack.conj(), -1, -2)) / 2
+    # b - a has eigenvalues: all >= 0; -1e-3; -3e-10 (within 1e-9); -3e-9 (outside it)
+    gaps = [[1.0, 0.0, 0.5], [0.0, -1e-3, 0.5], [-3e-10, 0.0, 0.0], [0.0, 0.0, -3e-9]]
+    upper = lower + np.array([np.diag(g) for g in gaps] * 3).reshape(lower.shape)
+    for atol in (1e-9, 1e-2):
+        answer = loewner_leq(lower, upper, atol)
+        assert answer.shape == (3, 4)
+        expected = [[_loop_loewner(a, b, atol) for a, b in zip(*rows)]
+                    for rows in zip(lower, upper)]
+        assert answer.tolist() == expected
+    assert loewner_leq(lower, upper).any() and not loewner_leq(lower, upper).all()
+    assert type(loewner_leq(lower[0, 0], upper[0, 0])) is bool
+
+
+def test_loewner_leq_of_stacks_rejects_one_non_hermitian_member():
+    stack = np.array([np.eye(2), np.diag([0.5, 0.5])], dtype=complex)
+    skewed = stack.copy()
+    skewed[1, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match="a is not Hermitian"):
+        loewner_leq(skewed, stack)
+    with pytest.raises(ValueError, match="b is not Hermitian"):
+        loewner_leq(stack, skewed)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        loewner_leq(stack, stack[:1])
+
+
+# ---------------------------------------------------------------------------
+# Batched random draws against per-item draws
+# ---------------------------------------------------------------------------
+
+
+def _draw_gaussian(dim, rng):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _draw_unitary(dim, rng):
+    q, r = np.linalg.qr(_draw_gaussian(dim, rng))
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def _draw_kraus_channel(dim, count, rng):
+    u, _, vh = np.linalg.svd(np.vstack([_draw_gaussian(dim, rng) for _ in range(count)]),
+                             full_matrices=False)
+    polar = u @ vh
+    return [polar[k * dim:(k + 1) * dim] for k in range(count)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_random_unitaries_are_bit_identical_to_per_item_draws(dim):
+    for seed in range(40):
+        for count in (1, 2, 4):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            stacked = random_unitaries(dim, count, rng)
+            items = np.array([_draw_unitary(dim, reference_rng) for _ in range(count)])
+            assert stacked.tobytes() == items.tobytes()
+            assert rng.random() == reference_rng.random()  # the stream moved on alike
+    assert random_unitary(dim, 9).tobytes() == _draw_unitary(dim, np.random.default_rng(9)).tobytes()
+
+
+@pytest.mark.parametrize("n, dk", [(1, 3), (2, 1), (3, 2), (4, 4)])
+def test_random_nd_channel_is_bit_identical_to_per_row_draws(n, dk):
+    context = Context.standard(n)
+    for seed in range(40):
+        for count in (1, 2, 3):
+            table = random_nd_channel(context, dk, count, seed).table
+            rng = np.random.default_rng(seed)
+            rows = np.array([_draw_kraus_channel(dk, count, rng) for _ in range(n)])
+            assert table.tobytes() == rows.tobytes()
+            kraus = random_kraus_channel(dk, count, seed)
+            assert np.array(kraus).tobytes() == np.array(
+                _draw_kraus_channel(dk, count, np.random.default_rng(seed))).tobytes()
+
+
+def test_random_unitaries_reject_bad_sizes():
+    with pytest.raises(ValueError, match="dim"):
+        random_unitaries(0, 1, 0)
+    with pytest.raises(ValueError, match="count"):
+        random_unitaries(2, 0, 0)

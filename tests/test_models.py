@@ -475,8 +475,7 @@ def test_oracle_reads_no_closed_form_code(monkeypatch, fn):
     monkeypatch.setattr(MeasurementModel, "pulled_meter", property(forbidden))
     for name in ("pair_overlap_kernel", "probe_outputs", "psd_sqrt", "hermitian_part"):
         monkeypatch.setattr(nondisturbing.models, name, forbidden)
-    for name in ("weights", "dephase"):
-        monkeypatch.setattr(Context, name, forbidden)
+    monkeypatch.setattr(Context, "weights", forbidden)
     assert max_abs(_instrument_call(fn, mm, rho, sigma) - expected) == 0.0
 
 
@@ -567,6 +566,11 @@ def test_cached_tensors_require_nd_channel():
 # ---------------------------------------------------------------------------
 
 
+def _dephase(context: Context, m: np.ndarray) -> np.ndarray:
+    """``sum_i P_i m P_i`` over the context atoms."""
+    return sum(p @ m @ p for p in context.atoms)
+
+
 def _three_system_remeasured_effect(
     mm: MeasurementModel, rho: State, f: np.ndarray
 ) -> np.ndarray:
@@ -591,7 +595,7 @@ def _three_system_remeasured_effect(
         n, n, dk, n, n, dk
     )
     second_base = np.einsum("abpaep->be", weighted)
-    return n * mm.nd.context.dephase(second_base)
+    return n * _dephase(mm.nd.context, second_base)
 
 
 @pytest.mark.parametrize("n, dk", [(1, 3), (3, 1), (2, 2), (2, 4), (3, 3), (4, 4)])
@@ -623,7 +627,7 @@ def test_remeasure_matches_two_round_oracle(n, dk, outcomes, kraus_count, seed):
     for closed, oracle in zip(remeasured_effect(mm, rho), remeasured_effect_two_round(mm, rho)):
         assert max_abs(closed - oracle) <= 1e-12
         total = total + closed
-    assert max_abs(total - n * mm.nd.context.dephase(rho.matrix)) <= 1e-12
+    assert max_abs(total - n * _dephase(mm.nd.context, rho.matrix)) <= 1e-12
 
 
 def test_remeasure_unitary_case_matches_explicit_double_product():
@@ -650,7 +654,7 @@ def test_remeasure_identity_table_scales_the_dephased_state():
     meter = Observable.from_matrices(random_povm(dk, 2, 100))
     mm = MeasurementModel(n, dk, eta, nd, meter)
     rho = State(random_density(n, 101))
-    dephased = ctx.dephase(rho.matrix)
+    dephased = _dephase(ctx, rho.matrix)
     for f, out in zip(meter.effects, remeasured_effect(mm, rho)):
         scale = np.trace(eta.matrix @ f).real
         # every atom pair contributes once, so the inner sum scales by n
@@ -661,7 +665,7 @@ def test_remeasure_outcome_sum_is_scaled_dephasing():
     mm = random_model(3, 2, 3, 2, 102, context=Context.random(3, 103))
     rho = State(random_density(3, 104))
     total = sum(remeasured_effect(mm, rho))
-    dephased = mm.nd.context.dephase(rho.matrix)
+    dephased = _dephase(mm.nd.context, rho.matrix)
     assert max_abs(total - 3 * dephased) < 1e-10
 
 

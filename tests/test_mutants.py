@@ -48,6 +48,8 @@ MUTANTS = [
     # The battery compares these block-trace flags with the traced operator.
     ("effect-bound-below-one", probes, "reduced_trace_flags",
      "traces.real <= 1 + atol", "traces.real <= 1 - atol", None),
+    ("unitary-modulus-plus-one", probes, "reduced_trace_flags",
+     "np.abs(np.abs(traces) - 1.0)", "np.abs(np.abs(traces) + 1.0)", None),
     ("identity-square-root", linalg, "psd_sqrt",
      "root = np.sqrt(np.clip(w, 0.0, None))", "root = np.clip(w, 0.0, None)", None),
     # Only the model code: the random generators need the true Hermitian part
@@ -63,7 +65,7 @@ MUTANTS = [
      "mm.meter.effects.reshape(-1, dk * dk)",
      "np.swapaxes(mm.meter.effects, 1, 2).reshape(-1, dk * dk)", None),
     ("oracle-without-dephasing", models.DirectOracle, "remeasure",
-     "n * sum(p @ out @ p for p in nd.context.atoms)", "n * out", None),
+     "n * (basis * diag[:, None, :]) @ basis.conj().T", "n * outs", None),
 ]
 
 

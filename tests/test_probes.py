@@ -349,6 +349,103 @@ def test_classification_agrees_with_direct_predicates():
         assert flags.projection == is_projection_matrix(full)
 
 
+def _blockwise_flags(dec, atol):
+    """classify, one block at a time with the single-matrix definitions."""
+    eye = np.eye(dec.dim_probe)
+
+    def hermitian(b):
+        return max_abs(b - b.conj().T) <= atol
+
+    def effect(b):
+        w = np.linalg.eigvalsh(b)
+        return hermitian(b) and w[0] >= -atol and w[-1] <= 1 + atol
+
+    effects = all([effect(b) for b in dec.probes])
+    return (
+        all([hermitian(b) for b in dec.probes]),
+        all([max_abs(b @ b.conj().T - eye) <= atol and max_abs(b.conj().T @ b - eye) <= atol
+             for b in dec.probes]),
+        all([hermitian(b) and max_abs(b @ b - b) <= atol for b in dec.probes]),
+        effects,
+        effects and max_abs(sum(dec.probes) - eye) <= atol,
+    )
+
+
+def _boundary_blocks(dk: int, seed: int) -> dict[str, np.ndarray]:
+    """One block per kind, each on a different side of some flag's tolerance."""
+    skew = np.zeros((dk, dk), dtype=complex)
+    skew[0, -1] = 3e-9j
+    rest = np.full(dk - 1, 0.5)
+    return {
+        "effect": random_effect(dk, seed),
+        "unitary": random_unitary(dk, seed + 1),
+        "projection": random_projection(dk, 1, seed + 2),
+        "non-hermitian": random_effect(dk, seed + 3) + skew,
+        "above-one": np.diag(np.r_[1 + 3e-9, rest]),
+        "below-zero": np.diag(np.r_[-3e-9, rest]),
+        "non-idempotent": (1 - 3e-9) * random_projection(dk, 1, seed + 4),
+        "non-unitary": (1 + 3e-9) * random_unitary(dk, seed + 5),
+        "identity": np.eye(dk),
+    }
+
+
+@pytest.mark.parametrize("dk", [1, 2, 3])
+def test_classify_matches_the_blockwise_loop(dk):
+    rng = np.random.default_rng(70 + dk)
+    kinds = _boundary_blocks(dk, 80 + dk)
+    names = sorted(kinds)
+    seen = set()
+    for trial in range(150):
+        n = int(rng.integers(1, 4))
+        picks = [names[int(k)] for k in rng.integers(0, len(names), size=n)]
+        dec = ProbeDecomposition(Context.random(n, trial), [kinds[k] for k in picks])
+        for atol in (1e-9, 1e-6):
+            flags = classify(dec, atol)
+            answer = (flags.self_adjoint, flags.unitary, flags.projection, flags.effect,
+                      flags.observable_family)
+            assert answer == _blockwise_flags(dec, atol), picks
+            seen.add(answer)
+    # both answers of every flag occur
+    for flag in range(5):
+        assert {answer[flag] for answer in seen} == {True, False}
+
+
+def test_classify_reads_a_sharp_partition_as_an_observable_family():
+    dec = ProbeDecomposition(Context.random(2, 3), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert classify(dec).observable_family
+    assert _blockwise_flags(dec, 1e-9)[4]
+
+
+def test_order_via_probes_matches_the_blockwise_loop():
+    rng = np.random.default_rng(90)
+    outcomes = set()
+    for trial in range(100):
+        n, dk = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        ctx = Context.random(n, trial)
+        lower = [random_effect(dk, 1000 * trial + i) for i in range(n)]
+        gaps = rng.choice([1.0, 0.0, 3e-10, -3e-10, -3e-9, -1e-3], size=(n, dk))
+        upper = [b + np.diag(g) for b, g in zip(lower, gaps)]
+        a, d = ProbeDecomposition(ctx, lower), ProbeDecomposition(ctx, upper)
+        for atol in (1e-9, 1e-2):
+            expected = all([
+                float(np.linalg.eigvalsh((c - b + (c - b).conj().T) / 2)[0]) >= -atol
+                for b, c in zip(lower, upper)
+            ])
+            assert order_leq_via_probes(a, d, atol) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_order_via_probes_rejects_a_non_hermitian_block():
+    ctx = Context.standard(2)
+    ordered = ProbeDecomposition(ctx, [np.eye(2), np.eye(2)])
+    skewed = ProbeDecomposition(ctx, [np.zeros((2, 2)), np.array([[0.0, 1e-3], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        order_leq_via_probes(skewed, ordered)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        order_leq_via_probes(ordered, skewed)
+
+
 def test_order_via_probes_trivial_and_constructed():
     ctx = Context.random(2, 31)
     zero = ProbeDecomposition(ctx, (np.zeros((3, 3)),) * 2)

@@ -136,15 +136,22 @@ def test_matrix_from_json_rejects_each_malformed_entry_as_the_per_entry_loop(bad
     [[1.0, 0.0], [True, 0.0]],
     json.loads("[[1.0, 0.0], [NaN, 0.0]]"),
     json.loads("[[Infinity, 0.0], [0.0, 1.0]]"),
-    [[1.0, 0.0], [10**400, 0]],
     [[1.0, 0.0], [2**70 + 1, -(2**53 + 1)]],
     [[np.float64(1.0), 0.0], [0.0, 1.0]],
     [[-0.0, -0.0], [0.0, -0.0]],
 ], ids=["three-element-pair", "tuple-entry", "number-entry", "bool", "nan", "infinity",
-        "int-overflow", "large-ints", "float-subclass", "signed-zeros"])
+        "large-ints", "float-subclass", "signed-zeros"])
 def test_matrix_from_json_matches_the_per_entry_loop(data):
     doc = {"rows": 1, "cols": 2, "data": data}
     assert _outcome(matrix_from_json, doc) == _outcome(_per_entry_from_json, doc)
+
+
+def test_matrix_from_json_rejects_an_integer_too_large_for_a_double():
+    # The per-entry loop above raises OverflowError here; a document must
+    # only ever fail as a SchemaError.
+    doc = {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [10**400, 0]]}
+    with pytest.raises(SchemaError, match="m: contains an integer too large for a double"):
+        matrix_from_json(doc, "m")
 
 
 def test_matrix_to_json_matches_the_per_entry_encoding():

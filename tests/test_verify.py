@@ -1,11 +1,15 @@
-"""The verification battery: NaN residuals fail their family, and the
-battery runs at larger dimensions."""
+"""The verification battery: NaN residuals fail their family, the battery
+runs at larger dimensions, and its fixed classification instance has a
+unitary probe trace."""
 
 import numpy as np
 import pytest
 
 import nondisturbing.scenario
 import nondisturbing.verify
+from nondisturbing.linalg import is_unitary, partial_trace
+from nondisturbing.objects import Context
+from nondisturbing.probes import reduced_trace_flags
 from nondisturbing.verify import FAMILY_NAMES, run_verification
 
 
@@ -49,3 +53,13 @@ def test_battery_passes_at_max_dim_eight():
     results, ok = run_verification(seed=42, trials=2, max_dim=8, tol=1e-9)
     assert ok
     assert [r.name for r in results] == list(FAMILY_NAMES)
+
+
+@pytest.mark.parametrize("n, dk", [(2, 2), (3, 4), (4, 3)])
+def test_rotating_corner_has_a_unitary_probe_trace(n, dk):
+    context = Context.random(n, 10 * n + dk)
+    decomp = nondisturbing.verify._rotating_corner(context, dk)
+    traced = partial_trace(decomp.assemble(), n, dk, "right")
+    assert reduced_trace_flags(decomp).unitary
+    assert is_unitary(traced)
+    assert nondisturbing.verify._reduced_mismatches(decomp, decomp.assemble()) == 0
