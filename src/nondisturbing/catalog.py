@@ -94,18 +94,24 @@ def swap_instrument_output(rho: State, meter_effect: np.ndarray) -> np.ndarray:
     """Instrument outcome of the swap model: ``sum_{i,j} <j|F|i> P_i rho P_j``.
 
     Over the standard bases this is just an entrywise product with the
-    transposed meter effect.
+    transposed meter effect.  ``meter_effect`` is one ``n x n`` effect or a
+    ``(..., n, n)`` stack of them; the result has the same shape.
     """
     f = np.asarray(meter_effect, dtype=complex)
-    if f.shape != (rho.dim, rho.dim):
+    if f.ndim < 2 or f.shape[-2:] != (rho.dim, rho.dim):
         raise ValueError(f"meter effect must be {rho.dim} x {rho.dim}, got {f.shape}")
-    return f.T * rho.matrix
+    return np.swapaxes(f, -1, -2) * rho.matrix
 
 
 def swap_observable_effect(meter_effect: np.ndarray) -> np.ndarray:
-    """Measured-observable effect of the swap model: ``sum_i <i|F|i> P_i``."""
+    """Measured-observable effect of the swap model: ``sum_i <i|F|i> P_i``.
+
+    Takes one effect or a stack, like :func:`swap_instrument_output`.
+    """
     f = np.asarray(meter_effect, dtype=complex)
-    return np.diag(np.diagonal(f))
+    if f.ndim < 2 or f.shape[-1] != f.shape[-2]:
+        raise ValueError(f"meter effect must be square, got {f.shape}")
+    return f * np.eye(f.shape[-1])
 
 
 def fourier_unitaries(n: int, m: int) -> list[np.ndarray]:

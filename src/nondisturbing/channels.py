@@ -26,7 +26,7 @@ from .linalg import (
     completeness_defects,
 )
 from .objects import Context, KrausOperation, State
-from .probes import ProbeDecomposition, _probe_blocks, commutator_defect
+from .probes import ProbeDecomposition, _certify
 
 __all__ = [
     "NDChannel",
@@ -137,13 +137,13 @@ def nd_channel_from_kraus(
     mats = as_complex_stack(kraus, "Kraus operators", 3)
     blocks = []
     for k, s in enumerate(mats):
-        defect = commutator_defect(s, context, dim_probe)
+        defect, probes = _certify(s, context, dim_probe, DEFAULT_ATOL)
         if defect > DEFAULT_ATOL:
             raise ValueError(
                 f"kraus operator {k} is disturbing for this context "
                 f"(largest commutator norm {defect:.3e} > {DEFAULT_ATOL:.3e})"
             )
-        blocks.append(_probe_blocks(s, context, dim_probe))
+        blocks.append(probes)
     defect = float(completeness_defects(mats))
     if defect > DEFAULT_ATOL:
         raise ValueError(f"kraus family is not a channel (defect {defect:.3e})")

@@ -132,13 +132,73 @@ def _atom_rows(arr: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
     return rows.reshape(n, dim_probe, n, dim_probe)
 
 
-def _probe_blocks(arr: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
-    """Diagonal blocks of ``(V* (x) I) A (V (x) I)``, shape (n, dk, dk), untested.
+def _atom_cols(arr: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
+    """``A W_i`` for every atom; shape (n, n, dk, dk), indexed ``[i, a, p, q]``.
 
-    Block ``i`` is ``W_i* A W_i``, which equals the base-side partial trace
-    of ``A (P_i (x) I)``.  Callers run the commutator test first.
+    One base-index contraction against ``V`` on a reordered copy of ``A``,
+    which is freed on return.
     """
-    return np.einsum("ipbq,bi->ipq", _atom_rows(arr, context, dim_probe), context.basis)
+    n, dk = context.dim, dim_probe
+    by_column = arr.reshape(n * dk, n, dk).transpose(1, 0, 2).reshape(n, -1)
+    return (context.basis.T @ by_column).reshape(n, n, dk, dk)
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a complex stack, read in one pass."""
+    flat = stack.reshape(len(stack), -1).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _commutator_bound(
+    arr: np.ndarray, context: Context, dim_probe: int
+) -> tuple[float, np.ndarray]:
+    """An upper bound on :func:`commutator_defect`, and the probe blocks.
+
+    Returns ``(bound, blocks)`` with ``blocks[i] = W_i* A W_i``, shape
+    (n, dk, dk).  With ``C_i = A W_i``, ``R_i = W_i* A``, ``B_i = W_i* C_i``,
+    ``B'_i = R_i W_i``, ``X_i = C_i - W_i B_i / |v_i|^2`` and
+    ``Y_i = R_i - B'_i W_i* / |v_i|^2``, for any nonzero ``v_i``
+
+        [A, P_i (x) I] = X_i W_i* - W_i Y_i + W_i (B_i - B'_i) W_i* / |v_i|^2,
+
+    so ``||[A, P_i (x) I]||_max <= |v_i| (||X_i||_F + ||Y_i||_F) + ||B_i - B'_i||_F``.
+    The identity needs no orthonormality, so the bound holds for any basis
+    a :class:`Context` accepts.  ``X_i`` and ``Y_i`` are formed entrywise,
+    so no term cancels; beyond the two base-index contractions the bound
+    costs ``O((n dk)^2)``.
+    """
+    basis = context.basis
+    n = context.dim
+    rows = _atom_rows(arr, context, dim_probe)                 # R_i, [i, p, b, q]
+    cols = _atom_cols(arr, context, dim_probe)                 # C_i, [i, a, p, q]
+    blocks = np.einsum("ipbq,bi->ipq", rows, basis)            # B'_i
+    left = basis.conj().T[:, None, :] @ cols.reshape(n, n, -1)
+    left = left.reshape(blocks.shape)                          # B_i
+    lengths = np.linalg.norm(basis, axis=0)                    # |v_i|
+    squared = lengths[:, None, None] ** 2
+    term = np.empty_like(cols)                                 # one scratch buffer
+    np.multiply(basis.T[:, :, None, None], (left / squared)[:, None], out=term)
+    cols -= term                                               # X_i
+    term = term.reshape(rows.shape)
+    np.multiply((blocks / squared)[:, :, None, :], basis.conj().T[:, None, :, None], out=term)
+    rows -= term                                               # Y_i
+    bound = lengths * (_frobenius(cols) + _frobenius(rows)) + _frobenius(left - blocks)
+    return float(bound.max()), blocks
+
+
+def _certify(a, context: Context, dim_probe: int, atol: float) -> tuple[float, np.ndarray]:
+    """Decide the commutator test for ``a``; return ``(defect, blocks)``.
+
+    ``defect <= atol`` decides the test.  The bound of
+    :func:`_commutator_bound` is returned when it is within ``atol``;
+    otherwise the exact :func:`commutator_defect` is, so a defect above
+    ``atol`` is always the exact max-entry norm.
+    """
+    arr = _check_composite(a, context, dim_probe)
+    bound, blocks = _commutator_bound(arr, context, dim_probe)
+    if bound <= atol:
+        return bound, blocks
+    return commutator_defect(arr, context, dim_probe), blocks
 
 
 def commutator_defect(a, context: Context, dim_probe: int) -> float:
@@ -149,17 +209,16 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
     so ``[A, P_i (x) I] = (A W_i) W_i* - W_i (W_i* A)``.  All ``A W_i`` and
     ``W_i* A`` come from two base-index contractions, ``O(n^3 dk^2)`` each;
     the commutators are then formed one atom at a time in one reused
-    ``(n dk) x (n dk)`` buffer.
+    ``(n dk) x (n dk)`` buffer.  :func:`extract_probes`,
+    :func:`is_c_nondisturbing` and ``nd_channel_from_kraus`` decide with a
+    cheaper bound first and call this only when the bound exceeds the
+    tolerance.
     """
     arr = _check_composite(a, context, dim_probe)
     n, dk = context.dim, dim_probe
     basis = context.basis
     rows = _atom_rows(arr, context, dk)                        # [i, p, b, q]
-    # A W_i for every atom; the reordered copy of A is freed before the loop
-    # so that peak memory stays at rows, cols and one commutator buffer
-    by_column = arr.reshape(n * dk, n, dk).transpose(1, 0, 2).reshape(n, -1)
-    cols = (basis.T @ by_column).reshape(n, n, dk, dk)         # [i, a, p, q]
-    del by_column
+    cols = _atom_cols(arr, context, dk)                        # [i, a, p, q]
     comm = np.empty((n, dk, n, dk), dtype=complex)
     worst = 0.0
     for i in range(n):
@@ -171,8 +230,12 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
 
 
 def is_c_nondisturbing(a, context: Context, dim_probe: int, atol: float = DEFAULT_ATOL) -> bool:
-    """True iff ``a`` commutes with every lifted context atom within ``atol``."""
-    return commutator_defect(a, context, dim_probe) <= atol
+    """True iff ``a`` commutes with every lifted context atom within ``atol``.
+
+    Decided as ``commutator_defect(a, context, dim_probe) <= atol``, with the
+    entry-by-entry scan run only when a Frobenius bound exceeds ``atol``.
+    """
+    return _certify(a, context, dim_probe, atol)[0] <= atol
 
 
 def extract_probes(a, context: Context, dim_probe: int) -> ProbeDecomposition:
@@ -184,14 +247,13 @@ def extract_probes(a, context: Context, dim_probe: int) -> ProbeDecomposition:
     probe-space basis choice.  Rejects operators that fail the commutator
     test at ``DEFAULT_ATOL``, reporting the largest defect.
     """
-    arr = _check_composite(a, context, dim_probe)
-    defect = commutator_defect(arr, context, dim_probe)
+    defect, blocks = _certify(a, context, dim_probe, DEFAULT_ATOL)
     if defect > DEFAULT_ATOL:
         raise ValueError(
             f"operator is not nondisturbing for this context "
             f"(largest commutator norm {defect:.3e} > {DEFAULT_ATOL:.3e})"
         )
-    return ProbeDecomposition(context, _probe_blocks(arr, context, dim_probe))
+    return ProbeDecomposition(context, blocks)
 
 
 def extract_probes_by_matrix_elements(

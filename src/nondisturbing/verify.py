@@ -116,7 +116,26 @@ def _check_probe_round_trip(rng, trials, max_dim) -> float:
         )
         worst = fold_max(worst, max_abs(first.probes - second.probes),
                          max_abs(first.probes - recovered.probes))
+        worst = fold_max(worst, float(_rejection_mismatches(full, decomp.context, dk)))
     return worst
+
+
+def _rejection_mismatches(full: np.ndarray, context: Context, dk: int) -> int:
+    """Mismatches on ``full + 1e-6 (S (x) I)``, with ``S`` the cyclic shift.
+
+    The shift commutes with the atoms only of a context that diagonalises
+    it, such as the Fourier basis, which the battery never draws: the
+    commutator test must reject the sum, and its defect must exceed
+    rounding.  It takes no random draw.
+    """
+    n = context.dim
+    shifted = full + 1e-6 * kron(np.roll(np.eye(n), 1, axis=0), np.eye(dk))
+    mismatches = int(commutator_defect(shifted, context, dk) <= 1e-9)
+    try:
+        extract_probes(shifted, context, dk)
+    except ValueError:
+        return mismatches
+    return mismatches + 1
 
 
 def _check_reduced_traces(rng, trials, max_dim) -> float:
@@ -436,10 +455,13 @@ def _check_swap_family(rng, trials, max_dim) -> float:
             catalog.swap_product_output(rho)
             - apply_product(nd, rho, mm.probe_state)
         ))
-        for f, out, effect in zip(mm.meter.effects, measured_instrument_direct(mm, rho),
-                                  measured_observable_nd(mm), strict=True):
-            worst = fold_max(worst, max_abs(catalog.swap_instrument_output(rho, f) - out))
-            worst = fold_max(worst, max_abs(catalog.swap_observable_effect(f) - effect))
+        effects = mm.meter.effects
+        direct = measured_instrument_direct(mm, rho)
+        worst = fold_max(
+            worst,
+            max_abs(catalog.swap_instrument_output(rho, effects) - direct),
+            max_abs(catalog.swap_observable_effect(effects) - measured_observable_nd(mm)),
+        )
     return worst
 
 

@@ -96,6 +96,37 @@ def test_swap_instrument_closed_form_matches_both_paths():
         assert max_abs(effect - measured) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_swap_closed_forms_take_a_stack_of_effects(n):
+    meter = Observable.from_matrices(random_povm(n, 3, 20 + n))
+    mm = swap_model(n, meter)
+    rho = State(random_density(n, 21 + n))
+    effects = meter.effects
+    outputs = swap_instrument_output(rho, effects)
+    effect = swap_observable_effect(effects)
+    assert outputs.shape == effect.shape == (3, n, n)
+    assert max_abs(outputs - measured_instrument_direct(mm, rho)) < 1e-10
+    assert max_abs(effect - measured_observable_nd(mm)) < 1e-10
+    for x, f in enumerate(effects):
+        assert np.array_equal(swap_instrument_output(rho, f), outputs[x])
+        assert np.array_equal(swap_observable_effect(f), effect[x])
+        assert np.array_equal(swap_observable_effect(f), np.diag(np.diagonal(f)))
+    # any leading batch axes are kept
+    batched = np.stack([effects, effects[::-1]])
+    assert swap_instrument_output(rho, batched).shape == (2, 3, n, n)
+    assert np.array_equal(swap_observable_effect(batched)[1], effect[::-1])
+
+
+def test_swap_closed_forms_reject_a_wrong_size_effect():
+    rho = State(random_density(3, 5))
+    with pytest.raises(ValueError, match="3 x 3"):
+        swap_instrument_output(rho, np.eye(2))
+    with pytest.raises(ValueError, match="3 x 3"):
+        swap_instrument_output(rho, np.ones(3))
+    with pytest.raises(ValueError, match="square"):
+        swap_observable_effect(np.ones((2, 3)))
+
+
 def test_swap_on_measurable_input_produces_atom_pairs():
     n = 3
     mm = swap_model(n)

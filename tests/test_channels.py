@@ -12,7 +12,6 @@ from nondisturbing.linalg import (
     random_unitary,
 )
 from nondisturbing.objects import Context, State
-import nondisturbing.channels
 import nondisturbing.probes
 from nondisturbing.probes import is_c_nondisturbing
 from nondisturbing.channels import (
@@ -148,17 +147,21 @@ def test_from_kraus_rejects_disturbing_member_by_index():
         nd_channel_from_kraus([swap], ctx, 2)
 
 
-def _count_commutator_tests(monkeypatch) -> list:
-    """Count commutator tests through every namespace that holds the function."""
-    calls = []
-    original = nondisturbing.probes.commutator_defect
+def _count_commutator_tests(monkeypatch) -> dict[str, list]:
+    """Count the Frobenius bound and the exact scan by the operator they test.
 
-    def counting(a, *args, **kwargs):
-        calls.append(a)
-        return original(a, *args, **kwargs)
+    Both are looked up in ``probes`` at call time, so patching them there
+    reaches every caller.
+    """
+    calls = {"bound": [], "scan": []}
+    for key, name in (("bound", "_commutator_bound"), ("scan", "commutator_defect")):
+        original = getattr(nondisturbing.probes, name)
 
-    monkeypatch.setattr(nondisturbing.probes, "commutator_defect", counting)
-    monkeypatch.setattr(nondisturbing.channels, "commutator_defect", counting)
+        def counting(a, *args, _original=original, _calls=calls[key], **kwargs):
+            _calls.append(a)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(nondisturbing.probes, name, counting)
     return calls
 
 
@@ -167,7 +170,8 @@ def test_from_kraus_tests_each_operator_once(monkeypatch):
     nd = random_nd_channel(ctx, 2, 3, 12)
     calls = _count_commutator_tests(monkeypatch)
     rebuilt = nd_channel_from_kraus(nd.induced_kraus, ctx, 2)
-    assert len(calls) == nd.kraus_count == 3
+    assert len(calls["bound"]) == nd.kraus_count == 3
+    assert calls["scan"] == []  # every bound is within tolerance
     for row, other in zip(nd.table, rebuilt.table):
         for b, c in zip(row, other):
             assert max_abs(b - c) < 1e-12
@@ -180,7 +184,9 @@ def test_from_kraus_rejection_after_one_test_per_operator(monkeypatch):
     calls = _count_commutator_tests(monkeypatch)
     with pytest.raises(ValueError, match="kraus operator 1 is disturbing"):
         nd_channel_from_kraus(kraus, ctx, 2)
-    assert len(calls) == 2
+    assert len(calls["bound"]) == 2
+    # only the failing operator is scanned entry by entry
+    assert len(calls["scan"]) == 1 and calls["scan"][0] is calls["bound"][1]
 
 
 def test_induced_kraus_match_kron_sums():

@@ -66,6 +66,10 @@ MUTANTS = [
      "np.swapaxes(mm.meter.effects, 1, 2).reshape(-1, dk * dk)", None),
     ("oracle-without-dephasing", models.DirectOracle, "remeasure",
      "n * (basis * diag[:, None, :]) @ basis.conj().T", "n * outs", None),
+    # A commutator bound that certifies every operator: only the battery's
+    # rejection instance can see it.
+    ("zero-commutator-bound", probes, "_commutator_bound",
+     "float(bound.max())", "0.0", None),
 ]
 
 

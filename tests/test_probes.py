@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nondisturbing.linalg import (
+    DEFAULT_ATOL,
     is_hermitian,
     is_projection_matrix,
     is_unitary,
@@ -18,10 +19,12 @@ from nondisturbing.linalg import (
     random_projection,
     random_unitary,
 )
+from nondisturbing.channels import nd_channel_from_kraus
 from nondisturbing.objects import Context
 from nondisturbing.probes import (
     ProbeDecomposition,
-    _probe_blocks,
+    _certify,
+    _commutator_bound,
     classify,
     closed_form_partial_traces,
     commutator_defect,
@@ -181,7 +184,7 @@ def test_rotated_kernels_match_kron_reference(n, dk, context_kind):
     for a in (nondisturbing, disturbing):
         assert abs(commutator_defect(a, ctx, dk) - _kron_commutator_defect(a, ctx, dk)) <= 1e-12
         by_elements = extract_probes_by_matrix_elements(a, ctx, dk).probes
-        for rotated, reference in zip(_probe_blocks(a, ctx, dk), by_elements):
+        for rotated, reference in zip(_commutator_bound(a, ctx, dk)[1], by_elements):
             assert max_abs(rotated - reference) <= 1e-12
     assert commutator_defect(nondisturbing, ctx, dk) <= 1e-12
     for back, original in zip(extract_probes(nondisturbing, ctx, dk).probes, blocks):
@@ -207,6 +210,91 @@ def test_assemble_extract_round_trip_property(n, dk, seed, standard):
     assert commutator_defect(full, ctx, dk) <= 1e-12
     for back, original in zip(extract_probes(full, ctx, dk).probes, blocks):
         assert max_abs(back - original) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The Frobenius bound that decides the commutator test first
+# ---------------------------------------------------------------------------
+
+
+def _test_context(kind: str, n: int, seed: int) -> Context:
+    """A standard, random, or random basis orthonormal only to about 1e-10."""
+    if kind == "standard":
+        return Context.standard(n)
+    basis = random_unitary(n, seed)
+    if kind == "skewed":
+        rng = np.random.default_rng(seed)
+        basis = basis + 3e-11 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Context(basis)
+
+
+def test_skewed_context_is_orthonormal_only_to_about_1e_10():
+    basis = _test_context("skewed", 4, 3).basis
+    assert 1e-11 < max_abs(basis.conj().T @ basis - np.eye(4)) < 1e-9
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    dk=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["standard", "random", "skewed"]),
+    scale=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+)
+def test_commutator_bound_dominates_the_kron_reference(n, dk, seed, kind, scale):
+    ctx = _test_context(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk))
+    noise = rng.standard_normal((n * dk,) * 2) + 1j * rng.standard_normal((n * dk,) * 2)
+    a = ProbeDecomposition(ctx, blocks).assemble() + scale * noise
+    bound, probes = _commutator_bound(a, ctx, dk)
+    assert bound >= _kron_commutator_defect(a, ctx, dk)
+    by_elements = extract_probes_by_matrix_elements(a, ctx, dk).probes
+    assert max_abs(probes - by_elements) <= 1e-12 * max(1.0, max_abs(a))
+
+
+def _shifted_unitary(ctx: Context, dk: int, size: float) -> np.ndarray:
+    """A nondisturbing unitary plus ``size`` times the lifted cyclic shift."""
+    n = ctx.dim
+    unitary = ProbeDecomposition(ctx, np.array([random_unitary(dk, 70 + i) for i in range(n)]))
+    shift = np.roll(np.eye(n), 1, axis=0)
+    return unitary.assemble() + size * kron(shift, np.eye(dk))
+
+
+@pytest.mark.parametrize("context_kind", ["standard", "random"])
+@pytest.mark.parametrize("size", [0.0, 1e-12, 5e-10, 2e-9, 1e-3])
+def test_bound_first_decisions_match_the_exact_defect(size, context_kind):
+    ctx = Context.standard(3) if context_kind == "standard" else Context.random(3, 71)
+    a = _shifted_unitary(ctx, 2, size)
+    defect = commutator_defect(a, ctx, 2)
+    accepted = defect <= DEFAULT_ATOL
+    if context_kind == "standard":
+        assert accepted == (size < DEFAULT_ATOL)
+    # an instance within rounding of the tolerance would test nothing
+    assert abs(defect - DEFAULT_ATOL) > 1e-11
+    bound = _commutator_bound(a, ctx, 2)[0]
+    assert bound >= defect
+    if size == 5e-10:
+        assert accepted and bound > DEFAULT_ATOL  # the exact scan overrules the bound
+    decided = _certify(a, ctx, 2, DEFAULT_ATOL)[0]
+    assert decided == (bound if bound <= DEFAULT_ATOL else defect)
+    assert is_c_nondisturbing(a, ctx, 2) == accepted
+    assert is_c_nondisturbing(a, ctx, 2, 1e-2) == (defect <= 1e-2)
+    messages = []
+    for build in (lambda: extract_probes(a, ctx, 2), lambda: nd_channel_from_kraus([a], ctx, 2)):
+        try:
+            build()
+        except ValueError as exc:
+            messages.append(str(exc))
+        else:
+            messages.append("")
+    extracted, imported = messages
+    # the import may still fail its completeness check, never its commutator test
+    assert ("largest commutator norm" in extracted) == (not accepted)
+    assert ("kraus operator 0 is disturbing" in imported) == (not accepted)
+    if not accepted:
+        for message in messages:
+            assert f"largest commutator norm {defect:.3e} >" in message
 
 
 # ---------------------------------------------------------------------------
