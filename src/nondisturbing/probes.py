@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_ATOL,
     as_complex_stack,
+    fold_max,
     is_effect_matrix,
     is_hermitian,
     is_projection_matrix,
@@ -119,6 +120,9 @@ def _check_composite(a: np.ndarray, context: Context, dim_probe: int) -> np.ndar
             f"operator must be {total} x {total} for base dimension "
             f"{context.dim} and probe dimension {dim_probe}, got {arr.shape}"
         )
+    # A NaN compares false against every tolerance, so no defect could reject it.
+    if not np.isfinite(arr).all():
+        raise ValueError("operator contains non-finite entries")
     return arr
 
 
@@ -225,7 +229,7 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
         v = basis[:, i]
         np.multiply(cols[i][:, :, None, :], v.conj()[:, None], out=comm)
         comm -= v[:, None, None, None] * rows[i]
-        worst = max(worst, max_abs(comm))
+        worst = fold_max(worst, max_abs(comm))
     return worst
 
 

@@ -7,10 +7,19 @@ scenario checks of :func:`nondisturbing.scenario.evaluate`.  Family
 seeds are derived from the base seed and a stable hash of the family
 name, so adding a family never perturbs the instances any other family
 sees, and a fixed seed reproduces the summary byte for byte.
+
+The families share no state, so :func:`run_verification` runs them in
+worker processes, one per available CPU (at most one per family),
+started with ``fork`` and joined before it returns; without ``fork``,
+or when called from a daemonic worker, it runs them in the calling
+process.  A family's result does not depend on the process it runs in,
+so the summary does not depend on the CPU count; ``taskset -c 0`` gives
+a single-process run.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -512,19 +521,56 @@ _FAMILIES: dict[str, Callable] = {
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 
+def _run_family(job: tuple[int, str, int, int]) -> float:
+    """Worst residual of one family; ``job`` is ``(seed, name, trials, max_dim)``."""
+    seed, name, trials, max_dim = job
+    return float(_FAMILIES[name](_family_rng(seed, name), trials, max_dim))
+
+
+def _worker_count() -> int:
+    """Processes to run the families in: one per available CPU, at most one
+    per family, and one where ``fork`` is unavailable or the caller is
+    itself a daemonic worker, which may not start children."""
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(FAMILY_NAMES))
+
+
 def run_verification(
     seed: int, trials: int, max_dim: int, tol: float
 ) -> tuple[list[FamilyResult], bool]:
-    """Run every family and return results in fixed (name) order."""
+    """Run every family and return results in fixed (name) order.
+
+    With more than one worker the families are handed out one at a time
+    to a ``fork`` pool that is joined before this returns or raises; a
+    family's exception is re-raised here.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if max_dim < 2:
         raise ValueError("max_dim must be >= 2")
-    results = []
-    for name in FAMILY_NAMES:
-        rng = _family_rng(seed, name)
-        residual = _FAMILIES[name](rng, trials, max_dim)
-        results.append(FamilyResult(name, trials, float(residual)))
+    jobs = [(seed, name, trials, max_dim) for name in FAMILY_NAMES]
+    workers = _worker_count()
+    if workers == 1:
+        residuals = list(map(_run_family, jobs))
+    else:
+        import multiprocessing
+
+        # fork, not spawn: a spawned worker re-imports numpy (~0.15 s) and
+        # loses any run-time patch of the families, such as the mutants'.
+        # Leaving the block terminates and joins the workers, also on error.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            residuals = pool.map(_run_family, jobs, chunksize=1)
+            pool.close()
+            pool.join()
+    results = [FamilyResult(name, trials, r) for name, r in zip(FAMILY_NAMES, residuals)]
     return results, all(r.passed(tol) for r in results)
 
 

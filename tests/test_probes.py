@@ -110,6 +110,25 @@ def test_extract_rejects_disturbing_operator_with_defect():
         extract_probes(x, ctx, 2)
 
 
+def _identity_with_one_nan() -> np.ndarray:
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = np.nan
+    return a
+
+
+@pytest.mark.parametrize(
+    "a", [np.full((4, 4), np.nan), _identity_with_one_nan()], ids=["all-nan", "identity-one-nan"]
+)
+def test_non_finite_operator_fails_the_commutator_test(a):
+    ctx = Context.standard(2)
+    for check in (commutator_defect, is_c_nondisturbing, extract_probes,
+                  extract_probes_by_matrix_elements):
+        with pytest.raises(ValueError, match="non-finite"):
+            check(a, ctx, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        nd_channel_from_kraus([a], ctx, 2)
+
+
 def test_assemble_is_block_diagonal_in_standard_basis():
     blocks = _generic_blocks(2, 2, 5)
     dec = ProbeDecomposition(Context.standard(2), blocks)

@@ -1,12 +1,16 @@
 """The verification battery: NaN residuals fail their family, the battery
-runs at larger dimensions, and its fixed classification instance has a
-unitary probe trace."""
+runs at larger dimensions, its fixed classification instance has a
+unitary probe trace, and the worker pool gives the in-process results."""
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 import nondisturbing.scenario
 import nondisturbing.verify
+from nondisturbing import cli
 from nondisturbing.linalg import is_unitary, partial_trace
 from nondisturbing.objects import Context
 from nondisturbing.probes import reduced_trace_flags
@@ -63,3 +67,44 @@ def test_rotating_corner_has_a_unitary_probe_trace(n, dk):
     assert reduced_trace_flags(decomp).unitary
     assert is_unitary(traced)
     assert nondisturbing.verify._reduced_mismatches(decomp, decomp.assemble()) == 0
+
+
+def _force_workers(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(nondisturbing.verify, "_worker_count", lambda: count)
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 2), (1, 3), (42, 2)])
+def test_pool_and_in_process_runs_give_equal_results(monkeypatch, seed, trials):
+    _force_workers(monkeypatch, 2)
+    pooled = run_verification(seed=seed, trials=trials, max_dim=4, tol=1e-9)
+    assert multiprocessing.active_children() == []
+    _force_workers(monkeypatch, 1)
+    assert run_verification(seed=seed, trials=trials, max_dim=4, tol=1e-9) == pooled
+
+
+def _boom(rng, trials, max_dim):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_raising_family_raises_in_the_caller(monkeypatch, capsys, workers):
+    _force_workers(monkeypatch, workers)
+    monkeypatch.setitem(nondisturbing.verify._FAMILIES, "post-probe", _boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        run_verification(seed=42, trials=2, max_dim=3, tol=1e-9)
+    assert multiprocessing.active_children() == []
+    assert cli.main(["verify", "--trials", "2"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: boom\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_follows_the_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert nondisturbing.verify._worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert nondisturbing.verify._worker_count() == len(FAMILY_NAMES)
+
+
+def test_a_daemonic_worker_runs_the_families_in_process():
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(nondisturbing.verify._worker_count) == 1
