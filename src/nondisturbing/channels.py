@@ -21,11 +21,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_ATOL,
     as_complex_stack,
+    _dot_rounding,
     _gaussians,
     _polar_blocks,
     completeness_defects,
 )
-from .objects import Context, KrausOperation, State
+from .objects import Context, KrausOperation, State, _BoundedKraus
 from .probes import ProbeDecomposition, _certify
 
 __all__ = [
@@ -79,6 +80,7 @@ class NDChannel:
                 f"(completeness defect {defects[i]:.3e})"
             )
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_row_defect", float(defects.max()))
 
     @property
     def dim_base(self) -> int:
@@ -107,12 +109,20 @@ class NDChannel:
 
     @cached_property
     def _operation(self) -> KrausOperation:
-        # The one owner of the composite Kraus family; its constructor runs
-        # the composite completeness check.
-        return KrausOperation([
+        # The one owner of the composite Kraus family.  Each assembled member
+        # lies within the rounding of its n-term sums of the exact
+        # sum_i P_i (x) B_i^k, so the checked rows bound the composite
+        # completeness defect (_completeness_bound); the constructor runs its
+        # Gram product only when that bound exceeds DEFAULT_ATOL.
+        n = self.dim_base
+        kraus = [
             ProbeDecomposition(self.context, self.table[:, k]).assemble()
             for k in range(self.kraus_count)
-        ])
+        ]
+        sizes = np.sqrt(np.einsum("ikpq,ikpq->k", self.table.conj(), self.table).real)
+        slack = _dot_rounding(n) * n * (1 + self.context._orthonormality_bound)
+        bound = _completeness_bound(self.context, self.dim_probe, self._row_defect, slack * sizes)
+        return KrausOperation(_BoundedKraus(kraus, bound))
 
     def as_operation(self) -> KrausOperation:
         """The channel on the composite space in generic Kraus form, built once."""
@@ -125,6 +135,33 @@ class NDChannel:
         return KrausOperation(self.table[i])
 
 
+def _completeness_bound(
+    context: Context, dim_probe: int, row_defect: float, residuals: Sequence[float]
+) -> float:
+    """Upper bound on ``completeness_defects`` of a composite Kraus family.
+
+    The family ``S_k`` lies within ``||S_k - A_k||_F <= residuals[k]`` of
+    ``A_k = sum_i P_i (x) B_i^k`` for a table ``B`` whose rows have the
+    computed completeness defect ``row_defect``.  With ``eps`` the
+    context's ``_orthonormality_bound``, ``lam = 1 + eps``, ``rho`` the
+    row defect plus its rounding and ``c = 1 + dk rho``,
+
+        max|sum_k S_k* S_k - I| <= lam rho + eps (1 + lam c)
+                                   + sum_k e_k (2 lam sqrt(c) + e_k),
+
+    and the rounding of the composite Gram product that the bound stands
+    for is added last.
+    """
+    count = len(residuals)
+    eps = context._orthonormality_bound
+    lam = 1 + eps
+    rho = row_defect + _dot_rounding(count * dim_probe) * (1 + row_defect)
+    c = 1 + dim_probe * rho
+    e = np.asarray(residuals, dtype=float)
+    bound = lam * rho + eps * (1 + lam * c) + float(np.sum(e * (2 * lam * np.sqrt(c) + e)))
+    return bound + _dot_rounding(count * context.dim * dim_probe) * (1 + bound)
+
+
 def nd_channel_from_kraus(
     kraus: Sequence[np.ndarray], context: Context, dim_probe: int
 ) -> NDChannel:
@@ -133,21 +170,29 @@ def nd_channel_from_kraus(
     Every Kraus operator must individually pass the commutator test; the
     first failure is reported with its index and defect.  The resulting
     table row ``i`` collects the atom-``i`` block of each Kraus operator.
+    The family must be a channel: the completeness defect of the table's
+    rows, widened by how far each operator lies from the one assembled
+    from its blocks, bounds the family's defect, and the family's own
+    Gram product decides only when that bound exceeds ``DEFAULT_ATOL``.
     """
     mats = as_complex_stack(kraus, "Kraus operators", 3)
-    blocks = []
+    blocks, residuals = [], []
     for k, s in enumerate(mats):
-        defect, probes = _certify(s, context, dim_probe, DEFAULT_ATOL)
+        defect, probes, residual = _certify(s, context, dim_probe, DEFAULT_ATOL)
         if defect > DEFAULT_ATOL:
             raise ValueError(
                 f"kraus operator {k} is disturbing for this context "
                 f"(largest commutator norm {defect:.3e} > {DEFAULT_ATOL:.3e})"
             )
         blocks.append(probes)
-    defect = float(completeness_defects(mats))
-    if defect > DEFAULT_ATOL:
-        raise ValueError(f"kraus family is not a channel (defect {defect:.3e})")
-    return NDChannel(context, np.stack(blocks, axis=1))
+        residuals.append(residual)
+    table = np.stack(blocks, axis=1)
+    row_defect = float(completeness_defects(table).max())
+    if not _completeness_bound(context, dim_probe, row_defect, residuals) <= DEFAULT_ATOL:
+        defect = float(completeness_defects(mats))
+        if defect > DEFAULT_ATOL:
+            raise ValueError(f"kraus family is not a channel (defect {defect:.3e})")
+    return NDChannel(context, table)
 
 
 def random_nd_channel(

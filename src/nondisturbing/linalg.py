@@ -54,6 +54,7 @@ __all__ = [
 
 DEFAULT_ATOL = 1e-9
 CONSTRUCTION_ATOL = 1e-12
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def as_complex_stack(family, name: str, ndim: int) -> np.ndarray:
@@ -90,6 +91,18 @@ def completeness_defects(stack: np.ndarray) -> np.ndarray:
     column = stack.reshape(*lead, count * dim, dim)
     gram = np.conj(np.swapaxes(column, -1, -2)) @ column
     return np.abs(gram - np.eye(dim)).max(axis=(-2, -1))
+
+
+def _dot_rounding(terms: int) -> float:
+    """Relative rounding bound of a complex sum of ``terms`` products.
+
+    Twice Higham's ``gamma_(m+2) = (m+2) u / (1 - (m+2) u)`` for a complex
+    inner product of length ``m = terms``, with ``u`` the unit roundoff:
+    the factor 2 leaves room for the subtraction, modulus and square root
+    that follow such a sum in a defect or a norm.
+    """
+    mu = (terms + 2) * _UNIT_ROUNDOFF
+    return 2 * mu / (1 - mu) if mu < 0.5 else math.inf
 
 
 def _square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -218,10 +231,21 @@ def is_psd(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
 
 
 def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+    """``A* A`` and ``A A*`` both within ``atol`` of the identity.
+
+    ``A A*`` is formed only for the members whose ``A* A`` passes.
+    """
     arr = _square(m, stack=True)
     eye = np.eye(arr.shape[-1])
     adj = _adjoint(arr)
-    return _per_member(_within(arr @ adj - eye, atol) & _within(adj @ arr - eye, atol))
+    ok = _within(adj @ arr - eye, atol)
+    if arr.ndim == 2:
+        return bool(ok) and bool(_within(arr @ adj - eye, atol))
+    if ok.all():
+        return _within(arr @ adj - eye, atol)
+    if ok.any():
+        ok[ok] = _within(arr[ok] @ adj[ok] - eye, atol)
+    return ok
 
 
 def is_projection_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:

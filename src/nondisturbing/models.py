@@ -235,18 +235,19 @@ class DirectOracle:
     Each oracle tensors an input ``rho`` with a probe input ``sigma``,
     applies the composite channel once and reads its outcomes off the
     output ``X``.  One object applies the channel once per distinct pair of
-    input objects and keeps only the two readings of ``X`` (see
-    :meth:`readings`), so the oracles it serves share that work and
-    nothing else: the measured instrument and the post-interaction
+    input matrices, compared by value, and keeps only the two readings of
+    ``X`` (see :meth:`readings`), so the oracles it serves share that work
+    and nothing else: the measured instrument and the post-interaction
     instrument with the model's own probe state read one ``X``, and the
-    first round of the two-round oracle runs once.  No oracle reads
+    first round of the two-round oracle runs once, reusing the ``X`` of
+    an input equal to ``I/n``.  No oracle reads
     closed-form code; the post-interaction one takes its own square roots
     and every output its own Hermitian part.
     """
 
     def __init__(self, mm: MeasurementModel):
         self.mm = mm
-        self._readings: dict[tuple[State, State], tuple[np.ndarray, np.ndarray]] = {}
+        self._readings: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
     def readings(self, rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray]:
         """Both readings of ``X``, the channel's output on ``rho (x) sigma``.
@@ -255,9 +256,10 @@ class DirectOracle:
         order of ``meter.labels``, Hermitised: one product that contracts
         the output's probe indices with each flattened effect.  The second
         is ``Tr_base[X]``.  Both are read-only, since every caller with the
-        same pair gets the same arrays.
+        same pair gets the same arrays.  Pairs are keyed by the bytes of
+        their matrices: equal states give one application of the channel.
         """
-        key = (rho, sigma)
+        key = (rho.matrix.tobytes(), sigma.matrix.tobytes())
         if key not in self._readings:
             mm = self.mm
             _check_inputs(mm, rho, sigma)

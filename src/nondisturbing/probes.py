@@ -11,18 +11,19 @@ conjugation of product operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_ATOL,
+    _dot_rounding,
     as_complex_stack,
     fold_max,
     is_effect_matrix,
     is_hermitian,
     is_projection_matrix,
     is_unitary,
-    kron,
     loewner_leq,
     max_abs,
 )
@@ -153,13 +154,23 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
+class _Certificate(NamedTuple):
+    """The decided commutator test of one operator; see :func:`_certify`."""
+
+    defect: float
+    blocks: np.ndarray
+    residual: float
+
+
 def _commutator_bound(
     arr: np.ndarray, context: Context, dim_probe: int
-) -> tuple[float, np.ndarray]:
-    """An upper bound on :func:`commutator_defect`, and the probe blocks.
+) -> tuple[float, np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
+    """An upper bound on :func:`commutator_defect`, the probe blocks, and more.
 
-    Returns ``(bound, blocks)`` with ``blocks[i] = W_i* A W_i``, shape
-    (n, dk, dk).  With ``C_i = A W_i``, ``R_i = W_i* A``, ``B_i = W_i* C_i``,
+    Returns ``(bound, blocks, residual, (R, C))``: ``blocks[i] = W_i* A W_i``,
+    shape (n, dk, dk), ``residual >= ||A - sum_i P_i (x) blocks[i]||_F``, and
+    the contractions as :func:`_atom_rows` and :func:`_atom_cols` made them,
+    for the exact scan.  With ``C_i = A W_i``, ``R_i = W_i* A``, ``B_i = W_i* C_i``,
     ``B'_i = R_i W_i``, ``X_i = C_i - W_i B_i / |v_i|^2`` and
     ``Y_i = R_i - B'_i W_i* / |v_i|^2``, for any nonzero ``v_i``
 
@@ -168,8 +179,22 @@ def _commutator_bound(
     so ``||[A, P_i (x) I]||_max <= |v_i| (||X_i||_F + ||Y_i||_F) + ||B_i - B'_i||_F``.
     The identity needs no orthonormality, so the bound holds for any basis
     a :class:`Context` accepts.  ``X_i`` and ``Y_i`` are formed entrywise,
-    so no term cancels; beyond the two base-index contractions the bound
-    costs ``O((n dk)^2)``.
+    in one scratch buffer that leaves ``R_i`` and ``C_i`` untouched, so no
+    term cancels; beyond the two base-index contractions the bound costs
+    ``O((n dk)^2)``.  The blocks are ``B'_i``.
+
+    The same norms bound how far ``A`` lies from the operator assembled
+    from its blocks.  With ``W = V (x) I``, ``eps >= ||V* V - I||_2`` (the
+    context's ``_orthonormality_bound``) and ``lam = 1 + eps >= ||V||_2^2``,
+
+        A - sum_i P_i (x) B'_i = A (I - W W*) + sum_i X_i W_i*
+                                 + sum_i W_i (B_i / |v_i|^2 - B'_i) W_i*,
+
+    whose Frobenius norm is at most ``eps ||A||_F + sqrt(lam) ||X||_F +
+    lam (||B - B'||_F + 2 eps ||B||_F)``, norms over all atoms.  The
+    returned residual adds the rounding of the computed norms: a relative
+    ``_dot_rounding(2 n dk^2)`` and ``16 gamma sqrt(n) ||A||_F`` with
+    ``gamma = _dot_rounding(2 n + 6)`` for the contractions.
     """
     basis = context.basis
     n = context.dim
@@ -182,27 +207,65 @@ def _commutator_bound(
     squared = lengths[:, None, None] ** 2
     term = np.empty_like(cols)                                 # one scratch buffer
     np.multiply(basis.T[:, :, None, None], (left / squared)[:, None], out=term)
-    cols -= term                                               # X_i
+    x = _frobenius(np.subtract(cols, term, out=term))          # ||X_i||_F
     term = term.reshape(rows.shape)
     np.multiply((blocks / squared)[:, :, None, :], basis.conj().T[:, None, :, None], out=term)
-    rows -= term                                               # Y_i
-    bound = lengths * (_frobenius(cols) + _frobenius(rows)) + _frobenius(left - blocks)
-    return float(bound.max()), blocks
+    y = _frobenius(np.subtract(rows, term, out=term))          # ||Y_i||_F
+    del term
+    gap = _frobenius(left - blocks)                            # ||B_i - B'_i||_F
+    bound = lengths * (x + y) + gap
+    eps = context._orthonormality_bound
+    size = float(_frobenius(arr[None])[0])
+    residual = (
+        eps * size
+        + np.sqrt(1 + eps) * np.linalg.norm(x)
+        + (1 + eps) * (np.linalg.norm(gap) + 2 * eps * np.linalg.norm(left))
+    ) * (1 + _dot_rounding(2 * n * dim_probe**2)) + (
+        16 * _dot_rounding(2 * n + 6) * np.sqrt(n) * size
+    )
+    return float(bound.max()), blocks, float(residual), (rows, cols)
 
 
-def _certify(a, context: Context, dim_probe: int, atol: float) -> tuple[float, np.ndarray]:
-    """Decide the commutator test for ``a``; return ``(defect, blocks)``.
+def _exact_defect(
+    arr: np.ndarray, context: Context, dim_probe: int, contractions: tuple | None = None
+) -> float:
+    """The entry-by-entry scan behind :func:`commutator_defect`.
+
+    ``contractions`` are ``(R_i, C_i)`` of ``arr`` as :func:`_atom_rows`
+    and :func:`_atom_cols` make them; they are made here when omitted.
+    Each ``[A, P_i (x) I] = C_i W_i* - W_i R_i`` is formed in one reused
+    ``(n dk) x (n dk)`` buffer.
+    """
+    n, dk = context.dim, dim_probe
+    if contractions is None:
+        contractions = _atom_rows(arr, context, dk), _atom_cols(arr, context, dk)
+    rows, cols = contractions                                  # [i, p, b, q], [i, a, p, q]
+    basis = context.basis
+    comm = np.empty((n, dk, n, dk), dtype=complex)
+    worst = 0.0
+    for i in range(n):
+        v = basis[:, i]
+        np.multiply(cols[i][:, :, None, :], v.conj()[:, None], out=comm)
+        comm -= v[:, None, None, None] * rows[i]
+        worst = fold_max(worst, max_abs(comm))
+    return worst
+
+
+def _certify(a, context: Context, dim_probe: int, atol: float) -> _Certificate:
+    """Decide the commutator test for ``a``; return ``(defect, blocks, residual)``.
 
     ``defect <= atol`` decides the test.  The bound of
     :func:`_commutator_bound` is returned when it is within ``atol``;
-    otherwise the exact :func:`commutator_defect` is, so a defect above
-    ``atol`` is always the exact max-entry norm.
+    otherwise the exact scan runs on the bound's own contractions, after
+    its scratch buffer is freed, so a defect above ``atol`` is always the
+    exact max-entry norm of :func:`commutator_defect`.  ``residual``
+    bounds ``||a - sum_i P_i (x) blocks[i]||_F``.
     """
     arr = _check_composite(a, context, dim_probe)
-    bound, blocks = _commutator_bound(arr, context, dim_probe)
-    if bound <= atol:
-        return bound, blocks
-    return commutator_defect(arr, context, dim_probe), blocks
+    bound, blocks, residual, contractions = _commutator_bound(arr, context, dim_probe)
+    if bound > atol:
+        bound = _exact_defect(arr, context, dim_probe, contractions)
+    return _Certificate(bound, blocks, residual)
 
 
 def commutator_defect(a, context: Context, dim_probe: int) -> float:
@@ -215,22 +278,10 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
     the commutators are then formed one atom at a time in one reused
     ``(n dk) x (n dk)`` buffer.  :func:`extract_probes`,
     :func:`is_c_nondisturbing` and ``nd_channel_from_kraus`` decide with a
-    cheaper bound first and call this only when the bound exceeds the
-    tolerance.
+    cheaper bound first and scan, on the bound's contractions, only when
+    the bound exceeds the tolerance.
     """
-    arr = _check_composite(a, context, dim_probe)
-    n, dk = context.dim, dim_probe
-    basis = context.basis
-    rows = _atom_rows(arr, context, dk)                        # [i, p, b, q]
-    cols = _atom_cols(arr, context, dk)                        # [i, a, p, q]
-    comm = np.empty((n, dk, n, dk), dtype=complex)
-    worst = 0.0
-    for i in range(n):
-        v = basis[:, i]
-        np.multiply(cols[i][:, :, None, :], v.conj()[:, None], out=comm)
-        comm -= v[:, None, None, None] * rows[i]
-        worst = fold_max(worst, max_abs(comm))
-    return worst
+    return _exact_defect(_check_composite(a, context, dim_probe), context, dim_probe)
 
 
 def is_c_nondisturbing(a, context: Context, dim_probe: int, atol: float = DEFAULT_ATOL) -> bool:
@@ -251,7 +302,7 @@ def extract_probes(a, context: Context, dim_probe: int) -> ProbeDecomposition:
     probe-space basis choice.  Rejects operators that fail the commutator
     test at ``DEFAULT_ATOL``, reporting the largest defect.
     """
-    defect, blocks = _certify(a, context, dim_probe, DEFAULT_ATOL)
+    defect, blocks, _ = _certify(a, context, dim_probe, DEFAULT_ATOL)
     if defect > DEFAULT_ATOL:
         raise ValueError(
             f"operator is not nondisturbing for this context "
@@ -265,10 +316,14 @@ def extract_probes_by_matrix_elements(
 ) -> ProbeDecomposition:
     """Recover probe blocks from matrix elements against an explicit probe basis.
 
-    Computes ``B_i phi = sum_j <v_i (x) u_j, A (v_i (x) phi)> u_j`` column by
-    column, for any orthonormal probe basis ``{u_j}`` (default standard).
-    Independent implementation of :func:`extract_probes`, kept as a
-    cross-check; the result must not depend on the basis chosen.
+    Computes ``B_i = U (v_i* (x) U*) A (v_i (x) I)`` for any orthonormal
+    probe basis ``U`` (default standard), i.e. ``B_i phi = sum_j <v_i (x)
+    u_j, A (v_i (x) phi)> u_j``.  The column base index of ``A`` meets
+    ``V`` in one product; the row base index then meets ``V*`` atom by
+    atom, and ``U`` is applied last.  Independent implementation of
+    :func:`extract_probes`, kept as a cross-check: it shares none of the
+    commutator test's contractions, and the result must not depend on the
+    basis chosen.
     """
     arr = _check_composite(a, context, dim_probe)
     if probe_basis is None:
@@ -277,14 +332,13 @@ def extract_probes_by_matrix_elements(
         probe_basis = np.asarray(probe_basis, dtype=complex)
         if probe_basis.shape != (dim_probe, dim_probe):
             raise ValueError(f"probe basis must be {dim_probe} x {dim_probe}")
-    eye = np.eye(dim_probe, dtype=complex)
-    blocks = []
-    for i in range(context.dim):
-        v = context.basis[:, i, None]
-        bra = kron(v, probe_basis).conj().T     # rows <v_i (x) u_j|
-        ket = arr @ kron(v, eye)                # columns A(v_i (x) e_l)
-        blocks.append(probe_basis @ (bra @ ket))
-    return ProbeDecomposition(context, blocks)
+    n, dk = context.dim, dim_probe
+    basis = context.basis
+    # kets[a, p, l, i] = (A (v_i (x) e_l))[a dk + p]
+    kets = np.tensordot(arr.reshape(n, dk, n, dk), basis, axes=([2], [0]))
+    # elements[i, p, l] = <v_i (x) e_p, A (v_i (x) e_l)>
+    elements = np.einsum("ai,apli->ipl", basis.conj(), kets)
+    return ProbeDecomposition(context, probe_basis @ (probe_basis.conj().T @ elements))
 
 
 def closed_form_partial_traces(decomp: ProbeDecomposition) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nondisturbing.linalg import (
+    DEFAULT_ATOL,
+    completeness_defects,
     is_psd,
     kron,
     max_abs,
@@ -12,8 +15,11 @@ from nondisturbing.linalg import (
     random_unitary,
 )
 from nondisturbing.objects import Context, State
+import nondisturbing.channels
+import nondisturbing.linalg
+import nondisturbing.objects
 import nondisturbing.probes
-from nondisturbing.probes import is_c_nondisturbing
+from nondisturbing.probes import ProbeDecomposition, is_c_nondisturbing
 from nondisturbing.channels import (
     NDChannel,
     apply_product,
@@ -154,7 +160,7 @@ def _count_commutator_tests(monkeypatch) -> dict[str, list]:
     reaches every caller.
     """
     calls = {"bound": [], "scan": []}
-    for key, name in (("bound", "_commutator_bound"), ("scan", "commutator_defect")):
+    for key, name in (("bound", "_commutator_bound"), ("scan", "_exact_defect")):
         original = getattr(nondisturbing.probes, name)
 
         def counting(a, *args, _original=original, _calls=calls[key], **kwargs):
@@ -204,6 +210,185 @@ def test_from_kraus_checks_total_completeness():
     half = kron(np.eye(2), np.eye(2)) / 2
     with pytest.raises(ValueError, match="not a channel"):
         nd_channel_from_kraus([half], ctx, 2)
+
+
+# ---------------------------------------------------------------------------
+# Completeness near the tolerance: the table-derived bound may skip the
+# composite Gram product only where that product would have accepted.
+# ---------------------------------------------------------------------------
+
+# Composite defects on both sides of DEFAULT_ATOL, none within rounding of it.
+TARGETS = (0.5e-9, 0.99e-9, 0.999e-9, 1.001e-9, 1.01e-9, 2e-9)
+
+
+def _near_context(kind: str, n: int, spread: float = 0.0) -> Context:
+    """Standard, random, or random columns of squared length ``1 + spread``."""
+    if kind == "standard":
+        return Context.standard(n)
+    basis = random_unitary(n, 90)
+    return Context(basis * np.sqrt(1 + spread))
+
+
+def _assembled(context: Context, table: np.ndarray) -> np.ndarray:
+    return np.array([
+        ProbeDecomposition(context, table[:, k]).assemble() for k in range(table.shape[1])
+    ])
+
+
+def _scaled_first_member(kraus: np.ndarray, target: float, sign: int) -> np.ndarray:
+    """``kraus`` with member 0 scaled by ``1 +- t``, so the defect is near ``target``."""
+    first = np.abs(kraus[0].conj().T @ kraus[0]).max()
+    t = np.sqrt(1 + target / first) - 1 if sign > 0 else 1 - np.sqrt(1 - target / first)
+    out = np.array(kraus)
+    out[0] *= 1 + sign * t
+    return out
+
+
+def _gram_sizes(monkeypatch) -> list[int]:
+    """The matrix dimension of every completeness Gram product, where it is looked up."""
+    sizes = []
+    original = nondisturbing.linalg.completeness_defects
+
+    def counting(stack):
+        sizes.append(stack.shape[-1])
+        return original(stack)
+
+    for module in (nondisturbing.channels, nondisturbing.objects):
+        monkeypatch.setattr(module, "completeness_defects", counting)
+    return sizes
+
+
+def _import_outcome(kraus, context: Context, dk: int) -> str:
+    try:
+        nd_channel_from_kraus(kraus, context, dk)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _gram_first_outcome(kraus, context: Context, dk: int) -> str:
+    """The import decided with the composite Gram product before the row check."""
+    for k, s in enumerate(kraus):
+        defect = nondisturbing.probes.commutator_defect(s, context, dk)
+        if defect > DEFAULT_ATOL:
+            return f"kraus operator {k} is disturbing for this context " \
+                f"(largest commutator norm {defect:.3e} > {DEFAULT_ATOL:.3e})"
+    defect = float(completeness_defects(np.asarray(kraus)))
+    if defect > DEFAULT_ATOL:
+        return f"kraus family is not a channel (defect {defect:.3e})"
+    blocks = [nondisturbing.probes.extract_probes(s, context, dk).probes for s in kraus]
+    try:
+        NDChannel(context, np.stack(blocks, axis=1))
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("kind", ["standard", "random"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("target", TARGETS)
+def test_from_kraus_near_tolerance_decides_as_the_composite_gram(monkeypatch, kind, sign, target):
+    context = _near_context(kind, 3)
+    table = random_nd_channel(Context.standard(3), 2, 2, 91).table
+    kraus = _scaled_first_member(_assembled(context, table), target, sign)
+    defect = float(completeness_defects(kraus))
+    assert abs(defect - DEFAULT_ATOL) > 1e-13
+    expected = _gram_first_outcome(kraus, context, 2)
+    sizes = _gram_sizes(monkeypatch)
+    outcome = _import_outcome(kraus, context, 2)
+    assert outcome == expected
+    if defect > DEFAULT_ATOL:
+        assert outcome == f"kraus family is not a channel (defect {defect:.3e})"
+    elif kind == "standard":
+        # In the standard basis the composite defect is the largest row
+        # defect, and the bound certifies it without the composite product.
+        assert outcome == "accepted"
+        assert 6 not in sizes
+
+
+@pytest.mark.parametrize("spread", [0.45e-9, 0.499e-9, 0.501e-9, 0.55e-9, 0.9e-9])
+def test_near_tolerance_context_decides_as_the_composite_gram(spread):
+    # Columns of squared length 1 + spread pass the context's own check; the
+    # composite defect of the assembled table is then 2 spread + spread^2.
+    context = _near_context("random", 3, spread)
+    assert 0.4e-9 < max_abs(context.basis.conj().T @ context.basis - np.eye(3)) <= DEFAULT_ATOL
+    nd = NDChannel(context, random_nd_channel(Context.standard(3), 2, 2, 92).table)
+    kraus = _assembled(context, nd.table)
+    defect = float(completeness_defects(kraus))
+    assert abs(defect - DEFAULT_ATOL) > 1e-13
+    try:
+        nd.as_operation()
+    except ValueError as exc:
+        assert defect > DEFAULT_ATOL
+        assert str(exc) == f"channel completeness violated (defect {defect:.3e})"
+    else:
+        assert defect <= DEFAULT_ATOL
+    # Blocks read back from these members carry (1 + spread)^2, so the rows
+    # may fail where the composite passed; the order of the checks decides.
+    assert _import_outcome(kraus, context, 2) == _gram_first_outcome(kraus, context, 2)
+
+
+@pytest.mark.parametrize("kind", ["standard", "random"])
+@pytest.mark.parametrize("target", [0.5e-9, 0.99e-9, 0.999e-9])
+def test_as_operation_near_tolerance_rows_decides_as_the_composite_gram(kind, target):
+    # Row 0 scaled to a defect just inside the tolerance: the row check
+    # passes, and the composite operation is accepted exactly when its Gram
+    # product accepts it.
+    context = _near_context(kind, 3)
+    table = np.array(random_nd_channel(Context.standard(3), 2, 2, 93).table)
+    table[0] = _scaled_first_member(table[0], target, 1)
+    nd = NDChannel(context, table)
+    defect = float(completeness_defects(_assembled(context, nd.table)))
+    assert defect <= DEFAULT_ATOL
+    op = nd.as_operation()
+    assert np.array_equal(op.kraus, _assembled(context, nd.table))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    dk=st.integers(1, 3),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["standard", "random", "skewed"]),
+    scale=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2]),
+)
+def test_completeness_bound_dominates_the_composite_gram(n, dk, count, seed, kind, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "standard":
+        context = Context.standard(n)
+    else:
+        basis = random_unitary(n, rng)
+        if kind == "skewed":
+            basis = basis + 3e-11 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        context = Context(basis)
+    table = random_nd_channel(Context.standard(n), dk, count, rng).table
+    noise = rng.standard_normal((count, n * dk, n * dk)) + 1j * rng.standard_normal((count, n * dk, n * dk))
+    kraus = _assembled(context, table) + scale * noise
+    certificates = [nondisturbing.probes._certify(s, context, dk, DEFAULT_ATOL) for s in kraus]
+    rows = completeness_defects(np.stack([c.blocks for c in certificates], axis=1))
+    bound = nondisturbing.channels._completeness_bound(
+        context, dk, float(rows.max()), [c.residual for c in certificates]
+    )
+    assert bound >= float(completeness_defects(kraus))
+
+
+def test_good_import_and_operation_run_no_composite_gram(monkeypatch):
+    context = Context.random(4, 94)
+    kraus = random_nd_channel(context, 3, 2, 94).induced_kraus
+    sizes = _gram_sizes(monkeypatch)
+    nd = nd_channel_from_kraus(kraus, context, 3)
+    nd.as_operation()
+    assert sizes and set(sizes) == {3}  # probe-space rows only
+
+
+def test_row_defects_above_the_bound_fall_back_to_the_composite_gram(monkeypatch):
+    context = Context.random(2, 95)
+    kraus = _scaled_first_member(random_nd_channel(context, 2, 2, 95).induced_kraus, 2e-9, 1)
+    sizes = _gram_sizes(monkeypatch)
+    with pytest.raises(ValueError, match="kraus family is not a channel"):
+        nd_channel_from_kraus(kraus, context, 2)
+    assert 4 in sizes
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nondisturbing.probes
+
 from nondisturbing.linalg import (
     DEFAULT_ATOL,
     is_hermitian,
@@ -159,6 +161,32 @@ def test_matrix_element_extraction_is_basis_independent():
             assert max_abs(a - c) < 1e-10
 
 
+def test_matrix_element_route_reads_none_of_the_commutator_test(monkeypatch):
+    ctx = Context.random(4, 31)
+    a = ProbeDecomposition(ctx, _generic_blocks(3, 4, 31)).assemble()
+    probe_basis = random_unitary(3, 32)
+    expected = extract_probes_by_matrix_elements(a, ctx, 3, probe_basis).probes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cross-check read the commutator test's code")
+
+    for name in ("_atom_rows", "_atom_cols", "_commutator_bound", "_certify"):
+        monkeypatch.setattr(nondisturbing.probes, name, forbidden)
+    again = extract_probes_by_matrix_elements(a, ctx, 3, probe_basis).probes
+    assert max_abs(again - expected) == 0.0
+
+
+def test_matrix_element_route_agrees_with_extract_probes_at_size():
+    n = dk = 16
+    ctx = Context.random(n, 33)
+    rng = np.random.default_rng(33)
+    blocks = rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk))
+    a = ProbeDecomposition(ctx, blocks).assemble()
+    by_elements = extract_probes_by_matrix_elements(a, ctx, dk, random_unitary(dk, 34)).probes
+    assert max_abs(by_elements - extract_probes(a, ctx, dk).probes) <= 1e-12
+    assert max_abs(by_elements - blocks) <= 1e-12
+
+
 def test_swap_interaction_blocks_are_the_swap_unitaries():
     ctx = Context.standard(3)
     dec = extract_probes(_swap_unitary(3), ctx, 3)
@@ -266,10 +294,48 @@ def test_commutator_bound_dominates_the_kron_reference(n, dk, seed, kind, scale)
     blocks = rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk))
     noise = rng.standard_normal((n * dk,) * 2) + 1j * rng.standard_normal((n * dk,) * 2)
     a = ProbeDecomposition(ctx, blocks).assemble() + scale * noise
-    bound, probes = _commutator_bound(a, ctx, dk)
+    bound, probes = _commutator_bound(a, ctx, dk)[:2]
     assert bound >= _kron_commutator_defect(a, ctx, dk)
     by_elements = extract_probes_by_matrix_elements(a, ctx, dk).probes
     assert max_abs(probes - by_elements) <= 1e-12 * max(1.0, max_abs(a))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    dk=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["standard", "random", "skewed"]),
+    scale=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+)
+def test_residual_dominates_the_distance_to_the_assembled_blocks(n, dk, seed, kind, scale):
+    ctx = _test_context(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk))
+    noise = rng.standard_normal((n * dk,) * 2) + 1j * rng.standard_normal((n * dk,) * 2)
+    a = ProbeDecomposition(ctx, blocks).assemble() + scale * noise
+    _, probes, residual = _certify(a, ctx, dk, DEFAULT_ATOL)
+    # The reference assembles in exact rank-one atoms, one kron per atom.
+    distance = np.linalg.norm(a - _kron_assemble(ctx, probes))
+    assert residual >= distance
+
+
+def test_rejection_scans_on_the_bound_contractions(monkeypatch):
+    ctx = Context.random(3, 35)
+    a = _shifted_unitary(ctx, 2, 1e-3)
+    calls = []
+    for name in ("_atom_rows", "_atom_cols"):
+        original = getattr(nondisturbing.probes, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(nondisturbing.probes, name, counting)
+    defect = _certify(a, ctx, 2, DEFAULT_ATOL).defect
+    assert sorted(calls) == ["_atom_cols", "_atom_rows"]
+    assert defect == commutator_defect(a, ctx, 2)
+    assert len(calls) == 4  # the public scan makes its own contractions
 
 
 def _shifted_unitary(ctx: Context, dk: int, size: float) -> np.ndarray:

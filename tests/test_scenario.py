@@ -172,6 +172,17 @@ def test_evaluate_applies_the_channel_once_per_distinct_input(monkeypatch, count
     assert applied == [6] * (3 * count + 1)
 
 
+def test_oracle_keys_its_outputs_by_input_value(monkeypatch):
+    mm = random_model(3, 2, 3, 2, 53, context=Context.random(3, 54))
+    rho = random_density(3, 55)
+    inputs = (State(np.eye(3) / 3), State(rho), State(rho.copy()))
+    applied = _counting_applications(monkeypatch)
+    evaluate(mm, inputs, ALL_REQUESTS)
+    # Two distinct inputs, each applied once and then once more for the
+    # second round; the first round's I/n is the first input by value.
+    assert applied == [6] * (2 * 2)
+
+
 def test_shared_oracle_outputs_are_the_standalone_oracles_bit_for_bit():
     mm = random_model(3, 2, 3, 2, 70, context=Context.random(3, 71))
     inputs = (State(random_density(3, 72)), State(random_density(3, 73)))
