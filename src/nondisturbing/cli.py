@@ -1,9 +1,11 @@
 """Command-line front end: verify, run, example.
 
-Exit codes: 0 all checks passed; 1 numerical failure (report still
-written, residuals included); 2 parse or usage error; 3 validation
-error (a model invariant is violated, e.g. requesting closed forms
-from a model whose channel is not nondisturbing).
+Exit codes: 0 all checks passed; 1 numerical failure (report or
+summary still written, residuals included; a ``verify`` instance that
+raised is a failure of its family, named in the summary); 2 parse or
+usage error; 3 validation error in the input of ``run`` or ``example``
+(a model invariant is violated, e.g. requesting closed forms from a
+model whose channel is not nondisturbing).
 
 Reports are written byte for byte as ``json.dumps(report, indent=2,
 sort_keys=True)`` writes them, by a writer that skips the pure-Python
@@ -13,6 +15,7 @@ indenting encoder ``json`` falls back to.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from itertools import chain
@@ -179,9 +182,7 @@ def _read_json(path: str) -> Any:
 def _cmd_run(args) -> int:
     scenario = scenario_from_json(_read_json(args.scenario))
     if args.tol is not None:
-        scenario = Scenario(
-            scenario.model, scenario.inputs, scenario.requests, args.tol, scenario.seed
-        )
+        scenario = dataclasses.replace(scenario, tolerance=args.tol)
     return _finish(scenario, args.output)
 
 

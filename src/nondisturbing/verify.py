@@ -1,12 +1,15 @@
 """Seeded randomized verification battery covering every closed form.
 
-Each family draws random instances, evaluates a closed form and an
-independent oracle path, and records the worst residual seen.  The
-measured-instrument, post-probe and remeasurement families run the
-scenario checks of :func:`nondisturbing.scenario.evaluate`.  Family
-seeds are derived from the base seed and a stable hash of the family
-name, so adding a family never perturbs the instances any other family
-sees, and a fixed seed reproduces the summary byte for byte.
+Each family is a check of one random instance: it evaluates a closed
+form and an independent oracle path and returns its worst residual.
+:func:`_run_family` draws ``trials`` instances and keeps the worst; an
+instance that raises fails its family with the error recorded, and the
+other families still run.  The measured-instrument, post-probe and
+remeasurement families run the scenario checks of
+:func:`nondisturbing.scenario.evaluate`.  Family seeds are derived from
+the base seed and a stable hash of the family name, so adding a family
+never perturbs the instances any other family sees, and a fixed seed
+reproduces the summary byte for byte.
 
 The families share no state, so :func:`run_verification` runs them in
 worker processes, one per available CPU (at most one per family),
@@ -19,6 +22,7 @@ a single-process run.
 
 from __future__ import annotations
 
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -76,12 +80,15 @@ __all__ = ["FamilyResult", "run_verification", "format_summary", "FAMILY_NAMES"]
 
 @dataclass(frozen=True)
 class FamilyResult:
+    """A family's worst residual, or the error of the instance that raised."""
+
     name: str
     trials: int
     max_residual: float
+    error: str | None = None
 
     def passed(self, tol: float) -> bool:
-        return self.max_residual <= tol
+        return self.error is None and self.max_residual <= tol
 
 
 def _family_rng(seed: int, name: str) -> np.random.Generator:
@@ -110,23 +117,22 @@ def _random_decomposition(
     return ProbeDecomposition(context, probes)
 
 
-def _check_probe_round_trip(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        decomp = _random_decomposition(rng, max_dim)
-        full = decomp.assemble()
-        n, dk = decomp.dim_base, decomp.dim_probe
-        recovered = extract_probes(full, decomp.context, dk)
-        worst = fold_max(worst, max_abs(decomp.probes - recovered.probes))
-        worst = fold_max(worst, max_abs(recovered.assemble() - full))
-        first, second = (
-            extract_probes_by_matrix_elements(full, decomp.context, dk, probe_basis)
-            for probe_basis in random_unitaries(dk, 2, rng)
-        )
-        worst = fold_max(worst, max_abs(first.probes - second.probes),
-                         max_abs(first.probes - recovered.probes))
-        worst = fold_max(worst, float(_rejection_mismatches(full, decomp.context, dk)))
-    return worst
+def _check_probe_round_trip(rng, max_dim) -> float:
+    decomp = _random_decomposition(rng, max_dim)
+    full = decomp.assemble()
+    context, dk = decomp.context, decomp.dim_probe
+    recovered = extract_probes(full, context, dk)
+    first, second = (
+        extract_probes_by_matrix_elements(full, context, dk, probe_basis)
+        for probe_basis in random_unitaries(dk, 2, rng)
+    )
+    return fold_max(
+        max_abs(decomp.probes - recovered.probes),
+        max_abs(recovered.assemble() - full),
+        max_abs(first.probes - second.probes),
+        max_abs(first.probes - recovered.probes),
+        float(_rejection_mismatches(full, context, dk)),
+    )
 
 
 def _rejection_mismatches(full: np.ndarray, context: Context, dk: int) -> int:
@@ -147,18 +153,17 @@ def _rejection_mismatches(full: np.ndarray, context: Context, dk: int) -> int:
     return mismatches + 1
 
 
-def _check_reduced_traces(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        decomp = _random_decomposition(rng, max_dim)
-        full = decomp.assemble()
-        n, dk = decomp.dim_base, decomp.dim_probe
-        over_base, over_probe = closed_form_partial_traces(decomp)
-        worst = fold_max(worst, max_abs(over_base - partial_trace(full, n, dk, "left")))
-        worst = fold_max(worst, max_abs(over_probe - partial_trace(full, n, dk, "right")))
-        atoms = decomp.context.atoms
-        worst = fold_max(worst, max_abs(over_probe @ atoms - atoms @ over_probe))
-    return worst
+def _check_reduced_traces(rng, max_dim) -> float:
+    decomp = _random_decomposition(rng, max_dim)
+    full = decomp.assemble()
+    n, dk = decomp.dim_base, decomp.dim_probe
+    over_base, over_probe = closed_form_partial_traces(decomp)
+    atoms = decomp.context.atoms
+    return fold_max(
+        max_abs(over_base - partial_trace(full, n, dk, "left")),
+        max_abs(over_probe - partial_trace(full, n, dk, "right")),
+        max_abs(over_probe @ atoms - atoms @ over_probe),
+    )
 
 
 def _classification_instances(rng, dk: int, flag: str, positive: bool, count: int):
@@ -229,118 +234,96 @@ def _rotating_corner(context: Context, dk: int) -> ProbeDecomposition:
     return ProbeDecomposition(context, blocks)
 
 
-def _check_classification(rng, trials, max_dim) -> float:
-    mismatches = 0
+def _check_classification(rng, max_dim) -> float:
+    """How many flags and orderings of one instance disagree with the operator."""
     flags = ("self_adjoint", "unitary", "projection", "effect", "observable_family")
-    for _ in range(trials):
-        dk = int(rng.integers(2, max_dim + 1))
-        n = int(rng.integers(2, max_dim + 1))
-        context = _random_context(rng, n)
-        flag = flags[int(rng.integers(0, len(flags)))]
-        positive = bool(rng.integers(0, 2))
-        probes = _classification_instances(rng, dk, flag, positive, n)
-        decomp = ProbeDecomposition(context, probes)
-        full = decomp.assemble()
-        blockwise = getattr(classify(decomp), flag)
-        if blockwise != _direct_flag(full, n, dk, flag):
-            mismatches += 1
-        if blockwise != positive:
-            mismatches += 1
-        mismatches += _reduced_mismatches(decomp, full)
-        rotating = _rotating_corner(context, dk)
-        mismatches += _reduced_mismatches(rotating, rotating.assemble())
-        base = tuple(random_effect(dk, rng) for _ in range(n))
-        bumps = tuple(random_effect(dk, rng) for _ in range(n))
-        lower = ProbeDecomposition(context, base)
-        upper = ProbeDecomposition(context, tuple(b + p for b, p in zip(base, bumps)))
-        ordered = order_leq_via_probes(lower, upper)
-        if not ordered:
-            mismatches += 1
-        if ordered != loewner_leq(lower.assemble(), upper.assemble()):
-            mismatches += 1
-    return float(mismatches)
+    dk = int(rng.integers(2, max_dim + 1))
+    n = int(rng.integers(2, max_dim + 1))
+    context = _random_context(rng, n)
+    flag = flags[int(rng.integers(0, len(flags)))]
+    positive = bool(rng.integers(0, 2))
+    decomp = ProbeDecomposition(context, _classification_instances(rng, dk, flag, positive, n))
+    full = decomp.assemble()
+    blockwise = getattr(classify(decomp), flag)
+    rotating = _rotating_corner(context, dk)
+    base = tuple(random_effect(dk, rng) for _ in range(n))
+    bumps = tuple(random_effect(dk, rng) for _ in range(n))
+    lower = ProbeDecomposition(context, base)
+    upper = ProbeDecomposition(context, tuple(b + p for b, p in zip(base, bumps)))
+    ordered = order_leq_via_probes(lower, upper)
+    return float(sum((
+        blockwise != _direct_flag(full, n, dk, flag),
+        blockwise != positive,
+        _reduced_mismatches(decomp, full),
+        _reduced_mismatches(rotating, rotating.assemble()),
+        not ordered,
+        ordered != loewner_leq(lower.assemble(), upper.assemble()),
+    )))
 
 
-def _check_conjugation(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        decomp = _random_decomposition(rng, max_dim)
-        full = decomp.assemble()
-        n, dk = decomp.dim_base, decomp.dim_probe
-        b = random_hermitian(n, rng)
-        d = random_hermitian(dk, rng)
-        closed = conjugate(decomp, b, d)
-        direct = full @ kron(b, d) @ full.conj().T
-        worst = fold_max(worst, max_abs(closed - direct))
-        k = int(rng.integers(0, n))
-        atom_case = conjugate(decomp, decomp.context.atoms[k], np.eye(dk))
-        bk = decomp.probes[k]
-        expected = kron(decomp.context.atoms[k], bk @ bk.conj().T)
-        worst = fold_max(worst, max_abs(atom_case - expected))
-    return worst
+def _check_conjugation(rng, max_dim) -> float:
+    decomp = _random_decomposition(rng, max_dim)
+    full = decomp.assemble()
+    n, dk = decomp.dim_base, decomp.dim_probe
+    b = random_hermitian(n, rng)
+    d = random_hermitian(dk, rng)
+    k = int(rng.integers(0, n))
+    atom, bk = decomp.context.atoms[k], decomp.probes[k]
+    return fold_max(
+        max_abs(conjugate(decomp, b, d) - full @ kron(b, d) @ full.conj().T),
+        max_abs(conjugate(decomp, atom, np.eye(dk)) - kron(atom, bk @ bk.conj().T)),
+    )
 
 
-def _check_channel_round_trip(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        n, dk = _dims(rng, max_dim)
-        context = _random_context(rng, n)
-        nd = random_nd_channel(context, dk, int(rng.integers(1, 4)), rng)
-        for s in nd.induced_kraus:
-            worst = fold_max(worst, commutator_defect(s, context, dk))
-        rebuilt = nd_channel_from_kraus(nd.induced_kraus, context, dk)
-        # A round trip keeps the Kraus order, so the tables agree entrywise.
-        worst = fold_max(worst, max_abs(rebuilt.table - nd.table))
-    return worst
+def _check_channel_round_trip(rng, max_dim) -> float:
+    n, dk = _dims(rng, max_dim)
+    context = _random_context(rng, n)
+    nd = random_nd_channel(context, dk, int(rng.integers(1, 4)), rng)
+    defects = [commutator_defect(s, context, dk) for s in nd.induced_kraus]
+    rebuilt = nd_channel_from_kraus(nd.induced_kraus, context, dk)
+    # A round trip keeps the Kraus order, so the tables agree entrywise.
+    return fold_max(*defects, max_abs(rebuilt.table - nd.table))
 
 
-def _check_channel_partial_traces(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        n, dk = _dims(rng, max_dim)
-        context = _random_context(rng, n)
-        nd = random_nd_channel(context, dk, int(rng.integers(1, 4)), rng)
-        rho = State(random_density(n, rng))
-        eta = State(random_density(dk, rng))
-        closed = apply_product(nd, rho, eta)
-        direct = nd.as_operation().apply_matrix(kron(rho.matrix, eta.matrix))
-        worst = fold_max(worst, max_abs(closed - direct))
-        worst = fold_max(worst, abs(float(np.trace(closed).real) - 1.0))
-        worst = fold_max(worst, -float(np.linalg.eigvalsh(
-            (closed + closed.conj().T) / 2)[0]))
-        reduced = reduced_product_outputs(nd, rho, eta)
-        worst = fold_max(worst, max_abs(reduced.base - partial_trace(direct, n, dk, "right")))
-        worst = fold_max(worst, max_abs(reduced.probe - partial_trace(direct, n, dk, "left")))
-        weights = _context_weights(context.basis, rho.matrix)
-        worst = fold_max(worst, -float(weights.min()))
-        worst = fold_max(worst, abs(float(weights.sum()) - 1.0))
-        # sum_i w_i G_i(eta), with G_i(eta) = sum_k B_i^k eta B_i^k*
-        mixture = np.einsum("i,ikab,bc,ikdc->ad", weights, nd.table, eta.matrix, nd.table.conj())
-        worst = fold_max(worst, max_abs(reduced.probe - mixture))
-    return worst
+def _check_channel_partial_traces(rng, max_dim) -> float:
+    n, dk = _dims(rng, max_dim)
+    context = _random_context(rng, n)
+    nd = random_nd_channel(context, dk, int(rng.integers(1, 4)), rng)
+    rho = State(random_density(n, rng))
+    eta = State(random_density(dk, rng))
+    closed = apply_product(nd, rho, eta)
+    direct = nd.as_operation().apply_matrix(kron(rho.matrix, eta.matrix))
+    reduced = reduced_product_outputs(nd, rho, eta)
+    weights = _context_weights(context.basis, rho.matrix)
+    # sum_i w_i G_i(eta), with G_i(eta) = sum_k B_i^k eta B_i^k*
+    mixture = np.einsum("i,ikab,bc,ikdc->ad", weights, nd.table, eta.matrix, nd.table.conj())
+    return fold_max(
+        max_abs(closed - direct),
+        abs(float(np.trace(closed).real) - 1.0),
+        -float(np.linalg.eigvalsh((closed + closed.conj().T) / 2)[0]),
+        max_abs(reduced.base - partial_trace(direct, n, dk, "right")),
+        max_abs(reduced.probe - partial_trace(direct, n, dk, "left")),
+        -float(weights.min()),
+        abs(float(weights.sum()) - 1.0),
+        max_abs(reduced.probe - mixture),
+    )
 
 
-def _check_measured_instrument(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        n, dk = _dims(rng, max_dim)
-        mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
-                          rng, context=_random_context(rng, n))
-        rho = State(random_density(n, rng))
-        worst = fold_max(worst, *evaluate(mm, (rho,), ("instrument", "observable"))[1].values())
-    return worst
+def _check_measured_instrument(rng, max_dim) -> float:
+    n, dk = _dims(rng, max_dim)
+    mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
+                      rng, context=_random_context(rng, n))
+    rho = State(random_density(n, rng))
+    return fold_max(*evaluate(mm, (rho,), ("instrument", "observable"))[1].values())
 
 
-def _check_post_probe(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        n, dk = _dims(rng, max_dim)
-        mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
-                          rng, context=_random_context(rng, n))
-        rho = State(random_density(n, rng))
-        sigma = State(random_density(dk, rng))
-        worst = fold_max(worst, *evaluate(mm, (rho,), ("post_probe",), sigma)[1].values())
-    return worst
+def _check_post_probe(rng, max_dim) -> float:
+    n, dk = _dims(rng, max_dim)
+    mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
+                      rng, context=_random_context(rng, n))
+    rho = State(random_density(n, rng))
+    sigma = State(random_density(dk, rng))
+    return fold_max(*evaluate(mm, (rho,), ("post_probe",), sigma)[1].values())
 
 
 def _context_weights(basis: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -367,142 +350,112 @@ def _unitary_model(rng, n: int, dk: int, context: Context) -> tuple[MeasurementM
     return MeasurementModel(n, dk, eta, nd, meter), unitaries
 
 
-def _check_unitary_specialization(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        n, dk = _dims(rng, max_dim)
-        context = _random_context(rng, n)
-        mm, unitaries = _unitary_model(rng, n, dk, context)
-        rho = State(random_density(n, rng))
-        sigma = State(random_density(dk, rng))
-        effects = mm.meter.effects
-        basis = context.basis
-        overlaps = basis.conj().T @ rho.matrix @ basis
-        weights = np.real(np.diagonal(overlaps))
-        coeff = _pair_traces(unitaries, mm.probe_state.matrix, effects)
-        explicit = basis @ (coeff * overlaps) @ basis.conj().T
-        worst = fold_max(worst, max_abs(explicit - measured_instrument_nd(mm, rho)))
-        diag = np.real(np.diagonal(coeff, axis1=1, axis2=2))
-        explicit_effect = (basis * diag[:, None, :]) @ basis.conj().T
-        worst = fold_max(worst, max_abs(explicit_effect - measured_observable_nd(mm)))
-        # sum_i w_i F_x^(1/2) U_i sigma U_i* F_x^(1/2)
-        roots = psd_sqrt(effects)
-        mixed = np.tensordot(weights, unitaries @ sigma.matrix @ _adjoint(unitaries), axes=1)
-        worst = fold_max(worst, max_abs(
-            roots @ mixed @ roots - post_probe_instrument_nd(mm, rho, sigma)
-        ))
-        # sum_i w_i U_i* F_x U_i
-        pulled = np.tensordot(weights, _adjoint(unitaries) @ effects[:, None] @ unitaries,
-                              axes=(0, 1))
-        worst = fold_max(worst, max_abs(pulled - post_probe_observable(mm, rho)))
-        collapsed = MeasurementModel(
-            n, dk, State(np.eye(dk, dtype=complex) / dk), mm.channel, mm.meter
-        )
-        scale = np.real(np.trace(effects, axis1=1, axis2=2)) / dk
-        worst = fold_max(worst, max_abs(
-            measured_observable_nd(collapsed) - scale[:, None, None] * np.eye(n)
-        ))
-    return worst
+def _check_unitary_specialization(rng, max_dim) -> float:
+    n, dk = _dims(rng, max_dim)
+    context = _random_context(rng, n)
+    mm, unitaries = _unitary_model(rng, n, dk, context)
+    rho = State(random_density(n, rng))
+    sigma = State(random_density(dk, rng))
+    effects = mm.meter.effects
+    basis = context.basis
+    overlaps = basis.conj().T @ rho.matrix @ basis
+    weights = np.real(np.diagonal(overlaps))
+    coeff = _pair_traces(unitaries, mm.probe_state.matrix, effects)
+    explicit = basis @ (coeff * overlaps) @ basis.conj().T
+    diag = np.real(np.diagonal(coeff, axis1=1, axis2=2))
+    explicit_effect = (basis * diag[:, None, :]) @ basis.conj().T
+    # sum_i w_i F_x^(1/2) U_i sigma U_i* F_x^(1/2)
+    roots = psd_sqrt(effects)
+    mixed = np.tensordot(weights, unitaries @ sigma.matrix @ _adjoint(unitaries), axes=1)
+    # sum_i w_i U_i* F_x U_i
+    pulled = np.tensordot(weights, _adjoint(unitaries) @ effects[:, None] @ unitaries,
+                          axes=(0, 1))
+    collapsed = MeasurementModel(
+        n, dk, State(np.eye(dk, dtype=complex) / dk), mm.channel, mm.meter
+    )
+    scale = np.real(np.trace(effects, axis1=1, axis2=2)) / dk
+    return fold_max(
+        max_abs(explicit - measured_instrument_nd(mm, rho)),
+        max_abs(explicit_effect - measured_observable_nd(mm)),
+        max_abs(roots @ mixed @ roots - post_probe_instrument_nd(mm, rho, sigma)),
+        max_abs(pulled - post_probe_observable(mm, rho)),
+        max_abs(measured_observable_nd(collapsed) - scale[:, None, None] * np.eye(n)),
+    )
 
 
-def _check_remeasurement(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        n, dk = _dims(rng, max_dim)
-        context = _random_context(rng, n)
-        mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
-                          rng, context=context)
-        rho = State(random_density(n, rng))
-        worst = fold_max(worst, *evaluate(mm, (rho,), ("remeasure",))[1].values())
-        unitary_mm, unitaries = _unitary_model(rng, n, dk, context)
-        basis = context.basis
-        weights = _context_weights(basis, rho.matrix)
-        # sum_j tr(W_ij eta W_ij* F_x) with W_ij = U_i U_j
-        twice = unitaries[:, None] @ unitaries[None]
-        sandwiches = twice @ unitary_mm.probe_state.matrix @ _adjoint(twice)
-        diag = np.real(np.einsum("ijab,xba->xi", sandwiches, unitary_mm.meter.effects))
-        explicit = (basis * (diag * weights)[:, None, :]) @ basis.conj().T
-        worst = fold_max(worst, max_abs(explicit - remeasured_effect(unitary_mm, rho)))
-    return worst
+def _check_remeasurement(rng, max_dim) -> float:
+    n, dk = _dims(rng, max_dim)
+    context = _random_context(rng, n)
+    mm = random_model(n, dk, int(rng.integers(2, 4)), int(rng.integers(1, 4)),
+                      rng, context=context)
+    rho = State(random_density(n, rng))
+    checked = evaluate(mm, (rho,), ("remeasure",))[1].values()
+    unitary_mm, unitaries = _unitary_model(rng, n, dk, context)
+    basis = context.basis
+    weights = _context_weights(basis, rho.matrix)
+    # sum_j tr(W_ij eta W_ij* F_x) with W_ij = U_i U_j
+    twice = unitaries[:, None] @ unitaries[None]
+    sandwiches = twice @ unitary_mm.probe_state.matrix @ _adjoint(twice)
+    diag = np.real(np.einsum("ijab,xba->xi", sandwiches, unitary_mm.meter.effects))
+    explicit = (basis * (diag * weights)[:, None, :]) @ basis.conj().T
+    return fold_max(*checked, max_abs(explicit - remeasured_effect(unitary_mm, rho)))
 
 
-def _check_algebra_closure(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        n, dk = _dims(rng, max_dim)
-        context = _random_context(rng, n)
-        first = ProbeDecomposition(
-            context, tuple(random_hermitian(dk, rng) for _ in range(n))
-        )
-        second = ProbeDecomposition(
-            context, tuple(random_hermitian(dk, rng) for _ in range(n))
-        )
-        a, d = first.assemble(), second.assemble()
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        for candidate in (a @ d, a.conj().T, coeff * a + d):
-            worst = fold_max(worst, commutator_defect(candidate, context, dk))
-        product = extract_probes(a @ d, context, dk)
-        worst = fold_max(worst, max_abs(product.probes - first.probes @ second.probes))
-    return worst
+def _check_algebra_closure(rng, max_dim) -> float:
+    n, dk = _dims(rng, max_dim)
+    context = _random_context(rng, n)
+    first = ProbeDecomposition(context, tuple(random_hermitian(dk, rng) for _ in range(n)))
+    second = ProbeDecomposition(context, tuple(random_hermitian(dk, rng) for _ in range(n)))
+    a, d = first.assemble(), second.assemble()
+    coeff = complex(rng.standard_normal(), rng.standard_normal())
+    defects = [commutator_defect(c, context, dk) for c in (a @ d, a.conj().T, coeff * a + d)]
+    product = extract_probes(a @ d, context, dk)
+    return fold_max(*defects, max_abs(product.probes - first.probes @ second.probes))
 
 
-def _check_swap_family(rng, trials, max_dim) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, max_dim + 1))
-        meter = Observable.from_matrices(random_povm(n, int(rng.integers(2, 4)), rng))
-        mm = catalog.swap_model(n, meter)
-        nd = mm.nd
-        worst = fold_max(worst, *(
-            commutator_defect(s, nd.context, n) for s in nd.induced_kraus
-        ))
-        recovered = extract_probes(nd.induced_kraus[0], nd.context, n)
-        for v, b in zip(catalog.swap_unitaries(n), recovered.probes):
-            worst = fold_max(worst, max_abs(v - b))
-        rho = State(random_density(n, rng))
-        worst = fold_max(worst, max_abs(
-            catalog.swap_product_output(rho)
-            - apply_product(nd, rho, mm.probe_state)
-        ))
-        effects = mm.meter.effects
-        direct = measured_instrument_direct(mm, rho)
-        worst = fold_max(
-            worst,
-            max_abs(catalog.swap_instrument_output(rho, effects) - direct),
-            max_abs(catalog.swap_observable_effect(effects) - measured_observable_nd(mm)),
-        )
-    return worst
+def _check_swap_family(rng, max_dim) -> float:
+    n = int(rng.integers(2, max_dim + 1))
+    meter = Observable.from_matrices(random_povm(n, int(rng.integers(2, 4)), rng))
+    mm = catalog.swap_model(n, meter)
+    nd = mm.nd
+    defects = [commutator_defect(s, nd.context, n) for s in nd.induced_kraus]
+    recovered = extract_probes(nd.induced_kraus[0], nd.context, n)
+    rho = State(random_density(n, rng))
+    effects = mm.meter.effects
+    return fold_max(
+        *defects,
+        max_abs(np.array(catalog.swap_unitaries(n)) - recovered.probes),
+        max_abs(catalog.swap_product_output(rho) - apply_product(nd, rho, mm.probe_state)),
+        max_abs(catalog.swap_instrument_output(rho, effects)
+                - measured_instrument_direct(mm, rho)),
+        max_abs(catalog.swap_observable_effect(effects) - measured_observable_nd(mm)),
+    )
 
 
-def _check_fourier_family(rng, trials, max_dim) -> float:
-    worst = 0.0
+def _check_fourier_family(rng, max_dim) -> float:
     pairs = ((2, 3), (2, 5), (3, 5), (4, 5))
-    for _ in range(trials):
-        n, m = pairs[int(rng.integers(0, len(pairs)))]
-        meter = Observable.from_matrices(random_povm(m, int(rng.integers(2, 4)), rng))
-        mm = catalog.fourier_model(n, m, meter)
-        nd = mm.nd
-        unitaries = np.array(catalog.fourier_unitaries(n, m))
-        recovered = extract_probes(nd.induced_kraus[0], nd.context, m)
-        worst = fold_max(worst, max_abs(unitaries - recovered.probes))
-        rho = State(random_density(n, rng))
-        effects = mm.meter.effects
-        direct = _pair_traces(unitaries, mm.probe_state.matrix, effects)
-        worst = fold_max(
-            worst,
-            max_abs(catalog.fourier_pair_traces(n, m, effects) - direct),
-            max_abs(catalog.fourier_observable_effect(n, m, effects) - measured_observable_nd(mm)),
-            max_abs(measured_instrument_nd(mm, rho) - measured_instrument_direct(mm, rho)),
-        )
-        diagonal = catalog.fourier_model(n, m)
-        average = np.real(np.trace(diagonal.meter.effects, axis1=1, axis2=2)) / m
-        worst = fold_max(worst, max_abs(
-            measured_observable_nd(diagonal) - average[:, None, None] * np.eye(n)
-        ))
-    return worst
+    n, m = pairs[int(rng.integers(0, len(pairs)))]
+    meter = Observable.from_matrices(random_povm(m, int(rng.integers(2, 4)), rng))
+    mm = catalog.fourier_model(n, m, meter)
+    nd = mm.nd
+    unitaries = np.array(catalog.fourier_unitaries(n, m))
+    recovered = extract_probes(nd.induced_kraus[0], nd.context, m)
+    rho = State(random_density(n, rng))
+    effects = mm.meter.effects
+    diagonal = catalog.fourier_model(n, m)
+    average = np.real(np.trace(diagonal.meter.effects, axis1=1, axis2=2)) / m
+    return fold_max(
+        max_abs(unitaries - recovered.probes),
+        max_abs(catalog.fourier_pair_traces(n, m, effects)
+                - _pair_traces(unitaries, mm.probe_state.matrix, effects)),
+        max_abs(catalog.fourier_observable_effect(n, m, effects) - measured_observable_nd(mm)),
+        max_abs(measured_instrument_nd(mm, rho) - measured_instrument_direct(mm, rho)),
+        max_abs(measured_observable_nd(diagonal) - average[:, None, None] * np.eye(n)),
+    )
 
 
-_FAMILIES: dict[str, Callable] = {
+# Each check draws one instance from ``rng`` and returns its worst residual.
+_FAMILIES: dict[str, Callable[[np.random.Generator, int], float]] = {
     "algebra-closure": _check_algebra_closure,
     "channel-partial-traces": _check_channel_partial_traces,
     "channel-round-trip": _check_channel_round_trip,
@@ -521,10 +474,22 @@ _FAMILIES: dict[str, Callable] = {
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 
-def _run_family(job: tuple[int, str, int, int]) -> float:
-    """Worst residual of one family; ``job`` is ``(seed, name, trials, max_dim)``."""
+def _run_family(job: tuple[int, str, int, int]) -> FamilyResult:
+    """Run one family; ``job`` is ``(seed, name, trials, max_dim)``.
+
+    The only loop over trials.  An instance that raises ends its family,
+    whose result then names the trial (counted from 0) and the exception.
+    """
     seed, name, trials, max_dim = job
-    return float(_FAMILIES[name](_family_rng(seed, name), trials, max_dim))
+    check, rng = _FAMILIES[name], _family_rng(seed, name)
+    worst = 0.0
+    for trial in range(trials):
+        try:
+            worst = fold_max(worst, float(check(rng, max_dim)))
+        except Exception as exc:
+            error = f"trial {trial} raised {type(exc).__name__}: {exc}"
+            return FamilyResult(name, trials, math.nan, error)
+    return FamilyResult(name, trials, worst)
 
 
 def _worker_count() -> int:
@@ -549,8 +514,9 @@ def run_verification(
     """Run every family and return results in fixed (name) order.
 
     With more than one worker the families are handed out one at a time
-    to a ``fork`` pool that is joined before this returns or raises; a
-    family's exception is re-raised here.
+    to a ``fork`` pool that is joined before this returns.  A family
+    whose instance raised fails with the error in its result, and the
+    other families still run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -559,7 +525,7 @@ def run_verification(
     jobs = [(seed, name, trials, max_dim) for name in FAMILY_NAMES]
     workers = _worker_count()
     if workers == 1:
-        residuals = list(map(_run_family, jobs))
+        results = list(map(_run_family, jobs))
     else:
         import multiprocessing
 
@@ -567,10 +533,9 @@ def run_verification(
         # loses any run-time patch of the families, such as the mutants'.
         # Leaving the block terminates and joins the workers, also on error.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            residuals = pool.map(_run_family, jobs, chunksize=1)
+            results = pool.map(_run_family, jobs, chunksize=1)
             pool.close()
             pool.join()
-    results = [FamilyResult(name, trials, r) for name, r in zip(FAMILY_NAMES, residuals)]
     return results, all(r.passed(tol) for r in results)
 
 
@@ -586,6 +551,8 @@ def format_summary(
             f"{r.name.ljust(width)}  trials={r.trials} "
             f"max-residual={r.max_residual!r} {status}"
         )
+        if r.error is not None:
+            lines.append(f"  {r.error}")
     good = sum(r.passed(tol) for r in results)
     overall = "pass" if good == len(results) else "FAIL"
     lines.append(f"overall {overall} ({good}/{len(results)} families)")

@@ -107,6 +107,8 @@ def test_mutant_fails_the_battery_without_raising(monkeypatch, owner, name, old,
     _install(monkeypatch, owner, name, old, new, modules)
     results, ok = run_verification(42, TRIALS, 4, 1e-9)
     assert not ok
+    # A raising instance also fails the battery; a mutant must not raise.
+    assert all(r.error is None for r in results)
 
 
 # The post-probe oracle takes its own square root and Hermitian part, so a

@@ -1,6 +1,7 @@
-"""The verification battery: NaN residuals fail their family, the battery
-runs at larger dimensions, its fixed classification instance has a
-unitary probe trace, and the worker pool gives the in-process results."""
+"""The verification battery: NaN residuals fail their family, a raising
+instance fails only its own family, the battery runs at larger
+dimensions, its fixed classification instance has a unitary probe
+trace, and the worker pool gives the in-process results."""
 
 import multiprocessing
 import os
@@ -51,6 +52,7 @@ def test_nan_closed_form_fails_its_family(monkeypatch, name, module, failing):
     assert not ok
     assert {r.name for r in results if not r.passed(1e-9)} == failing
     assert all(np.isnan(r.max_residual) for r in results if r.name in failing)
+    assert all(r.error is None for r in results)
 
 
 def test_battery_passes_at_max_dim_eight():
@@ -82,19 +84,41 @@ def test_pool_and_in_process_runs_give_equal_results(monkeypatch, seed, trials):
     assert run_verification(seed=seed, trials=trials, max_dim=4, tol=1e-9) == pooled
 
 
-def _boom(rng, trials, max_dim):
-    raise ValueError("boom")
+def _boom_on_trial_1():
+    """A check that passes trial 0 and raises on trial 1."""
+    calls = []
+
+    def check(rng, max_dim):
+        calls.append(max_dim)
+        if len(calls) == 2:
+            raise ValueError("boom")
+        return 0.0
+    return check
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_raising_family_raises_in_the_caller(monkeypatch, capsys, workers):
+def test_a_raising_instance_fails_its_family_only(monkeypatch, capsys, workers):
+    clean, _ = run_verification(seed=42, trials=2, max_dim=4, tol=1e-9)
     _force_workers(monkeypatch, workers)
-    monkeypatch.setitem(nondisturbing.verify._FAMILIES, "post-probe", _boom)
-    with pytest.raises(ValueError, match="^boom$"):
-        run_verification(seed=42, trials=2, max_dim=3, tol=1e-9)
+    monkeypatch.setitem(nondisturbing.verify._FAMILIES, "post-probe", _boom_on_trial_1())
+    results, ok = run_verification(seed=42, trials=2, max_dim=4, tol=1e-9)
     assert multiprocessing.active_children() == []
-    assert cli.main(["verify", "--trials", "2"]) == cli.EXIT_VALIDATION
-    assert capsys.readouterr().err == "validation error: boom\n"
+    assert not ok
+    raised = next(r for r in results if r.name == "post-probe")
+    assert raised.error == "trial 1 raised ValueError: boom"
+    assert np.isnan(raised.max_residual) and not raised.passed(1e-9)
+    assert [r for r in results if r is not raised] == [r for r in clean if r.name != "post-probe"]
+
+    monkeypatch.setitem(nondisturbing.verify._FAMILIES, "post-probe", _boom_on_trial_1())
+    assert cli.main(["verify", "--trials", "2"]) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == len(FAMILY_NAMES) + 3
+    at = next(k for k, line in enumerate(lines) if line.startswith("post-probe "))
+    assert lines[at].endswith("max-residual=nan FAIL")
+    assert lines[at + 1] == "  trial 1 raised ValueError: boom"
+    assert lines[-1] == f"overall FAIL ({len(FAMILY_NAMES) - 1}/{len(FAMILY_NAMES)} families)"
     assert multiprocessing.active_children() == []
 
 
