@@ -10,6 +10,7 @@ conjugation of product operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_ATOL,
+    _UNIT_ROUNDOFF,
     _dot_rounding,
     as_complex_stack,
     fold_max,
@@ -43,6 +45,8 @@ __all__ = [
     "order_leq_via_probes",
     "conjugate",
 ]
+
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,15 +166,32 @@ class _Certificate(NamedTuple):
     residual: float
 
 
+def _residuals(basis, squared, rows, cols, left, blocks):
+    """Yield ``X_i`` for every atom, then ``Y_i``, each in one scratch buffer.
+
+    ``X_i`` ([i, a, p, q]) and ``Y_i`` ([i, p, b, q]) are those of
+    :func:`_commutator_bound`, formed entrywise with ``squared = |v_i|^2``.
+    ``Y_i`` overwrites ``X_i``, so a caller reduces each before asking for
+    the next; ``R_i`` and ``C_i`` are left untouched.
+    """
+    term = np.empty_like(cols)
+    np.multiply(basis.T[:, :, None, None], (left / squared)[:, None], out=term)
+    yield np.subtract(cols, term, out=term)
+    term = term.reshape(rows.shape)
+    np.multiply((blocks / squared)[:, :, None, :], basis.conj().T[:, None, :, None], out=term)
+    yield np.subtract(rows, term, out=term)
+
+
 def _commutator_bound(
     arr: np.ndarray, context: Context, dim_probe: int
-) -> tuple[float, np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[float, np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """An upper bound on :func:`commutator_defect`, the probe blocks, and more.
 
-    Returns ``(bound, blocks, residual, (R, C))``: ``blocks[i] = W_i* A W_i``,
-    shape (n, dk, dk), ``residual >= ||A - sum_i P_i (x) blocks[i]||_F``, and
-    the contractions as :func:`_atom_rows` and :func:`_atom_cols` made them,
-    for the exact scan.  With ``C_i = A W_i``, ``R_i = W_i* A``, ``B_i = W_i* C_i``,
+    Returns ``(bound, blocks, residual, (R, C, B))``: ``blocks[i] = W_i* A W_i``,
+    shape (n, dk, dk), ``residual >= ||A - sum_i P_i (x) blocks[i]||_F``, the
+    contractions as :func:`_atom_rows` and :func:`_atom_cols` made them, and
+    the column-side blocks ``B_i``, for the exact scan and its pair bounds.
+    With ``C_i = A W_i``, ``R_i = W_i* A``, ``B_i = W_i* C_i``,
     ``B'_i = R_i W_i``, ``X_i = C_i - W_i B_i / |v_i|^2`` and
     ``Y_i = R_i - B'_i W_i* / |v_i|^2``, for any nonzero ``v_i``
 
@@ -181,7 +202,8 @@ def _commutator_bound(
     a :class:`Context` accepts.  ``X_i`` and ``Y_i`` are formed entrywise,
     in one scratch buffer that leaves ``R_i`` and ``C_i`` untouched, so no
     term cancels; beyond the two base-index contractions the bound costs
-    ``O((n dk)^2)``.  The blocks are ``B'_i``.
+    ``O((n dk)^2)``, and beside ``A`` it holds three ``(n dk)^2`` buffers
+    at its peak: ``R``, ``C`` and the scratch.  The blocks are ``B'_i``.
 
     The same norms bound how far ``A`` lies from the operator assembled
     from its blocks.  With ``W = V (x) I``, ``eps >= ||V* V - I||_2`` (the
@@ -205,13 +227,9 @@ def _commutator_bound(
     left = left.reshape(blocks.shape)                          # B_i
     lengths = np.linalg.norm(basis, axis=0)                    # |v_i|
     squared = lengths[:, None, None] ** 2
-    term = np.empty_like(cols)                                 # one scratch buffer
-    np.multiply(basis.T[:, :, None, None], (left / squared)[:, None], out=term)
-    x = _frobenius(np.subtract(cols, term, out=term))          # ||X_i||_F
-    term = term.reshape(rows.shape)
-    np.multiply((blocks / squared)[:, :, None, :], basis.conj().T[:, None, :, None], out=term)
-    y = _frobenius(np.subtract(rows, term, out=term))          # ||Y_i||_F
-    del term
+    residuals = _residuals(basis, squared, rows, cols, left, blocks)
+    x = _frobenius(next(residuals))                            # ||X_i||_F
+    y = _frobenius(next(residuals))                            # ||Y_i||_F
     gap = _frobenius(left - blocks)                            # ||B_i - B'_i||_F
     bound = lengths * (x + y) + gap
     eps = context._orthonormality_bound
@@ -223,31 +241,114 @@ def _commutator_bound(
     ) * (1 + _dot_rounding(2 * n * dim_probe**2)) + (
         16 * _dot_rounding(2 * n + 6) * np.sqrt(n) * size
     )
-    return float(bound.max()), blocks, float(residual), (rows, cols)
+    return float(bound.max()), blocks, float(residual), (rows, cols, left)
+
+
+def _pair_bounds(context: Context, rows, cols, left, blocks) -> np.ndarray:
+    """Per-probe-pair bounds on the entries that :func:`_exact_defect` computes.
+
+    ``bounds[i, p, q]`` is at least the computed modulus of every entry
+    ``(a p, b q)`` of ``[A, P_i (x) I]``, ``a, b`` running over the base.
+    Read entry by entry, the split of :func:`_commutator_bound` gives, with
+    ``m_i = max_a |v_i[a]|``,
+
+        |[A, P_i (x) I]|_(ap, bq) <= m_i (max_a |X_i[a, p, q]| + max_b |Y_i[p, b, q]|
+                                          + m_i |B_i - B'_i|[p, q] / |v_i|^2),
+
+    for the computed ``R_i``, ``C_i``, ``B_i``, ``B'_i`` and ``|v_i|^2``
+    taken as exact data: the identity holds for any blocks and any nonzero
+    length.  The rounding of ``X_i``, ``Y_i``, of the scanned entry and of
+    this bound is covered by a relative ``64 u`` and ``8 u (|B_i| +
+    |B'_i|)[p, q]`` added to ``|B_i - B'_i|[p, q]``, with ``u`` the unit
+    roundoff; the smallest normal float covers underflow.  ``X_i`` and
+    ``Y_i`` come from :func:`_residuals`, so beyond ``R`` and ``C`` this
+    holds one ``(n dk)^2`` scratch buffer and its moduli.
+    """
+    basis = context.basis
+    squared = np.linalg.norm(basis, axis=0)[:, None, None] ** 2
+    largest = np.abs(basis).max(axis=0)[:, None, None]         # m_i
+    residuals = _residuals(basis, squared, rows, cols, left, blocks)
+    x = np.abs(next(residuals)).max(axis=1)                    # max_a |X_i[a, p, q]|
+    y = np.abs(next(residuals)).max(axis=2)                    # max_b |Y_i[p, b, q]|
+    gap = (np.abs(left - blocks) + 8 * _UNIT_ROUNDOFF * (np.abs(left) + np.abs(blocks))) / squared
+    return (1 + 64 * _UNIT_ROUNDOFF) * largest * (x + y + largest * gap) + _TINY
+
+
+def _largest_entry(shape, c, vbar, v, r, scratch: np.ndarray) -> float:
+    """Largest computed modulus of ``c * vbar - v * r``, broadcast to ``shape``.
+
+    The caller lays out one atom's ``C_i``, ``conj(v_i)``, ``v_i`` and
+    ``R_i`` so that the entries are those of ``[A, P_i (x) I]`` on the
+    probe pairs it visits.  They are formed in ``scratch[0]``, the products
+    ``v * r`` in ``scratch[1]``, whose spent memory then takes the moduli.
+    """
+    size = math.prod(shape)
+    entries, products = scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
+    np.multiply(c, vbar, out=entries)
+    np.subtract(entries, np.multiply(v, r, out=products), out=entries)
+    return float(np.abs(entries, out=scratch[1].view(float)[:size].reshape(shape)).max())
 
 
 def _exact_defect(
-    arr: np.ndarray, context: Context, dim_probe: int, contractions: tuple | None = None
+    arr: np.ndarray,
+    context: Context,
+    dim_probe: int,
+    contractions: tuple | None = None,
+    bounds: np.ndarray | None = None,
 ) -> float:
     """The entry-by-entry scan behind :func:`commutator_defect`.
 
     ``contractions`` are ``(R_i, C_i)`` of ``arr`` as :func:`_atom_rows`
     and :func:`_atom_cols` make them; they are made here when omitted.
-    Each ``[A, P_i (x) I] = C_i W_i* - W_i R_i`` is formed in one reused
-    ``(n dk) x (n dk)`` buffer.
+    Entry ``(a p, b q)`` of ``[A, P_i (x) I] = C_i W_i* - W_i R_i`` is
+    ``C_i[a, p, q] conj(v_i[b]) - v_i[a] R_i[p, b, q]``: one multiply each
+    side, one subtraction and one modulus.  The scan visits one atom at a
+    time and forms its entries on the probe pairs ``(p, q)`` it visits
+    with :func:`_largest_entry`, in two reused buffers of ``(n dk)^2``
+    entries; with ``R`` and ``C`` that is four ``(n dk)^2`` buffers at its
+    peak, of which a pruned scan touches only the visited pairs.
+
+    Without ``bounds`` every pair of every atom is visited, read straight
+    from ``R`` and ``C`` with no gather.  With the per-pair ``bounds`` of
+    :func:`_pair_bounds`, the running maximum starts at the pairs of the
+    largest bound, the atoms are visited in decreasing order of their
+    largest bound, and only the pairs whose bound is not below the running
+    maximum are gathered and formed.  A skipped pair's computed entries
+    lie below a maximum already reached, so the result is the same float
+    as the full scan's.
     """
     n, dk = context.dim, dim_probe
     if contractions is None:
         contractions = _atom_rows(arr, context, dk), _atom_cols(arr, context, dk)
     rows, cols = contractions                                  # [i, p, b, q], [i, a, p, q]
-    basis = context.basis
-    comm = np.empty((n, dk, n, dk), dtype=complex)
-    worst = 0.0
-    for i in range(n):
+    basis, vbar = context.basis, context.basis.conj()
+    scratch = np.empty((2, n * n * dk * dk), dtype=complex)
+
+    def visit(i: int, keep: np.ndarray | None = None) -> float:
         v = basis[:, i]
-        np.multiply(cols[i][:, :, None, :], v.conj()[:, None], out=comm)
-        comm -= v[:, None, None, None] * rows[i]
-        worst = fold_max(worst, max_abs(comm))
+        if keep is None or keep.all():                         # [a, p, b, q]
+            return _largest_entry(
+                (n, dk, n, dk), cols[i][:, :, None, :], vbar[:, i, None],
+                v[:, None, None, None], rows[i], scratch,
+            )
+        p, q = np.nonzero(keep)                                # [a, b, k], k = (p, q)
+        return _largest_entry(
+            (n, n, len(p)), cols[i][:, p, q][:, None, :], vbar[:, i, None],
+            v[:, None, None], rows[i][p, :, q].T, scratch,
+        )
+
+    # One atom's single pair would be a one-entry block, which NumPy multiplies
+    # without the fused multiply-add of its vector loops: scan one atom whole.
+    if bounds is None or n == 1:
+        worst, order, bounds = 0.0, range(n), None
+    else:
+        top = bounds.max(axis=(1, 2))
+        order = np.argsort(-top, kind="stable")
+        worst = visit(order[0], ~(bounds[order[0]] < top[order[0]]))
+    for i in order:
+        keep = None if bounds is None else ~(bounds[i] < worst)
+        if keep is None or keep.any():
+            worst = fold_max(worst, visit(i, keep))
     return worst
 
 
@@ -255,16 +356,19 @@ def _certify(a, context: Context, dim_probe: int, atol: float) -> _Certificate:
     """Decide the commutator test for ``a``; return ``(defect, blocks, residual)``.
 
     ``defect <= atol`` decides the test.  The bound of
-    :func:`_commutator_bound` is returned when it is within ``atol``;
-    otherwise the exact scan runs on the bound's own contractions, after
-    its scratch buffer is freed, so a defect above ``atol`` is always the
-    exact max-entry norm of :func:`commutator_defect`.  ``residual``
-    bounds ``||a - sum_i P_i (x) blocks[i]||_F``.
+    :func:`_commutator_bound` is returned when it is within ``atol``, and
+    nothing more is formed.  Otherwise the bound's own contractions give
+    the per-pair bounds of :func:`_pair_bounds`, and the exact scan runs
+    on them, computing only the pairs that can hold the maximum; so a
+    defect above ``atol`` is always the exact max-entry norm of
+    :func:`commutator_defect`, bit for bit.  ``residual`` bounds
+    ``||a - sum_i P_i (x) blocks[i]||_F``.
     """
     arr = _check_composite(a, context, dim_probe)
-    bound, blocks, residual, contractions = _commutator_bound(arr, context, dim_probe)
+    bound, blocks, residual, (rows, cols, left) = _commutator_bound(arr, context, dim_probe)
     if bound > atol:
-        bound = _exact_defect(arr, context, dim_probe, contractions)
+        bounds = _pair_bounds(context, rows, cols, left, blocks)
+        bound = _exact_defect(arr, context, dim_probe, (rows, cols), bounds)
     return _Certificate(bound, blocks, residual)
 
 
@@ -275,11 +379,12 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
     factors as ``W_i W_i*`` with the rank-``dk`` isometry ``W_i = v_i (x) I``,
     so ``[A, P_i (x) I] = (A W_i) W_i* - W_i (W_i* A)``.  All ``A W_i`` and
     ``W_i* A`` come from two base-index contractions, ``O(n^3 dk^2)`` each;
-    the commutators are then formed one atom at a time in one reused
-    ``(n dk) x (n dk)`` buffer.  :func:`extract_probes`,
+    the scan of :func:`_exact_defect` then forms every entry of every
+    commutator, one atom at a time in reused buffers.  :func:`extract_probes`,
     :func:`is_c_nondisturbing` and ``nd_channel_from_kraus`` decide with a
-    cheaper bound first and scan, on the bound's contractions, only when
-    the bound exceeds the tolerance.
+    cheaper bound first; only when it exceeds the tolerance do they scan,
+    on the bound's contractions and pruned by per-probe-pair bounds, to
+    the same float this function returns.
     """
     return _exact_defect(_check_composite(a, context, dim_probe), context, dim_probe)
 

@@ -344,6 +344,16 @@ def test_stack_predicate_answers_each_member_like_the_loop(predicate, loop):
     assert predicate(stack).any() and not predicate(stack).all()
 
 
+@pytest.mark.parametrize("predicate", [p for p, _ in PREDICATE_LOOPS], ids=lambda f: f.__name__)
+def test_one_matrix_gets_its_stack_answer_as_a_bool(predicate):
+    stack = _predicate_stack()                      # the NaN member included
+    for atol in (1e-9, 1e-6):
+        answer = predicate(stack, atol)
+        for index in np.ndindex(answer.shape):
+            one = predicate(stack[index], atol)
+            assert type(one) is bool and one == answer[index]
+
+
 def test_loewner_leq_of_stacks_answers_each_pair_like_the_loop():
     stack = _predicate_stack()[:3]                  # no NaN member
     lower = (stack + np.swapaxes(stack.conj(), -1, -2)) / 2

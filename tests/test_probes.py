@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,12 +22,15 @@ from nondisturbing.linalg import (
     random_projection,
     random_unitary,
 )
-from nondisturbing.channels import nd_channel_from_kraus
+from nondisturbing.channels import nd_channel_from_kraus, random_nd_channel
 from nondisturbing.objects import Context
 from nondisturbing.probes import (
     ProbeDecomposition,
+    _atom_cols,
+    _atom_rows,
     _certify,
     _commutator_bound,
+    _pair_bounds,
     classify,
     closed_form_partial_traces,
     commutator_defect,
@@ -380,6 +384,154 @@ def test_bound_first_decisions_match_the_exact_defect(size, context_kind):
     if not accepted:
         for message in messages:
             assert f"largest commutator norm {defect:.3e} >" in message
+
+
+# ---------------------------------------------------------------------------
+# The exact scan, pruned by per-probe-pair bounds
+# ---------------------------------------------------------------------------
+
+
+def _moduli(basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Every commutator modulus, ``[i, a, p, b, q]``, computed as the full scan computes it.
+
+    One multiply each side, one subtraction and one modulus per entry, in
+    the ``[a, p, b, q]`` layout of the unpruned scan.
+    """
+    return np.array([
+        np.abs(cols[i][:, :, None, :] * v.conj()[:, None] - v[:, None, None, None] * rows[i])
+        for i, v in enumerate(basis.T)
+    ])
+
+
+def _disturbed(n: int, dk: int, seed: int, kind: str, disturbance: str, scale: float):
+    """A context and a nondisturbing operator plus ``scale`` times a disturbance."""
+    ctx = _test_context(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk))
+    total = n * dk
+    if disturbance == "dense":
+        d = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    elif disturbance == "shift":
+        d = kron(np.roll(np.eye(n), 1, axis=0), np.eye(dk))
+    else:
+        d = np.zeros((total, total))
+        # off the base diagonal, so each entry reaches the commutators of two atoms
+        row = rng.integers(total, size=2)
+        col = (row // dk + rng.integers(1, max(n, 2), size=2)) % n * dk + rng.integers(dk, size=2)
+        d[row[0], col[0]] = 1.0
+        if disturbance == "tie":                   # a second entry one ulp larger
+            d[row[1], col[1]] = np.nextafter(1.0, 2.0)
+    return ctx, ProbeDecomposition(ctx, blocks).assemble() + scale * d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    dk=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["standard", "random", "skewed"]),
+    disturbance=st.sampled_from(["dense", "single", "shift", "tie"]),
+    scale=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0]),
+)
+def test_pruned_scan_is_the_full_scan_bit_for_bit(n, dk, seed, kind, disturbance, scale):
+    ctx, a = _disturbed(n, dk, seed, kind, disturbance, scale)
+    # a negative tolerance sends every operator through the pair bounds and the pruned scan
+    pruned = _certify(a, ctx, dk, -1.0).defect
+    full = commutator_defect(a, ctx, dk)
+    reference = _moduli(ctx.basis, _atom_rows(a, ctx, dk), _atom_cols(a, ctx, dk)).max()
+    assert pruned.hex() == full.hex() == float(reference).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    dk=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["standard", "random", "skewed"]),
+    disturbance=st.sampled_from(["dense", "single", "shift", "tie"]),
+    scale=st.sampled_from([0.0, 1e-12, 1e-6, 1.0, 1e-310]),
+)
+def test_pair_bounds_cover_every_computed_entry(n, dk, seed, kind, disturbance, scale):
+    ctx, a = _disturbed(n, dk, seed, kind, disturbance, scale)
+    if scale == 1e-310:
+        a = a * 1e-310                             # subnormal entries: rounding is absolute
+    _, blocks, _, (rows, cols, left) = _commutator_bound(a, ctx, dk)
+    bounds = _pair_bounds(ctx, rows, cols, left, blocks)
+    assert (_moduli(ctx.basis, rows, cols).max(axis=(1, 3)) <= bounds).all()
+
+
+def _tight_contractions(ctx: Context, dk: int, seed: int, size: float):
+    """One atom's ``(R, C, B, B')`` on which the pair bound is tight.
+
+    With ``s = |v|^2``, ``X = C - v B / s``, ``Y = R - B' conj(v) / s`` and
+    ``D = B - B'``, each entry ``C conj(v) - v R = X conj(v) - v Y + v D
+    conj(v) / s`` gets its three terms in one phase, so its modulus is the
+    exact pair bound up to second order.  The blocks are about ``size``.
+    """
+    rng = np.random.default_rng(seed)
+    v = ctx.basis[0, 0]
+    s = float(np.linalg.norm(ctx.basis, axis=0)[0] ** 2)
+    phase = np.exp(2j * np.pi * rng.random((dk, dk)))
+    x, y, d = rng.random((3, dk, dk))
+    left = size * (rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk)))
+    blocks = left - d * phase
+    cols = v * left / s + x * phase * v
+    rows = blocks * np.conj(v) / s - y * phase * np.conj(v)
+    return rows.reshape(1, dk, 1, dk), cols.reshape(1, 1, dk, dk), left[None], blocks[None]
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-8, 1.0, 1e3])
+@pytest.mark.parametrize("context_kind", ["standard", "random"])
+def test_pair_bounds_cover_entries_where_the_bound_is_tight(context_kind, size):
+    # The bound holds for any contraction data, not only for a real operator's.
+    for seed in range(40):
+        ctx = Context.standard(1) if context_kind == "standard" else Context.random(1, seed)
+        rows, cols, left, blocks = _tight_contractions(ctx, 4, seed, size)
+        bounds = _pair_bounds(ctx, rows, cols, left, blocks)
+        moduli = _moduli(ctx.basis, rows, cols).max(axis=(1, 3))
+        assert (moduli <= bounds).all()
+        assert (bounds <= moduli * (1 + 1e-12) + 1e-12 * size).all()  # and it is tight
+
+
+def _count_formed_pairs(monkeypatch) -> list[int]:
+    """Record how many probe pairs each call of the scan's kernel forms."""
+    formed = []
+    original = nondisturbing.probes._largest_entry
+
+    def counting(shape, *args):
+        formed.append(math.prod(shape) // shape[0] ** 2)
+        return original(shape, *args)
+
+    monkeypatch.setattr(nondisturbing.probes, "_largest_entry", counting)
+    return formed
+
+
+@pytest.mark.parametrize("context_kind", ["standard", "random"])
+def test_shift_rejection_forms_only_the_pairs_that_can_hold_the_maximum(monkeypatch, context_kind):
+    n = dk = 8
+    ctx = Context.standard(n) if context_kind == "standard" else Context.random(n, 80)
+    a = _shifted_unitary(ctx, dk, 1e-3)
+    formed = _count_formed_pairs(monkeypatch)
+    defect = _certify(a, ctx, dk, DEFAULT_ATOL).defect
+    # [shift (x) I, P_i (x) I] lives on the dk diagonal pairs of each atom,
+    # and the running maximum starts at a pair of the largest bound
+    assert 0 < sum(formed) <= n * dk + dk < n * dk * dk
+    formed.clear()
+    assert defect == commutator_defect(a, ctx, dk)
+    assert formed == [dk * dk] * n                     # the public scan visits every pair
+
+
+def test_accepted_operators_form_no_pair_bounds(monkeypatch):
+    ctx = Context.random(4, 81)
+    nd = random_nd_channel(ctx, 3, 2, 81)
+
+    def refuse(*args):
+        raise AssertionError("pair bounds formed for an accepted operator")
+
+    monkeypatch.setattr(nondisturbing.probes, "_pair_bounds", refuse)
+    nd_channel_from_kraus(nd.induced_kraus, ctx, 3)
+    extract_probes(nd.induced_kraus[0], ctx, 3)
+    assert is_c_nondisturbing(nd.induced_kraus[1], ctx, 3)
 
 
 # ---------------------------------------------------------------------------
