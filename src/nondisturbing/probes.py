@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny  # smallest normal float
+# The full scan's entry count, n (n dk)^2, from which _certify prunes it.  Below
+# it, forming the pair bounds costs more than the entries they let the scan
+# skip; at n = dk = 8 (2^15 entries) the two break even.
+_PRUNED_SCAN_ENTRIES = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,19 +278,17 @@ def _pair_bounds(context: Context, rows, cols, left, blocks) -> np.ndarray:
     return (1 + 64 * _UNIT_ROUNDOFF) * largest * (x + y + largest * gap) + _TINY
 
 
-def _largest_entry(shape, c, vbar, v, r, scratch: np.ndarray) -> float:
-    """Largest computed modulus of ``c * vbar - v * r``, broadcast to ``shape``.
+def _largest_entry(c, vbar, v, r, entries, products, moduli) -> float:
+    """Largest computed modulus of ``c * vbar - v * r``, formed in ``entries``.
 
     The caller lays out one atom's ``C_i``, ``conj(v_i)``, ``v_i`` and
     ``R_i`` so that the entries are those of ``[A, P_i (x) I]`` on the
-    probe pairs it visits.  They are formed in ``scratch[0]``, the products
-    ``v * r`` in ``scratch[1]``, whose spent memory then takes the moduli.
+    probe pairs it visits.  The products ``v * r`` go to ``products``, and
+    ``moduli`` may share their memory, since they are spent by then.
     """
-    size = math.prod(shape)
-    entries, products = scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape)
     np.multiply(c, vbar, out=entries)
     np.subtract(entries, np.multiply(v, r, out=products), out=entries)
-    return float(np.abs(entries, out=scratch[1].view(float)[:size].reshape(shape)).max())
+    return float(np.abs(entries, out=moduli).max())
 
 
 def _exact_defect(
@@ -305,8 +307,9 @@ def _exact_defect(
     side, one subtraction and one modulus.  The scan visits one atom at a
     time and forms its entries on the probe pairs ``(p, q)`` it visits
     with :func:`_largest_entry`, in two reused buffers of ``(n dk)^2``
-    entries; with ``R`` and ``C`` that is four ``(n dk)^2`` buffers at its
-    peak, of which a pruned scan touches only the visited pairs.
+    entries, the second of which also takes the moduli; with ``R`` and
+    ``C`` that is four ``(n dk)^2`` buffers at its peak, of which a pruned
+    scan touches only the visited pairs.
 
     Without ``bounds`` every pair of every atom is visited, read straight
     from ``R`` and ``C`` with no gather.  With the per-pair ``bounds`` of
@@ -324,17 +327,23 @@ def _exact_defect(
     basis, vbar = context.basis, context.basis.conj()
     scratch = np.empty((2, n * n * dk * dk), dtype=complex)
 
+    def buffers(*shape):
+        size = math.prod(shape)
+        return (scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape),
+                scratch[1].view(float)[:size].reshape(shape))
+
+    whole = buffers(n, dk, n, dk)                              # [a, p, b, q]
+
     def visit(i: int, keep: np.ndarray | None = None) -> float:
         v = basis[:, i]
-        if keep is None or keep.all():                         # [a, p, b, q]
+        if keep is None or keep.all():
             return _largest_entry(
-                (n, dk, n, dk), cols[i][:, :, None, :], vbar[:, i, None],
-                v[:, None, None, None], rows[i], scratch,
+                cols[i][:, :, None, :], vbar[:, i, None], v[:, None, None, None], rows[i], *whole
             )
         p, q = np.nonzero(keep)                                # [a, b, k], k = (p, q)
         return _largest_entry(
-            (n, n, len(p)), cols[i][:, p, q][:, None, :], vbar[:, i, None],
-            v[:, None, None], rows[i][p, :, q].T, scratch,
+            cols[i][:, p, q][:, None, :], vbar[:, i, None], v[:, None, None],
+            rows[i][p, :, q].T, *buffers(n, n, len(p)),
         )
 
     # One atom's single pair would be a one-entry block, which NumPy multiplies
@@ -357,17 +366,20 @@ def _certify(a, context: Context, dim_probe: int, atol: float) -> _Certificate:
 
     ``defect <= atol`` decides the test.  The bound of
     :func:`_commutator_bound` is returned when it is within ``atol``, and
-    nothing more is formed.  Otherwise the bound's own contractions give
-    the per-pair bounds of :func:`_pair_bounds`, and the exact scan runs
-    on them, computing only the pairs that can hold the maximum; so a
-    defect above ``atol`` is always the exact max-entry norm of
-    :func:`commutator_defect`, bit for bit.  ``residual`` bounds
-    ``||a - sum_i P_i (x) blocks[i]||_F``.
+    nothing more is formed.  Otherwise the exact scan runs on the bound's
+    own contractions.  When the full scan would form at least
+    ``_PRUNED_SCAN_ENTRIES`` entries, the contractions first give the
+    per-pair bounds of :func:`_pair_bounds`, and the scan computes only
+    the pairs that can hold the maximum.  Either way a defect above
+    ``atol`` is the exact max-entry norm of :func:`commutator_defect`,
+    bit for bit.  ``residual`` bounds ``||a - sum_i P_i (x) blocks[i]||_F``.
     """
     arr = _check_composite(a, context, dim_probe)
     bound, blocks, residual, (rows, cols, left) = _commutator_bound(arr, context, dim_probe)
     if bound > atol:
-        bounds = _pair_bounds(context, rows, cols, left, blocks)
+        bounds = None
+        if context.dim * len(arr) ** 2 >= _PRUNED_SCAN_ENTRIES:
+            bounds = _pair_bounds(context, rows, cols, left, blocks)
         bound = _exact_defect(arr, context, dim_probe, (rows, cols), bounds)
     return _Certificate(bound, blocks, residual)
 

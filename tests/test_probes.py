@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from nondisturbing.probes import (
     _atom_rows,
     _certify,
     _commutator_bound,
+    _exact_defect,
     _pair_bounds,
     classify,
     closed_form_partial_traces,
@@ -435,8 +435,8 @@ def _disturbed(n: int, dk: int, seed: int, kind: str, disturbance: str, scale: f
 )
 def test_pruned_scan_is_the_full_scan_bit_for_bit(n, dk, seed, kind, disturbance, scale):
     ctx, a = _disturbed(n, dk, seed, kind, disturbance, scale)
-    # a negative tolerance sends every operator through the pair bounds and the pruned scan
-    pruned = _certify(a, ctx, dk, -1.0).defect
+    _, blocks, _, (rows, cols, left) = _commutator_bound(a, ctx, dk)
+    pruned = _exact_defect(a, ctx, dk, (rows, cols), _pair_bounds(ctx, rows, cols, left, blocks))
     full = commutator_defect(a, ctx, dk)
     reference = _moduli(ctx.basis, _atom_rows(a, ctx, dk), _atom_cols(a, ctx, dk)).max()
     assert pruned.hex() == full.hex() == float(reference).hex()
@@ -498,9 +498,10 @@ def _count_formed_pairs(monkeypatch) -> list[int]:
     formed = []
     original = nondisturbing.probes._largest_entry
 
-    def counting(shape, *args):
-        formed.append(math.prod(shape) // shape[0] ** 2)
-        return original(shape, *args)
+    def counting(*args):
+        entries = args[4]
+        formed.append(entries.size // entries.shape[0] ** 2)
+        return original(*args)
 
     monkeypatch.setattr(nondisturbing.probes, "_largest_entry", counting)
     return formed
@@ -508,7 +509,7 @@ def _count_formed_pairs(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("context_kind", ["standard", "random"])
 def test_shift_rejection_forms_only_the_pairs_that_can_hold_the_maximum(monkeypatch, context_kind):
-    n = dk = 8
+    n = dk = 8                                     # 2^15 scan entries: pruned
     ctx = Context.standard(n) if context_kind == "standard" else Context.random(n, 80)
     a = _shifted_unitary(ctx, dk, 1e-3)
     formed = _count_formed_pairs(monkeypatch)
@@ -518,20 +519,34 @@ def test_shift_rejection_forms_only_the_pairs_that_can_hold_the_maximum(monkeypa
     assert 0 < sum(formed) <= n * dk + dk < n * dk * dk
     formed.clear()
     assert defect == commutator_defect(a, ctx, dk)
-    assert formed == [dk * dk] * n                     # the public scan visits every pair
+    assert formed == [dk * dk] * n                 # the public scan visits every pair
+
+
+def _refuse_pair_bounds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pair bounds formed")
+
+    monkeypatch.setattr(nondisturbing.probes, "_pair_bounds", refuse)
 
 
 def test_accepted_operators_form_no_pair_bounds(monkeypatch):
-    ctx = Context.random(4, 81)
-    nd = random_nd_channel(ctx, 3, 2, 81)
+    ctx = Context.random(8, 81)
+    kraus = random_nd_channel(ctx, 8, 2, 81).induced_kraus
+    _refuse_pair_bounds(monkeypatch)
+    nd_channel_from_kraus(kraus, ctx, 8)
+    extract_probes(kraus[0], ctx, 8)
+    assert is_c_nondisturbing(kraus[1], ctx, 8)
 
-    def refuse(*args):
-        raise AssertionError("pair bounds formed for an accepted operator")
 
-    monkeypatch.setattr(nondisturbing.probes, "_pair_bounds", refuse)
-    nd_channel_from_kraus(nd.induced_kraus, ctx, 3)
-    extract_probes(nd.induced_kraus[0], ctx, 3)
-    assert is_c_nondisturbing(nd.induced_kraus[1], ctx, 3)
+def test_small_rejection_scans_whole_without_pair_bounds(monkeypatch):
+    n, dk = 7, 7                                   # 16807 scan entries: below the pruning size
+    ctx = Context.random(n, 82)
+    a = _shifted_unitary(ctx, dk, 1e-3)
+    _refuse_pair_bounds(monkeypatch)
+    formed = _count_formed_pairs(monkeypatch)
+    defect = _certify(a, ctx, dk, DEFAULT_ATOL).defect
+    assert formed == [dk * dk] * n                 # every pair of every atom
+    assert defect == commutator_defect(a, ctx, dk)
 
 
 # ---------------------------------------------------------------------------
