@@ -210,19 +210,13 @@ def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
     return _per_member(_hermitian(_square(m, stack=True), atol))
 
 
-def _spectrum_within(arr: np.ndarray, atol: float, upper: float | None) -> bool | np.ndarray:
+def _spectrum_within(arr: np.ndarray, atol: float, upper: float | None) -> np.ndarray:
     """Hermitian members whose spectrum is ``>= -atol`` (and ``<= upper + atol``).
 
     Only the Hermitian members are diagonalised, so a NaN entry gives
-    False rather than reaching ``eigvalsh``.  One matrix is answered with
-    a ``bool`` straight away, without indexing out a stack.
+    False rather than reaching ``eigvalsh``.
     """
-    if arr.ndim == 2:
-        if not _hermitian(arr, atol):
-            return False
-        w = np.linalg.eigvalsh(arr)
-        return bool(w[0] >= -atol) and (upper is None or bool(w[-1] <= upper + atol))
-    ok = _hermitian(arr, atol)
+    ok = np.array(_hermitian(arr, atol))
     if ok.any():
         w = np.linalg.eigvalsh(arr[ok])
         inside = w[:, 0] >= -atol
@@ -233,7 +227,7 @@ def _spectrum_within(arr: np.ndarray, atol: float, upper: float | None) -> bool 
 
 
 def is_psd(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
-    return _spectrum_within(_square(m, stack=True), atol, None)
+    return _per_member(_spectrum_within(_square(m, stack=True), atol, None))
 
 
 def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
@@ -262,7 +256,7 @@ def is_projection_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
 
 def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
     """True for Hermitian operators with spectrum inside ``[0, 1]``."""
-    return _spectrum_within(_square(m, stack=True), atol, 1.0)
+    return _per_member(_spectrum_within(_square(m, stack=True), atol, 1.0))
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -316,9 +316,15 @@ def _exact_defect(
     :func:`_pair_bounds`, the running maximum starts at the pairs of the
     largest bound, the atoms are visited in decreasing order of their
     largest bound, and only the pairs whose bound is not below the running
-    maximum are gathered and formed.  A skipped pair's computed entries
-    lie below a maximum already reached, so the result is the same float
-    as the full scan's.
+    maximum are gathered and formed; ``bounds`` need more than one atom.
+    A skipped pair's computed entries lie below a maximum already reached.
+    The gathers are C-contiguous with the pairs innermost, so each product
+    runs one of the full scan's inner loops, over at least two entries:
+    one operand broadcast, the other read with the same stride.  The
+    result is then the same float as the full scan's, as long as NumPy
+    rounds a product the same way in every such loop, which holds for its
+    vector loops with their fused multiply-add.  That is NumPy's choice,
+    not a guarantee: the tests check it on each build.
     """
     n, dk = context.dim, dim_probe
     if contractions is None:
@@ -341,16 +347,17 @@ def _exact_defect(
                 cols[i][:, :, None, :], vbar[:, i, None], v[:, None, None, None], rows[i], *whole
             )
         p, q = np.nonzero(keep)                                # [a, b, k], k = (p, q)
+        base = np.arange(n)[:, None]
+        c = cols[i].ravel()[base * dk * dk + (p * dk + q)]     # C_i[a, p, q] as [a, k]
+        r = rows[i].ravel()[base * dk + (p * n * dk + q)]      # R_i[p, b, q] as [b, k]
         return _largest_entry(
-            cols[i][:, p, q][:, None, :], vbar[:, i, None], v[:, None, None],
-            rows[i][p, :, q].T, *buffers(n, n, len(p)),
+            c[:, None, :], vbar[:, i, None], v[:, None, None], r, *buffers(n, n, len(p))
         )
 
-    # One atom's single pair would be a one-entry block, which NumPy multiplies
-    # without the fused multiply-add of its vector loops: scan one atom whole.
-    if bounds is None or n == 1:
-        worst, order, bounds = 0.0, range(n), None
+    if bounds is None:
+        worst, order = 0.0, range(n)
     else:
+        assert n > 1, "a one-atom scan is not pruned; see _certify"
         top = bounds.max(axis=(1, 2))
         order = np.argsort(-top, kind="stable")
         worst = visit(order[0], ~(bounds[order[0]] < top[order[0]]))
@@ -372,13 +379,17 @@ def _certify(a, context: Context, dim_probe: int, atol: float) -> _Certificate:
     per-pair bounds of :func:`_pair_bounds`, and the scan computes only
     the pairs that can hold the maximum.  Either way a defect above
     ``atol`` is the exact max-entry norm of :func:`commutator_defect`,
-    bit for bit.  ``residual`` bounds ``||a - sum_i P_i (x) blocks[i]||_F``.
+    bit for bit on a NumPy build that passes the tests (see
+    :func:`_exact_defect`).  ``residual`` bounds ``||a - sum_i P_i (x)
+    blocks[i]||_F``.
     """
     arr = _check_composite(a, context, dim_probe)
     bound, blocks, residual, (rows, cols, left) = _commutator_bound(arr, context, dim_probe)
     if bound > atol:
         bounds = None
-        if context.dim * len(arr) ** 2 >= _PRUNED_SCAN_ENTRIES:
+        # At n = 1 a visit of one pair is a one-entry product, which NumPy forms
+        # without the fused multiply-add of its vector loops: scan it whole.
+        if context.dim > 1 and context.dim * len(arr) ** 2 >= _PRUNED_SCAN_ENTRIES:
             bounds = _pair_bounds(context, rows, cols, left, blocks)
         bound = _exact_defect(arr, context, dim_probe, (rows, cols), bounds)
     return _Certificate(bound, blocks, residual)

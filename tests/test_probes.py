@@ -436,7 +436,9 @@ def _disturbed(n: int, dk: int, seed: int, kind: str, disturbance: str, scale: f
 def test_pruned_scan_is_the_full_scan_bit_for_bit(n, dk, seed, kind, disturbance, scale):
     ctx, a = _disturbed(n, dk, seed, kind, disturbance, scale)
     _, blocks, _, (rows, cols, left) = _commutator_bound(a, ctx, dk)
-    pruned = _exact_defect(a, ctx, dk, (rows, cols), _pair_bounds(ctx, rows, cols, left, blocks))
+    # _certify prunes no one-atom scan, so at n = 1 the bounds are left out
+    bounds = _pair_bounds(ctx, rows, cols, left, blocks) if n > 1 else None
+    pruned = _exact_defect(a, ctx, dk, (rows, cols), bounds)
     full = commutator_defect(a, ctx, dk)
     reference = _moduli(ctx.basis, _atom_rows(a, ctx, dk), _atom_cols(a, ctx, dk)).max()
     assert pruned.hex() == full.hex() == float(reference).hex()
@@ -538,10 +540,17 @@ def test_accepted_operators_form_no_pair_bounds(monkeypatch):
     assert is_c_nondisturbing(kraus[1], ctx, 8)
 
 
-def test_small_rejection_scans_whole_without_pair_bounds(monkeypatch):
-    n, dk = 7, 7                                   # 16807 scan entries: below the pruning size
+@pytest.mark.parametrize("n, dk", [(7, 7), (1, 182)])
+def test_small_or_one_atom_rejection_scans_whole_without_pair_bounds(monkeypatch, n, dk):
+    # n = dk = 7 is 16807 scan entries, below the pruning size; n = 1,
+    # dk = 182 is above it, but a one-atom scan is never pruned
     ctx = Context.random(n, 82)
-    a = _shifted_unitary(ctx, dk, 1e-3)
+    if n > 1:
+        a = _shifted_unitary(ctx, dk, 1e-3)
+    else:                                          # only rounding can make it fail
+        rng = np.random.default_rng(82)
+        a = 1e8 * (rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk)))
+    assert _commutator_bound(a, ctx, dk)[0] > DEFAULT_ATOL
     _refuse_pair_bounds(monkeypatch)
     formed = _count_formed_pairs(monkeypatch)
     defect = _certify(a, ctx, dk, DEFAULT_ATOL).defect
