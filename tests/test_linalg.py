@@ -338,20 +338,11 @@ def test_stack_predicate_answers_each_member_like_the_loop(predicate, loop):
         assert answer.shape == stack.shape[:-2] and answer.dtype == bool
         expected = [[loop(m, atol) for m in row] for row in stack]
         assert answer.tolist() == expected
-        assert type(predicate(stack[1, 2], atol)) is bool
-        assert predicate(stack[1, 2], atol) == expected[1][2]
-    # The stack holds members on both sides of every predicate at 1e-9.
-    assert predicate(stack).any() and not predicate(stack).all()
-
-
-@pytest.mark.parametrize("predicate", [p for p, _ in PREDICATE_LOOPS], ids=lambda f: f.__name__)
-def test_one_matrix_gets_its_stack_answer_as_a_bool(predicate):
-    stack = _predicate_stack()                      # the NaN member included
-    for atol in (1e-9, 1e-6):
-        answer = predicate(stack, atol)
-        for index in np.ndindex(answer.shape):
+        for index in np.ndindex(answer.shape):      # one matrix, the NaN member included
             one = predicate(stack[index], atol)
             assert type(one) is bool and one == answer[index]
+    # The stack holds members on both sides of every predicate at 1e-9.
+    assert predicate(stack).any() and not predicate(stack).all()
 
 
 def test_loewner_leq_of_stacks_answers_each_pair_like_the_loop():
