@@ -22,7 +22,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .scenario import Scenario, run_scenario, scenario_from_json
+from . import catalog
+from .scenario import KNOWN_REQUESTS, Scenario, _default_inputs, run_scenario, scenario_from_json
 from .serialization import SchemaError, observable_from_json
 from .verify import format_summary, run_verification
 
@@ -143,9 +144,12 @@ def _emit_report(report: dict[str, Any], output: str | None) -> None:
     text = "".join(out) + "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _FileError(f"cannot write {output}: {exc}") from exc
 
 
 def _finish(scenario: Scenario, output: str | None) -> int:
@@ -167,14 +171,14 @@ def _cmd_verify(args) -> int:
 
 
 def _read_json(path: str) -> Any:
-    """Parse the JSON file at ``path``; an unreadable or malformed file raises _InputError."""
+    """Parse the JSON file at ``path``; an unreadable or malformed file raises _FileError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise _FileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _InputError(
+        raise _FileError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
 
@@ -187,34 +191,28 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    """Run a built-in family as ``run`` runs the equivalent ``example`` document."""
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
+    if args.family == "swap" and args.m is not None:
+        raise _UsageError("--m is fourier-only; the swap probe dimension is --n")
+    if args.family == "fourier" and args.m is None:
+        raise _UsageError("fourier requires --m")
     if args.m is not None and args.m < 2:
         raise _UsageError("--m must be >= 2")
-    spec: dict[str, Any] = {"name": args.family, "n": args.n}
-    if args.family == "fourier":
-        if args.m is None:
-            raise _UsageError("fourier requires --m")
-        spec["m"] = args.m
-    if args.probe == "sharp":
-        spec["probe"] = "sharp"
+    meter = None if args.probe == "sharp" else observable_from_json(_read_json(args.probe), "probe")
+    if args.family == "swap":
+        model = catalog.swap_model(args.n, meter)
     else:
-        probe_doc = _read_json(args.probe)
-        observable_from_json(probe_doc, "probe")  # fail fast with a schema path
-        spec["probe"] = probe_doc
-    document = {
-        "example": spec,
-        "requests": ["instrument", "observable", "post_probe", "remeasure"],
-        "tol": args.tol,
-    }
-    return _finish(scenario_from_json(document), args.output)
+        model = catalog.fourier_model(args.n, args.m, meter)
+    return _finish(Scenario(model, _default_inputs(args.n), KNOWN_REQUESTS, args.tol), args.output)
 
 
 class _UsageError(Exception):
     pass
 
 
-class _InputError(Exception):
+class _FileError(Exception):
     pass
 
 
@@ -233,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_PARSE
-    except _InputError as exc:
+    except _FileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except SchemaError as exc:

@@ -62,8 +62,8 @@ def as_complex_stack(family, name: str, ndim: int) -> np.ndarray:
 
     ``family`` is an array, or nested sequences, with ``ndim`` axes whose
     last two index each matrix.  A ragged or non-numeric family, the
-    wrong number of axes, non-square matrices and non-finite entries all
-    raise ``ValueError`` naming ``name``.
+    wrong number of axes, non-square or ``0 x 0`` matrices and non-finite
+    entries all raise ``ValueError`` naming ``name``.
     """
     try:
         arr = np.array(family, dtype=complex, order="C")
@@ -75,6 +75,8 @@ def as_complex_stack(family, name: str, ndim: int) -> np.ndarray:
         raise ValueError(f"{name} must have {ndim} axes, got shape {arr.shape}")
     if arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {arr.shape[-2:]}")
+    if arr.shape[-1] == 0:
+        raise ValueError(f"{name} must have a dimension of at least 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)

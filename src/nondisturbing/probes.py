@@ -10,7 +10,6 @@ conjugation of product operators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -305,26 +304,26 @@ def _exact_defect(
     Entry ``(a p, b q)`` of ``[A, P_i (x) I] = C_i W_i* - W_i R_i`` is
     ``C_i[a, p, q] conj(v_i[b]) - v_i[a] R_i[p, b, q]``: one multiply each
     side, one subtraction and one modulus.  The scan visits one atom at a
-    time and forms its entries on the probe pairs ``(p, q)`` it visits
-    with :func:`_largest_entry`, in two reused buffers of ``(n dk)^2``
-    entries, the second of which also takes the moduli; with ``R`` and
-    ``C`` that is four ``(n dk)^2`` buffers at its peak, of which a pruned
-    scan touches only the visited pairs.
+    time and forms its entries on the probe pairs ``k = (p, q)`` it visits
+    with :func:`_largest_entry`, laid out ``[a, b, k]``: ``C_i`` is read
+    as an ``[a, k]`` view, ``R_i`` as one ``[b, k]`` copy of ``n dk^2``
+    entries, and the visited pairs are taken as columns of both.  The
+    entries go to two reused buffers of ``(n dk)^2`` entries, the second
+    of which also takes the moduli; with ``R`` and ``C`` that is four
+    ``(n dk)^2`` buffers at its peak, of which a pruned scan touches only
+    the visited pairs.
 
-    Without ``bounds`` every pair of every atom is visited, read straight
-    from ``R`` and ``C`` with no gather.  With the per-pair ``bounds`` of
-    :func:`_pair_bounds`, the running maximum starts at the pairs of the
-    largest bound, the atoms are visited in decreasing order of their
-    largest bound, and only the pairs whose bound is not below the running
-    maximum are gathered and formed; ``bounds`` need more than one atom.
-    A skipped pair's computed entries lie below a maximum already reached.
-    The gathers are C-contiguous with the pairs innermost, so each product
-    runs one of the full scan's inner loops, over at least two entries:
-    one operand broadcast, the other read with the same stride.  The
-    result is then the same float as the full scan's, as long as NumPy
-    rounds a product the same way in every such loop, which holds for its
-    vector loops with their fused multiply-add.  That is NumPy's choice,
-    not a guarantee: the tests check it on each build.
+    Without ``bounds`` every pair of every atom is visited.  With the
+    per-pair ``bounds`` of :func:`_pair_bounds`, the running maximum starts
+    at the pairs of the largest bound, the atoms are visited in decreasing
+    order of their largest bound, and only the pairs whose bound is not
+    below the running maximum are formed; ``bounds`` need more than one
+    atom.  A skipped pair's computed entries lie below a maximum already
+    reached.  Every visit runs the same products, with the pairs
+    innermost, so a pruned scan returns the full scan's float as long as
+    NumPy rounds a product the same way at every length of that loop,
+    which holds for its vector loops with their fused multiply-add.  That
+    is NumPy's choice, not a guarantee: the tests check it on each build.
     """
     n, dk = context.dim, dim_probe
     if contractions is None:
@@ -333,37 +332,25 @@ def _exact_defect(
     basis, vbar = context.basis, context.basis.conj()
     scratch = np.empty((2, n * n * dk * dk), dtype=complex)
 
-    def buffers(*shape):
-        size = math.prod(shape)
-        return (scratch[0, :size].reshape(shape), scratch[1, :size].reshape(shape),
-                scratch[1].view(float)[:size].reshape(shape))
-
-    whole = buffers(n, dk, n, dk)                              # [a, p, b, q]
-
-    def visit(i: int, keep: np.ndarray | None = None) -> float:
-        v = basis[:, i]
-        if keep is None or keep.all():
-            return _largest_entry(
-                cols[i][:, :, None, :], vbar[:, i, None], v[:, None, None, None], rows[i], *whole
-            )
-        p, q = np.nonzero(keep)                                # [a, b, k], k = (p, q)
-        base = np.arange(n)[:, None]
-        c = cols[i].ravel()[base * dk * dk + (p * dk + q)]     # C_i[a, p, q] as [a, k]
-        r = rows[i].ravel()[base * dk + (p * n * dk + q)]      # R_i[p, b, q] as [b, k]
+    def visit(i: int, keep=slice(None)) -> float:
+        c = cols[i].reshape(n, dk * dk)[:, keep]                         # [a, k]
+        r = rows[i].transpose(1, 0, 2).reshape(n, dk * dk)[:, keep]      # [b, k]
+        size = n * n * c.shape[1]
+        entries, products = scratch[:, :size].reshape(2, n, n, -1)       # [a, b, k]
+        moduli = scratch[1].view(float)[:size].reshape(n, n, -1)
         return _largest_entry(
-            c[:, None, :], vbar[:, i, None], v[:, None, None], r, *buffers(n, n, len(p))
+            c[:, None, :], vbar[:, i, None], basis[:, i, None, None], r, entries, products, moduli
         )
 
     if bounds is None:
-        worst, order = 0.0, range(n)
-    else:
-        assert n > 1, "a one-atom scan is not pruned; see _certify"
-        top = bounds.max(axis=(1, 2))
-        order = np.argsort(-top, kind="stable")
-        worst = visit(order[0], ~(bounds[order[0]] < top[order[0]]))
+        return fold_max(0.0, *map(visit, range(n)))
+    assert n > 1, "a one-atom scan is not pruned; see _certify"
+    top = bounds.max(axis=(1, 2))
+    order = np.argsort(-top, kind="stable")
+    worst = visit(order[0], np.flatnonzero(~(bounds[order[0]] < top[order[0]])))
     for i in order:
-        keep = None if bounds is None else ~(bounds[i] < worst)
-        if keep is None or keep.any():
+        keep = np.flatnonzero(~(bounds[i] < worst))
+        if keep.size:
             worst = fold_max(worst, visit(i, keep))
     return worst
 
@@ -376,12 +363,12 @@ def _certify(a, context: Context, dim_probe: int, atol: float) -> _Certificate:
     nothing more is formed.  Otherwise the exact scan runs on the bound's
     own contractions.  When the full scan would form at least
     ``_PRUNED_SCAN_ENTRIES`` entries, the contractions first give the
-    per-pair bounds of :func:`_pair_bounds`, and the scan computes only
-    the pairs that can hold the maximum.  Either way a defect above
-    ``atol`` is the exact max-entry norm of :func:`commutator_defect`,
-    bit for bit on a NumPy build that passes the tests (see
-    :func:`_exact_defect`).  ``residual`` bounds ``||a - sum_i P_i (x)
-    blocks[i]||_F``.
+    per-pair bounds of :func:`_pair_bounds`, and the scan visits only
+    the pairs that can hold the maximum, in the layout and with the
+    products of the full scan.  Either way a defect above ``atol`` is the
+    exact max-entry norm of :func:`commutator_defect`, bit for bit on a
+    NumPy build that passes the tests (see :func:`_exact_defect`).
+    ``residual`` bounds ``||a - sum_i P_i (x) blocks[i]||_F``.
     """
     arr = _check_composite(a, context, dim_probe)
     bound, blocks, residual, (rows, cols, left) = _commutator_bound(arr, context, dim_probe)
@@ -406,8 +393,9 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
     commutator, one atom at a time in reused buffers.  :func:`extract_probes`,
     :func:`is_c_nondisturbing` and ``nd_channel_from_kraus`` decide with a
     cheaper bound first; only when it exceeds the tolerance do they scan,
-    on the bound's contractions and pruned by per-probe-pair bounds, to
-    the same float this function returns.
+    on the bound's contractions.  At size that scan keeps only the probe
+    pairs that per-pair bounds cannot rule out; every other pair is
+    formed as here, so it returns the same float as this function.
     """
     return _exact_defect(_check_composite(a, context, dim_probe), context, dim_probe)
 

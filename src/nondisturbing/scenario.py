@@ -83,6 +83,8 @@ def _parse_example(obj: Any) -> MeasurementModel:
     n = obj["n"]
     probe_spec = obj.get("probe", "sharp")
     if name == "swap":
+        if "m" in obj:
+            raise SchemaError("example.m", "swap takes no 'm'; its probe dimension is 'n'")
         dim_probe = n
     else:
         if "m" not in obj or not _is_int(obj["m"]):

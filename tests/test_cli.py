@@ -153,6 +153,24 @@ def test_exits_two_on_missing_file(tmp_path, capsys, reader):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
+# Both commands that write a report, as argv prefixes completed by ``-o path``.
+WRITERS = {"run": ["run"], "example": ["example", "swap", "--n", "2"]}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_exits_two_on_unwritable_report_path(tmp_path, capsys, writer, target):
+    argv = list(WRITERS[writer])
+    if writer == "run":
+        argv.append(_write(tmp_path, "swap.json", _swap_scenario()))
+    path = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+    assert main(argv + ["-o", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_run_exits_two_on_schema_violation(tmp_path, capsys):
     doc = _swap_scenario()
     doc["requests"] = "instrument"
@@ -271,6 +289,50 @@ def test_example_subcommand_swap(tmp_path, capsys):
 def test_example_subcommand_fourier_requires_m(capsys):
     assert main(["example", "fourier", "--n", "2"]) == 2
     assert "requires --m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["3", "1"])
+def test_example_swap_refuses_m(capsys, m):
+    assert main(["example", "swap", "--n", "2", "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --m is fourier-only")
+
+
+def test_swap_example_document_refuses_m(tmp_path, capsys):
+    doc = {"example": {"name": "swap", "n": 2, "m": 3}}
+    with pytest.raises(SchemaError) as info:
+        scenario_from_json(doc)
+    assert info.value.path == "example.m"
+    assert main(["run", _write(tmp_path, "swap_m.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: example.m: ")
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["swap", "--n", "1"], {"name": "swap", "n": 1}),
+    (["swap", "--n", "3", "--tol", "1e-12"], {"name": "swap", "n": 3}),
+    (["fourier", "--n", "2", "--m", "3"], {"name": "fourier", "n": 2, "m": 3}),
+    (["swap", "--n", "2", "--probe"], {"name": "swap", "n": 2}),
+], ids=["swap-1", "swap-3-tol", "fourier", "probe-file"])
+def test_example_writes_the_bytes_of_run_on_its_document(tmp_path, argv, spec):
+    from nondisturbing.linalg import random_povm
+    from nondisturbing.objects import Observable
+
+    argv, spec = list(argv), dict(spec)
+    if argv[-1] == "--probe":
+        probe = observable_to_json(Observable.from_matrices(random_povm(2, 3, 23)))
+        argv.append(_write(tmp_path, "probe.json", probe))
+        spec["probe"] = probe
+    tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else 1e-10
+    document = {
+        "example": spec,
+        "requests": ["instrument", "observable", "post_probe", "remeasure"],
+        "tol": tol,
+    }
+    by_example, by_run = tmp_path / "example.json", tmp_path / "run.json"
+    assert main(["example", *argv, "-o", str(by_example)]) == 0
+    assert main(["run", _write(tmp_path, "doc.json", document), "-o", str(by_run)]) == 0
+    assert by_example.read_bytes() == by_run.read_bytes()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -94,6 +94,18 @@ def test_malformed_families_raise_value_error(builder, case):
         _BUILDERS[builder](family)
 
 
+@pytest.mark.parametrize("builder, name", [
+    (lambda empty: State(empty), "state"),
+    (lambda empty: Context(empty), "context basis"),
+    (lambda empty: Observable(("0",), [empty]), "effects"),
+    (lambda empty: KrausOperation([empty]), "Kraus operators"),
+    (lambda empty: NDChannel(Context.standard(1), [[empty]]), "table entries"),
+], ids=["State", "Context", "Observable", "KrausOperation", "NDChannel"])
+def test_zero_dimensional_matrices_are_rejected_by_name(builder, name):
+    with pytest.raises(ValueError, match=f"^{name} must have a dimension of at least 1"):
+        builder(np.zeros((0, 0)))
+
+
 def test_observable_accepts_zero_effect_and_single_outcome():
     rho = random_density(3, 1)
     single = Observable.from_matrices([np.eye(3)])

@@ -395,7 +395,7 @@ def _moduli(basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     """Every commutator modulus, ``[i, a, p, b, q]``, computed as the full scan computes it.
 
     One multiply each side, one subtraction and one modulus per entry, in
-    the ``[a, p, b, q]`` layout of the unpruned scan.
+    an ``[a, p, b, q]`` layout of its own, not the scan's ``[a, b, k]``.
     """
     return np.array([
         np.abs(cols[i][:, :, None, :] * v.conj()[:, None] - v[:, None, None, None] * rows[i])
