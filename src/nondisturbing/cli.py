@@ -22,8 +22,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from . import catalog
-from .scenario import KNOWN_REQUESTS, Scenario, _default_inputs, run_scenario, scenario_from_json
+from .scenario import Scenario, example_scenario, run_scenario, scenario_from_json
 from .serialization import SchemaError, observable_from_json
 from .verify import format_summary, run_verification
 
@@ -201,11 +200,7 @@ def _cmd_example(args) -> int:
     if args.m is not None and args.m < 2:
         raise _UsageError("--m must be >= 2")
     meter = None if args.probe == "sharp" else observable_from_json(_read_json(args.probe), "probe")
-    if args.family == "swap":
-        model = catalog.swap_model(args.n, meter)
-    else:
-        model = catalog.fourier_model(args.n, args.m, meter)
-    return _finish(Scenario(model, _default_inputs(args.n), KNOWN_REQUESTS, args.tol), args.output)
+    return _finish(example_scenario(args.family, args.n, args.m, meter, args.tol), args.output)
 
 
 class _UsageError(Exception):

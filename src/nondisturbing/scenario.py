@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .linalg import fold_max, max_abs
-from .objects import KrausOperation, State
+from .objects import KrausOperation, Observable, State
 from .channels import NDChannel
 from .models import (
     DirectOracle,
@@ -38,7 +38,7 @@ from .serialization import (
     observable_from_json,
 )
 
-__all__ = ["Scenario", "scenario_from_json", "run_scenario", "load_scenario", "evaluate"]
+__all__ = ["Scenario", "example_scenario", "scenario_from_json", "run_scenario", "load_scenario", "evaluate"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +72,24 @@ def _parse_requests(obj: Any, nondisturbing: bool) -> tuple[str, ...]:
     return tuple(dict.fromkeys(obj))
 
 
+def _example_model(name: str, n: int, m: int | None,
+                   meter: Observable | None) -> MeasurementModel:
+    return catalog.swap_model(n, meter) if name == "swap" else catalog.fourier_model(n, m, meter)
+
+
+def example_scenario(name: str, n: int, m: int | None = None, meter: Observable | None = None,
+                     tolerance: float = 1e-10) -> Scenario:
+    """The built-in family ``name`` on the default inputs, with every request.
+
+    ``swap`` has probe dimension ``n``; ``fourier`` has probe dimension
+    ``m``.  ``meter`` defaults to the sharp probe.  This is the scenario of
+    the document ``{"example": {"name": name, "n": n, "m": m, "probe": ...},
+    "requests": [every request], "tol": tolerance}``.
+    """
+    return Scenario(_example_model(name, n, m, meter), _default_inputs(n), KNOWN_REQUESTS,
+                    tolerance)
+
+
 def _parse_example(obj: Any) -> MeasurementModel:
     if not isinstance(obj, dict) or "name" not in obj:
         raise SchemaError("example", "expected an object with a 'name'")
@@ -80,25 +98,18 @@ def _parse_example(obj: Any) -> MeasurementModel:
         raise SchemaError("example.name", f"unknown family {name!r}; known: swap, fourier")
     if "n" not in obj or not _is_int(obj["n"]):
         raise SchemaError("example.n", "base dimension 'n' must be an integer")
-    n = obj["n"]
+    if name == "swap" and "m" in obj:
+        raise SchemaError("example.m", "swap takes no 'm'; its probe dimension is 'n'")
+    if name == "fourier" and ("m" not in obj or not _is_int(obj["m"])):
+        raise SchemaError("example.m", "probe dimension 'm' must be an integer")
     probe_spec = obj.get("probe", "sharp")
-    if name == "swap":
-        if "m" in obj:
-            raise SchemaError("example.m", "swap takes no 'm'; its probe dimension is 'n'")
-        dim_probe = n
-    else:
-        if "m" not in obj or not _is_int(obj["m"]):
-            raise SchemaError("example.m", "probe dimension 'm' must be an integer")
-        dim_probe = obj["m"]
     if probe_spec == "sharp":
         meter = None
     elif isinstance(probe_spec, dict):
         meter = observable_from_json(probe_spec, "example.probe")
     else:
         raise SchemaError("example.probe", "must be 'sharp' or an observable object")
-    if name == "swap":
-        return catalog.swap_model(n, meter)
-    return catalog.fourier_model(n, dim_probe, meter)
+    return _example_model(name, obj["n"], obj.get("m"), meter)
 
 
 def scenario_from_json(obj: Any) -> Scenario:
