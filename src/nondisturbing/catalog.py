@@ -67,10 +67,8 @@ def swap_model(n: int, meter: Observable | None = None) -> MeasurementModel:
     """
     if meter is None:
         meter = sharp_observable(n)
-    if meter.dim != n:
-        raise ValueError(f"meter dimension {meter.dim} != {n}")
     channel = NDChannel(Context.standard(n), tuple((v,) for v in swap_unitaries(n)))
-    return MeasurementModel(n, n, _pure_first_basis_state(n), channel, meter)
+    return MeasurementModel(_pure_first_basis_state(n), channel, meter)
 
 
 def swap_product_output(rho: State) -> np.ndarray:
@@ -145,11 +143,9 @@ def fourier_model(n: int, m: int, meter: Observable | None = None) -> Measuremen
     """
     if meter is None:
         meter = sharp_observable(m)
-    if meter.dim != m:
-        raise ValueError(f"meter dimension {meter.dim} != {m}")
     unitaries = fourier_unitaries(n, m)
     channel = NDChannel(Context.standard(n), tuple((v,) for v in unitaries))
-    return MeasurementModel(n, m, _pure_first_basis_state(m), channel, meter)
+    return MeasurementModel(_pure_first_basis_state(m), channel, meter)
 
 
 def fourier_pair_traces(n: int, m: int, meter_effect: np.ndarray) -> np.ndarray:

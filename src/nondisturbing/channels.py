@@ -56,21 +56,12 @@ class NDChannel:
     table: np.ndarray
 
     def __post_init__(self):
-        try:
-            rows = len(self.table)
-        except TypeError:
-            raise ValueError(
-                f"need one table row per context atom, got {type(self.table).__name__}"
-            ) from None
-        if rows != self.context.dim:
+        table = as_complex_stack(self.table, "table entries", 4)
+        if len(table) != self.context.dim:
             raise ValueError(
                 f"need one table row per context atom: "
-                f"{rows} rows for dimension {self.context.dim}"
+                f"{len(table)} rows for dimension {self.context.dim}"
             )
-        counts = {len(row) if hasattr(row, "__len__") else 0 for row in self.table}
-        if counts == {0} or len(counts) != 1:
-            raise ValueError(f"table rows must share one nonzero length, got {counts}")
-        table = as_complex_stack(self.table, "table entries", 4)
         defects = completeness_defects(table)
         bad = np.flatnonzero(defects > DEFAULT_ATOL)
         if bad.size:

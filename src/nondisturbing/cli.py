@@ -22,7 +22,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .scenario import Scenario, example_scenario, run_scenario, scenario_from_json
+from .scenario import DEFAULT_TOLERANCE, Scenario, example_scenario, run_scenario, scenario_from_json
 from .serialization import SchemaError, observable_from_json
 from .verify import format_summary, run_verification
 
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'sharp' or a path to an observable JSON file",
     )
     example.add_argument("-o", "--output", default=None)
-    example.add_argument("--tol", type=_tolerance, default=1e-10)
+    example.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
     return parser
 
 

@@ -240,14 +240,10 @@ def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
     arr = _square(m, stack=True)
     eye = np.eye(arr.shape[-1])
     adj = _adjoint(arr)
-    ok = _within(adj @ arr - eye, atol)
-    if arr.ndim == 2:
-        return bool(ok) and bool(_within(arr @ adj - eye, atol))
-    if ok.all():
-        return _within(arr @ adj - eye, atol)
+    ok = np.array(_within(adj @ arr - eye, atol))
     if ok.any():
         ok[ok] = _within(arr[ok] @ adj[ok] - eye, atol)
-    return ok
+    return _per_member(ok)
 
 
 def is_projection_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:

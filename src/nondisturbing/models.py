@@ -48,8 +48,10 @@ __all__ = [
 class MeasurementModel:
     """Base-plus-probe measurement: probe state, interaction channel, meter.
 
-    The channel may be a generic Kraus channel on the composite space or
-    an :class:`NDChannel`; closed forms are only available for the latter.
+    Both dimensions are read off the parts: :attr:`dim_probe` from the
+    probe state, :attr:`dim_base` from the channel.  The channel may be a
+    generic Kraus channel on the composite space or an :class:`NDChannel`;
+    closed forms are only available for the latter.
     Their one state-independent tensor, :attr:`pulled_meter`, is computed
     once per model on first use.  The forms that evolve the probe state
     apply the probe channels per call instead, at a cost of ``n K dk^3``:
@@ -57,36 +59,38 @@ class MeasurementModel:
     force its ``outcomes`` times larger build on every observable request.
     """
 
-    dim_base: int
-    dim_probe: int
     probe_state: State
     channel: KrausOperation | NDChannel
     meter: Observable
 
     def __post_init__(self):
-        if self.dim_base < 1 or self.dim_probe < 1:
-            raise ValueError("dimensions must be positive")
-        if self.probe_state.dim != self.dim_probe:
-            raise ValueError(
-                f"probe state dimension {self.probe_state.dim} != {self.dim_probe}"
-            )
         if self.meter.dim != self.dim_probe:
             raise ValueError(
                 f"meter dimension {self.meter.dim} != probe dimension {self.dim_probe}"
             )
         if isinstance(self.channel, NDChannel):
-            if self.channel.dim_base != self.dim_base:
-                raise ValueError("channel context does not match the base dimension")
             if self.channel.dim_probe != self.dim_probe:
                 raise ValueError("channel table does not match the probe dimension")
         elif isinstance(self.channel, KrausOperation):
-            if self.channel.dim != self.dim_base * self.dim_probe:
+            if self.channel.dim % self.dim_probe:
                 raise ValueError(
-                    f"channel dimension {self.channel.dim} != "
-                    f"{self.dim_base} * {self.dim_probe}"
+                    f"channel dimension {self.channel.dim} is not a multiple of "
+                    f"the probe dimension {self.dim_probe}"
                 )
         else:
             raise TypeError(f"unsupported channel type {type(self.channel).__name__}")
+
+    @property
+    def dim_probe(self) -> int:
+        """The probe state's dimension."""
+        return self.probe_state.dim
+
+    @property
+    def dim_base(self) -> int:
+        """The channel's base dimension: its context's, or its own over :attr:`dim_probe`."""
+        if isinstance(self.channel, NDChannel):
+            return self.channel.dim_base
+        return self.channel.dim // self.dim_probe
 
     @property
     def is_nondisturbing(self) -> bool:
@@ -341,7 +345,9 @@ def random_model(
     rng = np.random.default_rng(seed)
     if context is None:
         context = Context.standard(dim_base)
+    if context.dim != dim_base:
+        raise ValueError(f"context dimension {context.dim} != {dim_base}")
     probe_state = State(random_density(dim_probe, rng))
     meter = Observable.from_matrices(random_povm(dim_probe, outcomes, rng))
     channel = random_nd_channel(context, dim_probe, kraus_count, rng)
-    return MeasurementModel(dim_base, dim_probe, probe_state, channel, meter)
+    return MeasurementModel(probe_state, channel, meter)

@@ -57,10 +57,6 @@ class State:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
 
 @dataclass(frozen=True, eq=False)
 class Observable:

@@ -40,6 +40,9 @@ from .serialization import (
 
 __all__ = ["Scenario", "example_scenario", "scenario_from_json", "run_scenario", "load_scenario", "evaluate"]
 
+# The report tolerance of a document without "tol", and of ``example`` without ``--tol``.
+DEFAULT_TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -48,7 +51,7 @@ class Scenario:
     model: MeasurementModel
     inputs: tuple[State, ...]
     requests: tuple[str, ...]
-    tolerance: float = 1e-10
+    tolerance: float
     seed: int | None = None
 
 
@@ -77,8 +80,8 @@ def _example_model(name: str, n: int, m: int | None,
     return catalog.swap_model(n, meter) if name == "swap" else catalog.fourier_model(n, m, meter)
 
 
-def example_scenario(name: str, n: int, m: int | None = None, meter: Observable | None = None,
-                     tolerance: float = 1e-10) -> Scenario:
+def example_scenario(name: str, n: int, m: int | None, meter: Observable | None,
+                     tolerance: float) -> Scenario:
     """The built-in family ``name`` on the default inputs, with every request.
 
     ``swap`` has probe dimension ``n``; ``fourier`` has probe dimension
@@ -125,7 +128,7 @@ def scenario_from_json(obj: Any) -> Scenario:
     if has_channel == has_example:
         raise SchemaError("scenario", "exactly one of 'channel' or 'example' is required")
 
-    tolerance = obj.get("tol", 1e-10)
+    tolerance = obj.get("tol", DEFAULT_TOLERANCE)
     number = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
     # The upper bound also refuses a JSON integer too large for a float.
     if not (number and 0 < tolerance <= sys.float_info.max):
@@ -136,21 +139,10 @@ def scenario_from_json(obj: Any) -> Scenario:
 
     if has_example:
         model = _parse_example(obj["example"])
-        for key, value in (("dimH", model.dim_base), ("dimK", model.dim_probe)):
-            given = obj.get(key, value)
-            if not _is_int(given):
-                raise SchemaError(key, "must be an integer when present")
-            if given != value:
-                raise ValueError(
-                    f"{key} = {given} conflicts with the example's dimension {value}"
-                )
     else:
         for key in ("dimH", "dimK", "eta", "probe"):
             if key not in obj:
                 raise SchemaError("scenario", f"missing key {key!r}")
-        if not _is_int(obj["dimH"]) or not _is_int(obj["dimK"]):
-            raise SchemaError("scenario", "dimH and dimK must be integers")
-        dim_base, dim_probe = obj["dimH"], obj["dimK"]
         eta = State(matrix_from_json(obj["eta"], "eta"))
         meter = observable_from_json(obj["probe"], "probe")
         channel_obj = obj["channel"]
@@ -169,7 +161,13 @@ def scenario_from_json(obj: Any) -> Scenario:
             channel = KrausOperation(kraus)
         else:
             raise SchemaError("channel.kind", f"unknown kind {kind!r}; known: nd, kraus")
-        model = MeasurementModel(dim_base, dim_probe, eta, channel, meter)
+        model = MeasurementModel(eta, channel, meter)
+    for key, value in (("dimH", model.dim_base), ("dimK", model.dim_probe)):
+        given = obj.get(key, value)
+        if not _is_int(given):
+            raise SchemaError(key, "must be an integer")
+        if given != value:
+            raise ValueError(f"{key} = {given} conflicts with the model's dimension {value}")
 
     inputs_obj = obj.get("inputs")
     if inputs_obj is None:

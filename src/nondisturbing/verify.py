@@ -347,7 +347,7 @@ def _unitary_model(rng, n: int, dk: int, context: Context) -> tuple[MeasurementM
     nd = NDChannel(context, unitaries[:, None])
     eta = State(random_density(dk, rng))
     meter = Observable.from_matrices(random_povm(dk, int(rng.integers(2, 4)), rng))
-    return MeasurementModel(n, dk, eta, nd, meter), unitaries
+    return MeasurementModel(eta, nd, meter), unitaries
 
 
 def _check_unitary_specialization(rng, max_dim) -> float:
@@ -370,9 +370,7 @@ def _check_unitary_specialization(rng, max_dim) -> float:
     # sum_i w_i U_i* F_x U_i
     pulled = np.tensordot(weights, _adjoint(unitaries) @ effects[:, None] @ unitaries,
                           axes=(0, 1))
-    collapsed = MeasurementModel(
-        n, dk, State(np.eye(dk, dtype=complex) / dk), mm.channel, mm.meter
-    )
+    collapsed = MeasurementModel(State(np.eye(dk, dtype=complex) / dk), mm.channel, mm.meter)
     scale = np.real(np.trace(effects, axis1=1, axis2=2)) / dk
     return fold_max(
         max_abs(explicit - measured_instrument_nd(mm, rho)),

@@ -262,7 +262,7 @@ def test_criterion_07_post_interaction_probe():
         if unitary_rows:
             nd = NDChannel(ctx, tuple((random_unitary(dk, rng),) for _ in range(n)))
             mm = MeasurementModel(
-                n, dk, State(random_density(dk, rng)), nd,
+                State(random_density(dk, rng)), nd,
                 Observable.from_matrices(random_povm(dk, 2, rng)),
             )
         else:
@@ -297,7 +297,7 @@ def test_criterion_08_commuting_probe_state_collapse():
         nd = NDChannel(ctx, tuple((random_unitary(dk, rng),) for _ in range(n)))
         eta = State(np.eye(dk, dtype=complex) / dk)
         meter = Observable.from_matrices(random_povm(dk, int(rng.integers(2, 4)), rng))
-        mm = MeasurementModel(n, dk, eta, nd, meter)
+        mm = MeasurementModel(eta, nd, meter)
         for f, effect in zip(meter.effects, measured_observable_nd(mm), strict=True):
             scale = float(np.trace(eta.matrix @ f).real)
             worst = max(worst, max_abs(effect - scale * np.eye(n)))
@@ -394,7 +394,7 @@ def test_criterion_11_remeasurement():
             worst_two_round = max(worst_two_round, max_abs(closed - oracle))
         nd = NDChannel(ctx, tuple((random_unitary(dk, rng),) for _ in range(n)))
         unitary_mm = MeasurementModel(
-            n, dk, State(random_density(dk, rng)), nd,
+            State(random_density(dk, rng)), nd,
             Observable.from_matrices(random_povm(dk, 2, rng)),
         )
         eta = unitary_mm.probe_state.matrix

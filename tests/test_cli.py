@@ -10,10 +10,12 @@ import pytest
 import nondisturbing.models
 from nondisturbing.cli import _emit_report, main
 from nondisturbing.linalg import max_abs, random_kraus_channel
-from nondisturbing.objects import sharp_observable
+from nondisturbing.channels import random_nd_channel
+from nondisturbing.objects import Context, sharp_observable
 from nondisturbing.serialization import (
     matrix_from_json,
     matrix_to_json,
+    nd_channel_to_json,
     observable_to_json,
 )
 from nondisturbing.scenario import run_scenario, scenario_from_json
@@ -76,7 +78,7 @@ def test_scenario_default_inputs_and_requests():
     scn = scenario_from_json(_swap_scenario())
     assert scn.requests == ("instrument", "observable")
     assert len(scn.inputs) == 2
-    assert abs(scn.inputs[0].trace - 1.0) < 1e-12
+    assert abs(np.trace(scn.inputs[0].matrix).real - 1.0) < 1e-12
 
 
 def test_scenario_inputs_must_match_base_dimension():
@@ -190,8 +192,8 @@ def _one_dim_probe_scenario(field):
 BOOLEAN_FIELDS = {
     "rows": (_one_dim_probe_scenario("rows"), "rows and cols must be positive integers"),
     "cols": (_one_dim_probe_scenario("cols"), "rows and cols must be positive integers"),
-    "dimH": ({**_kraus_scenario(["instrument"]), "dimH": True}, "dimH and dimK must be integers"),
-    "dimK": ({**_kraus_scenario(["instrument"]), "dimK": True}, "dimH and dimK must be integers"),
+    "dimH": ({**_kraus_scenario(["instrument"]), "dimH": True}, "dimH: must be an integer"),
+    "dimK": ({**_kraus_scenario(["instrument"]), "dimK": True}, "dimK: must be an integer"),
     "seed": ({**_swap_scenario(), "seed": True}, "seed: must be an integer"),
     "n": ({"example": {"name": "swap", "n": True}}, "example.n: "),
     "m": ({"example": {"name": "fourier", "n": 1, "m": True}}, "example.m: "),
@@ -227,10 +229,26 @@ def test_run_exits_two_on_non_integer_example_dimension(tmp_path, capsys, key, v
     assert capsys.readouterr().err.startswith(f"parse error: {key}: ")
 
 
+def _nd_scenario():
+    channel = random_nd_channel(Context.standard(2), 2, 1, 5)
+    return {**_kraus_scenario(["instrument"]), "channel": {"kind": "nd", **nd_channel_to_json(channel)}}
+
+
+# A document whose dimH or dimK disagrees with its model, with the error it must give.
+DIMENSION_MISMATCHES = {
+    "example": ({"example": {"name": "swap", "n": 1}, "dimH": 2},
+                "dimH = 2 conflicts with the model's dimension 1"),
+    "nd": ({**_nd_scenario(), "dimH": 3}, "dimH = 3 conflicts with the model's dimension 2"),
+    "kraus": ({**_kraus_scenario(["instrument"]), "dimK": 1},
+              "dimK = 1 conflicts with the model's dimension 2"),
+}
+
+
 def test_run_exits_three_on_example_dimension_mismatch(tmp_path, capsys):
-    path = _write(tmp_path, "example_dimH.json", {"example": {"name": "swap", "n": 1}, "dimH": 2})
-    assert main(["run", path]) == 3
-    assert "dimH = 2 conflicts with the example's dimension 1" in capsys.readouterr().err
+    for kind, (document, message) in DIMENSION_MISMATCHES.items():
+        path = _write(tmp_path, f"{kind}_mismatch.json", document)
+        assert main(["run", path]) == 3
+        assert message in capsys.readouterr().err
 
 
 def test_wrong_closed_form_is_reported_not_raised(monkeypatch, capsys):

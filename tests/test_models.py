@@ -41,7 +41,7 @@ def _identity_channel_model(n: int, dk: int, eta_seed: int, meter_seed: int) -> 
     eta = State(random_density(dk, eta_seed))
     meter = Observable.from_matrices(random_povm(dk, 2, meter_seed))
     channel = KrausOperation((np.eye(n * dk),))
-    return MeasurementModel(n, dk, eta, channel, meter)
+    return MeasurementModel(eta, channel, meter)
 
 
 def _unitary_nd_model(n: int, dk: int, seed: int, eta: State | None = None) -> MeasurementModel:
@@ -51,7 +51,7 @@ def _unitary_nd_model(n: int, dk: int, seed: int, eta: State | None = None) -> M
     if eta is None:
         eta = State(random_density(dk, rng))
     meter = Observable.from_matrices(random_povm(dk, 3, rng))
-    return MeasurementModel(n, dk, eta, nd, meter)
+    return MeasurementModel(eta, nd, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +63,18 @@ def test_model_rejects_mismatched_dimensions():
     eta = State(np.eye(2) / 2)
     meter = sharp_observable(2)
     channel = KrausOperation((np.eye(6),))
-    with pytest.raises(ValueError, match="channel dimension"):
-        MeasurementModel(2, 2, eta, channel, meter)
+    with pytest.raises(ValueError, match="channel dimension 6 is not a multiple"):
+        MeasurementModel(State(np.eye(4) / 4), channel, sharp_observable(4))
     with pytest.raises(ValueError, match="meter dimension"):
-        MeasurementModel(3, 2, eta, channel, sharp_observable(3))
+        MeasurementModel(eta, channel, sharp_observable(3))
+    with pytest.raises(ValueError, match="channel table"):
+        MeasurementModel(eta, NDChannel(Context.standard(2), ((np.eye(3),),) * 2), meter)
+    with pytest.raises(TypeError, match="unsupported channel type"):
+        MeasurementModel(eta, channel.kraus, meter)
     with pytest.raises(ValueError, match="completeness"):
-        MeasurementModel(
-            3, 2, eta, KrausOperation((np.eye(6) / 2,)), meter
-        )
+        MeasurementModel(eta, KrausOperation((np.eye(6) / 2,)), meter)
+    with pytest.raises(ValueError, match="context dimension 4 != 3"):
+        random_model(3, 2, 2, 1, 0, context=Context.standard(4))
 
 
 def test_closed_forms_require_nd_channel():
@@ -97,7 +101,7 @@ def test_single_outcome_meter_gives_trace_one_output():
     eta = State(random_density(3, 4))
     meter = Observable.from_matrices([np.eye(3)], ["all"])
     channel = KrausOperation(tuple(random_kraus_channel(6, 2, 5)))
-    mm = MeasurementModel(2, 3, eta, channel, meter)
+    mm = MeasurementModel(eta, channel, meter)
     rho = State(random_density(2, 6))
     (out,) = measured_instrument_direct(mm, rho)
     assert abs(np.trace(out).real - 1.0) < 1e-10
@@ -110,9 +114,7 @@ def test_single_outcome_meter_gives_trace_one_output():
 def test_identity_channel_with_sharp_meter_scales_the_input():
     n, dk = 2, 3
     eta = State(random_density(dk, 7))
-    mm = MeasurementModel(
-        n, dk, eta, KrausOperation((np.eye(n * dk),)), sharp_observable(dk)
-    )
+    mm = MeasurementModel(eta, KrausOperation((np.eye(n * dk),)), sharp_observable(dk))
     rho = State(random_density(n, 8))
     for j, out in enumerate(measured_instrument_direct(mm, rho)):
         weight = eta.matrix[j, j].real
@@ -144,7 +146,8 @@ def test_oracles_match_their_dense_definitions_on_a_generic_channel(n, dk, outco
     ops = random_kraus_channel(n * dk, kraus, rng)
     eta = State(random_density(dk, rng))
     meter = Observable.from_matrices(random_povm(dk, outcomes, rng))
-    mm = MeasurementModel(n, dk, eta, KrausOperation(tuple(ops)), meter)
+    mm = MeasurementModel(eta, KrausOperation(tuple(ops)), meter)
+    assert (mm.dim_base, mm.dim_probe) == (n, dk)
     rho, sigma = State(random_density(n, rng)), State(random_density(dk, rng))
     eye = np.eye(n)
 
@@ -263,7 +266,7 @@ def test_commuting_probe_state_collapses_observable_to_scalars():
     nd = NDChannel(ctx, tuple((random_unitary(dk, rng),) for _ in range(n)))
     eta = State(np.eye(dk, dtype=complex) / dk)
     meter = Observable.from_matrices(random_povm(dk, 3, rng))
-    mm = MeasurementModel(n, dk, eta, nd, meter)
+    mm = MeasurementModel(eta, nd, meter)
     for f, effect in zip(meter.effects, measured_observable_nd(mm), strict=True):
         scale = np.trace(eta.matrix @ f).real
         assert max_abs(effect - scale * np.eye(n)) < 1e-10
@@ -278,7 +281,7 @@ def test_post_probe_single_outcome_reduces_to_plain_partial_trace():
     eta = State(random_density(2, 60))
     meter = Observable.from_matrices([np.eye(2)], ["all"])
     channel = KrausOperation(tuple(random_kraus_channel(6, 2, 61)))
-    mm = MeasurementModel(3, 2, eta, channel, meter)
+    mm = MeasurementModel(eta, channel, meter)
     rho = State(random_density(3, 62))
     sigma = State(random_density(2, 63))
     (out,) = post_probe_instrument_direct(mm, rho, sigma)
@@ -293,9 +296,7 @@ def test_post_probe_identity_channel_sandwiches_the_probe():
     n, dk = 2, 3
     eta = State(random_density(dk, 64))
     meter = Observable.from_matrices(random_povm(dk, 2, 65))
-    mm = MeasurementModel(
-        n, dk, eta, KrausOperation((np.eye(n * dk),)), meter
-    )
+    mm = MeasurementModel(eta, KrausOperation((np.eye(n * dk),)), meter)
     rho = State(random_density(n, 66))
     sigma = State(random_density(dk, 67))
     for f, out in zip(meter.effects, post_probe_instrument_direct(mm, rho, sigma)):
@@ -432,8 +433,7 @@ def test_instrument_takes_no_outcome_and_stacks_outcomes_in_label_order(fn):
     rho = State(random_density(3, 122))
     sigma = State(random_density(2, 123))
     flipped = MeasurementModel(
-        mm.dim_base, mm.dim_probe, mm.probe_state, mm.channel,
-        Observable(mm.meter.labels[::-1], mm.meter.effects[::-1]),
+        mm.probe_state, mm.channel, Observable(mm.meter.labels[::-1], mm.meter.effects[::-1])
     )
     out = _instrument_call(fn, mm, rho, sigma)
     dim = mm.dim_probe if fn.__name__.startswith("post_probe") else mm.dim_base
@@ -602,6 +602,7 @@ def _three_system_remeasured_effect(
 def test_remeasure_matches_three_system_reference(n, dk):
     rng = np.random.default_rng(100 * n + dk)
     mm = random_model(n, dk, 3, 2, rng, context=Context.random(n, rng))
+    assert (mm.dim_base, mm.dim_probe) == (n, dk)
     rho = State(random_density(n, rng))
     closed = remeasured_effect(mm, rho)
     oracle = remeasured_effect_two_round(mm, rho)
@@ -652,7 +653,7 @@ def test_remeasure_identity_table_scales_the_dephased_state():
     nd = NDChannel(ctx, ((np.eye(dk),),) * n)
     eta = State(random_density(dk, 99))
     meter = Observable.from_matrices(random_povm(dk, 2, 100))
-    mm = MeasurementModel(n, dk, eta, nd, meter)
+    mm = MeasurementModel(eta, nd, meter)
     rho = State(random_density(n, 101))
     dephased = _dephase(ctx, rho.matrix)
     for f, out in zip(meter.effects, remeasured_effect(mm, rho)):

@@ -265,7 +265,7 @@ def test_degenerate_meters_with_rank_one_eta_pass_every_check(n, dk, meter_kind,
         v = random_unitary(dk, rng)
         low = hermitian_part((v * [-depth, *rng.uniform(0, 1, dk - 1)]) @ v.conj().T)
         effects = [low, np.eye(dk) - low]
-    mm = MeasurementModel(n, dk, _pure_state(dk, rng), nd, Observable.from_matrices(effects))
+    mm = MeasurementModel(_pure_state(dk, rng), nd, Observable.from_matrices(effects))
     inputs = (State(random_density(n, rng)), _pure_state(n, rng))
     _, residuals = evaluate(mm, inputs, ALL_REQUESTS, _pure_state(dk, rng))
     assert residuals
@@ -285,7 +285,7 @@ def test_near_singular_meter_is_clipped_alike_by_closed_forms_and_oracles():
     meter = Observable.from_matrices([low, np.eye(3) - low])
     assert np.linalg.eigvalsh(meter.effects[0])[0] < 0
     nd = random_nd_channel(Context.random(2, 32), 3, 2, 33)
-    mm = MeasurementModel(2, 3, State(random_density(3, 34)), nd, meter)
+    mm = MeasurementModel(State(random_density(3, 34)), nd, meter)
     inputs = (State(random_density(2, 35)), State(random_density(2, 36)))
     _, residuals = evaluate(mm, inputs, ALL_REQUESTS, State(random_density(3, 37)))
     closed = {name: r for name, r in residuals.items() if ".closed_vs_" in name}
