@@ -12,28 +12,27 @@ whose oracle runs two brute-force rounds of the protocol.
 import numpy as np
 
 from nondisturbing import (
+    DirectOracle,
     State,
     max_abs,
-    measured_instrument_direct,
     measured_instrument_nd,
     measured_observable_nd,
-    post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
     random_density,
     random_model,
     remeasured_effect,
-    remeasured_effect_two_round,
 )
 
 model = random_model(dim_base=3, dim_probe=2, outcomes=3, kraus_count=2, seed=2)
+oracle = DirectOracle(model)
 rho = State(random_density(3, 3))
 print(f"model: base dim {model.dim_base}, probe dim {model.dim_probe}, "
       f"meter outcomes {model.meter.labels}")
 
 print("\n=== Measured instrument ===")
 instrument = zip(model.meter.labels, measured_instrument_nd(model, rho),
-                 measured_instrument_direct(model, rho))
+                 oracle.instrument(rho))
 for x, closed, direct in instrument:
     print(f"outcome {x}: probability {np.trace(closed).real:.4f}, "
           f"closed vs direct {max_abs(closed - direct):.2e}")
@@ -51,7 +50,7 @@ sigma = State(random_density(2, 4))
 probe_obs = post_probe_observable(model, rho)
 probe_instrument = zip(model.meter.labels, probe_obs,
                        post_probe_instrument_nd(model, rho, sigma),
-                       post_probe_instrument_direct(model, rho, sigma))
+                       oracle.post_probe(rho, sigma))
 for x, effect, closed, direct in probe_instrument:
     paired = np.trace(sigma.matrix @ effect).real
     print(f"outcome {x}: closed vs direct {max_abs(closed - direct):.2e}, "
@@ -65,9 +64,8 @@ for i in range(model.dim_base):
 
 print("\n=== Remeasuring with the state-dependent meter ===")
 remeasured = remeasured_effect(model, rho)
-for x, closed, oracle in zip(model.meter.labels, remeasured,
-                             remeasured_effect_two_round(model, rho)):
-    print(f"outcome {x}: closed vs two-round oracle {max_abs(closed - oracle):.2e}")
+for x, closed, brute in zip(model.meter.labels, remeasured, oracle.remeasure(rho)):
+    print(f"outcome {x}: closed vs two-round oracle {max_abs(closed - brute):.2e}")
 summed = remeasured.sum(axis=0)
 dephased = sum(p @ rho.matrix @ p for p in model.nd.context.atoms)
 print("outcome sum equals dim_base times the dephased input:",

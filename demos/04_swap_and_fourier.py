@@ -11,13 +11,13 @@ nothing about the base state.
 import numpy as np
 
 from nondisturbing import (
+    DirectOracle,
     Observable,
     State,
     apply_product,
     fourier_model,
     fourier_observable_effect,
     max_abs,
-    measured_instrument_direct,
     measured_observable_nd,
     random_density,
     random_povm,
@@ -39,7 +39,7 @@ print("channel closed form vs library action:", max_abs(closed - library))
 weights = np.array([0.6, 0.3, 0.1])
 measurable = State(np.diag(weights).astype(complex))
 print("\nfeeding a context-diagonal state, outcome probabilities should be its weights:")
-for x, out in zip(model.meter.labels, measured_instrument_direct(model, measurable)):
+for x, out in zip(model.meter.labels, DirectOracle(model).instrument(measurable)):
     print(f"  outcome {x}: probability {np.trace(out).real:.4f} (weight {weights[int(x)]})")
 
 print("\n=== Swap family with a fuzzy meter ===")

@@ -63,16 +63,14 @@ from .channels import (
     reduced_product_outputs,
 )
 from .models import (
+    DirectOracle,
     MeasurementModel,
-    measured_instrument_direct,
     measured_instrument_nd,
     measured_observable_nd,
-    post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
     random_model,
     remeasured_effect,
-    remeasured_effect_two_round,
 )
 from .catalog import (
     fourier_model,

@@ -140,8 +140,8 @@ def _completeness_bound(
         max|sum_k S_k* S_k - I| <= lam rho + eps (1 + lam c)
                                    + sum_k e_k (2 lam sqrt(c) + e_k),
 
-    and the rounding of the composite Gram product that the bound stands
-    for is added last.
+    and the rounding of the composite Gram product is added last.
+    Derivation: ``docs/rounding.md``, section ``_completeness_bound``.
     """
     count = len(residuals)
     eps = context._orthonormality_bound

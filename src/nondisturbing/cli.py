@@ -15,8 +15,10 @@ indenting encoder ``json`` falls back to.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -137,23 +139,37 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
         raise TypeError(f"cannot write {type(value).__name__} to a report")
 
 
+def _write_text(path: str, mode: str, text: str) -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _FileError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_report(report: dict[str, Any], output: str | None) -> None:
     out: list[str] = []
     _write_json(report, "", out)
     text = "".join(out) + "\n"
     if output is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _FileError(f"cannot write {output}: {exc}") from exc
+    else:
+        _write_text(output, "w", text)
 
 
 def _finish(scenario: Scenario, output: str | None) -> int:
-    report = run_scenario(scenario)
-    _emit_report(report, output)
+    # Check ``-o`` before the run, truncating nothing; a raise removes only a file it made.
+    created = output is not None and not os.path.lexists(output)
+    if output is not None:
+        _write_text(output, "a", "")
+    try:
+        report = run_scenario(scenario)
+        _emit_report(report, output)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(output)
+        raise
     return EXIT_PASS if report["pass"] else EXIT_NUMERICAL
 
 

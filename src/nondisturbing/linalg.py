@@ -63,7 +63,7 @@ def as_complex_stack(family, name: str, ndim: int) -> np.ndarray:
     ``family`` is an array, or nested sequences, with ``ndim`` axes whose
     last two index each matrix.  A ragged or non-numeric family, the
     wrong number of axes, non-square or ``0 x 0`` matrices and non-finite
-    entries all raise ``ValueError`` naming ``name``.
+    entries or parts above ``1e150`` all raise ``ValueError`` naming ``name``.
     """
     try:
         arr = np.array(family, dtype=complex, order="C")
@@ -77,8 +77,11 @@ def as_complex_stack(family, name: str, ndim: int) -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {arr.shape[-2:]}")
     if arr.shape[-1] == 0:
         raise ValueError(f"{name} must have a dimension of at least 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+    parts = arr.view(float)
+    largest = np.maximum(parts.max(initial=0.0), -parts.min(initial=0.0))
+    if not largest <= 1e150:  # smaller parts square and sum without overflow
+        what = "non-finite entries" if not np.isfinite(largest) else "a part above 1e150"
+        raise ValueError(f"{name} contains {what}")
     arr.setflags(write=False)
     return arr
 
@@ -99,9 +102,8 @@ def _dot_rounding(terms: int) -> float:
     """Relative rounding bound of a complex sum of ``terms`` products.
 
     Twice Higham's ``gamma_(m+2) = (m+2) u / (1 - (m+2) u)`` for a complex
-    inner product of length ``m = terms``, with ``u`` the unit roundoff:
-    the factor 2 leaves room for the subtraction, modulus and square root
-    that follow such a sum in a defect or a norm.
+    inner product of length ``m = terms``, with ``u`` the unit roundoff;
+    see ``docs/rounding.md``, section ``_dot_rounding``.
     """
     mu = (terms + 2) * _UNIT_ROUNDOFF
     return 2 * mu / (1 - mu) if mu < 0.5 else math.inf

@@ -32,14 +32,11 @@ from .channels import NDChannel, pair_overlap_kernel, probe_outputs, random_nd_c
 __all__ = [
     "DirectOracle",
     "MeasurementModel",
-    "measured_instrument_direct",
     "measured_instrument_nd",
     "measured_observable_nd",
-    "post_probe_instrument_direct",
     "post_probe_instrument_nd",
     "post_probe_observable",
     "remeasured_effect",
-    "remeasured_effect_two_round",
     "random_model",
 ]
 
@@ -137,11 +134,6 @@ def _check_inputs(mm: MeasurementModel, rho: State, sigma: State | None = None) 
 # ``(outcomes, d, d)``.
 
 
-def measured_instrument_direct(mm: MeasurementModel, rho: State) -> np.ndarray:
-    """Brute-force measured instrument, valid for any channel: see :class:`DirectOracle`."""
-    return DirectOracle(mm).instrument(rho)
-
-
 def measured_instrument_nd(mm: MeasurementModel, rho: State) -> np.ndarray:
     """Closed-form measured instrument of a nondisturbing model.
 
@@ -167,11 +159,6 @@ def measured_observable_nd(mm: MeasurementModel) -> np.ndarray:
     evolved = probe_outputs(mm.nd, mm.probe_state.matrix)
     diag = np.real(np.einsum("iab,xba->xi", evolved, mm.meter.effects))
     return (basis * diag[:, None, :]) @ basis.conj().T
-
-
-def post_probe_instrument_direct(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:
-    """Brute-force post-interaction probe instrument: see :class:`DirectOracle`."""
-    return DirectOracle(mm).post_probe(rho, sigma)
 
 
 def post_probe_instrument_nd(mm: MeasurementModel, rho: State, sigma: State) -> np.ndarray:
@@ -222,11 +209,6 @@ def remeasured_effect(mm: MeasurementModel, rho: State) -> np.ndarray:
     return hermitian_part((basis * (coeff * weights)[:, None, :]) @ basis.conj().T)
 
 
-def remeasured_effect_two_round(mm: MeasurementModel, rho: State) -> np.ndarray:
-    """Oracle for :func:`remeasured_effect`, two brute-force rounds: see :class:`DirectOracle`."""
-    return DirectOracle(mm).remeasure(rho)
-
-
 def _own_hermitian_part(stack: np.ndarray) -> np.ndarray:
     # The oracles' copy of :func:`hermitian_part`, so that a bug there moves
     # the closed forms away from the oracles instead of moving both.
@@ -234,7 +216,7 @@ def _own_hermitian_part(stack: np.ndarray) -> np.ndarray:
 
 
 class DirectOracle:
-    """The brute-force oracles of one model, valid for any channel.
+    """The one way to run the brute-force oracles of a model, for any channel.
 
     Each oracle tensors an input ``rho`` with a probe input ``sigma``,
     applies the composite channel once and reads its outcomes off the
@@ -244,9 +226,9 @@ class DirectOracle:
     and nothing else: the measured instrument and the post-interaction
     instrument with the model's own probe state read one ``X``, and the
     first round of the two-round oracle runs once, reusing the ``X`` of
-    an input equal to ``I/n``.  No oracle reads
-    closed-form code; the post-interaction one takes its own square roots
-    and every output its own Hermitian part.
+    an input equal to ``I/n``.  No oracle reads closed-form code; the
+    post-interaction one takes its own square roots and every output its
+    own Hermitian part.
     """
 
     def __init__(self, mm: MeasurementModel):

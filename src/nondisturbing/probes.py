@@ -219,7 +219,8 @@ def _commutator_bound(
     lam (||B - B'||_F + 2 eps ||B||_F)``, norms over all atoms.  The
     returned residual adds the rounding of the computed norms: a relative
     ``_dot_rounding(2 n dk^2)`` and ``16 gamma sqrt(n) ||A||_F`` with
-    ``gamma = _dot_rounding(2 n + 6)`` for the contractions.
+    ``gamma = _dot_rounding(2 n + 6)`` for the contractions.  Derivation:
+    ``docs/rounding.md``, section ``_commutator_bound``.
     """
     basis = context.basis
     n = context.dim
@@ -263,9 +264,10 @@ def _pair_bounds(context: Context, rows, cols, left, blocks) -> np.ndarray:
     length.  The rounding of ``X_i``, ``Y_i``, of the scanned entry and of
     this bound is covered by a relative ``64 u`` and ``8 u (|B_i| +
     |B'_i|)[p, q]`` added to ``|B_i - B'_i|[p, q]``, with ``u`` the unit
-    roundoff; the smallest normal float covers underflow.  ``X_i`` and
-    ``Y_i`` come from :func:`_residuals`, so beyond ``R`` and ``C`` this
-    holds one ``(n dk)^2`` scratch buffer and its moduli.
+    roundoff; the smallest normal float covers underflow (derivation:
+    ``docs/rounding.md``, section ``_pair_bounds``).  ``X_i`` and ``Y_i``
+    come from :func:`_residuals`, so beyond ``R`` and ``C`` this holds one
+    ``(n dk)^2`` scratch buffer and its moduli.
     """
     basis = context.basis
     squared = np.linalg.norm(basis, axis=0)[:, None, None] ** 2

@@ -41,7 +41,6 @@ from .linalg import (
     loewner_leq,
     max_abs,
     partial_trace,
-    psd_sqrt,
     random_density,
     random_effect,
     random_hermitian,
@@ -63,8 +62,8 @@ from .probes import (
 )
 from .channels import NDChannel, nd_channel_from_kraus, random_nd_channel, apply_product, reduced_product_outputs
 from .models import (
+    DirectOracle,
     MeasurementModel,
-    measured_instrument_direct,
     measured_instrument_nd,
     measured_observable_nd,
     post_probe_instrument_nd,
@@ -365,7 +364,7 @@ def _check_unitary_specialization(rng, max_dim) -> float:
     diag = np.real(np.diagonal(coeff, axis1=1, axis2=2))
     explicit_effect = (basis * diag[:, None, :]) @ basis.conj().T
     # sum_i w_i F_x^(1/2) U_i sigma U_i* F_x^(1/2)
-    roots = psd_sqrt(effects)
+    roots = DirectOracle(mm).meter_roots
     mixed = np.tensordot(weights, unitaries @ sigma.matrix @ _adjoint(unitaries), axes=1)
     # sum_i w_i U_i* F_x U_i
     pulled = np.tensordot(weights, _adjoint(unitaries) @ effects[:, None] @ unitaries,
@@ -425,7 +424,7 @@ def _check_swap_family(rng, max_dim) -> float:
         max_abs(np.array(catalog.swap_unitaries(n)) - recovered.probes),
         max_abs(catalog.swap_product_output(rho) - apply_product(nd, rho, mm.probe_state)),
         max_abs(catalog.swap_instrument_output(rho, effects)
-                - measured_instrument_direct(mm, rho)),
+                - DirectOracle(mm).instrument(rho)),
         max_abs(catalog.swap_observable_effect(effects) - measured_observable_nd(mm)),
     )
 
@@ -447,7 +446,7 @@ def _check_fourier_family(rng, max_dim) -> float:
         max_abs(catalog.fourier_pair_traces(n, m, effects)
                 - _pair_traces(unitaries, mm.probe_state.matrix, effects)),
         max_abs(catalog.fourier_observable_effect(n, m, effects) - measured_observable_nd(mm)),
-        max_abs(measured_instrument_nd(mm, rho) - measured_instrument_direct(mm, rho)),
+        max_abs(measured_instrument_nd(mm, rho) - DirectOracle(mm).instrument(rho)),
         max_abs(measured_observable_nd(diagonal) - average[:, None, None] * np.eye(n)),
     )
 

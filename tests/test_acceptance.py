@@ -42,16 +42,14 @@ from nondisturbing.channels import (
     reduced_product_outputs,
 )
 from nondisturbing.models import (
+    DirectOracle,
     MeasurementModel,
-    measured_instrument_direct,
     measured_instrument_nd,
     measured_observable_nd,
-    post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
     random_model,
     remeasured_effect,
-    remeasured_effect_two_round,
 )
 from nondisturbing.catalog import (
     fourier_model,
@@ -237,7 +235,7 @@ def test_criterion_06_measured_instrument_and_observable():
         rho = State(random_density(n, rng))
         probabilities = []
         for closed, direct in zip(measured_instrument_nd(mm, rho),
-                                  measured_instrument_direct(mm, rho)):
+                                  DirectOracle(mm).instrument(rho)):
             worst = max(worst, max_abs(closed - direct))
             probabilities.append(float(np.trace(closed).real))
         worst = max(worst, abs(sum(probabilities) - 1.0))
@@ -271,7 +269,7 @@ def test_criterion_07_post_interaction_probe():
         sigma = State(random_density(dk, rng))
         instrument = zip(mm.meter.effects, post_probe_observable(mm, rho),
                          post_probe_instrument_nd(mm, rho, sigma),
-                         post_probe_instrument_direct(mm, rho, sigma), strict=True)
+                         DirectOracle(mm).post_probe(rho, sigma), strict=True)
         for f, effect, closed, direct in instrument:
             worst = max(worst, max_abs(closed - direct))
             paired = float(np.trace(sigma.matrix @ effect).real)
@@ -356,7 +354,7 @@ def test_criterion_10_fourier_family():
         unitaries = fourier_unitaries(n, m)
         eta = mm.probe_state.matrix
         instrument = zip(meter.effects, measured_observable_nd(mm),
-                         measured_instrument_nd(mm, rho), measured_instrument_direct(mm, rho),
+                         measured_instrument_nd(mm, rho), DirectOracle(mm).instrument(rho),
                          strict=True)
         for f, effect, closed, direct in instrument:
             worst = max(worst, max_abs(closed - direct))
@@ -390,7 +388,7 @@ def test_criterion_11_remeasurement():
                           rng, context=ctx)
         rho = State(random_density(n, rng))
         for closed, oracle in zip(remeasured_effect(mm, rho),
-                                  remeasured_effect_two_round(mm, rho)):
+                                  DirectOracle(mm).remeasure(rho)):
             worst_two_round = max(worst_two_round, max_abs(closed - oracle))
         nd = NDChannel(ctx, tuple((random_unitary(dk, rng),) for _ in range(n)))
         unitary_mm = MeasurementModel(

@@ -12,7 +12,7 @@ from nondisturbing.objects import Observable, State
 from nondisturbing.probes import extract_probes, is_c_nondisturbing
 from nondisturbing.channels import apply_product
 from nondisturbing.models import (
-    measured_instrument_direct,
+    DirectOracle,
     measured_instrument_nd,
     measured_observable_nd,
 )
@@ -63,7 +63,7 @@ def test_swap_with_sharp_meter_measures_the_atoms(n):
         assert max_abs(obs[i] - atom) <= 1e-12
     # cross-check through the brute-force path
     rho = State(random_density(n, 5))
-    for i, direct in enumerate(measured_instrument_direct(mm, rho)):
+    for i, direct in enumerate(DirectOracle(mm).instrument(rho)):
         assert abs(np.trace(direct).real - rho.matrix[i, i].real) < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_swap_instrument_closed_form_matches_both_paths():
     mm = swap_model(n, meter)
     rho = State(random_density(n, 8))
     instrument = zip(meter.effects, measured_instrument_nd(mm, rho),
-                     measured_instrument_direct(mm, rho), measured_observable_nd(mm),
+                     DirectOracle(mm).instrument(rho), measured_observable_nd(mm),
                      strict=True)
     for f, out, direct, measured in instrument:
         closed = swap_instrument_output(rho, f)
@@ -105,7 +105,7 @@ def test_swap_closed_forms_take_a_stack_of_effects(n):
     outputs = swap_instrument_output(rho, effects)
     effect = swap_observable_effect(effects)
     assert outputs.shape == effect.shape == (3, n, n)
-    assert max_abs(outputs - measured_instrument_direct(mm, rho)) < 1e-10
+    assert max_abs(outputs - DirectOracle(mm).instrument(rho)) < 1e-10
     assert max_abs(effect - measured_observable_nd(mm)) < 1e-10
     for x, f in enumerate(effects):
         assert np.array_equal(swap_instrument_output(rho, f), outputs[x])
@@ -244,7 +244,7 @@ def test_fourier_random_meter_matches_oracle_paths():
     mm = fourier_model(n, m, meter)
     rho = State(random_density(n, 13))
     instrument = zip(meter.effects, measured_instrument_nd(mm, rho),
-                     measured_instrument_direct(mm, rho), measured_observable_nd(mm),
+                     DirectOracle(mm).instrument(rho), measured_observable_nd(mm),
                      strict=True)
     for f, closed, direct, measured in instrument:
         assert max_abs(closed - direct) < 1e-9

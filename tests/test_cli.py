@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nondisturbing.cli
 import nondisturbing.models
 from nondisturbing.cli import _emit_report, main
 from nondisturbing.linalg import max_abs, random_kraus_channel
@@ -161,7 +162,11 @@ WRITERS = {"run": ["run"], "example": ["example", "swap", "--n", "2"]}
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_exits_two_on_unwritable_report_path(tmp_path, capsys, writer, target):
+def test_exits_two_on_unwritable_report_path(tmp_path, capsys, monkeypatch, writer, target):
+    def unreachable(scenario):
+        raise AssertionError("the scenario ran before the report path was checked")
+
+    monkeypatch.setattr(nondisturbing.cli, "run_scenario", unreachable)
     argv = list(WRITERS[writer])
     if writer == "run":
         argv.append(_write(tmp_path, "swap.json", _swap_scenario()))
@@ -171,6 +176,35 @@ def test_exits_two_on_unwritable_report_path(tmp_path, capsys, writer, target):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-report"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_run_leaves_the_report_path_as_it_was(
+    tmp_path, capsys, monkeypatch, writer, existing
+):
+    def failing(scenario):
+        raise ValueError("planted failure")
+
+    monkeypatch.setattr(nondisturbing.cli, "run_scenario", failing)
+    argv = list(WRITERS[writer])
+    if writer == "run":
+        argv.append(_write(tmp_path, "swap.json", _swap_scenario()))
+    path = tmp_path / "report.json"
+    before = b'{"old": "report"}\n'
+    if existing:
+        path.write_bytes(before)
+    assert main(argv + ["-o", str(path)]) == 3
+    assert capsys.readouterr().err == "validation error: planted failure\n"
+    assert path.read_bytes() == before if existing else not path.exists()
+
+
+def test_report_path_is_checked_without_truncation(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 100000)
+    assert main(["example", "swap", "--n", "2", "-o", str(path)]) == 0
+    assert main(["example", "swap", "--n", "2"]) == 0
+    assert path.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_run_exits_two_on_schema_violation(tmp_path, capsys):

@@ -23,8 +23,8 @@ from nondisturbing.linalg import (
     random_unitaries,
     random_unitary,
 )
-from nondisturbing.channels import random_nd_channel
-from nondisturbing.objects import Context
+from nondisturbing.channels import NDChannel, random_nd_channel
+from nondisturbing.objects import Context, KrausOperation, Observable, State
 
 
 def test_kron_identity_cases():
@@ -106,6 +106,26 @@ def test_completeness_defects_per_leading_index():
     assert defects[0] < CONSTRUCTION_ATOL
     assert defects[1] == pytest.approx(0.5)
     assert float(completeness_defects(np.array(good))) == pytest.approx(defects[0], abs=1e-15)
+
+
+# Larger parts could overflow the validators' products; parts up to 1e150
+# keep every validation finite, so it decides without a NumPy warning.
+def test_entries_with_a_part_above_1e150_are_refused_before_any_arithmetic():
+    with pytest.raises(ValueError, match="family contains a part above 1e150"):
+        as_complex_stack([[1e151j]], "family", 2)
+    huge = np.full((2, 2, 3, 3), 1e300 * (1 - 1j))
+    builders = {
+        "Kraus operators": lambda: KrausOperation(huge[0]),
+        "table entries": lambda: NDChannel(Context.standard(2), huge),
+        "context basis": lambda: Context(huge[0, 0]),
+        "state": lambda: State(huge[0, 0]),
+        "effects": lambda: Observable(("0", "1"), huge[0]),
+    }
+    for name, build in builders.items():
+        with pytest.raises(ValueError, match=f"{name} contains a part above 1e150"):
+            build()
+    with pytest.raises(ValueError, match="completeness violated"):
+        KrausOperation(np.full((2, 3, 3), 1e150 * (1 + 1j)))
 
 
 def test_psd_sqrt_rejects_non_hermitian():

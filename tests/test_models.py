@@ -24,17 +24,29 @@ from nondisturbing.objects import (
 )
 from nondisturbing.channels import NDChannel, pair_overlap_kernel, probe_outputs
 from nondisturbing.models import (
+    DirectOracle,
     MeasurementModel,
-    measured_instrument_direct,
     measured_instrument_nd,
     measured_observable_nd,
-    post_probe_instrument_direct,
     post_probe_instrument_nd,
     post_probe_observable,
     random_model,
     remeasured_effect,
-    remeasured_effect_two_round,
 )
+
+
+# The three oracles with the signatures of the closed forms they check, each
+# call on a fresh ``DirectOracle``.
+def oracle_instrument(mm, rho):
+    return DirectOracle(mm).instrument(rho)
+
+
+def oracle_post_probe(mm, rho, sigma):
+    return DirectOracle(mm).post_probe(rho, sigma)
+
+
+def oracle_remeasure(mm, rho):
+    return DirectOracle(mm).remeasure(rho)
 
 
 def _identity_channel_model(n: int, dk: int, eta_seed: int, meter_seed: int) -> MeasurementModel:
@@ -89,7 +101,7 @@ def test_closed_forms_require_nd_channel():
     with pytest.raises(ValueError, match="nondisturbing"):
         remeasured_effect(mm, rho)
     with pytest.raises(ValueError, match="nondisturbing"):
-        remeasured_effect_two_round(mm, rho)
+        oracle_remeasure(mm, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +115,7 @@ def test_single_outcome_meter_gives_trace_one_output():
     channel = KrausOperation(tuple(random_kraus_channel(6, 2, 5)))
     mm = MeasurementModel(eta, channel, meter)
     rho = State(random_density(2, 6))
-    (out,) = measured_instrument_direct(mm, rho)
+    (out,) = oracle_instrument(mm, rho)
     assert abs(np.trace(out).real - 1.0) < 1e-10
     direct = channel.apply_matrix(kron(rho.matrix, eta.matrix))
     from nondisturbing.linalg import partial_trace
@@ -116,7 +128,7 @@ def test_identity_channel_with_sharp_meter_scales_the_input():
     eta = State(random_density(dk, 7))
     mm = MeasurementModel(eta, KrausOperation((np.eye(n * dk),)), sharp_observable(dk))
     rho = State(random_density(n, 8))
-    for j, out in enumerate(measured_instrument_direct(mm, rho)):
+    for j, out in enumerate(oracle_instrument(mm, rho)):
         weight = eta.matrix[j, j].real
         assert max_abs(out - weight * rho.matrix) < 1e-12
 
@@ -125,7 +137,7 @@ def test_outcome_traces_form_a_probability_distribution():
     for seed in range(20):
         mm = random_model(2, 3, 3, 2, seed)
         rho = State(random_density(2, seed + 900))
-        traces = [np.trace(out).real for out in measured_instrument_direct(mm, rho)]
+        traces = [np.trace(out).real for out in oracle_instrument(mm, rho)]
         assert min(traces) > -1e-10
         assert abs(sum(traces) - 1.0) < 1e-10
 
@@ -153,8 +165,8 @@ def test_oracles_match_their_dense_definitions_on_a_generic_channel(n, dk, outco
 
     x_meas = sum(k @ np.kron(rho.matrix, eta.matrix) @ k.conj().T for k in ops)
     x_post = sum(k @ np.kron(rho.matrix, sigma.matrix) @ k.conj().T for k in ops)
-    measured = measured_instrument_direct(mm, rho)
-    post = post_probe_instrument_direct(mm, rho, sigma)
+    measured = oracle_instrument(mm, rho)
+    post = oracle_post_probe(mm, rho, sigma)
     assert measured.shape == (outcomes, n, n) and post.shape == (outcomes, dk, dk)
     for f, out_meas, out_post in zip(meter.effects, measured, post, strict=True):
         w, v = np.linalg.eigh(f)
@@ -170,9 +182,9 @@ def test_oracle_outputs_are_writable_arrays():
     mm = random_model(2, 2, 2, 2, rng)
     rho, sigma = State(random_density(2, rng)), State(random_density(2, rng))
     for out in (
-        measured_instrument_direct(mm, rho),
-        post_probe_instrument_direct(mm, rho, sigma),
-        remeasured_effect_two_round(mm, rho),
+        oracle_instrument(mm, rho),
+        oracle_post_probe(mm, rho, sigma),
+        oracle_remeasure(mm, rho),
     ):
         assert out.flags.writeable
 
@@ -191,7 +203,7 @@ def test_closed_form_instrument_matches_direct_path():
         mm = random_model(n, dk, 2, m, rng, context=Context.random(n, rng))
         rho = State(random_density(n, rng))
         closed = measured_instrument_nd(mm, rho)
-        direct = measured_instrument_direct(mm, rho)
+        direct = oracle_instrument(mm, rho)
         for out, brute in zip(closed, direct):
             assert max_abs(out - brute) < 1e-10
 
@@ -231,7 +243,7 @@ def test_measured_observable_is_complete_commuting_and_paired():
             for b in range(a + 1, len(mats)):
                 assert max_abs(mats[a] @ mats[b] - mats[b] @ mats[a]) < 1e-10
         rho = State(random_density(3, seed + 41))
-        for effect, out in zip(mats, measured_instrument_direct(mm, rho), strict=True):
+        for effect, out in zip(mats, oracle_instrument(mm, rho), strict=True):
             paired = np.trace(rho.matrix @ effect).real
             direct = np.trace(out).real
             assert abs(paired - direct) < 1e-10
@@ -284,7 +296,7 @@ def test_post_probe_single_outcome_reduces_to_plain_partial_trace():
     mm = MeasurementModel(eta, channel, meter)
     rho = State(random_density(3, 62))
     sigma = State(random_density(2, 63))
-    (out,) = post_probe_instrument_direct(mm, rho, sigma)
+    (out,) = oracle_post_probe(mm, rho, sigma)
     from nondisturbing.linalg import partial_trace
 
     direct = channel.apply_matrix(kron(rho.matrix, sigma.matrix))
@@ -299,7 +311,7 @@ def test_post_probe_identity_channel_sandwiches_the_probe():
     mm = MeasurementModel(eta, KrausOperation((np.eye(n * dk),)), meter)
     rho = State(random_density(n, 66))
     sigma = State(random_density(dk, 67))
-    for f, out in zip(meter.effects, post_probe_instrument_direct(mm, rho, sigma)):
+    for f, out in zip(meter.effects, oracle_post_probe(mm, rho, sigma)):
         root = psd_sqrt(f)
         assert max_abs(out - root @ sigma.matrix @ root) < 1e-12
 
@@ -314,7 +326,7 @@ def test_post_probe_closed_form_matches_direct_path():
         rho = State(random_density(n, rng))
         sigma = State(random_density(dk, rng))
         closed = post_probe_instrument_nd(mm, rho, sigma)
-        direct = post_probe_instrument_direct(mm, rho, sigma)
+        direct = oracle_post_probe(mm, rho, sigma)
         for out, brute in zip(closed, direct):
             assert max_abs(out - brute) < 1e-10
 
@@ -405,11 +417,11 @@ def test_unitary_rows_pull_the_meter_back_by_conjugation():
 
 INSTRUMENTS = [
     measured_instrument_nd,
-    measured_instrument_direct,
+    oracle_instrument,
     post_probe_instrument_nd,
-    post_probe_instrument_direct,
+    oracle_post_probe,
     remeasured_effect,
-    remeasured_effect_two_round,
+    oracle_remeasure,
     measured_observable_nd,
     post_probe_observable,
 ]
@@ -436,15 +448,15 @@ def test_instrument_takes_no_outcome_and_stacks_outcomes_in_label_order(fn):
         mm.probe_state, mm.channel, Observable(mm.meter.labels[::-1], mm.meter.effects[::-1])
     )
     out = _instrument_call(fn, mm, rho, sigma)
-    dim = mm.dim_probe if fn.__name__.startswith("post_probe") else mm.dim_base
+    dim = mm.dim_probe if "post_probe" in fn.__name__ else mm.dim_base
     assert out.shape == (3, dim, dim)
     assert np.array_equal(_instrument_call(fn, flipped, rho, sigma), out[::-1])
 
 
 @pytest.mark.parametrize("fn, applications", [
-    (measured_instrument_direct, 1),
-    (post_probe_instrument_direct, 1),
-    (remeasured_effect_two_round, 2),
+    (oracle_instrument, 1),
+    (oracle_post_probe, 1),
+    (oracle_remeasure, 2),
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_oracle_applies_the_channel_once_per_round(monkeypatch, fn, applications):
     mm = random_model(2, 2, 3, 2, 124)
@@ -461,7 +473,7 @@ def test_oracle_applies_the_channel_once_per_round(monkeypatch, fn, applications
 
 
 @pytest.mark.parametrize(
-    "fn", [measured_instrument_direct, post_probe_instrument_direct, remeasured_effect_two_round],
+    "fn", [oracle_instrument, oracle_post_probe, oracle_remeasure],
     ids=lambda fn: fn.__name__,
 )
 def test_oracle_reads_no_closed_form_code(monkeypatch, fn):
@@ -605,7 +617,7 @@ def test_remeasure_matches_three_system_reference(n, dk):
     assert (mm.dim_base, mm.dim_probe) == (n, dk)
     rho = State(random_density(n, rng))
     closed = remeasured_effect(mm, rho)
-    oracle = remeasured_effect_two_round(mm, rho)
+    oracle = oracle_remeasure(mm, rho)
     for f, out, brute in zip(mm.meter.effects, closed, oracle):
         reference = _three_system_remeasured_effect(mm, rho, f)
         assert max_abs(out - reference) < 1e-12
@@ -625,7 +637,7 @@ def test_remeasure_matches_two_round_oracle(n, dk, outcomes, kraus_count, seed):
     mm = random_model(n, dk, outcomes, kraus_count, rng, context=Context.random(n, rng))
     rho = State(random_density(n, rng))
     total = 0.0
-    for closed, oracle in zip(remeasured_effect(mm, rho), remeasured_effect_two_round(mm, rho)):
+    for closed, oracle in zip(remeasured_effect(mm, rho), oracle_remeasure(mm, rho)):
         assert max_abs(closed - oracle) <= 1e-12
         total = total + closed
     assert max_abs(total - n * _dephase(mm.nd.context, rho.matrix)) <= 1e-12

@@ -19,7 +19,7 @@ from nondisturbing.linalg import random_density
 from nondisturbing.models import random_model
 from nondisturbing.objects import Context, State
 from nondisturbing.scenario import evaluate
-from nondisturbing.verify import run_verification
+from nondisturbing.verify import _run_family, run_verification
 
 # The fewest trials at which every mutant below fails the battery.
 TRIALS = 1
@@ -125,3 +125,11 @@ def test_shared_helper_mutant_separates_closed_form_from_oracle(monkeypatch, mut
     assert names
     assert max(before[name] for name in names) < 1e-15
     assert max(after[name] for name in names) > 1e-2
+
+
+# The unitary-specialization family builds its post-probe reference with the
+# oracle's own square roots, so a wrong ``psd_sqrt`` fails that family too.
+def test_square_root_mutant_fails_the_unitary_specialization_reference(monkeypatch):
+    assert _run_family((42, "unitary-specialization", 1, 4)).max_residual < 1e-12
+    _install(monkeypatch, *next(m[1:] for m in MUTANTS if m[0] == "identity-square-root"))
+    assert _run_family((42, "unitary-specialization", 1, 4)).max_residual > 1e-2

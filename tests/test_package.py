@@ -10,7 +10,7 @@ import pytest
 import nondisturbing
 from nondisturbing.channels import NDChannel
 from nondisturbing.linalg import random_kraus_channel
-from nondisturbing.models import random_model
+from nondisturbing.models import DirectOracle, random_model
 from nondisturbing.objects import (
     Context,
     KrausOperation,
@@ -51,6 +51,9 @@ REMOVED = {
     "vector",
     "dephase",
     "fourier_pair_trace",
+    "measured_instrument_direct",
+    "post_probe_instrument_direct",
+    "remeasured_effect_two_round",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.
@@ -79,6 +82,11 @@ def test_module_all_resolves_once_and_names_nothing_removed(name):
 
 def test_package_namespace_has_no_removed_name():
     assert not REMOVED & set(vars(nondisturbing))
+
+
+def test_the_oracles_are_reached_through_direct_oracle():
+    assert nondisturbing.DirectOracle is DirectOracle
+    assert "DirectOracle" in nondisturbing.models.__all__
 
 
 # The benchmark tracer (bench/tracer.py) wraps these attributes by name and kind.

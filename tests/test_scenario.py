@@ -17,14 +17,12 @@ from nondisturbing.linalg import (
     random_unitary,
 )
 from nondisturbing.models import (
+    DirectOracle,
     MeasurementModel,
-    measured_instrument_direct,
     measured_instrument_nd,
-    post_probe_instrument_direct,
     post_probe_instrument_nd,
     random_model,
     remeasured_effect,
-    remeasured_effect_two_round,
 )
 from nondisturbing.objects import Context, KrausOperation, Observable, State, sharp_observable
 from nondisturbing.scenario import evaluate, run_scenario, scenario_from_json
@@ -191,11 +189,11 @@ def test_shared_oracle_outputs_are_the_standalone_oracles_bit_for_bit():
         for i, rho in enumerate(inputs):
             pairs = [
                 ("instrument", "closed_vs_direct",
-                 measured_instrument_nd(mm, rho), measured_instrument_direct(mm, rho)),
+                 measured_instrument_nd(mm, rho), DirectOracle(mm).instrument(rho)),
                 ("post_probe", "closed_vs_direct",
-                 post_probe_instrument_nd(mm, rho, sigma), post_probe_instrument_direct(mm, rho, sigma)),
+                 post_probe_instrument_nd(mm, rho, sigma), DirectOracle(mm).post_probe(rho, sigma)),
                 ("remeasure", "closed_vs_two_round",
-                 remeasured_effect(mm, rho), remeasured_effect_two_round(mm, rho)),
+                 remeasured_effect(mm, rho), DirectOracle(mm).remeasure(rho)),
             ]
             for request, name, closed, oracle in pairs:
                 for x, out, brute in zip(mm.meter.labels, closed, oracle, strict=True):
