@@ -9,7 +9,6 @@ tensor-product oracles.
 """
 
 from .linalg import (
-    CONSTRUCTION_ATOL,
     DEFAULT_ATOL,
     hermitian_part,
     is_effect_matrix,

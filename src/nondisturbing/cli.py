@@ -24,8 +24,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .scenario import DEFAULT_TOLERANCE, Scenario, example_scenario, run_scenario, scenario_from_json
-from .serialization import SchemaError, observable_from_json
+from .scenario import DEFAULT_TOLERANCE, KNOWN_REQUESTS, Scenario, run_scenario, scenario_from_json
+from .serialization import SchemaError
 from .verify import format_summary, run_verification
 
 __all__ = ["main", "entry"]
@@ -206,7 +206,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    """Run a built-in family as ``run`` runs the equivalent ``example`` document."""
+    """Build the equivalent ``example`` document and run it as ``run`` does."""
     if args.n < 1:
         raise _UsageError("--n must be >= 1")
     if args.family == "swap" and args.m is not None:
@@ -215,8 +215,15 @@ def _cmd_example(args) -> int:
         raise _UsageError("fourier requires --m")
     if args.m is not None and args.m < 2:
         raise _UsageError("--m must be >= 2")
-    meter = None if args.probe == "sharp" else observable_from_json(_read_json(args.probe), "probe")
-    return _finish(example_scenario(args.family, args.n, args.m, meter, args.tol), args.output)
+    spec = {"name": args.family, "n": args.n}
+    if args.m is not None:
+        spec["m"] = args.m
+    if args.probe != "sharp":
+        spec["probe"] = _read_json(args.probe)
+        if not isinstance(spec["probe"], dict):
+            raise SchemaError("probe", "expected an object with an 'outcomes' list")
+    document = {"example": spec, "requests": list(KNOWN_REQUESTS), "tol": args.tol}
+    return _finish(scenario_from_json(document), args.output)
 
 
 class _UsageError(Exception):

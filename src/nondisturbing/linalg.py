@@ -10,9 +10,7 @@ Value types, decoders, builders and :func:`psd_sqrt` validate at the
 fixed ``DEFAULT_ATOL``; it cannot be set per object or per call.
 Semantic predicates (Hermiticity, positivity, unitarity, operator order)
 default to ``DEFAULT_ATOL`` and take their tolerance as an explicit
-argument.  ``CONSTRUCTION_ATOL`` is the much tighter bound that the
-random generators' identities, such as completeness, meet by
-construction; only the tests use it, to check exactly that.
+argument.
 
 All functions treat matrices as immutable values and return freshly
 allocated arrays; random state is always passed explicitly as a seed or
@@ -27,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_ATOL",
-    "CONSTRUCTION_ATOL",
     "as_complex_stack",
     "completeness_defects",
     "max_abs",
@@ -53,7 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_ATOL = 1e-9
-CONSTRUCTION_ATOL = 1e-12
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -77,13 +73,21 @@ def as_complex_stack(family, name: str, ndim: int) -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {arr.shape[-2:]}")
     if arr.shape[-1] == 0:
         raise ValueError(f"{name} must have a dimension of at least 1, got shape {arr.shape}")
-    parts = arr.view(float)
-    largest = np.maximum(parts.max(initial=0.0), -parts.min(initial=0.0))
-    if not largest <= 1e150:  # smaller parts square and sum without overflow
-        what = "non-finite entries" if not np.isfinite(largest) else "a part above 1e150"
-        raise ValueError(f"{name} contains {what}")
+    _check_parts(arr, name)
     arr.setflags(write=False)
     return arr
+
+
+def _check_parts(arr: np.ndarray, name: str) -> None:
+    """Refuse non-finite entries and parts above ``1e150``; smaller ones square and sum finitely.
+
+    Reads the extreme parts of ``arr`` viewed as floats, copying only a non-contiguous ``arr``.
+    """
+    parts = np.ascontiguousarray(arr).view(float)
+    largest = np.maximum(parts.max(initial=0.0), -parts.min(initial=0.0))
+    if not largest <= 1e150:
+        what = "non-finite entries" if not np.isfinite(largest) else "a part above 1e150"
+        raise ValueError(f"{name} contains {what}")
 
 
 def completeness_defects(stack: np.ndarray) -> np.ndarray:
@@ -262,24 +266,22 @@ def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
 def psd_sqrt(m) -> np.ndarray:
     """Positive semidefinite square root of a PSD Hermitian matrix, or of each of a stack.
 
-    Rejects inputs that are not Hermitian within ``DEFAULT_ATOL``.
+    Rejects non-finite entries, parts above ``1e150`` and inputs that are
+    not Hermitian within ``DEFAULT_ATOL``.
     Eigenvalues in ``[-DEFAULT_ATOL, 0)`` are clamped to zero; anything
     below ``-DEFAULT_ATOL`` is rejected as not positive semidefinite.
     """
     arr = _square(m, stack=True)
-    defect = max_abs(arr - np.swapaxes(arr.conj(), -1, -2))
+    _check_parts(arr, "matrix")
+    defect = max_abs(arr - _adjoint(arr))
     if defect > DEFAULT_ATOL:
-        raise ValueError(
-            f"matrix is not Hermitian (defect {defect:.3e} > {DEFAULT_ATOL:.3e})"
-        )
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {DEFAULT_ATOL:.3e})")
     w, v = np.linalg.eigh(hermitian_part(arr))
     lowest = float(w[..., 0].min())
     if lowest < -DEFAULT_ATOL:
-        raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {lowest:.3e})"
-        )
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {lowest:.3e})")
     root = np.sqrt(np.clip(w, 0.0, None))
-    return hermitian_part((v * root[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
+    return hermitian_part((v * root[..., None, :]) @ _adjoint(v))
 
 
 def loewner_leq(a, b, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_ATOL,
     _UNIT_ROUNDOFF,
+    _check_parts,
     _dot_rounding,
     as_complex_stack,
     fold_max,
@@ -128,9 +129,8 @@ def _check_composite(a: np.ndarray, context: Context, dim_probe: int) -> np.ndar
             f"operator must be {total} x {total} for base dimension "
             f"{context.dim} and probe dimension {dim_probe}, got {arr.shape}"
         )
-    # A NaN compares false against every tolerance, so no defect could reject it.
-    if not np.isfinite(arr).all():
-        raise ValueError("operator contains non-finite entries")
+    # No defect could reject a NaN, which compares false, or a part whose products overflow.
+    _check_parts(arr, "operator")
     return arr
 
 
@@ -435,7 +435,8 @@ def extract_probes_by_matrix_elements(
     """Recover probe blocks from matrix elements against an explicit probe basis.
 
     Computes ``B_i = U (v_i* (x) U*) A (v_i (x) I)`` for any orthonormal
-    probe basis ``U`` (default standard), i.e. ``B_i phi = sum_j <v_i (x)
+    probe basis ``U`` (default standard; one that ``is_unitary`` rejects
+    raises ``ValueError``), i.e. ``B_i phi = sum_j <v_i (x)
     u_j, A (v_i (x) phi)> u_j``.  The column base index of ``A`` meets
     ``V`` in one product; the row base index then meets ``V*`` atom by
     atom, and ``U`` is applied last.  Independent implementation of
@@ -450,6 +451,9 @@ def extract_probes_by_matrix_elements(
         probe_basis = np.asarray(probe_basis, dtype=complex)
         if probe_basis.shape != (dim_probe, dim_probe):
             raise ValueError(f"probe basis must be {dim_probe} x {dim_probe}")
+        _check_parts(probe_basis, "probe basis")
+        if not is_unitary(probe_basis):
+            raise ValueError("probe basis must be unitary")
     n, dk = context.dim, dim_probe
     basis = context.basis
     # kets[a, p, l, i] = (A (v_i (x) e_l))[a dk + p]
@@ -520,12 +524,13 @@ def order_leq_via_probes(
     A block of either decomposition that is not Hermitian within ``atol``
     raises ``ValueError``, as :func:`~nondisturbing.linalg.loewner_leq` does.
     """
+    if (a.dim_base, a.dim_probe) != (d.dim_base, d.dim_probe):
+        raise ValueError(
+            f"dimension mismatch: base {a.dim_base}, probe {a.dim_probe} "
+            f"vs base {d.dim_base}, probe {d.dim_probe}"
+        )
     if a.context is not d.context and max_abs(a.context.basis - d.context.basis) > atol:
         raise ValueError("decompositions use different contexts")
-    if a.dim_probe != d.dim_probe:
-        raise ValueError(
-            f"probe dimension mismatch: {a.dim_probe} vs {d.dim_probe}"
-        )
     return bool(loewner_leq(a.probes, d.probes, atol).all())
 
 

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .linalg import fold_max, max_abs
-from .objects import KrausOperation, Observable, State
+from .objects import KrausOperation, State
 from .channels import NDChannel
 from .models import (
     DirectOracle,
@@ -38,7 +38,7 @@ from .serialization import (
     observable_from_json,
 )
 
-__all__ = ["Scenario", "example_scenario", "scenario_from_json", "run_scenario", "load_scenario", "evaluate"]
+__all__ = ["Scenario", "scenario_from_json", "run_scenario", "load_scenario", "evaluate"]
 
 # The report tolerance of a document without "tol", and of ``example`` without ``--tol``.
 DEFAULT_TOLERANCE = 1e-10
@@ -75,36 +75,19 @@ def _parse_requests(obj: Any, nondisturbing: bool) -> tuple[str, ...]:
     return tuple(dict.fromkeys(obj))
 
 
-def _example_model(name: str, n: int, m: int | None,
-                   meter: Observable | None) -> MeasurementModel:
-    return catalog.swap_model(n, meter) if name == "swap" else catalog.fourier_model(n, m, meter)
-
-
-def example_scenario(name: str, n: int, m: int | None, meter: Observable | None,
-                     tolerance: float) -> Scenario:
-    """The built-in family ``name`` on the default inputs, with every request.
-
-    ``swap`` has probe dimension ``n``; ``fourier`` has probe dimension
-    ``m``.  ``meter`` defaults to the sharp probe.  This is the scenario of
-    the document ``{"example": {"name": name, "n": n, "m": m, "probe": ...},
-    "requests": [every request], "tol": tolerance}``.
-    """
-    return Scenario(_example_model(name, n, m, meter), _default_inputs(n), KNOWN_REQUESTS,
-                    tolerance)
-
-
 def _parse_example(obj: Any) -> MeasurementModel:
     if not isinstance(obj, dict) or "name" not in obj:
         raise SchemaError("example", "expected an object with a 'name'")
     name = obj["name"]
     if name not in ("swap", "fourier"):
         raise SchemaError("example.name", f"unknown family {name!r}; known: swap, fourier")
-    if "n" not in obj or not _is_int(obj["n"]):
-        raise SchemaError("example.n", "base dimension 'n' must be an integer")
+    n, m = obj.get("n"), obj.get("m")
+    if not _is_int(n) or n < 1:
+        raise SchemaError("example.n", "base dimension 'n' must be an integer >= 1")
     if name == "swap" and "m" in obj:
         raise SchemaError("example.m", "swap takes no 'm'; its probe dimension is 'n'")
-    if name == "fourier" and ("m" not in obj or not _is_int(obj["m"])):
-        raise SchemaError("example.m", "probe dimension 'm' must be an integer")
+    if name == "fourier" and (not _is_int(m) or m < 2):
+        raise SchemaError("example.m", "probe dimension 'm' must be an integer >= 2")
     probe_spec = obj.get("probe", "sharp")
     if probe_spec == "sharp":
         meter = None
@@ -112,7 +95,7 @@ def _parse_example(obj: Any) -> MeasurementModel:
         meter = observable_from_json(probe_spec, "example.probe")
     else:
         raise SchemaError("example.probe", "must be 'sharp' or an observable object")
-    return _example_model(name, obj["n"], obj.get("m"), meter)
+    return catalog.swap_model(n, meter) if name == "swap" else catalog.fourier_model(n, m, meter)
 
 
 def scenario_from_json(obj: Any) -> Scenario:

@@ -387,6 +387,58 @@ def test_example_writes_the_bytes_of_run_on_its_document(tmp_path, argv, spec):
     assert by_example.read_bytes() == by_run.read_bytes()
 
 
+def test_example_builds_its_document_and_parses_it_as_run_does(tmp_path, monkeypatch):
+    probe = observable_to_json(sharp_observable(2))
+    documents = []
+
+    def recording(document):
+        documents.append(document)
+        return scenario_from_json(document)
+
+    monkeypatch.setattr(nondisturbing.cli, "scenario_from_json", recording)
+    out = str(tmp_path / "report.json")
+    assert main(["example", "fourier", "--n", "1", "--m", "2", "--tol", "1e-8", "-o", out]) == 0
+    assert main(["example", "swap", "--n", "2", "--probe", _write(tmp_path, "probe.json", probe),
+                 "-o", out]) == 0
+    requests = ["instrument", "observable", "post_probe", "remeasure"]
+    assert documents == [
+        {"example": {"name": "fourier", "n": 1, "m": 2}, "requests": requests, "tol": 1e-8},
+        {"example": {"name": "swap", "n": 2, "probe": probe}, "requests": requests, "tol": 1e-10},
+    ]
+
+
+# A --probe file that holds no object is refused under its own name; a
+# malformed object is refused by the document parser, under example.probe.
+@pytest.mark.parametrize("probe, message", [
+    ([1, 2], "probe: expected an object with an 'outcomes' list"),
+    ("sharp", "probe: expected an object with an 'outcomes' list"),
+    ({"outcomes": []}, "example.probe.outcomes: must be a non-empty list"),
+    ({"label": "0"}, "example.probe: expected an object with an 'outcomes' list"),
+], ids=["list", "string", "no-outcomes", "object-without-outcomes"])
+def test_example_refuses_a_malformed_probe_file(tmp_path, capsys, probe, message):
+    path = _write(tmp_path, "probe.json", probe)
+    assert main(["example", "swap", "--n", "2", "--probe", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, field, lowest", [
+    ({"name": "swap", "n": 0}, "n", 1),
+    ({"name": "swap", "n": -1}, "n", 1),
+    ({"name": "fourier", "n": 0, "m": 3}, "n", 1),
+    ({"name": "fourier", "n": 3, "m": 1}, "m", 2),
+    ({"name": "fourier", "n": 3, "m": -2}, "m", 2),
+], ids=["swap-n-0", "swap-n-minus-1", "fourier-n-0", "fourier-m-1", "fourier-m-minus-2"])
+def test_run_refuses_an_out_of_range_example_dimension(tmp_path, capsys, spec, field, lowest):
+    path = _write(tmp_path, "example.json", {"example": spec})
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: example.{field}: ")
+    assert captured.err.endswith(f"must be an integer >= {lowest}\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["example", "swap", "--n", "0"], "--n"),
     (["example", "swap", "--n", "-1"], "--n"),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nondisturbing.linalg import (
-    CONSTRUCTION_ATOL,
     as_complex_stack,
     completeness_defects,
     is_effect_matrix,
@@ -25,6 +24,10 @@ from nondisturbing.linalg import (
 )
 from nondisturbing.channels import NDChannel, random_nd_channel
 from nondisturbing.objects import Context, KrausOperation, Observable, State
+
+# The bound that the random generators' identities, such as completeness,
+# meet by construction; much tighter than the validators' DEFAULT_ATOL.
+CONSTRUCTION_ATOL = 1e-12
 
 
 def test_kron_identity_cases():
@@ -131,6 +134,15 @@ def test_entries_with_a_part_above_1e150_are_refused_before_any_arithmetic():
 def test_psd_sqrt_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_psd_sqrt_rejects_non_finite_entries_and_huge_parts():
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        psd_sqrt(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        psd_sqrt(np.stack([np.eye(2), np.diag([1.0, np.inf])]))
+    with pytest.raises(ValueError, match="matrix contains a part above 1e150"):
+        psd_sqrt(np.eye(2) * 1e200)
 
 
 def test_psd_sqrt_trivial_cases():

@@ -54,6 +54,9 @@ REMOVED = {
     "measured_instrument_direct",
     "post_probe_instrument_direct",
     "remeasured_effect_two_round",
+    "example_scenario",
+    "_example_model",
+    "CONSTRUCTION_ATOL",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.

@@ -135,6 +135,25 @@ def test_non_finite_operator_fails_the_commutator_test(a):
         nd_channel_from_kraus([a], ctx, 2)
 
 
+def _huge_off_diagonal() -> np.ndarray:
+    a = np.eye(4, dtype=complex)
+    a[0, 3] = 1e200j
+    return a
+
+
+# Parts above 1e150 would overflow the commutator test's products.  The
+# transposed view is not C-contiguous, as the adjoints that verify passes.
+@pytest.mark.parametrize(
+    "a", [np.eye(4) * 1e200, _huge_off_diagonal().T], ids=["scaled-identity", "transposed-view"]
+)
+def test_operator_with_a_huge_part_is_refused_before_any_arithmetic(a):
+    ctx = Context.standard(2)
+    for check in (commutator_defect, is_c_nondisturbing, extract_probes,
+                  extract_probes_by_matrix_elements):
+        with pytest.raises(ValueError, match="operator contains a part above 1e150"):
+            check(a, ctx, 2)
+
+
 def test_assemble_is_block_diagonal_in_standard_basis():
     blocks = _generic_blocks(2, 2, 5)
     dec = ProbeDecomposition(Context.standard(2), blocks)
@@ -163,6 +182,17 @@ def test_matrix_element_extraction_is_basis_independent():
         for a, b, c in zip(default.probes, rotated.probes, reference.probes):
             assert max_abs(a - b) < 1e-10
             assert max_abs(a - c) < 1e-10
+
+
+@pytest.mark.parametrize("probe_basis, message", [
+    (np.ones((2, 2)), "probe basis must be unitary"),
+    (np.eye(2) * 2, "probe basis must be unitary"),
+    (np.diag([1.0, np.nan]), "probe basis contains non-finite entries"),
+    (np.eye(2) * 1e200, "probe basis contains a part above 1e150"),
+], ids=["ones", "scaled", "nan", "huge"])
+def test_matrix_element_route_refuses_a_non_unitary_probe_basis(probe_basis, message):
+    with pytest.raises(ValueError, match=message):
+        extract_probes_by_matrix_elements(np.eye(4), Context.standard(2), 2, probe_basis)
 
 
 def test_matrix_element_route_reads_none_of_the_commutator_test(monkeypatch):
@@ -814,6 +844,19 @@ def test_order_via_probes_agrees_with_assembled_loewner():
         a = ProbeDecomposition(ctx, tuple(random_effect(2, seed * 3 + i) for i in range(2)))
         b = ProbeDecomposition(ctx, tuple(random_effect(2, seed * 3 + 7 + i) for i in range(2)))
         assert order_leq_via_probes(a, b) == loewner_leq(a.assemble(), b.assemble())
+
+
+def test_order_via_probes_rejects_a_dimension_mismatch():
+    a = ProbeDecomposition(Context.standard(2), (np.eye(2),) * 2)
+    b = ProbeDecomposition(Context.standard(3), (np.eye(2),) * 3)
+    c = ProbeDecomposition(Context.standard(2), (np.eye(3),) * 2)
+    for left, right, message in [
+        (a, b, "base 2, probe 2 vs base 3, probe 2"),
+        (b, a, "base 3, probe 2 vs base 2, probe 2"),
+        (a, c, "base 2, probe 2 vs base 2, probe 3"),
+    ]:
+        with pytest.raises(ValueError, match=f"dimension mismatch: {message}"):
+            order_leq_via_probes(left, right)
 
 
 def test_order_via_probes_rejects_context_mismatch():
