@@ -60,7 +60,7 @@ print("\n=== Structure is visible blockwise ===")
 unitary_blocks = ProbeDecomposition(
     context, tuple(random_unitary(dk, rng_seed + i) for i in range(n))
 )
-povm_blocks = ProbeDecomposition(context, tuple(random_povm(dk, n, 7)))
+povm_blocks = ProbeDecomposition(context, random_povm(dk, n, 7))
 print("unitary blocks classify as:", classify(unitary_blocks))
 print("POVM blocks classify as:   ", classify(povm_blocks))
 

@@ -8,7 +8,8 @@ probe basis, and the first probe basis state as the initial probe state:
 * the Fourier-phase family, where atom ``j`` applies a discrete-Fourier
   phase unitary to the probe.
 
-Each constructor returns a full :class:`~nondisturbing.models.MeasurementModel`;
+Each family's unitaries come as one ``(n, d, d)`` stack, one per atom, and
+each constructor returns a full :class:`~nondisturbing.models.MeasurementModel`;
 the accompanying helpers evaluate the families' pencil-and-paper closed
 forms independently of the general machinery, so tests can pit one
 against the other.
@@ -43,19 +44,16 @@ def _pure_first_basis_state(dim: int) -> State:
     return State(m)
 
 
-def swap_unitaries(n: int) -> list[np.ndarray]:
+def swap_unitaries(n: int) -> np.ndarray:
     """Unitaries ``V_i`` exchanging probe basis vectors 0 and ``i``.
 
-    ``V_0`` is the identity and every ``V_i`` is an involution.
+    One ``(n, n, n)`` stack; ``V_0`` is the identity and every ``V_i`` is an involution.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    for i in range(n):
-        v = np.eye(n, dtype=complex)
-        v[[0, i]] = v[[i, 0]]
-        out.append(v)
-    return out
+    i, a = np.ogrid[:n, :n]
+    # Row a of V_i is basis row t_i(a), for t_i the transposition of 0 and i.
+    return np.eye(n, dtype=complex)[np.where(a == 0, i, np.where(a == i, 0, a))]
 
 
 def swap_model(n: int, meter: Observable | None = None) -> MeasurementModel:
@@ -67,7 +65,7 @@ def swap_model(n: int, meter: Observable | None = None) -> MeasurementModel:
     """
     if meter is None:
         meter = sharp_observable(n)
-    channel = NDChannel(Context.standard(n), tuple((v,) for v in swap_unitaries(n)))
+    channel = NDChannel(Context.standard(n), swap_unitaries(n)[:, None])
     return MeasurementModel(_pure_first_basis_state(n), channel, meter)
 
 
@@ -108,10 +106,10 @@ def swap_observable_effect(meter_effect: np.ndarray) -> np.ndarray:
     return f * np.eye(f.shape[-1])
 
 
-def fourier_unitaries(n: int, m: int) -> list[np.ndarray]:
+def fourier_unitaries(n: int, m: int) -> np.ndarray:
     """Discrete-Fourier phase unitaries ``V_1 .. V_n`` on an ``m``-dimensional probe.
 
-    ``V_j`` maps probe basis vector ``r`` (counted from 1) to
+    One ``(n, m, m)`` stack.  ``V_j`` maps probe basis vector ``r`` (counted from 1) to
     ``m^(-1/2) sum_s exp(2 pi i j r s / m) |s>``.  The columns are
     orthonormal exactly when ``gcd(j, m) = 1``, so every ``j`` in
     ``1..n`` must be coprime to ``m``; choosing ``m`` prime with
@@ -126,13 +124,8 @@ def fourier_unitaries(n: int, m: int) -> list[np.ndarray]:
             raise ValueError(
                 f"phase unitary {j} is not unitary: gcd({j}, {m}) = {gcd(j, m)} != 1"
             )
-    out = []
-    r = np.arange(1, m + 1)
-    s = np.arange(1, m + 1)
-    for j in range(1, n + 1):
-        phases = np.exp(2j * np.pi * j * np.outer(s, r) / m)
-        out.append(phases / np.sqrt(m))
-    return out
+    j, s, r = np.ogrid[1:n + 1, 1:m + 1, 1:m + 1]
+    return np.exp(2j * np.pi * j * (s * r) / m) / np.sqrt(m)
 
 
 def fourier_model(n: int, m: int, meter: Observable | None = None) -> MeasurementModel:
@@ -143,8 +136,7 @@ def fourier_model(n: int, m: int, meter: Observable | None = None) -> Measuremen
     """
     if meter is None:
         meter = sharp_observable(m)
-    unitaries = fourier_unitaries(n, m)
-    channel = NDChannel(Context.standard(n), tuple((v,) for v in unitaries))
+    channel = NDChannel(Context.standard(n), fourier_unitaries(n, m)[:, None])
     return MeasurementModel(_pure_first_basis_state(m), channel, meter)
 
 

@@ -27,7 +27,7 @@ from .linalg import (
     completeness_defects,
 )
 from .objects import Context, KrausOperation, State, _BoundedKraus
-from .probes import ProbeDecomposition, _certify
+from .probes import _assemble, _certify
 
 __all__ = [
     "NDChannel",
@@ -106,10 +106,7 @@ class NDChannel:
         # completeness defect (_completeness_bound); the constructor runs its
         # Gram product only when that bound exceeds DEFAULT_ATOL.
         n = self.dim_base
-        kraus = [
-            ProbeDecomposition(self.context, self.table[:, k]).assemble()
-            for k in range(self.kraus_count)
-        ]
+        kraus = [_assemble(self.context.basis, col) for col in self.table.swapaxes(0, 1)]
         sizes = np.sqrt(np.einsum("ikpq,ikpq->k", self.table.conj(), self.table).real)
         slack = _dot_rounding(n) * n * (1 + self.context._orthonormality_bound)
         bound = _completeness_bound(self.context, self.dim_probe, self._row_defect, slack * sizes)
@@ -240,16 +237,21 @@ class ReducedOutputs(NamedTuple):
     probe: np.ndarray  # base traced out; acts on the probe space
 
 
+def _check_product(nd: NDChannel, rho: State, eta: State) -> None:
+    """Refuse a product state ``rho (x) eta`` whose factors do not fit ``nd``."""
+    if rho.dim != nd.dim_base:
+        raise ValueError(f"base state has dimension {rho.dim}, expected {nd.dim_base}")
+    if eta.dim != nd.dim_probe:
+        raise ValueError(f"probe state has dimension {eta.dim}, expected {nd.dim_probe}")
+
+
 def apply_product(nd: NDChannel, rho: State, eta: State) -> np.ndarray:
     """Channel output on a product state, as a closed-form block sum.
 
     Computes ``sum_{i,j,k} (P_i rho P_j) (x) (B_i^k eta B_j^k*)`` without
     forming the composite Kraus operators.
     """
-    if rho.dim != nd.dim_base:
-        raise ValueError(f"base state has dimension {rho.dim}, expected {nd.dim_base}")
-    if eta.dim != nd.dim_probe:
-        raise ValueError(f"probe state has dimension {eta.dim}, expected {nd.dim_probe}")
+    _check_product(nd, rho, eta)
     basis = nd.context.basis
     overlaps = basis.conj().T @ rho.matrix @ basis
     # blocks[i, j] = sum_k B_i^k eta B_j^k*; kept apart from the reduced
@@ -268,10 +270,7 @@ def reduced_product_outputs(nd: NDChannel, rho: State, eta: State) -> ReducedOut
     the probe-side output is the convex mixture of the per-atom probe
     channels weighted by the context diagonal of ``rho``.
     """
-    if rho.dim != nd.dim_base:
-        raise ValueError(f"base state has dimension {rho.dim}, expected {nd.dim_base}")
-    if eta.dim != nd.dim_probe:
-        raise ValueError(f"probe state has dimension {eta.dim}, expected {nd.dim_probe}")
+    _check_product(nd, rho, eta)
     basis = nd.context.basis
     kernel = pair_overlap_kernel(nd, eta.matrix)
     overlaps = basis.conj().T @ rho.matrix @ basis

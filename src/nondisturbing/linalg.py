@@ -375,8 +375,8 @@ def random_projection(dim: int, rank: int, seed) -> np.ndarray:
     return hermitian_part(cols @ cols.conj().T)
 
 
-def random_povm(dim: int, count: int, seed) -> list[np.ndarray]:
-    """Random ``count``-outcome POVM.
+def random_povm(dim: int, count: int, seed) -> np.ndarray:
+    """Random ``count``-outcome POVM, one ``(count, dim, dim)`` stack.
 
     Random PSD parts ``g g*`` are jointly normalized, ``N g g* N`` with
     ``N = (sum g g*)^(-1/2)``, so the family sums to the identity up to
@@ -387,18 +387,19 @@ def random_povm(dim: int, count: int, seed) -> list[np.ndarray]:
     if count < 1:
         raise ValueError("count must be >= 1")
     polar = _polar_blocks(_adjoint(_gaussians(dim, count, _rng(seed))))
-    return list(hermitian_part(_adjoint(polar) @ polar))
+    return hermitian_part(_adjoint(polar) @ polar)
 
 
-def random_kraus_channel(dim: int, count: int, seed) -> list[np.ndarray]:
-    """Random ``count``-term Kraus channel with completeness up to rounding.
+def random_kraus_channel(dim: int, count: int, seed) -> np.ndarray:
+    """Random ``count``-term Kraus channel, one ``(count, dim, dim)`` stack.
 
-    The Kraus operators ``g (sum g* g)^(-1/2)`` are the blocks of the
-    polar factor of the stacked draws ``g``.
+    Completeness holds up to rounding: the Kraus operators
+    ``g (sum g* g)^(-1/2)`` are the blocks of the polar factor of the
+    stacked draws ``g``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return list(_polar_blocks(_gaussians(dim, count, _rng(seed))))
+    return _polar_blocks(_gaussians(dim, count, _rng(seed)))
 
 
 def _polar_blocks(blocks: np.ndarray) -> np.ndarray:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_ATOL,
     _dot_rounding,
+    _square,
     as_complex_stack,
     completeness_defects,
     is_hermitian,
@@ -96,13 +97,9 @@ class Observable:
         object.__setattr__(self, "effects", effects)
 
     @classmethod
-    def from_matrices(
-        cls, matrices: Iterable[np.ndarray], labels: Iterable[str] | None = None
-    ) -> "Observable":
-        mats = list(matrices)
-        if labels is None:
-            labels = [str(i) for i in range(len(mats))]
-        return cls(tuple(labels), mats)
+    def from_matrices(cls, matrices: Sequence[np.ndarray]) -> "Observable":
+        """The observable of ``matrices``, with outcomes labeled "0", "1", ..."""
+        return cls(tuple(map(str, range(len(matrices)))), matrices)
 
     @property
     def dim(self) -> int:
@@ -202,14 +199,15 @@ class Context:
         return np.real(np.einsum("ai,ab,bi->i", self.basis.conj(), rho, self.basis))
 
     def is_measurable(self, m: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-        """True iff ``m`` is a combination of the atoms (diagonal in this basis)."""
-        inner = self.basis.conj().T @ np.asarray(m, dtype=complex) @ self.basis
+        """True iff the ``dim x dim`` matrix ``m`` is a combination of the atoms."""
+        m = _square(m)
+        if len(m) != self.dim:
+            raise ValueError(f"matrix is {len(m)} x {len(m)}, context dimension is {self.dim}")
+        inner = self.basis.conj().T @ m @ self.basis
         return max_abs(inner - np.diag(np.diagonal(inner))) <= atol
 
 
 def sharp_observable(dim: int) -> Observable:
     """Projective observable onto the standard basis, labels "0".."dim-1"."""
     eye = np.eye(dim, dtype=complex)
-    return Observable.from_matrices(
-        [np.outer(eye[:, j], eye[:, j].conj()) for j in range(dim)]
-    )
+    return Observable.from_matrices(eye[:, :, None] * eye[:, None, :])

@@ -82,17 +82,21 @@ class ProbeDecomposition:
         return self.probes[0].shape[0]
 
     def assemble(self) -> np.ndarray:
-        """Rebuild the full operator ``sum_i P_i (x) B_i``.
+        """Rebuild the full operator ``sum_i P_i (x) B_i``."""
+        return _assemble(self.context.basis, self.probes)
 
-        Places the blocks on the diagonal in the context basis and rotates
-        back: ``(V (x) I) blockdiag(B) (V* (x) I)``, one base-index
-        contraction against ``V``.
-        """
-        n, dk = self.dim_base, self.dim_probe
-        basis = self.context.basis
-        # placed[i, p, b, q] = B_i[p, q] conj(V[b, i]) is blockdiag(B) (V* (x) I)
-        placed = self.probes[:, :, None, :] * basis.conj().T[:, None, :, None]
-        return (basis @ placed.reshape(n, -1)).reshape(n * dk, n * dk)
+
+def _assemble(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``sum_i P_i (x) B_i`` for the context basis ``V`` and the blocks ``B_i``.
+
+    Places the blocks on the diagonal in the context basis and rotates
+    back: ``(V (x) I) blockdiag(B) (V* (x) I)``, one base-index
+    contraction against ``V``.
+    """
+    n, dk = blocks.shape[:2]
+    # placed[i, p, b, q] = B_i[p, q] conj(V[b, i]) is blockdiag(B) (V* (x) I)
+    placed = blocks[:, :, None, :] * basis.conj().T[:, None, :, None]
+    return (basis @ placed.reshape(n, -1)).reshape(n * dk, n * dk)
 
 
 @dataclass(frozen=True)

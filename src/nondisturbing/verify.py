@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    DEFAULT_ATOL,
     _adjoint,
     fold_max,
     is_effect_matrix,
@@ -144,7 +145,7 @@ def _rejection_mismatches(full: np.ndarray, context: Context, dk: int) -> int:
     """
     n = context.dim
     shifted = full + 1e-6 * kron(np.roll(np.eye(n), 1, axis=0), np.eye(dk))
-    mismatches = int(commutator_defect(shifted, context, dk) <= 1e-9)
+    mismatches = int(commutator_defect(shifted, context, dk) <= DEFAULT_ATOL)
     try:
         extract_probes(shifted, context, dk)
     except ValueError:
@@ -191,7 +192,7 @@ def _classification_instances(rng, dk: int, flag: str, positive: bool, count: in
         if positive:
             probes = random_povm(dk, count, rng)
         else:
-            probes = [0.5 * e for e in random_povm(dk, count, rng)]
+            probes = 0.5 * random_povm(dk, count, rng)
     return tuple(probes)
 
 
@@ -200,7 +201,7 @@ def _direct_flag(full: np.ndarray, n: int, dk: int, flag: str) -> bool:
     if flag == "observable_family":
         return is_effect_matrix(full) and max_abs(
             partial_trace(full, n, dk, "left") - np.eye(dk)
-        ) <= 1e-9
+        ) <= DEFAULT_ATOL
     return {
         "self_adjoint": is_hermitian,
         "unitary": is_unitary,
@@ -421,7 +422,7 @@ def _check_swap_family(rng, max_dim) -> float:
     effects = mm.meter.effects
     return fold_max(
         *defects,
-        max_abs(np.array(catalog.swap_unitaries(n)) - recovered.probes),
+        max_abs(catalog.swap_unitaries(n) - recovered.probes),
         max_abs(catalog.swap_product_output(rho) - apply_product(nd, rho, mm.probe_state)),
         max_abs(catalog.swap_instrument_output(rho, effects)
                 - DirectOracle(mm).instrument(rho)),
@@ -435,7 +436,7 @@ def _check_fourier_family(rng, max_dim) -> float:
     meter = Observable.from_matrices(random_povm(m, int(rng.integers(2, 4)), rng))
     mm = catalog.fourier_model(n, m, meter)
     nd = mm.nd
-    unitaries = np.array(catalog.fourier_unitaries(n, m))
+    unitaries = catalog.fourier_unitaries(n, m)
     recovered = extract_probes(nd.induced_kraus[0], nd.context, m)
     rho = State(random_density(n, rng))
     effects = mm.meter.effects

@@ -34,6 +34,16 @@ from nondisturbing.catalog import (
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_swap_unitaries_are_one_stack_of_the_per_member_swaps(n):
+    stack = swap_unitaries(n)
+    assert isinstance(stack, np.ndarray) and stack.shape == (n, n, n)
+    for i in range(n):
+        v = np.eye(n, dtype=complex)
+        v[[0, i]] = v[[i, 0]]
+        assert np.array_equal(stack[i], v)
+
+
 def test_swap_unitaries_are_involutions():
     for n in (1, 2, 4):
         for v in swap_unitaries(n):
@@ -164,6 +174,16 @@ def test_swap_rejects_wrong_meter_dimension():
 # ---------------------------------------------------------------------------
 # Fourier-phase family
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 3), (4, 5), (6, 7), (10, 11), (12, 13)])
+def test_fourier_unitaries_are_one_stack_of_the_per_member_phases(n, m):
+    stack = fourier_unitaries(n, m)
+    assert isinstance(stack, np.ndarray) and stack.shape == (n, m, m)
+    s = r = np.arange(1, m + 1)
+    for j in range(1, n + 1):
+        v = np.exp(2j * np.pi * j * np.outer(s, r) / m) / np.sqrt(m)
+        assert np.array_equal(stack[j - 1], v)
 
 
 def test_fourier_unitaries_require_coprime_indices():

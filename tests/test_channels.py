@@ -205,6 +205,15 @@ def test_induced_kraus_match_kron_sums():
             assert not s.flags.writeable
 
 
+@pytest.mark.parametrize("kind", ["standard", "random"])
+def test_induced_kraus_has_the_bits_of_each_column_assembled_as_a_decomposition(kind):
+    for seed in range(6):
+        n, dk, count = 1 + seed % 4, 1 + seed % 3, 1 + seed % 2
+        ctx = Context.standard(n) if kind == "standard" else Context.random(n, seed + 70)
+        nd = random_nd_channel(ctx, dk, count, seed)
+        assert np.array_equal(nd.induced_kraus, _assembled(ctx, nd.table))
+
+
 def test_from_kraus_checks_total_completeness():
     ctx = Context.standard(2)
     half = kron(np.eye(2), np.eye(2)) / 2

@@ -360,33 +360,6 @@ def test_swap_example_document_refuses_m(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: example.m: ")
 
 
-@pytest.mark.parametrize("argv, spec", [
-    (["swap", "--n", "1"], {"name": "swap", "n": 1}),
-    (["swap", "--n", "3", "--tol", "1e-12"], {"name": "swap", "n": 3}),
-    (["fourier", "--n", "2", "--m", "3"], {"name": "fourier", "n": 2, "m": 3}),
-    (["swap", "--n", "2", "--probe"], {"name": "swap", "n": 2}),
-], ids=["swap-1", "swap-3-tol", "fourier", "probe-file"])
-def test_example_writes_the_bytes_of_run_on_its_document(tmp_path, argv, spec):
-    from nondisturbing.linalg import random_povm
-    from nondisturbing.objects import Observable
-
-    argv, spec = list(argv), dict(spec)
-    if argv[-1] == "--probe":
-        probe = observable_to_json(Observable.from_matrices(random_povm(2, 3, 23)))
-        argv.append(_write(tmp_path, "probe.json", probe))
-        spec["probe"] = probe
-    tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else 1e-10
-    document = {
-        "example": spec,
-        "requests": ["instrument", "observable", "post_probe", "remeasure"],
-        "tol": tol,
-    }
-    by_example, by_run = tmp_path / "example.json", tmp_path / "run.json"
-    assert main(["example", *argv, "-o", str(by_example)]) == 0
-    assert main(["run", _write(tmp_path, "doc.json", document), "-o", str(by_run)]) == 0
-    assert by_example.read_bytes() == by_run.read_bytes()
-
-
 def test_example_builds_its_document_and_parses_it_as_run_does(tmp_path, monkeypatch):
     probe = observable_to_json(sharp_observable(2))
     documents = []

@@ -260,6 +260,12 @@ def test_random_kraus_channel_completeness(count):
     assert max_abs(total - np.eye(3)) < 1e-12
 
 
+@pytest.mark.parametrize("generate", [random_povm, random_kraus_channel])
+def test_family_generators_return_one_stack(generate):
+    family = generate(3, 4, 12)
+    assert isinstance(family, np.ndarray) and family.shape == (4, 3, 3)
+
+
 def test_generator_completeness_holds_for_ill_conditioned_draws():
     # Some seeds draw nearly singular Gaussians; normalising through an
     # inverse square root then misses completeness by ~1e-10.

@@ -111,7 +111,7 @@ def test_closed_forms_require_nd_channel():
 
 def test_single_outcome_meter_gives_trace_one_output():
     eta = State(random_density(3, 4))
-    meter = Observable.from_matrices([np.eye(3)], ["all"])
+    meter = Observable(["all"], [np.eye(3)])
     channel = KrausOperation(tuple(random_kraus_channel(6, 2, 5)))
     mm = MeasurementModel(eta, channel, meter)
     rho = State(random_density(2, 6))
@@ -291,7 +291,7 @@ def test_commuting_probe_state_collapses_observable_to_scalars():
 
 def test_post_probe_single_outcome_reduces_to_plain_partial_trace():
     eta = State(random_density(2, 60))
-    meter = Observable.from_matrices([np.eye(2)], ["all"])
+    meter = Observable(["all"], [np.eye(2)])
     channel = KrausOperation(tuple(random_kraus_channel(6, 2, 61)))
     mm = MeasurementModel(eta, channel, meter)
     rho = State(random_density(3, 62))

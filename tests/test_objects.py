@@ -51,8 +51,8 @@ def test_observable_completeness_and_unique_labels():
     with pytest.raises(ValueError, match="sum to the identity"):
         Observable.from_matrices([eye / 2, eye / 4])
     with pytest.raises(ValueError, match="unique"):
-        Observable.from_matrices([eye / 2, eye / 2], ["a", "a"])
-    obs = Observable.from_matrices([eye / 2, eye / 2], ["up", "down"])
+        Observable(["a", "a"], [eye / 2, eye / 2])
+    obs = Observable(["up", "down"], [eye / 2, eye / 2])
     assert obs.labels == ("up", "down")
 
 
@@ -111,7 +111,7 @@ def test_observable_accepts_zero_effect_and_single_outcome():
     single = Observable.from_matrices([np.eye(3)])
     assert single.labels == ("0",)
     assert single.effects.shape == (1, 3, 3)
-    with_zero = Observable.from_matrices([np.zeros((3, 3)), np.eye(3)], ["never", "always"])
+    with_zero = Observable(["never", "always"], [np.zeros((3, 3)), np.eye(3)])
     assert max_abs(with_zero.effects[0]) == 0.0
     probabilities = np.trace(rho @ with_zero.effects, axis1=1, axis2=2).real
     assert probabilities == pytest.approx([0.0, 1.0], abs=1e-12)
@@ -138,6 +138,15 @@ def test_context_requires_orthonormal_basis():
     Context.random(3, 5)
     with pytest.raises(ValueError, match="orthonormal"):
         Context(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+def test_is_measurable_takes_one_matrix_of_the_context_dimension():
+    ctx = Context.standard(2)
+    assert ctx.is_measurable(np.eye(2))
+    with pytest.raises(ValueError, match="must be square"):
+        ctx.is_measurable(np.eye(2)[None])
+    with pytest.raises(ValueError, match="matrix is 3 x 3, context dimension is 2"):
+        ctx.is_measurable(np.eye(3))
 
 
 def test_context_atoms_sum_to_identity_and_dephase():

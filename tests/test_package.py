@@ -174,7 +174,7 @@ def test_channels_keep_no_superoperator():
 # DEFAULT_ATOL, so none takes a tolerance; nor do they take settings for which
 # every caller used the default.
 REMOVED_PARAMETERS = {
-    "objects.Observable.from_matrices": ("atol",),
+    "objects.Observable.from_matrices": ("atol", "labels"),
     "objects.sharp_observable": ("atol",),
     "channels.nd_channel_from_kraus": ("atol",),
     "probes.extract_probes": ("atol",),

@@ -45,7 +45,7 @@ def test_matrix_rejects_malformed_documents():
 
 
 def test_observable_round_trip():
-    obs = Observable.from_matrices(random_povm(3, 3, 2), ["a", "b", "c"])
+    obs = Observable(["a", "b", "c"], random_povm(3, 3, 2))
     doc = json.loads(json.dumps(observable_to_json(obs)))
     back = observable_from_json(doc)
     assert back.labels == obs.labels
