@@ -27,7 +27,7 @@ from .linalg import (
     completeness_defects,
 )
 from .objects import Context, KrausOperation, State, _BoundedKraus
-from .probes import _assemble, _certify
+from .probes import _assemble, _certify, _check_size
 
 __all__ = [
     "NDChannel",
@@ -164,6 +164,7 @@ def nd_channel_from_kraus(
     Gram product decides only when that bound exceeds ``DEFAULT_ATOL``.
     """
     mats = as_complex_stack(kraus, "Kraus operators", 3)
+    _check_size(mats.shape[1:], context, dim_probe)
     blocks, residuals = [], []
     for k, s in enumerate(mats):
         defect, probes, residual = _certify(s, context, dim_probe, DEFAULT_ATOL)

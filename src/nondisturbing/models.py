@@ -184,7 +184,8 @@ def post_probe_observable(mm: MeasurementModel, rho: State) -> np.ndarray:
     nd = mm.nd
     _check_inputs(mm, rho)
     weights = nd.context.weights(rho.matrix)
-    mixed = np.tensordot(weights, mm.pulled_meter, axes=(0, 1))
+    # A fixed-order sum over the atoms: a BLAS product would round by its thread count.
+    mixed = np.einsum("i,xiab->xab", weights, mm.pulled_meter)
     return hermitian_part(mixed)
 
 

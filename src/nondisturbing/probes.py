@@ -125,14 +125,19 @@ class ReducedTraceFlags:
     projection: bool
 
 
-def _check_composite(a: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
+def _check_size(shape: tuple, context: Context, dim_probe: int) -> None:
+    """Refuse an operator ``shape`` other than ``n dk x n dk``."""
     total = context.dim * dim_probe
-    if arr.ndim != 2 or arr.shape != (total, total):
+    if shape != (total, total):
         raise ValueError(
             f"operator must be {total} x {total} for base dimension "
-            f"{context.dim} and probe dimension {dim_probe}, got {arr.shape}"
+            f"{context.dim} and probe dimension {dim_probe}, got {shape}"
         )
+
+
+def _check_composite(a: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
+    arr = np.asarray(a, dtype=complex)
+    _check_size(arr.shape, context, dim_probe)
     # No defect could reject a NaN, which compares false, or a part whose products overflow.
     _check_parts(arr, "operator")
     return arr
@@ -159,10 +164,10 @@ def _atom_cols(arr: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
     return (context.basis.T @ by_column).reshape(n, n, dk, dk)
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member of a complex stack, read in one pass."""
-    flat = stack.reshape(len(stack), -1).view(float)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def _column_blocks(context: Context, cols: np.ndarray) -> np.ndarray:
+    """``B_i = W_i* C_i`` for the ``C_i = A W_i`` of :func:`_atom_cols`; shape (n, dk, dk)."""
+    n, dk = context.dim, cols.shape[-1]
+    return (context.basis.conj().T[:, None, :] @ cols.reshape(n, n, -1)).reshape(n, dk, dk)
 
 
 class _Certificate(NamedTuple):
@@ -173,13 +178,74 @@ class _Certificate(NamedTuple):
     residual: float
 
 
+def _context_bound(
+    arr: np.ndarray, context: Context, dim_probe: int
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """An upper bound on :func:`commutator_defect`, read in the context basis.
+
+    Returns ``(bound, blocks, residual, R)``.  With ``W = V (x) I`` the
+    rotated operator ``T = W* A W``, indexed ``[i, p, j, q]``, is the
+    batched product ``V^T R`` on the rows ``R = W* A`` of
+    :func:`_atom_rows`, which are returned for the exact scan.  It is
+    formed one block row ``T_i`` at a time in one reused buffer, whose
+    block norms are read at once, so ``T`` is never held whole.  The
+    blocks are its diagonal blocks ``T_ii``, shape (n, dk, dk).  With
+    ``G = W* W``, ``E_i = e_i e_i* (x) I`` and ``eta = eps / (1 - eps)``
+    for the context's ``_orthonormality_bound`` ``eps``,
+
+        [A, P_i (x) I] = W (G^-1 T E_i - E_i T G^-1) W*,
+
+    so ``||[A, P_i (x) I]||_max <= (1 + eps) (||[T, E_i]||_F + 2 eta ||T||_F)``,
+    where ``||[T, E_i]||_F^2`` sums ``||T_ij||_F^2 + ||T_ji||_F^2`` over
+    ``j != i``.  Every block norm comes from one pass over ``T``.  In the
+    same way ``residual >= ||A - sum_i P_i (x) blocks[i]||_F`` widens the
+    Frobenius norm of the off-diagonal blocks.  Both add the rounding of
+    the two contractions, at most ``s ||A||_F`` with
+    ``s = gamma (1 + eps) (2 sqrt(n) + gamma n)`` and
+    ``gamma = _dot_rounding(n)``, where ``||A||_F <= ||T||_F / (1 - eps - s)``;
+    a relative ``_dot_rounding(2 (n dk)^2 + 16)`` for the norm sums and the
+    arithmetic of the bound; and ``n dk 2^-536`` for squares that
+    underflow.  Beside ``A`` this holds one ``(n dk)^2`` buffer, ``R``.
+    Derivation: ``docs/rounding.md``, section ``_context_bound``.
+    """
+    basis = context.basis
+    n, dk = context.dim, dim_probe
+    rows = _atom_rows(arr, context, dk)                        # R, [i, p, b, q]
+    rotated = np.empty((dk, n, dk), dtype=complex)             # T_i, [p, j, q]
+    flat = rotated.view(float)
+    norms = np.empty((n, n))                                   # ||T_ij||_F^2
+    blocks = np.empty((n, dk, dk), dtype=complex)              # T_ii
+    for i in range(n):
+        np.matmul(basis.T, rows[i], out=rotated)
+        np.einsum("pjq,pjq->j", flat, flat, out=norms[i])
+        blocks[i] = rotated[:, i]
+    floor = n * dk * 2.0**-536                                 # squares that underflow
+    scale = np.sqrt(norms.sum()) + floor                       # ||T||_F
+    np.fill_diagonal(norms, 0.0)
+    commutators = np.sqrt(norms.sum(axis=0) + norms.sum(axis=1)) + floor   # ||[T, E_i]||_F
+    off = np.sqrt(norms.sum()) + floor                         # ||T - blockdiag(T_ii)||_F
+    eps = context._orthonormality_bound
+    eta = eps / (1 - eps) if eps < 1 else np.inf               # >= ||G^-1 - I||_2
+    # the norm sums and the arithmetic below
+    slack = 1 + _dot_rounding(2 * (n * dk) ** 2 + 16)
+    gamma = _dot_rounding(n)
+    spread = gamma * (1 + eps) * (2 * np.sqrt(n) + gamma * n)  # per unit of ||A||_F
+    room = 1 - eps - spread
+    spill = spread * scale / room if room > 0 else np.inf      # >= ||fl(T) - T||_F
+    bound = (1 + eps) * slack * (commutators + 2 * eta * scale + (1 + 2 * eta) * spill)
+    drift = eta * (2 + eta)
+    residual = (1 + eps) * slack * (off + drift * scale + (1 + drift) * spill)
+    return float(bound.max()), blocks, float(residual), rows
+
+
 def _residuals(basis, squared, rows, cols, left, blocks):
     """Yield ``X_i`` for every atom, then ``Y_i``, each in one scratch buffer.
 
     ``X_i`` ([i, a, p, q]) and ``Y_i`` ([i, p, b, q]) are those of
-    :func:`_commutator_bound`, formed entrywise with ``squared = |v_i|^2``.
-    ``Y_i`` overwrites ``X_i``, so a caller reduces each before asking for
-    the next; ``R_i`` and ``C_i`` are left untouched.
+    :func:`_pair_bounds`, formed entrywise with ``squared = |v_i|^2``.
+    ``Y_i`` overwrites ``X_i``, so a caller reduces each, and may
+    overwrite it, before asking for the next; ``R_i`` and ``C_i`` are left
+    untouched.
     """
     term = np.empty_like(cols)
     np.multiply(basis.T[:, :, None, None], (left / squared)[:, None], out=term)
@@ -189,67 +255,15 @@ def _residuals(basis, squared, rows, cols, left, blocks):
     yield np.subtract(rows, term, out=term)
 
 
-def _commutator_bound(
-    arr: np.ndarray, context: Context, dim_probe: int
-) -> tuple[float, np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """An upper bound on :func:`commutator_defect`, the probe blocks, and more.
+def _modulus_bounds(z: np.ndarray) -> np.ndarray:
+    """``|Re z| + |Im z| >= |z|`` for each entry, formed in place over ``z``.
 
-    Returns ``(bound, blocks, residual, (R, C, B))``: ``blocks[i] = W_i* A W_i``,
-    shape (n, dk, dk), ``residual >= ||A - sum_i P_i (x) blocks[i]||_F``, the
-    contractions as :func:`_atom_rows` and :func:`_atom_cols` made them, and
-    the column-side blocks ``B_i``, for the exact scan and its pair bounds.
-    With ``C_i = A W_i``, ``R_i = W_i* A``, ``B_i = W_i* C_i``,
-    ``B'_i = R_i W_i``, ``X_i = C_i - W_i B_i / |v_i|^2`` and
-    ``Y_i = R_i - B'_i W_i* / |v_i|^2``, for any nonzero ``v_i``
-
-        [A, P_i (x) I] = X_i W_i* - W_i Y_i + W_i (B_i - B'_i) W_i* / |v_i|^2,
-
-    so ``||[A, P_i (x) I]||_max <= |v_i| (||X_i||_F + ||Y_i||_F) + ||B_i - B'_i||_F``.
-    The identity needs no orthonormality, so the bound holds for any basis
-    a :class:`Context` accepts.  ``X_i`` and ``Y_i`` are formed entrywise,
-    in one scratch buffer that leaves ``R_i`` and ``C_i`` untouched, so no
-    term cancels; beyond the two base-index contractions the bound costs
-    ``O((n dk)^2)``, and beside ``A`` it holds three ``(n dk)^2`` buffers
-    at its peak: ``R``, ``C`` and the scratch.  The blocks are ``B'_i``.
-
-    The same norms bound how far ``A`` lies from the operator assembled
-    from its blocks.  With ``W = V (x) I``, ``eps >= ||V* V - I||_2`` (the
-    context's ``_orthonormality_bound``) and ``lam = 1 + eps >= ||V||_2^2``,
-
-        A - sum_i P_i (x) B'_i = A (I - W W*) + sum_i X_i W_i*
-                                 + sum_i W_i (B_i / |v_i|^2 - B'_i) W_i*,
-
-    whose Frobenius norm is at most ``eps ||A||_F + sqrt(lam) ||X||_F +
-    lam (||B - B'||_F + 2 eps ||B||_F)``, norms over all atoms.  The
-    returned residual adds the rounding of the computed norms: a relative
-    ``_dot_rounding(2 n dk^2)`` and ``16 gamma sqrt(n) ||A||_F`` with
-    ``gamma = _dot_rounding(2 n + 6)`` for the contractions.  Derivation:
-    ``docs/rounding.md``, section ``_commutator_bound``.
+    Returns a float view into ``z``'s memory; ``z`` is spent.
     """
-    basis = context.basis
-    n = context.dim
-    rows = _atom_rows(arr, context, dim_probe)                 # R_i, [i, p, b, q]
-    cols = _atom_cols(arr, context, dim_probe)                 # C_i, [i, a, p, q]
-    blocks = np.einsum("ipbq,bi->ipq", rows, basis)            # B'_i
-    left = basis.conj().T[:, None, :] @ cols.reshape(n, n, -1)
-    left = left.reshape(blocks.shape)                          # B_i
-    lengths = np.linalg.norm(basis, axis=0)                    # |v_i|
-    squared = lengths[:, None, None] ** 2
-    residuals = _residuals(basis, squared, rows, cols, left, blocks)
-    x = _frobenius(next(residuals))                            # ||X_i||_F
-    y = _frobenius(next(residuals))                            # ||Y_i||_F
-    gap = _frobenius(left - blocks)                            # ||B_i - B'_i||_F
-    bound = lengths * (x + y) + gap
-    eps = context._orthonormality_bound
-    size = float(_frobenius(arr[None])[0])
-    residual = (
-        eps * size
-        + np.sqrt(1 + eps) * np.linalg.norm(x)
-        + (1 + eps) * (np.linalg.norm(gap) + 2 * eps * np.linalg.norm(left))
-    ) * (1 + _dot_rounding(2 * n * dim_probe**2)) + (
-        16 * _dot_rounding(2 * n + 6) * np.sqrt(n) * size
-    )
-    return float(bound.max()), blocks, float(residual), (rows, cols, left)
+    parts = z.view(float)
+    np.abs(parts, out=parts)
+    real = parts[..., ::2]
+    return np.add(real, parts[..., 1::2], out=real)
 
 
 def _pair_bounds(context: Context, rows, cols, left, blocks) -> np.ndarray:
@@ -257,28 +271,35 @@ def _pair_bounds(context: Context, rows, cols, left, blocks) -> np.ndarray:
 
     ``bounds[i, p, q]`` is at least the computed modulus of every entry
     ``(a p, b q)`` of ``[A, P_i (x) I]``, ``a, b`` running over the base.
-    Read entry by entry, the split of :func:`_commutator_bound` gives, with
-    ``m_i = max_a |v_i[a]|``,
+    With ``C_i = A W_i``, ``R_i = W_i* A``, ``B_i = W_i* C_i``, any blocks
+    ``B'_i``, ``X_i = C_i - W_i B_i / |v_i|^2`` and
+    ``Y_i = R_i - B'_i W_i* / |v_i|^2``, for any nonzero ``v_i``
+
+        [A, P_i (x) I] = X_i W_i* - W_i Y_i + W_i (B_i - B'_i) W_i* / |v_i|^2.
+
+    Read entry by entry, this gives, with ``m_i = max_a |v_i[a]|``,
 
         |[A, P_i (x) I]|_(ap, bq) <= m_i (max_a |X_i[a, p, q]| + max_b |Y_i[p, b, q]|
                                           + m_i |B_i - B'_i|[p, q] / |v_i|^2),
 
     for the computed ``R_i``, ``C_i``, ``B_i``, ``B'_i`` and ``|v_i|^2``
     taken as exact data: the identity holds for any blocks and any nonzero
-    length.  The rounding of ``X_i``, ``Y_i``, of the scanned entry and of
-    this bound is covered by a relative ``64 u`` and ``8 u (|B_i| +
-    |B'_i|)[p, q]`` added to ``|B_i - B'_i|[p, q]``, with ``u`` the unit
-    roundoff; the smallest normal float covers underflow (derivation:
-    ``docs/rounding.md``, section ``_pair_bounds``).  ``X_i`` and ``Y_i``
-    come from :func:`_residuals`, so beyond ``R`` and ``C`` this holds one
-    ``(n dk)^2`` scratch buffer and its moduli.
+    length.  The moduli of ``X_i`` and ``Y_i`` are bounded by
+    ``|Re| + |Im|``, which needs no ``hypot``.  The rounding of ``X_i``,
+    ``Y_i``, of the scanned entry and of this bound is covered by a
+    relative ``64 u`` and ``8 u (|B_i| + |B'_i|)[p, q]`` added to
+    ``|B_i - B'_i|[p, q]``, with ``u`` the unit roundoff; the smallest
+    normal float covers underflow (derivation: ``docs/rounding.md``,
+    section ``_pair_bounds``).  ``X_i`` and ``Y_i`` come from
+    :func:`_residuals`, so beyond ``R`` and ``C`` this holds one
+    ``(n dk)^2`` scratch buffer, whose moduli are formed in place.
     """
     basis = context.basis
     squared = np.linalg.norm(basis, axis=0)[:, None, None] ** 2
     largest = np.abs(basis).max(axis=0)[:, None, None]         # m_i
     residuals = _residuals(basis, squared, rows, cols, left, blocks)
-    x = np.abs(next(residuals)).max(axis=1)                    # max_a |X_i[a, p, q]|
-    y = np.abs(next(residuals)).max(axis=2)                    # max_b |Y_i[p, b, q]|
+    x = _modulus_bounds(next(residuals)).max(axis=1)           # max_a |X_i[a, p, q]|
+    y = _modulus_bounds(next(residuals)).max(axis=2)           # max_b |Y_i[p, b, q]|
     gap = (np.abs(left - blocks) + 8 * _UNIT_ROUNDOFF * (np.abs(left) + np.abs(blocks))) / squared
     return (1 + 64 * _UNIT_ROUNDOFF) * largest * (x + y + largest * gap) + _TINY
 
@@ -361,29 +382,34 @@ def _exact_defect(
     return worst
 
 
-def _certify(a, context: Context, dim_probe: int, atol: float) -> _Certificate:
-    """Decide the commutator test for ``a``; return ``(defect, blocks, residual)``.
+def _certify(arr: np.ndarray, context: Context, dim_probe: int, atol: float) -> _Certificate:
+    """Decide the commutator test for a checked ``arr``; return ``(defect, blocks, residual)``.
 
-    ``defect <= atol`` decides the test.  The bound of
-    :func:`_commutator_bound` is returned when it is within ``atol``, and
-    nothing more is formed.  Otherwise the exact scan runs on the bound's
-    own contractions.  When the full scan would form at least
-    ``_PRUNED_SCAN_ENTRIES`` entries, the contractions first give the
-    per-pair bounds of :func:`_pair_bounds`, and the scan visits only
-    the pairs that can hold the maximum, in the layout and with the
-    products of the full scan.  Either way a defect above ``atol`` is the
-    exact max-entry norm of :func:`commutator_defect`, bit for bit on a
-    NumPy build that passes the tests (see :func:`_exact_defect`).
-    ``residual`` bounds ``||a - sum_i P_i (x) blocks[i]||_F``.
+    ``defect <= atol`` decides the test.  ``arr`` has passed
+    :func:`_check_composite`, or its size and parts are checked otherwise.
+    The bound of :func:`_context_bound` is returned when it is within
+    ``atol``, and nothing more is formed: one rotation into the context
+    basis and one pass over its block norms.  Otherwise the rotated
+    operator is dropped, the blocks are kept, and the exact scan runs on
+    the bound's rows ``R`` and the columns ``C`` of :func:`_atom_cols`.
+    When the full scan would form at least ``_PRUNED_SCAN_ENTRIES``
+    entries, those contractions first give the per-pair bounds of
+    :func:`_pair_bounds`, with the returned blocks as ``B'``, and the scan
+    visits only the pairs that can hold the maximum, in the layout and
+    with the products of the full scan.  Either way a defect above
+    ``atol`` is the exact max-entry norm of :func:`commutator_defect`, bit
+    for bit on a NumPy build that passes the tests (see
+    :func:`_exact_defect`).  ``residual`` bounds
+    ``||arr - sum_i P_i (x) blocks[i]||_F``.
     """
-    arr = _check_composite(a, context, dim_probe)
-    bound, blocks, residual, (rows, cols, left) = _commutator_bound(arr, context, dim_probe)
+    bound, blocks, residual, rows = _context_bound(arr, context, dim_probe)
     if bound > atol:
+        cols = _atom_cols(arr, context, dim_probe)
         bounds = None
         # At n = 1 a visit of one pair is a one-entry product, which NumPy forms
         # without the fused multiply-add of its vector loops: scan it whole.
         if context.dim > 1 and context.dim * len(arr) ** 2 >= _PRUNED_SCAN_ENTRIES:
-            bounds = _pair_bounds(context, rows, cols, left, blocks)
+            bounds = _pair_bounds(context, rows, cols, _column_blocks(context, cols), blocks)
         bound = _exact_defect(arr, context, dim_probe, (rows, cols), bounds)
     return _Certificate(bound, blocks, residual)
 
@@ -398,10 +424,11 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
     the scan of :func:`_exact_defect` then forms every entry of every
     commutator, one atom at a time in reused buffers.  :func:`extract_probes`,
     :func:`is_c_nondisturbing` and ``nd_channel_from_kraus`` decide with a
-    cheaper bound first; only when it exceeds the tolerance do they scan,
-    on the bound's contractions.  At size that scan keeps only the probe
-    pairs that per-pair bounds cannot rule out; every other pair is
-    formed as here, so it returns the same float as this function.
+    cheaper bound first, read off the block norms of ``A`` rotated into the
+    context basis; only when it exceeds the tolerance do they scan.  At
+    size that scan keeps only the probe pairs that per-pair bounds cannot
+    rule out; every other pair is formed as here, so it returns the same
+    float as this function.
     """
     return _exact_defect(_check_composite(a, context, dim_probe), context, dim_probe)
 
@@ -410,9 +437,10 @@ def is_c_nondisturbing(a, context: Context, dim_probe: int, atol: float = DEFAUL
     """True iff ``a`` commutes with every lifted context atom within ``atol``.
 
     Decided as ``commutator_defect(a, context, dim_probe) <= atol``, with the
-    entry-by-entry scan run only when a Frobenius bound exceeds ``atol``.
+    entry-by-entry scan run only when a bound read off the block norms of
+    ``a`` in the context basis exceeds ``atol``.
     """
-    return _certify(a, context, dim_probe, atol)[0] <= atol
+    return _certify(_check_composite(a, context, dim_probe), context, dim_probe, atol)[0] <= atol
 
 
 def extract_probes(a, context: Context, dim_probe: int) -> ProbeDecomposition:
@@ -424,7 +452,8 @@ def extract_probes(a, context: Context, dim_probe: int) -> ProbeDecomposition:
     probe-space basis choice.  Rejects operators that fail the commutator
     test at ``DEFAULT_ATOL``, reporting the largest defect.
     """
-    defect, blocks, _ = _certify(a, context, dim_probe, DEFAULT_ATOL)
+    arr = _check_composite(a, context, dim_probe)
+    defect, blocks, _ = _certify(arr, context, dim_probe, DEFAULT_ATOL)
     if defect > DEFAULT_ATOL:
         raise ValueError(
             f"operator is not nondisturbing for this context "
@@ -460,10 +489,10 @@ def extract_probes_by_matrix_elements(
             raise ValueError("probe basis must be unitary")
     n, dk = context.dim, dim_probe
     basis = context.basis
-    # kets[a, p, l, i] = (A (v_i (x) e_l))[a dk + p]
-    kets = np.tensordot(arr.reshape(n, dk, n, dk), basis, axes=([2], [0]))
+    # kets[a, p, i, l] = (A (v_i (x) e_l))[a dk + p]
+    kets = np.matmul(basis.T, arr.reshape(n * dk, n, dk)).reshape(n, dk, n, dk)
     # elements[i, p, l] = <v_i (x) e_p, A (v_i (x) e_l)>
-    elements = np.einsum("ai,apli->ipl", basis.conj(), kets)
+    elements = np.einsum("ai,apil->ipl", basis.conj(), kets)
     return ProbeDecomposition(context, probe_basis @ (probe_basis.conj().T @ elements))
 
 

@@ -154,13 +154,13 @@ def test_from_kraus_rejects_disturbing_member_by_index():
 
 
 def _count_commutator_tests(monkeypatch) -> dict[str, list]:
-    """Count the Frobenius bound and the exact scan by the operator they test.
+    """Count the context-basis bound and the exact scan by the operator they test.
 
     Both are looked up in ``probes`` at call time, so patching them there
     reaches every caller.
     """
     calls = {"bound": [], "scan": []}
-    for key, name in (("bound", "_commutator_bound"), ("scan", "_exact_defect")):
+    for key, name in (("bound", "_context_bound"), ("scan", "_exact_defect")):
         original = getattr(nondisturbing.probes, name)
 
         def counting(a, *args, _original=original, _calls=calls[key], **kwargs):

@@ -68,7 +68,7 @@ MUTANTS = [
      "n * (basis * diag[:, None, :]) @ basis.conj().T", "n * outs", None),
     # A commutator bound that certifies every operator: only the battery's
     # rejection instance can see it.
-    ("zero-commutator-bound", probes, "_commutator_bound",
+    ("zero-commutator-bound", probes, "_context_bound",
      "float(bound.max())", "0.0", None),
 ]
 

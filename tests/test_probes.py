@@ -28,7 +28,8 @@ from nondisturbing.probes import (
     _atom_cols,
     _atom_rows,
     _certify,
-    _commutator_bound,
+    _column_blocks,
+    _context_bound,
     _exact_defect,
     _pair_bounds,
     classify,
@@ -204,7 +205,7 @@ def test_matrix_element_route_reads_none_of_the_commutator_test(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the cross-check read the commutator test's code")
 
-    for name in ("_atom_rows", "_atom_cols", "_commutator_bound", "_certify"):
+    for name in ("_atom_rows", "_atom_cols", "_column_blocks", "_context_bound", "_certify"):
         monkeypatch.setattr(nondisturbing.probes, name, forbidden)
     again = extract_probes_by_matrix_elements(a, ctx, 3, probe_basis).probes
     assert max_abs(again - expected) == 0.0
@@ -265,7 +266,7 @@ def test_rotated_kernels_match_kron_reference(n, dk, context_kind):
     for a in (nondisturbing, disturbing):
         assert abs(commutator_defect(a, ctx, dk) - _kron_commutator_defect(a, ctx, dk)) <= 1e-12
         by_elements = extract_probes_by_matrix_elements(a, ctx, dk).probes
-        for rotated, reference in zip(_commutator_bound(a, ctx, dk)[1], by_elements):
+        for rotated, reference in zip(_context_bound(a, ctx, dk)[1], by_elements):
             assert max_abs(rotated - reference) <= 1e-12
     assert commutator_defect(nondisturbing, ctx, dk) <= 1e-12
     for back, original in zip(extract_probes(nondisturbing, ctx, dk).probes, blocks):
@@ -294,18 +295,28 @@ def test_assemble_extract_round_trip_property(n, dk, seed, standard):
 
 
 # ---------------------------------------------------------------------------
-# The Frobenius bound that decides the commutator test first
+# The context-basis bound that decides the commutator test first
 # ---------------------------------------------------------------------------
 
 
 def _test_context(kind: str, n: int, seed: int) -> Context:
-    """A standard, random, or random basis orthonormal only to about 1e-10."""
+    """A standard or random basis, or a random one orthonormal only to about 1e-10 or 9e-10.
+
+    A ``skewed`` basis adds ``3e-11`` times a random matrix; an ``edge``
+    basis is ``U (I + c H)`` for a Hermitian ``H``, whose defect
+    ``2 c max|H|`` is 9e-10, just inside the ``DEFAULT_ATOL`` that
+    ``Context`` accepts.
+    """
     if kind == "standard":
         return Context.standard(n)
     basis = random_unitary(n, seed)
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if kind == "skewed":
-        rng = np.random.default_rng(seed)
-        basis = basis + 3e-11 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        basis = basis + 3e-11 * noise
+    elif kind == "edge":
+        hermitian = noise + noise.conj().T
+        basis = basis @ (np.eye(n) + 4.5e-10 * hermitian / max_abs(hermitian))
     return Context(basis)
 
 
@@ -314,40 +325,93 @@ def test_skewed_context_is_orthonormal_only_to_about_1e_10():
     assert 1e-11 < max_abs(basis.conj().T @ basis - np.eye(4)) < 1e-9
 
 
-@settings(max_examples=120, deadline=None)
+@pytest.mark.parametrize("n", [1, 2, 6, 16])
+def test_edge_context_is_orthonormal_only_to_about_9e_10(n):
+    basis = _test_context("edge", n, 5).basis
+    assert 8.9e-10 < max_abs(basis.conj().T @ basis - np.eye(n)) < 9.1e-10
+
+
+_BOUND_KINDS = ["standard", "random", "skewed", "edge"]
+_BOUND_SCALES = [0.0, 1e-12, 5e-10, 1e-6, 1.0]
+
+
+def _noisy_operator(ctx: Context, dk: int, seed: int, scale: float) -> np.ndarray:
+    """Random blocks assembled in ``ctx``, plus ``scale`` times dense noise."""
+    n = ctx.dim
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk))
+    noise = rng.standard_normal((n * dk,) * 2) + 1j * rng.standard_normal((n * dk,) * 2)
+    return ProbeDecomposition(ctx, blocks).assemble() + scale * noise
+
+
+def _assert_context_bound_dominates(a: np.ndarray, ctx: Context, dk: int) -> None:
+    """The bound covers the exact defect and the kron reference; the residual
+    covers the distance to the blocks assembled in exact rank-one atoms."""
+    bound, blocks, residual, rows = _context_bound(a, ctx, dk)
+    assert bound >= commutator_defect(a, ctx, dk)
+    assert bound >= _kron_commutator_defect(a, ctx, dk)
+    assert residual >= np.linalg.norm(a - _kron_assemble(ctx, blocks))
+    assert (rows == _atom_rows(a, ctx, dk)).all()  # the rows the exact scan reuses
+    by_elements = extract_probes_by_matrix_elements(a, ctx, dk).probes
+    assert max_abs(blocks - by_elements) <= 1e-12 * max(1.0, max_abs(a))
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(1, 4),
-    dk=st.integers(1, 4),
+    n=st.integers(1, 6),
+    dk=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["standard", "random", "skewed"]),
-    scale=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+    kind=st.sampled_from(_BOUND_KINDS),
+    scale=st.sampled_from(_BOUND_SCALES),
 )
 def test_commutator_bound_dominates_the_kron_reference(n, dk, seed, kind, scale):
     ctx = _test_context(kind, n, seed)
-    rng = np.random.default_rng(seed)
+    _assert_context_bound_dominates(_noisy_operator(ctx, dk, seed, scale), ctx, dk)
+
+
+@pytest.mark.parametrize("scale", _BOUND_SCALES)
+@pytest.mark.parametrize("kind", ["random", "edge"])
+def test_commutator_bound_dominates_the_kron_reference_at_size(kind, scale):
+    ctx = _test_context(kind, 16, 36)
+    _assert_context_bound_dominates(_noisy_operator(ctx, 16, 36, scale), ctx, 16)
+
+
+@pytest.mark.parametrize("n, dk", [(2, 1), (3, 2), (6, 3)])
+def test_commutator_bound_covers_an_operator_block_diagonal_in_an_edge_context(n, dk):
+    # A = W^-* D W^-1 rotates to the block-diagonal D, so only the eps terms
+    # of the bound see its commutators, which the basis defect makes ~1e-9.
+    ctx = _test_context("edge", n, 39)
+    rng = np.random.default_rng(39)
     blocks = rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk))
-    noise = rng.standard_normal((n * dk,) * 2) + 1j * rng.standard_normal((n * dk,) * 2)
-    a = ProbeDecomposition(ctx, blocks).assemble() + scale * noise
-    bound, probes = _commutator_bound(a, ctx, dk)[:2]
-    assert bound >= _kron_commutator_defect(a, ctx, dk)
-    by_elements = extract_probes_by_matrix_elements(a, ctx, dk).probes
-    assert max_abs(probes - by_elements) <= 1e-12 * max(1.0, max_abs(a))
+    inverse = np.linalg.inv(kron(ctx.basis, np.eye(dk)))
+    a = inverse.conj().T @ _kron_assemble(Context.standard(n), blocks) @ inverse
+    defect = commutator_defect(a, ctx, dk)
+    assert defect > 1e-11
+    assert _context_bound(a, ctx, dk)[0] >= defect
 
 
-@settings(max_examples=120, deadline=None)
+@pytest.mark.parametrize("n, dk", [(1, 3), (3, 2), (5, 5)])
+def test_commutator_bound_dominates_where_the_squares_underflow(n, dk):
+    # Parts of 1e-170 square to below the smallest subnormal float.
+    ctx = _test_context("random", n, 38)
+    a = 1e-170 * _noisy_operator(ctx, dk, 38, 1.0)
+    bound, blocks, residual, _ = _context_bound(a, ctx, dk)
+    assert bound >= commutator_defect(a, ctx, dk) > 0
+    # the reference distance, read at a scale where its squares are normal
+    assert residual >= 1e-170 * np.linalg.norm(1e170 * a - _kron_assemble(ctx, 1e170 * blocks))
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(1, 4),
-    dk=st.integers(1, 4),
+    n=st.integers(1, 6),
+    dk=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["standard", "random", "skewed"]),
-    scale=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+    kind=st.sampled_from(_BOUND_KINDS),
+    scale=st.sampled_from(_BOUND_SCALES),
 )
 def test_residual_dominates_the_distance_to_the_assembled_blocks(n, dk, seed, kind, scale):
     ctx = _test_context(kind, n, seed)
-    rng = np.random.default_rng(seed)
-    blocks = rng.standard_normal((n, dk, dk)) + 1j * rng.standard_normal((n, dk, dk))
-    noise = rng.standard_normal((n * dk,) * 2) + 1j * rng.standard_normal((n * dk,) * 2)
-    a = ProbeDecomposition(ctx, blocks).assemble() + scale * noise
+    a = _noisy_operator(ctx, dk, seed, scale)
     _, probes, residual = _certify(a, ctx, dk, DEFAULT_ATOL)
     # The reference assembles in exact rank-one atoms, one kron per atom.
     distance = np.linalg.norm(a - _kron_assemble(ctx, probes))
@@ -381,7 +445,7 @@ def _shifted_unitary(ctx: Context, dk: int, size: float) -> np.ndarray:
 
 
 @pytest.mark.parametrize("context_kind", ["standard", "random"])
-@pytest.mark.parametrize("size", [0.0, 1e-12, 5e-10, 2e-9, 1e-3])
+@pytest.mark.parametrize("size", [0.0, 1e-12, 5e-10, 7e-10, 2e-9, 1e-3])
 def test_bound_first_decisions_match_the_exact_defect(size, context_kind):
     ctx = Context.standard(3) if context_kind == "standard" else Context.random(3, 71)
     a = _shifted_unitary(ctx, 2, size)
@@ -391,10 +455,12 @@ def test_bound_first_decisions_match_the_exact_defect(size, context_kind):
         assert accepted == (size < DEFAULT_ATOL)
     # an instance within rounding of the tolerance would test nothing
     assert abs(defect - DEFAULT_ATOL) > 1e-11
-    bound = _commutator_bound(a, ctx, 2)[0]
+    bound = _context_bound(a, ctx, 2)[0]
     assert bound >= defect
-    if size == 5e-10:
+    if size == 7e-10 or (size == 5e-10 and context_kind == "standard"):
         assert accepted and bound > DEFAULT_ATOL  # the exact scan overrules the bound
+    elif size == 5e-10:
+        assert accepted and bound <= DEFAULT_ATOL  # the bound accepts by itself
     decided = _certify(a, ctx, 2, DEFAULT_ATOL)[0]
     assert decided == (bound if bound <= DEFAULT_ATOL else defect)
     assert is_c_nondisturbing(a, ctx, 2) == accepted
@@ -433,6 +499,13 @@ def _moduli(basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     ])
 
 
+def _scan_contractions(a: np.ndarray, ctx: Context, dk: int):
+    """``(R, C, B, B')`` as a rejecting :func:`_certify` hands them to the scan."""
+    _, blocks, _, rows = _context_bound(a, ctx, dk)
+    cols = _atom_cols(a, ctx, dk)
+    return rows, cols, _column_blocks(ctx, cols), blocks
+
+
 def _disturbed(n: int, dk: int, seed: int, kind: str, disturbance: str, scale: float):
     """A context and a nondisturbing operator plus ``scale`` times a disturbance."""
     ctx = _test_context(kind, n, seed)
@@ -465,7 +538,7 @@ def _disturbed(n: int, dk: int, seed: int, kind: str, disturbance: str, scale: f
 )
 def test_pruned_scan_is_the_full_scan_bit_for_bit(n, dk, seed, kind, disturbance, scale):
     ctx, a = _disturbed(n, dk, seed, kind, disturbance, scale)
-    _, blocks, _, (rows, cols, left) = _commutator_bound(a, ctx, dk)
+    rows, cols, left, blocks = _scan_contractions(a, ctx, dk)
     # _certify prunes no one-atom scan, so at n = 1 the bounds are left out
     bounds = _pair_bounds(ctx, rows, cols, left, blocks) if n > 1 else None
     pruned = _exact_defect(a, ctx, dk, (rows, cols), bounds)
@@ -487,23 +560,42 @@ def test_pair_bounds_cover_every_computed_entry(n, dk, seed, kind, disturbance, 
     ctx, a = _disturbed(n, dk, seed, kind, disturbance, scale)
     if scale == 1e-310:
         a = a * 1e-310                             # subnormal entries: rounding is absolute
-    _, blocks, _, (rows, cols, left) = _commutator_bound(a, ctx, dk)
+    rows, cols, left, blocks = _scan_contractions(a, ctx, dk)
     bounds = _pair_bounds(ctx, rows, cols, left, blocks)
     assert (_moduli(ctx.basis, rows, cols).max(axis=(1, 3)) <= bounds).all()
 
 
-def _tight_contractions(ctx: Context, dk: int, seed: int, size: float):
+@pytest.mark.parametrize("kind", ["standard", "random", "skewed"])
+def test_pair_bounds_cover_subnormal_entries(kind):
+    # Nondisturbing operators near 1e-310: the entries are rounding alone,
+    # which is absolute there, so only the smallest normal float covers them.
+    for seed in range(60):
+        for disturbance in ("dense", "single", "shift", "tie"):
+            ctx, a = _disturbed(3, 2, seed, kind, disturbance, 0.0)
+            rows, cols, left, blocks = _scan_contractions(1e-310 * a, ctx, 2)
+            bounds = _pair_bounds(ctx, rows, cols, left, blocks)
+            assert (_moduli(ctx.basis, rows, cols).max(axis=(1, 3)) <= bounds).all()
+
+
+def _tight_contractions(ctx: Context, dk: int, seed: int, size: float, quarter: bool = False):
     """One atom's ``(R, C, B, B')`` on which the pair bound is tight.
 
     With ``s = |v|^2``, ``X = C - v B / s``, ``Y = R - B' conj(v) / s`` and
     ``D = B - B'``, each entry ``C conj(v) - v R = X conj(v) - v Y + v D
     conj(v) / s`` gets its three terms in one phase, so its modulus is the
-    exact pair bound up to second order.  The blocks are about ``size``.
+    exact pair bound up to second order, with ``|Re| + |Im|`` for the
+    moduli of ``X`` and ``Y``.  That is within ``sqrt(2)`` of ``|X|`` and
+    ``|Y|``, and equal to them where they lie on the axes: with
+    ``quarter`` the phases are quarter turns, which puts them there when
+    ``v = 1``.  The blocks are about ``size``.
     """
     rng = np.random.default_rng(seed)
     v = ctx.basis[0, 0]
     s = float(np.linalg.norm(ctx.basis, axis=0)[0] ** 2)
-    phase = np.exp(2j * np.pi * rng.random((dk, dk)))
+    if quarter:
+        phase = 1j ** rng.integers(4, size=(dk, dk))
+    else:
+        phase = np.exp(2j * np.pi * rng.random((dk, dk)))
     x, y, d = rng.random((3, dk, dk))
     left = size * (rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk)))
     blocks = left - d * phase
@@ -522,7 +614,19 @@ def test_pair_bounds_cover_entries_where_the_bound_is_tight(context_kind, size):
         bounds = _pair_bounds(ctx, rows, cols, left, blocks)
         moduli = _moduli(ctx.basis, rows, cols).max(axis=(1, 3))
         assert (moduli <= bounds).all()
-        assert (bounds <= moduli * (1 + 1e-12) + 1e-12 * size).all()  # and it is tight
+        # and it is tight, up to the sqrt(2) of |Re| + |Im| off the axes
+        assert (bounds <= np.sqrt(2) * moduli * (1 + 1e-12) + 1e-12 * size).all()
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-8, 1.0, 1e3])
+def test_pair_bounds_are_tight_where_the_moduli_lie_on_the_axes(size):
+    ctx = Context.standard(1)
+    for seed in range(40):
+        rows, cols, left, blocks = _tight_contractions(ctx, 4, seed, size, quarter=True)
+        bounds = _pair_bounds(ctx, rows, cols, left, blocks)
+        moduli = _moduli(ctx.basis, rows, cols).max(axis=(1, 3))
+        assert (moduli <= bounds).all()
+        assert (bounds <= moduli * (1 + 1e-12) + 1e-12 * size).all()
 
 
 def _count_formed_pairs(monkeypatch) -> list[int]:
@@ -554,17 +658,19 @@ def test_shift_rejection_forms_only_the_pairs_that_can_hold_the_maximum(monkeypa
     assert formed == [dk * dk] * n                 # the public scan visits every pair
 
 
-def _refuse_pair_bounds(monkeypatch):
+def _refuse(monkeypatch, name: str):
     def refuse(*args):
-        raise AssertionError("pair bounds formed")
+        raise AssertionError(f"{name} formed")
 
-    monkeypatch.setattr(nondisturbing.probes, "_pair_bounds", refuse)
+    monkeypatch.setattr(nondisturbing.probes, name, refuse)
 
 
 def test_accepted_operators_form_no_pair_bounds(monkeypatch):
+    # nor the column contraction: an accept rotates the rows alone
     ctx = Context.random(8, 81)
     kraus = random_nd_channel(ctx, 8, 2, 81).induced_kraus
-    _refuse_pair_bounds(monkeypatch)
+    _refuse(monkeypatch, "_pair_bounds")
+    _refuse(monkeypatch, "_atom_cols")
     nd_channel_from_kraus(kraus, ctx, 8)
     extract_probes(kraus[0], ctx, 8)
     assert is_c_nondisturbing(kraus[1], ctx, 8)
@@ -580,8 +686,8 @@ def test_small_or_one_atom_rejection_scans_whole_without_pair_bounds(monkeypatch
     else:                                          # only rounding can make it fail
         rng = np.random.default_rng(82)
         a = 1e8 * (rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk)))
-    assert _commutator_bound(a, ctx, dk)[0] > DEFAULT_ATOL
-    _refuse_pair_bounds(monkeypatch)
+    assert _context_bound(a, ctx, dk)[0] > DEFAULT_ATOL
+    _refuse(monkeypatch, "_pair_bounds")
     formed = _count_formed_pairs(monkeypatch)
     defect = _certify(a, ctx, dk, DEFAULT_ATOL).defect
     assert formed == [dk * dk] * n                 # every pair of every atom
