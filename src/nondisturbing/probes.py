@@ -164,12 +164,6 @@ def _atom_cols(arr: np.ndarray, context: Context, dim_probe: int) -> np.ndarray:
     return (context.basis.T @ by_column).reshape(n, n, dk, dk)
 
 
-def _column_blocks(context: Context, cols: np.ndarray) -> np.ndarray:
-    """``B_i = W_i* C_i`` for the ``C_i = A W_i`` of :func:`_atom_cols`; shape (n, dk, dk)."""
-    n, dk = context.dim, cols.shape[-1]
-    return (context.basis.conj().T[:, None, :] @ cols.reshape(n, n, -1)).reshape(n, dk, dk)
-
-
 class _Certificate(NamedTuple):
     """The decided commutator test of one operator; see :func:`_certify`."""
 
@@ -238,23 +232,6 @@ def _context_bound(
     return float(bound.max()), blocks, float(residual), rows
 
 
-def _residuals(basis, squared, rows, cols, left, blocks):
-    """Yield ``X_i`` for every atom, then ``Y_i``, each in one scratch buffer.
-
-    ``X_i`` ([i, a, p, q]) and ``Y_i`` ([i, p, b, q]) are those of
-    :func:`_pair_bounds`, formed entrywise with ``squared = |v_i|^2``.
-    ``Y_i`` overwrites ``X_i``, so a caller reduces each, and may
-    overwrite it, before asking for the next; ``R_i`` and ``C_i`` are left
-    untouched.
-    """
-    term = np.empty_like(cols)
-    np.multiply(basis.T[:, :, None, None], (left / squared)[:, None], out=term)
-    yield np.subtract(cols, term, out=term)
-    term = term.reshape(rows.shape)
-    np.multiply((blocks / squared)[:, :, None, :], basis.conj().T[:, None, :, None], out=term)
-    yield np.subtract(rows, term, out=term)
-
-
 def _modulus_bounds(z: np.ndarray) -> np.ndarray:
     """``|Re z| + |Im z| >= |z|`` for each entry, formed in place over ``z``.
 
@@ -266,41 +243,44 @@ def _modulus_bounds(z: np.ndarray) -> np.ndarray:
     return np.add(real, parts[..., 1::2], out=real)
 
 
-def _pair_bounds(context: Context, rows, cols, left, blocks) -> np.ndarray:
+def _pair_bounds(context: Context, rows, cols, blocks) -> np.ndarray:
     """Per-probe-pair bounds on the entries that :func:`_exact_defect` computes.
 
     ``bounds[i, p, q]`` is at least the computed modulus of every entry
     ``(a p, b q)`` of ``[A, P_i (x) I]``, ``a, b`` running over the base.
-    With ``C_i = A W_i``, ``R_i = W_i* A``, ``B_i = W_i* C_i``, any blocks
-    ``B'_i``, ``X_i = C_i - W_i B_i / |v_i|^2`` and
-    ``Y_i = R_i - B'_i W_i* / |v_i|^2``, for any nonzero ``v_i``
+    With ``C_i = A W_i``, ``R_i = W_i* A``, any blocks ``B_i``,
+    ``X_i = C_i - W_i B_i / |v_i|^2`` and ``Y_i = R_i - B_i W_i* / |v_i|^2``,
+    for any nonzero ``v_i``
 
-        [A, P_i (x) I] = X_i W_i* - W_i Y_i + W_i (B_i - B'_i) W_i* / |v_i|^2.
+        [A, P_i (x) I] = X_i W_i* - W_i Y_i.
 
     Read entry by entry, this gives, with ``m_i = max_a |v_i[a]|``,
 
-        |[A, P_i (x) I]|_(ap, bq) <= m_i (max_a |X_i[a, p, q]| + max_b |Y_i[p, b, q]|
-                                          + m_i |B_i - B'_i|[p, q] / |v_i|^2),
+        |[A, P_i (x) I]|_(ap, bq) <= m_i (max_a |X_i[a, p, q]| + max_b |Y_i[p, b, q]|),
 
-    for the computed ``R_i``, ``C_i``, ``B_i``, ``B'_i`` and ``|v_i|^2``
-    taken as exact data: the identity holds for any blocks and any nonzero
-    length.  The moduli of ``X_i`` and ``Y_i`` are bounded by
-    ``|Re| + |Im|``, which needs no ``hypot``.  The rounding of ``X_i``,
-    ``Y_i``, of the scanned entry and of this bound is covered by a
-    relative ``64 u`` and ``8 u (|B_i| + |B'_i|)[p, q]`` added to
-    ``|B_i - B'_i|[p, q]``, with ``u`` the unit roundoff; the smallest
-    normal float covers underflow (derivation: ``docs/rounding.md``,
-    section ``_pair_bounds``).  ``X_i`` and ``Y_i`` come from
-    :func:`_residuals`, so beyond ``R`` and ``C`` this holds one
-    ``(n dk)^2`` scratch buffer, whose moduli are formed in place.
+    for the computed ``R_i``, ``C_i``, ``B_i`` and ``|v_i|^2`` taken as
+    exact data: the identity holds for any blocks and any nonzero length,
+    so the blocks of :func:`_context_bound` serve.  The moduli of ``X_i``
+    and ``Y_i`` are bounded by ``|Re| + |Im|``, which needs no ``hypot``.
+    The rounding of ``X_i``, ``Y_i``, of the scanned entry and of this
+    bound is covered by a relative ``64 u`` and by
+    ``16 u m_i |B_i|[p, q] / |v_i|^2``, with ``u`` the unit roundoff; the
+    smallest normal float covers underflow (derivation:
+    ``docs/rounding.md``, section ``_pair_bounds``).  ``X_i`` and then
+    ``Y_i`` are formed in one ``(n dk)^2`` scratch buffer beyond ``R`` and
+    ``C``, whose moduli are formed in place.
     """
     basis = context.basis
     squared = np.linalg.norm(basis, axis=0)[:, None, None] ** 2
     largest = np.abs(basis).max(axis=0)[:, None, None]         # m_i
-    residuals = _residuals(basis, squared, rows, cols, left, blocks)
-    x = _modulus_bounds(next(residuals)).max(axis=1)           # max_a |X_i[a, p, q]|
-    y = _modulus_bounds(next(residuals)).max(axis=2)           # max_b |Y_i[p, b, q]|
-    gap = (np.abs(left - blocks) + 8 * _UNIT_ROUNDOFF * (np.abs(left) + np.abs(blocks))) / squared
+    scaled = blocks / squared
+    term = np.empty_like(cols)                                 # X_i, [i, a, p, q]
+    np.multiply(basis.T[:, :, None, None], scaled[:, None], out=term)
+    x = _modulus_bounds(np.subtract(cols, term, out=term)).max(axis=1)   # max_a |X_i[a, p, q]|
+    term = term.reshape(rows.shape)                            # Y_i, [i, p, b, q]
+    np.multiply(scaled[:, :, None, :], basis.conj().T[:, None, :, None], out=term)
+    y = _modulus_bounds(np.subtract(rows, term, out=term)).max(axis=2)   # max_b |Y_i[p, b, q]|
+    gap = 16 * _UNIT_ROUNDOFF * np.abs(blocks) / squared
     return (1 + 64 * _UNIT_ROUNDOFF) * largest * (x + y + largest * gap) + _TINY
 
 
@@ -317,18 +297,12 @@ def _largest_entry(c, vbar, v, r, entries, products, moduli) -> float:
     return float(np.abs(entries, out=moduli).max())
 
 
-def _exact_defect(
-    arr: np.ndarray,
-    context: Context,
-    dim_probe: int,
-    contractions: tuple | None = None,
-    bounds: np.ndarray | None = None,
-) -> float:
+def _exact_defect(context: Context, contractions: tuple, bounds: np.ndarray | None = None) -> float:
     """The entry-by-entry scan behind :func:`commutator_defect`.
 
-    ``contractions`` are ``(R_i, C_i)`` of ``arr`` as :func:`_atom_rows`
-    and :func:`_atom_cols` make them; they are made here when omitted.
-    Entry ``(a p, b q)`` of ``[A, P_i (x) I] = C_i W_i* - W_i R_i`` is
+    ``contractions`` are the ``(R_i, C_i)`` of an operator ``A`` as
+    :func:`_atom_rows` and :func:`_atom_cols` make them.  Entry
+    ``(a p, b q)`` of ``[A, P_i (x) I] = C_i W_i* - W_i R_i`` is
     ``C_i[a, p, q] conj(v_i[b]) - v_i[a] R_i[p, b, q]``: one multiply each
     side, one subtraction and one modulus.  The scan visits one atom at a
     time and forms its entries on the probe pairs ``k = (p, q)`` it visits
@@ -352,10 +326,8 @@ def _exact_defect(
     which holds for its vector loops with their fused multiply-add.  That
     is NumPy's choice, not a guarantee: the tests check it on each build.
     """
-    n, dk = context.dim, dim_probe
-    if contractions is None:
-        contractions = _atom_rows(arr, context, dk), _atom_cols(arr, context, dk)
     rows, cols = contractions                                  # [i, p, b, q], [i, a, p, q]
+    n, dk = context.dim, rows.shape[-1]
     basis, vbar = context.basis, context.basis.conj()
     scratch = np.empty((2, n * n * dk * dk), dtype=complex)
 
@@ -393,10 +365,10 @@ def _certify(arr: np.ndarray, context: Context, dim_probe: int, atol: float) -> 
     operator is dropped, the blocks are kept, and the exact scan runs on
     the bound's rows ``R`` and the columns ``C`` of :func:`_atom_cols`.
     When the full scan would form at least ``_PRUNED_SCAN_ENTRIES``
-    entries, those contractions first give the per-pair bounds of
-    :func:`_pair_bounds`, with the returned blocks as ``B'``, and the scan
-    visits only the pairs that can hold the maximum, in the layout and
-    with the products of the full scan.  Either way a defect above
+    entries, those contractions and the returned blocks, the one set of
+    blocks that both residuals of :func:`_pair_bounds` use, first give its
+    per-pair bounds, and the scan visits only the pairs that can hold the
+    maximum, in the layout and with the products of the full scan.  Either way a defect above
     ``atol`` is the exact max-entry norm of :func:`commutator_defect`, bit
     for bit on a NumPy build that passes the tests (see
     :func:`_exact_defect`).  ``residual`` bounds
@@ -409,8 +381,8 @@ def _certify(arr: np.ndarray, context: Context, dim_probe: int, atol: float) -> 
         # At n = 1 a visit of one pair is a one-entry product, which NumPy forms
         # without the fused multiply-add of its vector loops: scan it whole.
         if context.dim > 1 and context.dim * len(arr) ** 2 >= _PRUNED_SCAN_ENTRIES:
-            bounds = _pair_bounds(context, rows, cols, _column_blocks(context, cols), blocks)
-        bound = _exact_defect(arr, context, dim_probe, (rows, cols), bounds)
+            bounds = _pair_bounds(context, rows, cols, blocks)
+        bound = _exact_defect(context, (rows, cols), bounds)
     return _Certificate(bound, blocks, residual)
 
 
@@ -420,9 +392,10 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
     The max-entry norm is read in the original basis.  Each lifted atom
     factors as ``W_i W_i*`` with the rank-``dk`` isometry ``W_i = v_i (x) I``,
     so ``[A, P_i (x) I] = (A W_i) W_i* - W_i (W_i* A)``.  All ``A W_i`` and
-    ``W_i* A`` come from two base-index contractions, ``O(n^3 dk^2)`` each;
-    the scan of :func:`_exact_defect` then forms every entry of every
-    commutator, one atom at a time in reused buffers.  :func:`extract_probes`,
+    ``W_i* A`` come from two base-index contractions, ``O(n^3 dk^2)`` each,
+    :func:`_atom_rows` and :func:`_atom_cols`; the scan of
+    :func:`_exact_defect` then forms every entry of every commutator, one
+    atom at a time in reused buffers.  :func:`extract_probes`,
     :func:`is_c_nondisturbing` and ``nd_channel_from_kraus`` decide with a
     cheaper bound first, read off the block norms of ``A`` rotated into the
     context basis; only when it exceeds the tolerance do they scan.  At
@@ -430,7 +403,9 @@ def commutator_defect(a, context: Context, dim_probe: int) -> float:
     rule out; every other pair is formed as here, so it returns the same
     float as this function.
     """
-    return _exact_defect(_check_composite(a, context, dim_probe), context, dim_probe)
+    arr = _check_composite(a, context, dim_probe)
+    contractions = _atom_rows(arr, context, dim_probe), _atom_cols(arr, context, dim_probe)
+    return _exact_defect(context, contractions)
 
 
 def is_c_nondisturbing(a, context: Context, dim_probe: int, atol: float = DEFAULT_ATOL) -> bool:

@@ -57,6 +57,8 @@ REMOVED = {
     "example_scenario",
     "_example_model",
     "CONSTRUCTION_ATOL",
+    "_column_blocks",
+    "_residuals",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.

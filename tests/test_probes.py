@@ -28,7 +28,6 @@ from nondisturbing.probes import (
     _atom_cols,
     _atom_rows,
     _certify,
-    _column_blocks,
     _context_bound,
     _exact_defect,
     _pair_bounds,
@@ -205,7 +204,7 @@ def test_matrix_element_route_reads_none_of_the_commutator_test(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the cross-check read the commutator test's code")
 
-    for name in ("_atom_rows", "_atom_cols", "_column_blocks", "_context_bound", "_certify"):
+    for name in ("_atom_rows", "_atom_cols", "_context_bound", "_certify"):
         monkeypatch.setattr(nondisturbing.probes, name, forbidden)
     again = extract_probes_by_matrix_elements(a, ctx, 3, probe_basis).probes
     assert max_abs(again - expected) == 0.0
@@ -500,10 +499,9 @@ def _moduli(basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
 
 
 def _scan_contractions(a: np.ndarray, ctx: Context, dk: int):
-    """``(R, C, B, B')`` as a rejecting :func:`_certify` hands them to the scan."""
+    """``(R, C, B)`` as a rejecting :func:`_certify` hands them to the scan."""
     _, blocks, _, rows = _context_bound(a, ctx, dk)
-    cols = _atom_cols(a, ctx, dk)
-    return rows, cols, _column_blocks(ctx, cols), blocks
+    return rows, _atom_cols(a, ctx, dk), blocks
 
 
 def _disturbed(n: int, dk: int, seed: int, kind: str, disturbance: str, scale: float):
@@ -538,10 +536,10 @@ def _disturbed(n: int, dk: int, seed: int, kind: str, disturbance: str, scale: f
 )
 def test_pruned_scan_is_the_full_scan_bit_for_bit(n, dk, seed, kind, disturbance, scale):
     ctx, a = _disturbed(n, dk, seed, kind, disturbance, scale)
-    rows, cols, left, blocks = _scan_contractions(a, ctx, dk)
+    rows, cols, blocks = _scan_contractions(a, ctx, dk)
     # _certify prunes no one-atom scan, so at n = 1 the bounds are left out
-    bounds = _pair_bounds(ctx, rows, cols, left, blocks) if n > 1 else None
-    pruned = _exact_defect(a, ctx, dk, (rows, cols), bounds)
+    bounds = _pair_bounds(ctx, rows, cols, blocks) if n > 1 else None
+    pruned = _exact_defect(ctx, (rows, cols), bounds)
     full = commutator_defect(a, ctx, dk)
     reference = _moduli(ctx.basis, _atom_rows(a, ctx, dk), _atom_cols(a, ctx, dk)).max()
     assert pruned.hex() == full.hex() == float(reference).hex()
@@ -560,8 +558,8 @@ def test_pair_bounds_cover_every_computed_entry(n, dk, seed, kind, disturbance, 
     ctx, a = _disturbed(n, dk, seed, kind, disturbance, scale)
     if scale == 1e-310:
         a = a * 1e-310                             # subnormal entries: rounding is absolute
-    rows, cols, left, blocks = _scan_contractions(a, ctx, dk)
-    bounds = _pair_bounds(ctx, rows, cols, left, blocks)
+    rows, cols, blocks = _scan_contractions(a, ctx, dk)
+    bounds = _pair_bounds(ctx, rows, cols, blocks)
     assert (_moduli(ctx.basis, rows, cols).max(axis=(1, 3)) <= bounds).all()
 
 
@@ -572,18 +570,18 @@ def test_pair_bounds_cover_subnormal_entries(kind):
     for seed in range(60):
         for disturbance in ("dense", "single", "shift", "tie"):
             ctx, a = _disturbed(3, 2, seed, kind, disturbance, 0.0)
-            rows, cols, left, blocks = _scan_contractions(1e-310 * a, ctx, 2)
-            bounds = _pair_bounds(ctx, rows, cols, left, blocks)
+            rows, cols, blocks = _scan_contractions(1e-310 * a, ctx, 2)
+            bounds = _pair_bounds(ctx, rows, cols, blocks)
             assert (_moduli(ctx.basis, rows, cols).max(axis=(1, 3)) <= bounds).all()
 
 
 def _tight_contractions(ctx: Context, dk: int, seed: int, size: float, quarter: bool = False):
-    """One atom's ``(R, C, B, B')`` on which the pair bound is tight.
+    """One atom's ``(R, C, B)`` on which the pair bound is tight.
 
-    With ``s = |v|^2``, ``X = C - v B / s``, ``Y = R - B' conj(v) / s`` and
-    ``D = B - B'``, each entry ``C conj(v) - v R = X conj(v) - v Y + v D
-    conj(v) / s`` gets its three terms in one phase, so its modulus is the
-    exact pair bound up to second order, with ``|Re| + |Im|`` for the
+    With ``s = |v|^2``, ``X = C - v B / s`` and ``Y = R - B conj(v) / s``,
+    each entry ``C conj(v) - v R = X conj(v) - v Y`` gets its two terms in
+    one phase, so its modulus is the exact pair bound up to second order
+    and the bound's rounding term, with ``|Re| + |Im|`` for the
     moduli of ``X`` and ``Y``.  That is within ``sqrt(2)`` of ``|X|`` and
     ``|Y|``, and equal to them where they lie on the axes: with
     ``quarter`` the phases are quarter turns, which puts them there when
@@ -596,12 +594,11 @@ def _tight_contractions(ctx: Context, dk: int, seed: int, size: float, quarter: 
         phase = 1j ** rng.integers(4, size=(dk, dk))
     else:
         phase = np.exp(2j * np.pi * rng.random((dk, dk)))
-    x, y, d = rng.random((3, dk, dk))
-    left = size * (rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk)))
-    blocks = left - d * phase
-    cols = v * left / s + x * phase * v
+    x, y = rng.random((2, dk, dk))
+    blocks = size * (rng.standard_normal((dk, dk)) + 1j * rng.standard_normal((dk, dk)))
+    cols = v * blocks / s + x * phase * v
     rows = blocks * np.conj(v) / s - y * phase * np.conj(v)
-    return rows.reshape(1, dk, 1, dk), cols.reshape(1, 1, dk, dk), left[None], blocks[None]
+    return rows.reshape(1, dk, 1, dk), cols.reshape(1, 1, dk, dk), blocks[None]
 
 
 @pytest.mark.parametrize("size", [0.0, 1e-8, 1.0, 1e3])
@@ -610,8 +607,8 @@ def test_pair_bounds_cover_entries_where_the_bound_is_tight(context_kind, size):
     # The bound holds for any contraction data, not only for a real operator's.
     for seed in range(40):
         ctx = Context.standard(1) if context_kind == "standard" else Context.random(1, seed)
-        rows, cols, left, blocks = _tight_contractions(ctx, 4, seed, size)
-        bounds = _pair_bounds(ctx, rows, cols, left, blocks)
+        rows, cols, blocks = _tight_contractions(ctx, 4, seed, size)
+        bounds = _pair_bounds(ctx, rows, cols, blocks)
         moduli = _moduli(ctx.basis, rows, cols).max(axis=(1, 3))
         assert (moduli <= bounds).all()
         # and it is tight, up to the sqrt(2) of |Re| + |Im| off the axes
@@ -622,8 +619,8 @@ def test_pair_bounds_cover_entries_where_the_bound_is_tight(context_kind, size):
 def test_pair_bounds_are_tight_where_the_moduli_lie_on_the_axes(size):
     ctx = Context.standard(1)
     for seed in range(40):
-        rows, cols, left, blocks = _tight_contractions(ctx, 4, seed, size, quarter=True)
-        bounds = _pair_bounds(ctx, rows, cols, left, blocks)
+        rows, cols, blocks = _tight_contractions(ctx, 4, seed, size, quarter=True)
+        bounds = _pair_bounds(ctx, rows, cols, blocks)
         moduli = _moduli(ctx.basis, rows, cols).max(axis=(1, 3))
         assert (moduli <= bounds).all()
         assert (bounds <= moduli * (1 + 1e-12) + 1e-12 * size).all()
@@ -645,17 +642,21 @@ def _count_formed_pairs(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("context_kind", ["standard", "random"])
 def test_shift_rejection_forms_only_the_pairs_that_can_hold_the_maximum(monkeypatch, context_kind):
-    n = dk = 8                                     # 2^15 scan entries: pruned
-    ctx = Context.standard(n) if context_kind == "standard" else Context.random(n, 80)
-    a = _shifted_unitary(ctx, dk, 1e-3)
     formed = _count_formed_pairs(monkeypatch)
-    defect = _certify(a, ctx, dk, DEFAULT_ATOL).defect
-    # [shift (x) I, P_i (x) I] lives on the dk diagonal pairs of each atom,
-    # and the running maximum starts at a pair of the largest bound
-    assert 0 < sum(formed) <= n * dk + dk < n * dk * dk
-    formed.clear()
-    assert defect == commutator_defect(a, ctx, dk)
-    assert formed == [dk * dk] * n                 # the public scan visits every pair
+    # n = dk = 8 is 2^15 scan entries, the smallest pruned size; n = dk = 16
+    # is the shape of the benchmark's Kraus import
+    for n in (8, 16):
+        dk = n
+        ctx = Context.standard(n) if context_kind == "standard" else Context.random(n, 80)
+        a = _shifted_unitary(ctx, dk, 1e-3)
+        formed.clear()
+        defect = _certify(a, ctx, dk, DEFAULT_ATOL).defect
+        # [shift (x) I, P_i (x) I] lives on the dk diagonal pairs of each atom,
+        # and the running maximum starts at a pair of the largest bound
+        assert 0 < sum(formed) <= n * dk + dk < n * dk * dk
+        formed.clear()
+        assert defect == commutator_defect(a, ctx, dk)
+        assert formed == [dk * dk] * n             # the public scan visits every pair
 
 
 def _refuse(monkeypatch, name: str):
