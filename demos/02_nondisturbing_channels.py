@@ -37,7 +37,7 @@ print("\n=== Action on a product state ===")
 rho = State(random_density(n, 21))
 eta = State(random_density(dk, 22))
 closed = apply_product(channel, rho, eta)
-direct = channel.as_operation().apply_matrix(kron(rho.matrix, eta.matrix))
+direct = channel.apply_matrix(kron(rho.matrix, eta.matrix))
 print("closed form vs brute-force Kraus action:", max_abs(closed - direct))
 print("output trace:", np.trace(closed).real)
 

@@ -5,9 +5,10 @@ decomposition in which every Kraus operator splits into per-atom probe
 blocks.  The canonical representation here is the probe table
 ``table[i, k]``, one stacked array: row ``i`` collects the probe-side
 Kraus operators tied to context atom ``i``, and each row is itself a
-channel on the probe space.  The composite Kraus operators are derived
-from the table once and held by one ``KrausOperation``; channels compare
-by their tables.
+channel on the probe space.  An ``NDChannel`` is also the channel on
+the composite space: it derives its composite Kraus operators from the
+table once and offers them as a ``KrausOperation`` does; channels
+compare by their tables.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .linalg import (
     _polar_blocks,
     completeness_defects,
 )
-from .objects import Context, KrausOperation, State, _BoundedKraus
+from .objects import Context, KrausOperation, State
 from .probes import _assemble, _certify, _check_size
 
 __all__ = [
@@ -46,10 +47,13 @@ class NDChannel:
     """Nondisturbing channel given by its probe table.
 
     ``table`` is one read-only array of shape
-    ``(dim_base, kraus_count, dim_probe, dim_probe)``: ``table[i, k]`` is
-    the probe-side Kraus operator for context atom ``i`` and Kraus index
+    ``(dim_base, count, dim_probe, dim_probe)``: ``table[i, k]`` is the
+    probe-side Kraus operator for context atom ``i`` and Kraus index
     ``k``.  Every row must satisfy the channel completeness relation on
-    the probe space.
+    the probe space, and so must the composite family on the
+    ``dim = dim_base dim_probe`` space.  The channel is itself that
+    composite channel, with the interface of :class:`KrausOperation`:
+    :attr:`dim`, :attr:`kraus` and :meth:`apply_matrix`.
     """
 
     context: Context
@@ -57,10 +61,11 @@ class NDChannel:
 
     def __post_init__(self):
         table = as_complex_stack(self.table, "table entries", 4)
-        if len(table) != self.context.dim:
+        n = self.context.dim
+        if len(table) != n:
             raise ValueError(
                 f"need one table row per context atom: "
-                f"{len(table)} rows for dimension {self.context.dim}"
+                f"{len(table)} rows for dimension {n}"
             )
         defects = completeness_defects(table)
         bad = np.flatnonzero(defects > DEFAULT_ATOL)
@@ -71,7 +76,20 @@ class NDChannel:
                 f"(completeness defect {defects[i]:.3e})"
             )
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_row_defect", float(defects.max()))
+        # Each assembled composite member lies within the rounding of its
+        # n-term sums of the exact sum_i P_i (x) B_i^k, so the checked rows
+        # bound the composite completeness defect (_completeness_bound).
+        sizes = np.sqrt(np.einsum("ikpq,ikpq->k", table.conj(), table).real)
+        slack = _dot_rounding(n) * n * (1 + self.context._orthonormality_bound)
+        bound = _completeness_bound(self.context, self.dim_probe, float(defects.max()), slack * sizes)
+        if not bound <= DEFAULT_ATOL:
+            defect = float(completeness_defects(self.induced_kraus))
+            if defect > DEFAULT_ATOL:
+                raise ValueError(
+                    f"table is not a channel in this context (composite completeness "
+                    f"defect {defect:.3e}; context orthonormality defect "
+                    f"{self.context._orthonormality_defect:.3e})"
+                )
 
     @property
     def dim_base(self) -> int:
@@ -82,8 +100,9 @@ class NDChannel:
         return self.table.shape[2]
 
     @property
-    def kraus_count(self) -> int:
-        return self.table.shape[1]
+    def dim(self) -> int:
+        """Dimension of the composite space, ``dim_base * dim_probe``."""
+        return self.dim_base * self.dim_probe
 
     @property
     def table_array(self) -> np.ndarray:
@@ -94,27 +113,24 @@ class NDChannel:
     def induced_kraus(self) -> np.ndarray:
         """Kraus operators on the composite space: ``S_k = sum_i P_i (x) B_i^k``.
 
-        One read-only array of shape ``(kraus_count, n dk, n dk)``.
+        One read-only array of shape ``(count, dim, dim)``, assembled once.
         """
-        return self.as_operation().kraus
+        kraus = np.stack([_assemble(self.context.basis, col) for col in self.table.swapaxes(0, 1)])
+        kraus.setflags(write=False)
+        return kraus
 
-    @cached_property
-    def _operation(self) -> KrausOperation:
-        # The one owner of the composite Kraus family.  Each assembled member
-        # lies within the rounding of its n-term sums of the exact
-        # sum_i P_i (x) B_i^k, so the checked rows bound the composite
-        # completeness defect (_completeness_bound); the constructor runs its
-        # Gram product only when that bound exceeds DEFAULT_ATOL.
-        n = self.dim_base
-        kraus = [_assemble(self.context.basis, col) for col in self.table.swapaxes(0, 1)]
-        sizes = np.sqrt(np.einsum("ikpq,ikpq->k", self.table.conj(), self.table).real)
-        slack = _dot_rounding(n) * n * (1 + self.context._orthonormality_bound)
-        bound = _completeness_bound(self.context, self.dim_probe, self._row_defect, slack * sizes)
-        return KrausOperation(_BoundedKraus(kraus, bound))
+    @property
+    def kraus(self) -> np.ndarray:
+        """The composite Kraus family, the same object as :attr:`induced_kraus`."""
+        return self.induced_kraus
 
-    def as_operation(self) -> KrausOperation:
-        """The channel on the composite space in generic Kraus form, built once."""
-        return self._operation
+    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
+        """The channel applied to an operator on the composite space."""
+        return KrausOperation.apply_matrix(self, m)
+
+    def as_operation(self) -> "NDChannel":
+        """The channel on the composite space: this channel itself."""
+        return self
 
     def probe_channel(self, i: int) -> KrausOperation:
         """The channel the probe undergoes when the base sits in atom ``i``."""

@@ -315,8 +315,10 @@ def _gaussians(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
     One ``(count, 2, dim, dim)`` draw holds each matrix's real part, then
     its imaginary part, so the stream is the same as ``count`` draws of
-    one matrix each.
+    one matrix each.  A ``dim`` below 1 raises ``ValueError`` before any draw.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     g = rng.standard_normal((count, 2, dim, dim))
     return g[:, 0] + 1j * g[:, 1]
 
@@ -331,8 +333,6 @@ def random_unitaries(dim: int, count: int, seed) -> np.ndarray:
     One stacked QR of complex Gaussian matrices, with the phases of the
     diagonal of ``R`` moved into ``Q``.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     q, r = np.linalg.qr(_gaussians(dim, count, _rng(seed)))

@@ -46,9 +46,9 @@ class MeasurementModel:
     """Base-plus-probe measurement: probe state, interaction channel, meter.
 
     Both dimensions are read off the parts: :attr:`dim_probe` from the
-    probe state, :attr:`dim_base` from the channel.  The channel may be a
-    generic Kraus channel on the composite space or an :class:`NDChannel`;
-    closed forms are only available for the latter.
+    probe state, :attr:`dim_base` from the channel.  The channel on the
+    composite space is a generic :class:`KrausOperation` or an
+    :class:`NDChannel`; closed forms are only available for the latter.
     Their one state-independent tensor, :attr:`pulled_meter`, is computed
     once per model on first use.  The forms that evolve the probe state
     apply the probe channels per call instead, at a cost of ``n K dk^3``:
@@ -68,14 +68,13 @@ class MeasurementModel:
         if isinstance(self.channel, NDChannel):
             if self.channel.dim_probe != self.dim_probe:
                 raise ValueError("channel table does not match the probe dimension")
-        elif isinstance(self.channel, KrausOperation):
-            if self.channel.dim % self.dim_probe:
-                raise ValueError(
-                    f"channel dimension {self.channel.dim} is not a multiple of "
-                    f"the probe dimension {self.dim_probe}"
-                )
-        else:
+        elif not isinstance(self.channel, KrausOperation):
             raise TypeError(f"unsupported channel type {type(self.channel).__name__}")
+        if self.channel.dim % self.dim_probe:
+            raise ValueError(
+                f"channel dimension {self.channel.dim} is not a multiple of "
+                f"the probe dimension {self.dim_probe}"
+            )
 
     @property
     def dim_probe(self) -> int:
@@ -84,9 +83,7 @@ class MeasurementModel:
 
     @property
     def dim_base(self) -> int:
-        """The channel's base dimension: its context's, or its own over :attr:`dim_probe`."""
-        if isinstance(self.channel, NDChannel):
-            return self.channel.dim_base
+        """The channel's dimension over :attr:`dim_probe`."""
         return self.channel.dim // self.dim_probe
 
     @property
@@ -115,11 +112,6 @@ class MeasurementModel:
         out = (np.conj(np.swapaxes(t, -1, -2)) @ meter @ t).sum(axis=2)
         out.setflags(write=False)
         return out
-
-    def channel_operation(self) -> KrausOperation:
-        if isinstance(self.channel, NDChannel):
-            return self.channel.as_operation()
-        return self.channel
 
 
 def _check_inputs(mm: MeasurementModel, rho: State, sigma: State | None = None) -> None:
@@ -251,7 +243,7 @@ class DirectOracle:
             mm = self.mm
             _check_inputs(mm, rho, sigma)
             n, dk = mm.dim_base, mm.dim_probe
-            interacted = mm.channel_operation().apply_matrix(kron(rho.matrix, sigma.matrix))
+            interacted = mm.channel.apply_matrix(kron(rho.matrix, sigma.matrix))
             # Row (a, b), column (q, p) holds X[(a, p), (b, q)], to meet F_x[q, p].
             pairs = interacted.reshape(n, dk, n, dk).transpose(0, 2, 3, 1).reshape(n * n, dk * dk)
             outs = (pairs @ mm.meter.effects.reshape(-1, dk * dk).T).T.reshape(-1, n, n)

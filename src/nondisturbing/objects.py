@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,39 +106,21 @@ class Observable:
         return self.effects.shape[1]
 
 
-class _BoundedKraus(NamedTuple):
-    """A Kraus family and a proved upper bound on its completeness defect.
-
-    Only the package's own builders hand one to :class:`KrausOperation`:
-    the bound stands for the value that ``completeness_defects`` would
-    compute, rounding included.
-    """
-
-    kraus: np.ndarray
-    defect_bound: float
-
-
 @dataclass(frozen=True, eq=False)
 class KrausOperation:
     """Channel given by its Kraus operators: ``sum_k k* k`` equals the identity.
 
     ``kraus`` is one read-only array of shape ``(count, dim, dim)``.  The
-    completeness check is one ``(count dim) x dim`` Gram product; it is
-    skipped for a :class:`_BoundedKraus` whose bound is within
-    ``DEFAULT_ATOL``.
+    completeness check is one ``(count dim) x dim`` Gram product.
     """
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        family, bound = self.kraus, None
-        if isinstance(family, _BoundedKraus):
-            family, bound = family
-        kraus = as_complex_stack(family, "Kraus operators", 3)
-        if bound is None or not bound <= DEFAULT_ATOL:
-            defect = float(completeness_defects(kraus))
-            if defect > DEFAULT_ATOL:
-                raise ValueError(f"channel completeness violated (defect {defect:.3e})")
+        kraus = as_complex_stack(self.kraus, "Kraus operators", 3)
+        defect = float(completeness_defects(kraus))
+        if defect > DEFAULT_ATOL:
+            raise ValueError(f"channel completeness violated (defect {defect:.3e})")
         object.__setattr__(self, "kraus", kraus)
 
     @property
@@ -155,9 +137,10 @@ class Context:
 
     ``basis`` holds the basis vectors as columns; ``atoms`` stacks the
     rank-one projections onto them, which sum to the identity.
-    ``_orthonormality_bound`` is an upper bound on ``||V* V - I||_2`` for
-    the basis ``V`` as stored: ``n`` times the checked max-entry defect
-    plus the rounding of the ``n``-term sums that computed it.
+    ``_orthonormality_defect`` is the checked max-entry defect of
+    ``V* V - I`` for the basis ``V`` as stored; ``_orthonormality_bound``
+    is an upper bound on ``||V* V - I||_2``: ``n`` times that defect plus
+    the rounding of the ``n``-term sums that computed it.
     """
 
     basis: np.ndarray
@@ -171,6 +154,7 @@ class Context:
                 f"context basis must be orthonormal (defect {defect:.3e})"
             )
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "_orthonormality_defect", defect)
         bound = n * (defect + _dot_rounding(n) * (1 + defect))
         object.__setattr__(self, "_orthonormality_bound", bound)
 

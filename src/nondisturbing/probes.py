@@ -537,7 +537,7 @@ def order_leq_via_probes(
             f"dimension mismatch: base {a.dim_base}, probe {a.dim_probe} "
             f"vs base {d.dim_base}, probe {d.dim_probe}"
         )
-    if a.context is not d.context and max_abs(a.context.basis - d.context.basis) > atol:
+    if a.context is not d.context and max_abs(a.context.atoms - d.context.atoms) > atol:
         raise ValueError("decompositions use different contexts")
     return bool(loewner_leq(a.probes, d.probes, atol).all())
 

@@ -292,7 +292,7 @@ def _check_channel_partial_traces(rng, max_dim) -> float:
     rho = State(random_density(n, rng))
     eta = State(random_density(dk, rng))
     closed = apply_product(nd, rho, eta)
-    direct = nd.as_operation().apply_matrix(kron(rho.matrix, eta.matrix))
+    direct = nd.apply_matrix(kron(rho.matrix, eta.matrix))
     reduced = reduced_product_outputs(nd, rho, eta)
     weights = _context_weights(context.basis, rho.matrix)
     # sum_i w_i G_i(eta), with G_i(eta) = sum_k B_i^k eta B_i^k*

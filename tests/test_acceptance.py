@@ -114,7 +114,7 @@ def test_criterion_02_partial_trace_closed_forms():
         nd = random_nd_channel(ctx, dk, int(rng.integers(1, 4)), rng)
         rho = State(random_density(n, rng))
         eta = State(random_density(dk, rng))
-        direct = nd.as_operation().apply_matrix(kron(rho.matrix, eta.matrix))
+        direct = nd.apply_matrix(kron(rho.matrix, eta.matrix))
         reduced = reduced_product_outputs(nd, rho, eta)
         worst = max(worst, max_abs(reduced.base - partial_trace(direct, n, dk, "right")))
         worst = max(worst, max_abs(reduced.probe - partial_trace(direct, n, dk, "left")))

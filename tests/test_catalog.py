@@ -84,7 +84,7 @@ def test_swap_channel_output_closed_form():
     closed = swap_product_output(rho)
     library = apply_product(mm.nd, rho, mm.probe_state)
     assert max_abs(closed - library) < 1e-10
-    direct = mm.channel_operation().apply_matrix(
+    direct = mm.channel.apply_matrix(
         kron(rho.matrix, mm.probe_state.matrix)
     )
     assert max_abs(closed - direct) < 1e-10

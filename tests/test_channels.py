@@ -14,7 +14,8 @@ from nondisturbing.linalg import (
     random_povm,
     random_unitary,
 )
-from nondisturbing.objects import Context, State
+from nondisturbing.models import DirectOracle, MeasurementModel
+from nondisturbing.objects import Context, State, sharp_observable
 import nondisturbing.channels
 import nondisturbing.linalg
 import nondisturbing.objects
@@ -42,20 +43,28 @@ def _unitary_channel(n: int, dk: int, seed: int, context: Context | None = None)
 
 def test_unitary_rows_build_a_valid_channel():
     nd = _unitary_channel(3, 2, 0)
-    assert nd.kraus_count == 1
-    op = nd.as_operation()
-    assert max_abs(sum(k.conj().T @ k for k in op.kraus) - np.eye(6)) < 1e-12
+    assert nd.kraus.shape == (1, 6, 6) and nd.dim == 6
+    assert max_abs(sum(k.conj().T @ k for k in nd.kraus) - np.eye(6)) < 1e-12
 
 
 def test_as_operation_is_built_once_per_channel():
     nd = _unitary_channel(3, 2, 0)
-    assert nd.as_operation() is nd.as_operation()
+    assert nd.as_operation() is nd
 
 
-def test_composite_kraus_family_is_held_once():
+def test_composite_kraus_family_is_held_once(monkeypatch):
     nd = random_nd_channel(Context.random(3, 5), 2, 3, 5)
-    for k in range(nd.kraus_count):
-        assert np.shares_memory(nd.induced_kraus[k], nd.as_operation().kraus[k])
+    assembled = []
+    original = nondisturbing.channels._assemble
+
+    def counting(basis, blocks):
+        assembled.append(blocks)
+        return original(basis, blocks)
+
+    monkeypatch.setattr(nondisturbing.channels, "_assemble", counting)
+    assert nd.kraus is nd.induced_kraus
+    assert nd.as_operation().kraus is nd.induced_kraus
+    assert len(assembled) == 3  # one assembly per member, on first use only
 
 
 def test_row_completeness_violation_names_the_row():
@@ -113,7 +122,7 @@ def test_from_kraus_recovers_table_built_channels():
 
 def _pair_choi_blocks(nd: NDChannel) -> np.ndarray:
     """``C[i, j] = sum_k vec(B_i^k) vec(B_j^k)*``: invariant under Kraus mixing."""
-    vecs = nd.table_array.reshape(nd.dim_base, nd.kraus_count, -1)
+    vecs = nd.table_array.reshape(nd.dim_base, nd.table.shape[1], -1)
     return np.einsum("ika,jkb->ijab", vecs, vecs.conj())
 
 
@@ -123,11 +132,8 @@ def test_from_kraus_handles_kraus_freedom():
     for seed in range(5):
         ctx = Context.random(2, seed + 400)
         nd = random_nd_channel(ctx, 2, 2, seed)
-        mix = random_unitary(nd.kraus_count, seed + 401)
-        rotated = [
-            sum(mix[j, k] * nd.induced_kraus[k] for k in range(nd.kraus_count))
-            for j in range(nd.kraus_count)
-        ]
+        mix = random_unitary(2, seed + 401)
+        rotated = [sum(mix[j, k] * nd.induced_kraus[k] for k in range(2)) for j in range(2)]
         rebuilt = nd_channel_from_kraus(rotated, ctx, 2)
         assert max_abs(_pair_choi_blocks(rebuilt) - _pair_choi_blocks(nd)) < 1e-10
         for r in range(3):
@@ -135,9 +141,7 @@ def test_from_kraus_handles_kraus_freedom():
             rho = np.outer(psi, psi.conj())
             reduced = partial_trace(rho, 2, 2, "right")
             assert np.trace(reduced @ reduced).real < 1 - 1e-3  # entangled
-            assert max_abs(
-                rebuilt.as_operation().apply_matrix(rho) - nd.as_operation().apply_matrix(rho)
-            ) < 1e-10
+            assert max_abs(rebuilt.apply_matrix(rho) - nd.apply_matrix(rho)) < 1e-10
         different = max(
             max_abs(a - b) for a, b in zip(rotated, nd.induced_kraus)
         )
@@ -177,7 +181,7 @@ def test_from_kraus_tests_each_operator_once(monkeypatch):
     nd = random_nd_channel(ctx, 2, 3, 12)
     calls = _count_commutator_tests(monkeypatch)
     rebuilt = nd_channel_from_kraus(nd.induced_kraus, ctx, 2)
-    assert len(calls["bound"]) == nd.kraus_count == 3
+    assert len(calls["bound"]) == len(nd.kraus) == 3
     assert calls["scan"] == []  # every bound is within tolerance
     for row, other in zip(nd.table, rebuilt.table):
         for b, c in zip(row, other):
@@ -320,17 +324,22 @@ def test_from_kraus_near_tolerance_decides_as_the_composite_gram(monkeypatch, ki
 def test_near_tolerance_context_decides_as_the_composite_gram(spread):
     # Columns of squared length 1 + spread pass the context's own check; the
     # composite defect of the assembled table is then 2 spread + spread^2.
+    # The channel refuses such a context when it is built, naming both defects.
     context = _near_context("random", 3, spread)
-    assert 0.4e-9 < max_abs(context.basis.conj().T @ context.basis - np.eye(3)) <= DEFAULT_ATOL
-    nd = NDChannel(context, random_nd_channel(Context.standard(3), 2, 2, 92).table)
-    kraus = _assembled(context, nd.table)
+    skew = max_abs(context.basis.conj().T @ context.basis - np.eye(3))
+    assert 0.4e-9 < skew <= DEFAULT_ATOL
+    table = random_nd_channel(Context.standard(3), 2, 2, 92).table
+    kraus = _assembled(context, table)
     defect = float(completeness_defects(kraus))
     assert abs(defect - DEFAULT_ATOL) > 1e-13
     try:
-        nd.as_operation()
+        NDChannel(context, table)
     except ValueError as exc:
         assert defect > DEFAULT_ATOL
-        assert str(exc) == f"channel completeness violated (defect {defect:.3e})"
+        assert str(exc) == (
+            f"table is not a channel in this context (composite completeness defect "
+            f"{defect:.3e}; context orthonormality defect {skew:.3e})"
+        )
     else:
         assert defect <= DEFAULT_ATOL
     # Blocks read back from these members carry (1 + spread)^2, so the rows
@@ -350,8 +359,7 @@ def test_as_operation_near_tolerance_rows_decides_as_the_composite_gram(kind, ta
     nd = NDChannel(context, table)
     defect = float(completeness_defects(_assembled(context, nd.table)))
     assert defect <= DEFAULT_ATOL
-    op = nd.as_operation()
-    assert np.array_equal(op.kraus, _assembled(context, nd.table))
+    assert np.array_equal(nd.kraus, _assembled(context, nd.table))
 
 
 @settings(max_examples=80, deadline=None)
@@ -388,7 +396,8 @@ def test_good_import_and_operation_run_no_composite_gram(monkeypatch):
     kraus = random_nd_channel(context, 3, 2, 94).induced_kraus
     sizes = _gram_sizes(monkeypatch)
     nd = nd_channel_from_kraus(kraus, context, 3)
-    nd.as_operation()
+    mm = MeasurementModel(State(random_density(3, 95)), nd, sharp_observable(3))
+    DirectOracle(mm).instrument(State(random_density(4, 96)))
     assert sizes and set(sizes) == {3}  # probe-space rows only
 
 
@@ -425,7 +434,7 @@ def test_apply_product_matches_direct_kraus_action():
         rho = State(random_density(2, seed + 70))
         eta = State(random_density(3, seed + 80))
         closed = apply_product(nd, rho, eta)
-        direct = nd.as_operation().apply_matrix(kron(rho.matrix, eta.matrix))
+        direct = nd.apply_matrix(kron(rho.matrix, eta.matrix))
         assert max_abs(closed - direct) < 1e-10
 
 
@@ -506,7 +515,7 @@ def test_reduced_outputs_match_partial_trace_oracle():
         nd = random_nd_channel(ctx, 2, 2, seed)
         rho = State(random_density(3, seed + 160))
         eta = State(random_density(2, seed + 170))
-        direct = nd.as_operation().apply_matrix(kron(rho.matrix, eta.matrix))
+        direct = nd.apply_matrix(kron(rho.matrix, eta.matrix))
         reduced = reduced_product_outputs(nd, rho, eta)
         assert max_abs(reduced.base - partial_trace(direct, 3, 2, "right")) < 1e-10
         assert max_abs(reduced.probe - partial_trace(direct, 3, 2, "left")) < 1e-10

@@ -324,6 +324,28 @@ def test_run_exits_three_on_trace_decreasing_kraus_family(tmp_path, capsys):
     assert "completeness" in err
 
 
+def test_run_refuses_a_table_that_an_edge_context_breaks_at_parse(tmp_path, capsys):
+    # The Hadamard basis written to 9 decimals passes the context's own check
+    # (defect 5.3e-10), but the composite family it assembles does not.
+    a = 0.707106781
+    doc = _kraus_scenario(["instrument"])
+    doc["channel"] = {
+        "kind": "nd",
+        "context": matrix_to_json(np.array([[a, a], [a, -a]])),
+        "table": [[matrix_to_json(np.eye(2))], [matrix_to_json(np.array([[0, 1], [1, 0]]))]],
+    }
+    message = (
+        "table is not a channel in this context (composite completeness defect "
+        "1.055e-09; context orthonormality defect 5.276e-10)"
+    )
+    with pytest.raises(ValueError) as refused:
+        scenario_from_json(doc)
+    assert str(refused.value) == message
+    path = _write(tmp_path, "hadamard_9_decimals.json", doc)
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
 def test_kraus_channel_instrument_request_passes(tmp_path):
     path = _write(tmp_path, "kraus_ok.json", _kraus_scenario(["instrument"]))
     assert main(["run", path]) == 0

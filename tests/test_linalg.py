@@ -16,6 +16,7 @@ from nondisturbing.linalg import (
     psd_sqrt,
     random_density,
     random_effect,
+    random_hermitian,
     random_kraus_channel,
     random_povm,
     random_projection,
@@ -461,7 +462,21 @@ def test_random_nd_channel_is_bit_identical_to_per_row_draws(n, dk):
 
 
 def test_random_unitaries_reject_bad_sizes():
-    with pytest.raises(ValueError, match="dim"):
-        random_unitaries(0, 1, 0)
+    # Every seeded generator refuses dim 0 before it draws from its stream.
+    for draw in (
+        lambda rng: random_unitaries(0, 1, rng),
+        lambda rng: random_unitary(0, rng),
+        lambda rng: random_hermitian(0, rng),
+        lambda rng: random_density(0, rng),
+        lambda rng: random_effect(0, rng),
+        lambda rng: random_projection(0, 0, rng),
+        lambda rng: random_povm(0, 2, rng),
+        lambda rng: random_kraus_channel(0, 1, rng),
+        lambda rng: random_nd_channel(Context.standard(2), 0, 1, rng),
+    ):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            draw(rng)
+        assert rng.random() == np.random.default_rng(0).random()
     with pytest.raises(ValueError, match="count"):
         random_unitaries(2, 0, 0)

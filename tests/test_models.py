@@ -472,6 +472,15 @@ def test_oracle_applies_the_channel_once_per_round(monkeypatch, fn, applications
     assert len(calls) == applications
 
 
+def test_oracle_reads_an_nd_channel_as_its_composite_kraus_family():
+    mm = random_model(3, 2, 3, 2, 131, context=Context.random(3, 132))
+    generic = MeasurementModel(mm.probe_state, KrausOperation(mm.nd.induced_kraus), mm.meter)
+    assert generic.dim_base == mm.dim_base == 3
+    rho, sigma = State(random_density(3, 133)), State(random_density(2, 134))
+    for a, b in zip(DirectOracle(mm).readings(rho, sigma), DirectOracle(generic).readings(rho, sigma)):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize(
     "fn", [oracle_instrument, oracle_post_probe, oracle_remeasure],
     ids=lambda fn: fn.__name__,
@@ -595,7 +604,7 @@ def _three_system_remeasured_effect(
     """
     n, dk = mm.dim_base, mm.dim_probe
     eye = np.eye(n)
-    blocks = [s.reshape(n, dk, n, dk) for s in mm.channel_operation().kraus]
+    blocks = [s.reshape(n, dk, n, dk) for s in mm.channel.kraus]
     # indices (base 1, base 2, probe) out, then in
     first = [np.einsum("apcq,bd->abpcdq", b, eye) for b in blocks]
     second = [np.einsum("ac,bpdq->abpcdq", eye, b) for b in blocks]

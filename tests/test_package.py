@@ -59,6 +59,10 @@ REMOVED = {
     "CONSTRUCTION_ATOL",
     "_column_blocks",
     "_residuals",
+    "_BoundedKraus",
+    "_operation",
+    "channel_operation",
+    "kraus_count",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.

@@ -973,6 +973,22 @@ def test_order_via_probes_rejects_context_mismatch():
         order_leq_via_probes(a, b)
 
 
+
+def test_order_via_probes_identifies_a_context_by_its_atoms():
+    ctx = Context.random(3, 60)
+    phases = np.exp(1j * np.array([0.4, 1.9, -2.6]))
+    rephased, permuted = Context(ctx.basis * phases), Context(ctx.basis[:, [1, 2, 0]])
+    lower = tuple(random_effect(2, 61 + i) for i in range(3))
+    upper = tuple(b + p for b, p in zip(lower, (random_effect(2, 64 + i) for i in range(3))))
+    for left, right in ((lower, upper), (upper, lower)):
+        expected = order_leq_via_probes(ProbeDecomposition(ctx, left), ProbeDecomposition(ctx, right))
+        assert order_leq_via_probes(
+            ProbeDecomposition(ctx, left), ProbeDecomposition(rephased, right)
+        ) == expected
+    # the blocks are indexed by atom, so a reordered basis is another context
+    with pytest.raises(ValueError, match="different contexts"):
+        order_leq_via_probes(ProbeDecomposition(ctx, lower), ProbeDecomposition(permuted, upper))
+
 # ---------------------------------------------------------------------------
 # Conjugation and adjoints
 # ---------------------------------------------------------------------------

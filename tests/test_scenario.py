@@ -116,30 +116,36 @@ def test_kraus_scenario_residual_names():
 
 
 def test_run_builds_one_composite_operation_and_one_direct_output_per_pair(monkeypatch):
+    # The one composite operation is the parsed channel itself.
     scenario = scenario_from_json(_nd_document(2, 2, 3, 20))
-    built = []
-    original_init = KrausOperation.__post_init__
-
-    def counting_init(self):
-        built.append(self)
-        original_init(self)
-
     applied = []
     original_apply = KrausOperation.apply_matrix
 
     def counting_apply(self, m):
+        assert self is scenario.model.channel
         applied.append(m.tobytes())
         return original_apply(self, m)
 
-    monkeypatch.setattr(KrausOperation, "__post_init__", counting_init)
     monkeypatch.setattr(KrausOperation, "apply_matrix", counting_apply)
     report = run_scenario(scenario)
     assert report["pass"]
-    assert len(built) == 1
     # One output per input, shared by the three one-round oracles, then the
     # two-round oracle's first round once and its second round per input.
     assert len(applied) == 2 * 2 + 1
     assert len(set(applied)) == len(applied)
+
+
+def test_run_of_an_nd_document_constructs_no_kraus_operation(monkeypatch):
+    built = []
+    original = KrausOperation.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(KrausOperation, "__post_init__", counting)
+    assert run_scenario(scenario_from_json(_nd_document(2, 2, 3, 21)))["pass"]
+    assert built == []
 
 
 def _counting_applications(monkeypatch) -> list[int]:
