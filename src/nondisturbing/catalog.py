@@ -63,9 +63,10 @@ def swap_model(n: int, meter: Observable | None = None) -> MeasurementModel:
     sharp observable on the probe basis; any other meter on the probe
     space can be passed in.
     """
+    unitaries = swap_unitaries(n)
     if meter is None:
         meter = sharp_observable(n)
-    channel = NDChannel(Context.standard(n), swap_unitaries(n)[:, None])
+    channel = NDChannel(Context.standard(n), unitaries[:, None])
     return MeasurementModel(_pure_first_basis_state(n), channel, meter)
 
 
@@ -134,9 +135,10 @@ def fourier_model(n: int, m: int, meter: Observable | None = None) -> Measuremen
     The probe starts in the first basis state; the meter defaults to the
     sharp observable on the probe basis.
     """
+    unitaries = fourier_unitaries(n, m)
     if meter is None:
         meter = sharp_observable(m)
-    channel = NDChannel(Context.standard(n), fourier_unitaries(n, m)[:, None])
+    channel = NDChannel(Context.standard(n), unitaries[:, None])
     return MeasurementModel(_pure_first_basis_state(m), channel, meter)
 
 

@@ -188,79 +188,62 @@ def partial_trace(m, dim_left: int, dim_right: int, over: str) -> np.ndarray:
     return np.trace(blocks, axis1=0, axis2=2)
 
 
-def _per_member(mask) -> bool | np.ndarray:
-    """A predicate's answer: a ``bool`` for one matrix, a bool array for a stack."""
-    return bool(mask) if mask.ndim == 0 else mask
-
-
-def _within(defect: np.ndarray, atol: float):
-    """Whether each matrix of a ``(..., d, d)`` stack has every entry within ``atol``.
-
-    A NumPy bool for one matrix, a bool array for a stack.
-    """
-    return np.abs(defect).max(axis=(-2, -1), initial=0.0) <= atol
-
-
 def _adjoint(arr: np.ndarray) -> np.ndarray:
     return arr.conj().swapaxes(-1, -2)
 
 
-def _hermitian(arr: np.ndarray, atol: float) -> np.ndarray:
-    return _within(arr - _adjoint(arr), atol)
+def _hermitian(arr: np.ndarray, atol: float) -> bool:
+    return max_abs(arr - _adjoint(arr)) <= atol
 
 
-# Each predicate takes one square matrix, answered with a ``bool``, or a
-# ``(..., d, d)`` stack, answered member by member with a bool array of
-# shape ``(...)``.
+# Each predicate takes one square matrix or a ``(..., d, d)`` stack and
+# answers with one ``bool``: whether every member has the property.  An
+# empty stack answers True.
 
 
-def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
-    return _per_member(_hermitian(_square(m, stack=True), atol))
+def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool:
+    return _hermitian(_square(m, stack=True), atol)
 
 
-def _spectrum_within(arr: np.ndarray, atol: float, upper: float | None) -> np.ndarray:
-    """Hermitian members whose spectrum is ``>= -atol`` (and ``<= upper + atol``).
+def _spectrum_within(arr: np.ndarray, atol: float, upper: float | None) -> bool:
+    """Every member Hermitian with spectrum ``>= -atol`` (and ``<= upper + atol``).
 
-    Only the Hermitian members are diagonalised, so a NaN entry gives
-    False rather than reaching ``eigvalsh``.
+    A stack with a member that is not Hermitian, a NaN member included,
+    answers False before it reaches ``eigvalsh``.
     """
-    ok = np.array(_hermitian(arr, atol))
-    if ok.any():
-        w = np.linalg.eigvalsh(arr[ok])
-        inside = w[:, 0] >= -atol
-        if upper is not None:
-            inside &= w[:, -1] <= upper + atol
-        ok[ok] = inside
-    return ok
+    if not _hermitian(arr, atol):
+        return False
+    w = np.linalg.eigvalsh(arr)
+    inside = w[..., 0].min(initial=np.inf) >= -atol
+    if upper is not None:
+        inside &= w[..., -1].max(initial=-np.inf) <= upper + atol
+    return bool(inside)
 
 
-def is_psd(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
-    return _per_member(_spectrum_within(_square(m, stack=True), atol, None))
+def is_psd(m, atol: float = DEFAULT_ATOL) -> bool:
+    return _spectrum_within(_square(m, stack=True), atol, None)
 
 
-def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+def is_unitary(m, atol: float = DEFAULT_ATOL) -> bool:
     """``A* A`` and ``A A*`` both within ``atol`` of the identity.
 
-    ``A A*`` is formed only for the members whose ``A* A`` passes.
+    ``A A*`` is formed only when ``A* A`` passes.
     """
     arr = _square(m, stack=True)
     eye = np.eye(arr.shape[-1])
     adj = _adjoint(arr)
-    ok = np.array(_within(adj @ arr - eye, atol))
-    if ok.any():
-        ok[ok] = _within(arr[ok] @ adj[ok] - eye, atol)
-    return _per_member(ok)
+    return max_abs(adj @ arr - eye) <= atol and max_abs(arr @ adj - eye) <= atol
 
 
-def is_projection_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+def is_projection_matrix(m, atol: float = DEFAULT_ATOL) -> bool:
     """True for Hermitian idempotents (orthogonal projections)."""
     arr = _square(m, stack=True)
-    return _per_member(_hermitian(arr, atol) & _within(arr @ arr - arr, atol))
+    return _hermitian(arr, atol) and max_abs(arr @ arr - arr) <= atol
 
 
-def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+def is_effect_matrix(m, atol: float = DEFAULT_ATOL) -> bool:
     """True for Hermitian operators with spectrum inside ``[0, 1]``."""
-    return _per_member(_spectrum_within(_square(m, stack=True), atol, 1.0))
+    return _spectrum_within(_square(m, stack=True), atol, 1.0)
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -284,21 +267,21 @@ def psd_sqrt(m) -> np.ndarray:
     return hermitian_part((v * root[..., None, :]) @ _adjoint(v))
 
 
-def loewner_leq(a, b, atol: float = DEFAULT_ATOL) -> bool | np.ndarray:
+def loewner_leq(a, b, atol: float = DEFAULT_ATOL) -> bool:
     """Operator-order comparison: True iff ``b - a`` is PSD within ``atol``.
 
-    ``a`` and ``b`` are two matrices, or two stacks of one shape compared
-    member by member; a member of either that is not Hermitian within
-    ``atol`` raises ``ValueError``.
+    ``a`` and ``b`` are two matrices, or two stacks of one shape; for
+    stacks, True iff every pair is ordered.  A member of either that is
+    not Hermitian within ``atol`` raises ``ValueError``.
     """
     a = _square(a, "a", stack=True)
     b = _square(b, "b", stack=True)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     for name, arr in (("a", a), ("b", b)):
-        if not _hermitian(arr, atol).all():
+        if not _hermitian(arr, atol):
             raise ValueError(f"{name} is not Hermitian within {atol:.3e}")
-    return _per_member(np.linalg.eigvalsh(hermitian_part(b - a))[..., 0] >= -atol)
+    return bool(np.linalg.eigvalsh(hermitian_part(b - a))[..., 0].min(initial=np.inf) >= -atol)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class Observable:
                 f"need one effect per outcome label: "
                 f"{len(effects)} effects for {len(labels)} labels"
             )
-        if max_abs(effects - np.conj(np.swapaxes(effects, -1, -2))) > DEFAULT_ATOL:
+        if not is_hermitian(effects):
             raise ValueError("effect must be Hermitian")
         w = np.linalg.eigvalsh(effects)
         outside = (w[:, 0] < -DEFAULT_ATOL) | (w[:, -1] > 1 + DEFAULT_ATOL)

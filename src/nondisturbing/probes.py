@@ -494,12 +494,12 @@ def classify(decomp: ProbeDecomposition, atol: float = DEFAULT_ATOL) -> ProbeFla
     sum to the probe identity.
     """
     probes = decomp.probes
-    effect = bool(is_effect_matrix(probes, atol).all())
+    effect = is_effect_matrix(probes, atol)
     family = effect and max_abs(probes.sum(axis=0) - np.eye(decomp.dim_probe)) <= atol
     return ProbeFlags(
-        self_adjoint=bool(is_hermitian(probes, atol).all()),
-        unitary=bool(is_unitary(probes, atol).all()),
-        projection=bool(is_projection_matrix(probes, atol).all()),
+        self_adjoint=is_hermitian(probes, atol),
+        unitary=is_unitary(probes, atol),
+        projection=is_projection_matrix(probes, atol),
         effect=effect,
         observable_family=family,
     )
@@ -539,7 +539,7 @@ def order_leq_via_probes(
         )
     if a.context is not d.context and max_abs(a.context.atoms - d.context.atoms) > atol:
         raise ValueError("decompositions use different contexts")
-    return bool(loewner_leq(a.probes, d.probes, atol).all())
+    return loewner_leq(a.probes, d.probes, atol)
 
 
 def conjugate(decomp: ProbeDecomposition, base_factor, probe_factor) -> np.ndarray:

@@ -136,6 +136,11 @@ def nd_channel_from_json(obj, path: str = "channel") -> NDChannel:
     for i, row in enumerate(table_obj):
         if not isinstance(row, list) or not row:
             raise SchemaError(f"{path}.table[{i}]", "must be a non-empty list")
+        if len(row) != len(table_obj[0]):
+            raise SchemaError(
+                f"{path}.table[{i}]",
+                f"must hold {len(table_obj[0])} Kraus operators, as row 0 does",
+            )
         rows.append(
             [matrix_from_json(b, f"{path}.table[{i}][{k}]") for k, b in enumerate(row)]
         )

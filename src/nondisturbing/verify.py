@@ -257,6 +257,7 @@ def _check_classification(rng, max_dim) -> float:
         _reduced_mismatches(decomp, full),
         _reduced_mismatches(rotating, rotating.assemble()),
         not ordered,
+        not order_leq_via_probes(lower, lower),  # A <= A: the bumps are all strictly positive
         ordered != loewner_leq(lower.assemble(), upper.assemble()),
     )))
 

@@ -169,6 +169,11 @@ def test_swap_rejects_wrong_meter_dimension():
 
     with pytest.raises(ValueError, match="meter dimension"):
         swap_model(3, sharp_observable(2))
+    # The size error, not the default meter's.
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        swap_model(0)
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        fourier_model(2, 0)
 
 
 # ---------------------------------------------------------------------------

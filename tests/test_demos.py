@@ -26,3 +26,5 @@ def test_demo_runs_and_prints(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    # A flag or number printed as a NumPy scalar reads ``np.True_``, ``np.float64(...)``.
+    assert "np." not in proc.stdout

@@ -369,19 +369,58 @@ def _predicate_stack(dim: int = 3) -> np.ndarray:
     return np.array(members, dtype=complex).reshape(4, 4, dim, dim)
 
 
+def _inserted(passing: list, member: np.ndarray) -> np.ndarray:
+    """``member`` inside a family of passing members, as a ``(2, k, d, d)`` stack."""
+    middle = len(passing) // 2
+    family = passing[:middle] + [member] + passing[middle:]
+    if len(family) % 2:
+        family.append(passing[0])
+    return np.array(family).reshape(2, -1, *member.shape)
+
+
 @pytest.mark.parametrize("predicate, loop", PREDICATE_LOOPS, ids=lambda f: f.__name__)
 def test_stack_predicate_answers_each_member_like_the_loop(predicate, loop):
-    stack = _predicate_stack()
+    members = list(_predicate_stack().reshape(-1, 3, 3))
     for atol in (1e-9, 1e-6):
-        answer = predicate(stack, atol)
-        assert answer.shape == stack.shape[:-2] and answer.dtype == bool
-        expected = [[loop(m, atol) for m in row] for row in stack]
-        assert answer.tolist() == expected
-        for index in np.ndindex(answer.shape):      # one matrix, the NaN member included
-            one = predicate(stack[index], atol)
-            assert type(one) is bool and one == answer[index]
+        passing = [m for m in members if loop(m, atol)]
+        assert passing
+        for m in members:                           # the NaN member included
+            one = predicate(m, atol)
+            assert type(one) is bool and one == loop(m, atol)
+            family = predicate(_inserted(passing, m), atol)
+            assert type(family) is bool and family == loop(m, atol)
+        assert predicate(np.array(passing), atol) is True
     # The stack holds members on both sides of every predicate at 1e-9.
-    assert predicate(stack).any() and not predicate(stack).all()
+    assert predicate(_predicate_stack()) is False
+
+
+ALL_PREDICATES = [predicate for predicate, _ in PREDICATE_LOOPS] + [
+    lambda m: loewner_leq(m, m)
+]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4, 3, 3), (0, 3, 3), (2, 0, 3, 3)])
+def test_every_predicate_answers_one_bool(shape):
+    family = np.broadcast_to(np.eye(3), shape)
+    for predicate in ALL_PREDICATES:
+        assert predicate(family) is True            # an empty stack answers True
+
+
+def test_a_nan_member_answers_false_before_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    stack = np.array([np.eye(3), np.full((3, 3), np.nan), np.eye(3)])
+    for predicate, _ in PREDICATE_LOOPS:
+        assert predicate(stack) is False
+        assert predicate(stack[1]) is False
+    identities = np.broadcast_to(np.eye(3), stack.shape)
+    with pytest.raises(ValueError, match="a is not Hermitian"):
+        loewner_leq(stack, identities)
+    with pytest.raises(ValueError, match="b is not Hermitian"):
+        loewner_leq(identities, stack)
+    assert not calls
+    assert is_psd(stack[::2]) is True and len(calls) == 1
 
 
 def test_loewner_leq_of_stacks_answers_each_pair_like_the_loop():
@@ -390,14 +429,18 @@ def test_loewner_leq_of_stacks_answers_each_pair_like_the_loop():
     # b - a has eigenvalues: all >= 0; -1e-3; -3e-10 (within 1e-9); -3e-9 (outside it)
     gaps = [[1.0, 0.0, 0.5], [0.0, -1e-3, 0.5], [-3e-10, 0.0, 0.0], [0.0, 0.0, -3e-9]]
     upper = lower + np.array([np.diag(g) for g in gaps] * 3).reshape(lower.shape)
+    pairs = list(zip(lower.reshape(-1, 3, 3), upper.reshape(-1, 3, 3)))
     for atol in (1e-9, 1e-2):
-        answer = loewner_leq(lower, upper, atol)
-        assert answer.shape == (3, 4)
-        expected = [[_loop_loewner(a, b, atol) for a, b in zip(*rows)]
-                    for rows in zip(lower, upper)]
-        assert answer.tolist() == expected
-    assert loewner_leq(lower, upper).any() and not loewner_leq(lower, upper).all()
-    assert type(loewner_leq(lower[0, 0], upper[0, 0])) is bool
+        ordered = [pair for pair in pairs if _loop_loewner(*pair, atol)]
+        assert ordered
+        for a, b in pairs:
+            one = loewner_leq(a, b, atol)
+            assert type(one) is bool and one == _loop_loewner(a, b, atol)
+            family = loewner_leq(_inserted([p[0] for p in ordered], a),
+                                 _inserted([p[1] for p in ordered], b), atol)
+            assert type(family) is bool and family == _loop_loewner(a, b, atol)
+    assert loewner_leq(lower, upper, 1e-2) is True
+    assert loewner_leq(lower, upper) is False
 
 
 def test_loewner_leq_of_stacks_rejects_one_non_hermitian_member():

@@ -70,6 +70,9 @@ MUTANTS = [
     # rejection instance can see it.
     ("zero-commutator-bound", probes, "_context_bound",
      "float(bound.max())", "0.0", None),
+    # An order too strict to hold with equality: only the battery's
+    # reflexivity check can see it.
+    ("loewner-strict", linalg, "loewner_leq", ">= -atol", ">= atol", None),
 ]
 
 

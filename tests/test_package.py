@@ -63,6 +63,8 @@ REMOVED = {
     "_operation",
     "channel_operation",
     "kraus_count",
+    "_per_member",
+    "_within",
 }
 
 # ``__main__`` runs the CLI on import and exports nothing.

@@ -78,6 +78,10 @@ def test_nd_channel_schema_errors_carry_paths():
     doc["table"][1] = []
     with pytest.raises(SchemaError, match=r"table\[1\]"):
         nd_channel_from_json(doc)
+    ragged = nd_channel_to_json(random_nd_channel(Context.standard(2), 2, 2, 6))
+    ragged["table"][0] = ragged["table"][0][:1]
+    with pytest.raises(SchemaError, match=r"channel\.table\[1\]: must hold 1 Kraus operators"):
+        nd_channel_from_json(ragged)
 
 
 # The per-entry codec that matrix_to_json and matrix_from_json replace with
